@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextmanager
+def _write_atomic(path: Path, newline: str | None = None):
+    """Yield a text handle on a temp file beside `path`. When the block
+    completes the temp file replaces `path`; when it raises, the temp file
+    is removed and `path` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,7 +72,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _write_atomic(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _pose_doc(pose, target) -> dict:
@@ -177,9 +183,7 @@ def _write_trace(path: Path, traj) -> None:
     for i in range(n):
         header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
     header.append("V")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    with os.fdopen(fd, "w", newline="") as fh:
+    with _write_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for t in range(traj.positions.shape[0]):
@@ -192,7 +196,6 @@ def _write_trace(path: Path, traj) -> None:
                 row += [repr(float(v)) for v in u]
             row.append(repr(float(traj.lyapunov[t])))
             writer.writerow(row)
-    os.replace(tmp, path)
 
 
 def _run(scenario: Scenario, last_stage: str, out_dir: Path | None,
@@ -208,7 +211,8 @@ def _run(scenario: Scenario, last_stage: str, out_dir: Path | None,
             stage = "fly"
             report["Flight"] = _stage_fly(scenario, formation, out_dir, controller, seed)
     except Exception as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
+        exc.stage = stage  # read by main's error message
+        raise
     if out_dir is not None:
         _write_json(out_dir / "report.json", report)
     return report
@@ -241,6 +245,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    stage = getattr(exc, "stage", None)
+    return f"[stage {stage}] {exc}" if stage else str(exc)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -260,13 +269,16 @@ def main(argv=None) -> int:
         print(f"swarmform: error: {exc}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
-        print(f"swarmform: config error: {exc}", file=sys.stderr)
+        print(f"swarmform: config error: {_message(exc)}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. an --out-dir that cannot be created or written
+        print(f"swarmform: error: {_message(exc)}", file=sys.stderr)
         return 1
     except (DegenerateGeometryError, FloatingPointError, ZeroDivisionError) as exc:
-        print(f"swarmform: numeric error: {exc}", file=sys.stderr)
+        print(f"swarmform: numeric error: {_message(exc)}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"swarmform: error: {exc}", file=sys.stderr)
+        print(f"swarmform: error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

@@ -16,6 +16,9 @@ authority (and energy) during large transitions. Its Lyapunov function
 decreases monotonically along trajectories for a stationary target
 (dV/dt = -k2 * sum |v_i|^2); the k1/2 and kp/2 coefficients are exactly
 the ones that make the cross terms cancel.
+
+The equations live once, in `swarmform.kernels`: `simulate` rolls them
+out, and `control` and `lyapunov_value` evaluate them at a single state.
 """
 
 from __future__ import annotations
@@ -155,49 +158,38 @@ class FlightMetrics:
             raise ValueError("velocity-error aggregates are inconsistent")
 
 
-def _formation_errors(state: SwarmState, plan: FormationPlan) -> np.ndarray:
-    """(n, n, 3) array of e_ij = (P_i - P_j) - d_ij."""
-    p = state.positions
-    return (p[:, None, :] - p[None, :, :]) - (plan.slots[:, None, :] - plan.slots[None, :, :])
+_CTRL_CODES = {"log": kernels.CTRL_LOG, "quad": kernels.CTRL_QUAD, "apf": kernels.CTRL_APF}
 
 
-def control_log(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> np.ndarray:
-    """Saturating formation law: per-edge force k1*e/(1+|e|^2)."""
-    _, adj = gains.resolved(state.n)
-    e = _formation_errors(state, plan)
-    w = adj / (1.0 + np.einsum("ijk,ijk->ij", e, e))
-    u = -gains.k1 * np.einsum("ij,ijk->ik", w, e) - gains.k2 * state.velocities
-    err_l = state.positions[gains.leader] - plan.desired_positions(state.time)[gains.leader]
-    u[gains.leader] -= gains.kp * err_l
+def _ctrl_code(controller: str) -> int:
+    if controller not in _CTRL_CODES:
+        raise ValueError(f"unknown controller {controller!r}; expected log, quad or apf")
+    return _CTRL_CODES[controller]
+
+
+def _law(n: int, plan: FormationPlan, controller: str, gains: ControlGains,
+         apf: ApfParams | None):
+    """kernels.law bound to this swarm's plan, graph and gains."""
+    _, adj = gains.resolved(n)
+    apf = apf or ApfParams()
+    return kernels.law(_ctrl_code(controller), plan.slots, adj, gains.leader,
+                       gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0)
+
+
+def control(state: SwarmState, plan: FormationPlan, controller: str,
+            gains: ControlGains, apf: ApfParams | None = None) -> np.ndarray:
+    """Control input of `controller` at `state`, exactly as `simulate` applies it.
+
+    log: saturating per-edge force k1*e/(1+|e|^2); quad: linear per-edge
+    force k1*e; both pull the leader toward its slot with kp. apf: every
+    member attracted to its own slot with apf.ka, plus pairwise repulsion
+    within apf.d0. All three damp with gains.k2.
+    """
+    forces, _ = _law(state.n, plan, controller, gains, apf)
+    u = forces(state.positions, state.velocities, plan.target_at(state.time))
+    if not np.isfinite(u).all():
+        raise FloatingPointError("non-finite control force, e.g. from coincident UAVs under APF")
     return u
-
-
-def control_quad(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> np.ndarray:
-    """Linear formation law: per-edge force k1*e (unbounded)."""
-    _, adj = gains.resolved(state.n)
-    e = _formation_errors(state, plan)
-    u = -gains.k1 * np.einsum("ij,ijk->ik", adj, e) - gains.k2 * state.velocities
-    err_l = state.positions[gains.leader] - plan.desired_positions(state.time)[gains.leader]
-    u[gains.leader] -= gains.kp * err_l
-    return u
-
-
-def control_apf(state: SwarmState, plan: FormationPlan, apf: ApfParams,
-                graph: np.ndarray | None = None) -> np.ndarray:
-    """Absolute slot attraction plus short-range pairwise repulsion."""
-    n = state.n
-    adj = complete_graph(n) if graph is None else np.asarray(graph, dtype=float)
-    u = -apf.ka * (state.positions - plan.desired_positions(state.time)) \
-        - apf.k2 * state.velocities
-    d = state.positions[:, None, :] - state.positions[None, :, :]
-    dn = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    np.fill_diagonal(dn, np.inf)
-    if ((adj > 0) & (dn < kernels._TINY)).any():
-        raise FloatingPointError("coincident UAVs: repulsive force singular")
-    active = (adj > 0) & (dn < apf.d0)
-    coef = np.zeros_like(dn)
-    coef[active] = apf.kr * (1.0 / dn[active] - 1.0 / apf.d0) / dn[active] ** 3
-    return u + np.einsum("ij,ijk->ik", coef, d)
 
 
 def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -> SwarmState:
@@ -214,17 +206,8 @@ def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -
 
 def lyapunov_value(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> float:
     """Lyapunov candidate for the logarithmic controller (module docstring)."""
-    _, adj = gains.resolved(state.n)
-    e = _formation_errors(state, plan)
-    sq = np.einsum("ijk,ijk->ij", e, e)
-    upper = np.triu(adj, 1) > 0
-    val = 0.5 * gains.k1 * float(np.log1p(sq[upper]).sum())
-    val += 0.5 * float(np.sum(state.velocities ** 2))
-    err_l = state.positions[gains.leader] - plan.desired_positions(state.time)[gains.leader]
-    return val + 0.5 * gains.kp * float(err_l @ err_l)
-
-
-_CTRL_CODES = {"log": kernels.CTRL_LOG, "quad": kernels.CTRL_QUAD, "apf": kernels.CTRL_APF}
+    _, lyapunov = _law(state.n, plan, "log", gains, None)
+    return float(lyapunov(state.positions, state.velocities, plan.target_at(state.time)))
 
 
 def simulate(
@@ -241,8 +224,7 @@ def simulate(
     The recorded Lyapunov trace always uses the logarithmic candidate,
     so traces are comparable across controllers.
     """
-    if controller not in _CTRL_CODES:
-        raise ValueError(f"unknown controller {controller!r}; expected log, quad or apf")
+    ctrl = _ctrl_code(controller)
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
     if initial.n != plan.n:
@@ -252,7 +234,7 @@ def simulate(
     steps = int(round(horizon / dt))
     P, V, U, lyap = kernels.rollout(
         initial.positions, initial.velocities, plan.slots, adj, masses,
-        gains.leader, _CTRL_CODES[controller],
+        gains.leader, ctrl,
         gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
         plan.target_at(initial.time), plan.target_velocity, dt, steps,
     )

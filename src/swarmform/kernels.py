@@ -1,18 +1,17 @@
-"""Hot rollout kernel for the flight simulator.
+"""The flight equations: one force law per controller and one rollout.
 
-Two implementations of the same fixed-step rollout: a loop-based numba
-@njit version and a vectorized pure-NumPy fallback. The fallback is
-selected by setting the environment variable SWARMFORM_DISABLE_NUMBA
-(any non-empty value) before import, or when numba is unavailable. Both
-paths are deterministic for fixed inputs and agree to floating-point
-round-off; `swarmform.flight` is the supported interface.
+`law` binds a swarm's slots, graph and gains once and returns two
+functions of the state (positions p, velocities v, target position tgt):
+`forces`, the control input of the chosen controller, and `lyapunov`,
+the logarithmic Lyapunov candidate. `rollout` integrates those forces
+with fixed-step semi-implicit Euler and is deterministic for fixed
+inputs. `swarmform.flight` is the supported interface; its per-step
+`control` and `lyapunov_value` evaluate this same law.
 
 Controller codes: 0 = logarithmic, 1 = quadratic, 2 = APF.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -22,110 +21,21 @@ CTRL_APF = 2
 
 _TINY = 1e-12
 
-
-def _rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
-                   k1, k2, kp, ka, kr, d0, tgt0, vdes, dt, steps):
-    n = p0.shape[0]
-    P = np.empty((steps + 1, n, 3))
-    V = np.empty((steps + 1, n, 3))
-    U = np.empty((steps, n, 3))
-    lyap = np.empty(steps + 1)
-    P[0] = p0
-    V[0] = v0
-
-    p = p0.copy()
-    v = v0.copy()
-    tgt = tgt0.copy()
-
-    def lyap_value(p, v, tgt):
-        val = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if adj[i, j] == 0.0:
-                    continue
-                ex = p[i, 0] - p[j, 0] - (slots[i, 0] - slots[j, 0])
-                ey = p[i, 1] - p[j, 1] - (slots[i, 1] - slots[j, 1])
-                ez = p[i, 2] - p[j, 2] - (slots[i, 2] - slots[j, 2])
-                val += 0.5 * k1 * np.log(1.0 + ex * ex + ey * ey + ez * ez)
-        for i in range(n):
-            val += 0.5 * (v[i, 0] ** 2 + v[i, 1] ** 2 + v[i, 2] ** 2)
-        lx = p[leader, 0] - (tgt[0] + slots[leader, 0])
-        ly = p[leader, 1] - (tgt[1] + slots[leader, 1])
-        lz = p[leader, 2] - (tgt[2] + slots[leader, 2])
-        return val + 0.5 * kp * (lx * lx + ly * ly + lz * lz)
-
-    lyap[0] = lyap_value(p, v, tgt)
-    for s in range(steps):
-        u = np.zeros((n, 3))
-        for i in range(n):
-            if ctrl == CTRL_APF:
-                for a in range(3):
-                    u[i, a] = -ka * (p[i, a] - (tgt[a] + slots[i, a])) - k2 * v[i, a]
-                for j in range(n):
-                    if j == i or adj[i, j] == 0.0:
-                        continue
-                    dx = p[i, 0] - p[j, 0]
-                    dy = p[i, 1] - p[j, 1]
-                    dz = p[i, 2] - p[j, 2]
-                    dn = np.sqrt(dx * dx + dy * dy + dz * dz)
-                    if dn < _TINY:
-                        u[i, 0] = np.inf
-                    elif dn < d0:
-                        c = kr * (1.0 / dn - 1.0 / d0) / (dn ** 3)
-                        u[i, 0] += c * dx
-                        u[i, 1] += c * dy
-                        u[i, 2] += c * dz
-            else:
-                for j in range(n):
-                    if j == i or adj[i, j] == 0.0:
-                        continue
-                    ex = p[i, 0] - p[j, 0] - (slots[i, 0] - slots[j, 0])
-                    ey = p[i, 1] - p[j, 1] - (slots[i, 1] - slots[j, 1])
-                    ez = p[i, 2] - p[j, 2] - (slots[i, 2] - slots[j, 2])
-                    if ctrl == CTRL_LOG:
-                        w = 1.0 / (1.0 + ex * ex + ey * ey + ez * ez)
-                    else:
-                        w = 1.0
-                    u[i, 0] += -k1 * w * ex
-                    u[i, 1] += -k1 * w * ey
-                    u[i, 2] += -k1 * w * ez
-                for a in range(3):
-                    u[i, a] -= k2 * v[i, a]
-                if i == leader:
-                    for a in range(3):
-                        u[i, a] -= kp * (p[i, a] - (tgt[a] + slots[i, a]))
-        for i in range(n):
-            for a in range(3):
-                v[i, a] += u[i, a] / masses[i] * dt
-                p[i, a] += v[i, a] * dt
-        for a in range(3):
-            tgt[a] += vdes[a] * dt
-        U[s] = u
-        P[s + 1] = p
-        V[s + 1] = v
-        lyap[s + 1] = lyap_value(p, v, tgt)
-    return P, V, U, lyap
+# There is no compiled backend; kept because the benchmark's fingerprint reads it.
+NUMBA_ENABLED = False
 
 
-def _rollout_numpy(p0, v0, slots, adj, masses, leader, ctrl,
-                   k1, k2, kp, ka, kr, d0, tgt0, vdes, dt, steps):
-    n = p0.shape[0]
-    P = np.empty((steps + 1, n, 3))
-    V = np.empty((steps + 1, n, 3))
-    U = np.empty((steps, n, 3))
-    lyap = np.empty(steps + 1)
-    P[0] = p0
-    V[0] = v0
+def law(ctrl, slots, adj, leader, k1, k2, kp, ka, kr, d0):
+    """(forces, lyapunov) for one swarm, each a function of (p, v, tgt).
 
-    p = p0.copy()
-    v = v0.copy()
-    tgt = tgt0.copy()
+    APF forces of members that coincide with a neighbour are +inf on x.
+    """
     slot_diff = slots[:, None, :] - slots[None, :, :]
     a = np.asarray(adj, dtype=float).copy()
     np.fill_diagonal(a, 0.0)
     upper = np.triu(a, 1) > 0
 
-    def lyap_value(p, v, tgt):
+    def lyapunov(p, v, tgt):
         e = p[:, None, :] - p[None, :, :] - slot_diff
         sq = np.einsum("ijk,ijk->ij", e, e)
         val = 0.5 * k1 * np.log1p(sq[upper]).sum()
@@ -133,47 +43,59 @@ def _rollout_numpy(p0, v0, slots, adj, masses, leader, ctrl,
         err_l = p[leader] - (tgt + slots[leader])
         return val + 0.5 * kp * float(err_l @ err_l)
 
-    lyap[0] = lyap_value(p, v, tgt)
-    for s in range(steps):
-        if ctrl == CTRL_APF:
-            u = -ka * (p - (tgt + slots)) - k2 * v
-            d = p[:, None, :] - p[None, :, :]
-            dn = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-            np.fill_diagonal(dn, np.inf)
-            coincident = (a > 0) & (dn < _TINY)
-            active = (a > 0) & (dn < d0) & ~coincident
-            coef = np.zeros_like(dn)
-            coef[active] = kr * (1.0 / dn[active] - 1.0 / d0) / dn[active] ** 3
-            u += np.einsum("ij,ijk->ik", coef, d)
-            if coincident.any():
-                u[coincident.any(axis=1), 0] = np.inf
+    def apf_forces(p, v, tgt):
+        u = -ka * (p - (tgt + slots)) - k2 * v
+        d = p[:, None, :] - p[None, :, :]
+        dn = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+        np.fill_diagonal(dn, np.inf)
+        coincident = (a > 0) & (dn < _TINY)
+        active = (a > 0) & (dn < d0) & ~coincident
+        coef = np.zeros_like(dn)
+        coef[active] = kr * (1.0 / dn[active] - 1.0 / d0) / dn[active] ** 3
+        u += np.einsum("ij,ijk->ik", coef, d)
+        if coincident.any():
+            u[coincident.any(axis=1), 0] = np.inf
+        return u
+
+    def formation_forces(p, v, tgt):
+        e = p[:, None, :] - p[None, :, :] - slot_diff
+        if ctrl == CTRL_LOG:
+            w = a / (1.0 + np.einsum("ijk,ijk->ij", e, e))
         else:
-            e = p[:, None, :] - p[None, :, :] - slot_diff
-            if ctrl == CTRL_LOG:
-                w = a / (1.0 + np.einsum("ijk,ijk->ij", e, e))
-            else:
-                w = a
-            u = -k1 * np.einsum("ij,ijk->ik", w, e) - k2 * v
-            u[leader] -= kp * (p[leader] - (tgt + slots[leader]))
+            w = a
+        u = -k1 * np.einsum("ij,ijk->ik", w, e) - k2 * v
+        u[leader] -= kp * (p[leader] - (tgt + slots[leader]))
+        return u
+
+    return (apf_forces if ctrl == CTRL_APF else formation_forces), lyapunov
+
+
+def rollout(p0, v0, slots, adj, masses, leader, ctrl,
+            k1, k2, kp, ka, kr, d0, tgt0, vdes, dt, steps):
+    """Fly `steps` steps of `dt` from (p0, v0) with the target starting at
+    tgt0 and moving at vdes. Returns positions P and velocities V
+    (steps+1, n, 3), controls U (steps, n, 3) and the Lyapunov trace
+    (steps+1,)."""
+    forces, lyapunov = law(ctrl, slots, adj, leader, k1, k2, kp, ka, kr, d0)
+    n = p0.shape[0]
+    P = np.empty((steps + 1, n, 3))
+    V = np.empty((steps + 1, n, 3))
+    U = np.empty((steps, n, 3))
+    lyap = np.empty(steps + 1)
+    P[0] = p0
+    V[0] = v0
+
+    p = p0.copy()
+    v = v0.copy()
+    tgt = tgt0.copy()
+    lyap[0] = lyapunov(p, v, tgt)
+    for s in range(steps):
+        u = forces(p, v, tgt)
         v = v + u / masses[:, None] * dt
         p = p + v * dt
         tgt = tgt + vdes * dt
         U[s] = u
         P[s + 1] = p
         V[s + 1] = v
-        lyap[s + 1] = lyap_value(p, v, tgt)
+        lyap[s + 1] = lyapunov(p, v, tgt)
     return P, V, U, lyap
-
-
-if os.environ.get("SWARMFORM_DISABLE_NUMBA"):
-    NUMBA_ENABLED = False
-    rollout = _rollout_numpy
-else:
-    try:
-        from numba import njit
-
-        rollout = njit(cache=True)(_rollout_loops)
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-        rollout = _rollout_numpy

@@ -5,6 +5,7 @@ Reference values marked "frozen" were derived once with the documented
 seeds/initialization and are regression guards, not external truths.
 """
 
+import functools
 import json
 import time
 from importlib import resources
@@ -255,6 +256,8 @@ def test_criterion_09_lyapunov_decrease_and_convergence():
                f"worst final error {max(errs):.2e} m, in {elapsed:.1f}s")
 
 
+# Criteria 10a and 10b read the same 60 rollouts; fly them once per session.
+@functools.cache
 def _benchmark_means():
     scenario = parse_scenario(resources.files("swarmform") / "scenarios"
                               / "flight_benchmark.json")

@@ -1,9 +1,16 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmform
+from swarmform import cli
 from swarmform.cli import main
 
 
@@ -129,3 +136,43 @@ class TestExitCodes:
         p.write_text(json.dumps(doc))
         assert main(["allocate", "--scenario", str(p)]) == 2
         assert "stage allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["allocate", "fly"])
+    def test_unusable_out_dir(self, tmp_path, stage):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmform.cli", "pipeline", "--stage", stage,
+             "--scenario", scenario("paper_default.json"), "--out-dir", str(blocker / "sub")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Not a directory" in done.stderr
+        assert not (blocker / "sub" / "report.json").exists()
+
+
+class TestAtomicWrites:
+    def test_failed_trace_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        real_writer = csv.writer
+
+        def failing_writer(fh):
+            writer = real_writer(fh)
+
+            class Failing:
+                rows = 0
+
+                def writerow(self, row):
+                    if self.rows == 10:
+                        raise OSError(28, "No space left on device")
+                    self.rows += 1
+                    return writer.writerow(row)
+
+            return Failing()
+
+        monkeypatch.setattr(cli.csv, "writer", failing_writer)
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", scenario("paper_default.json"),
+                     "--out-dir", str(out)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rollout_oracle import rollout_loops
 from swarmform import kernels
 from swarmform.flight import (
     ApfParams,
@@ -8,9 +9,7 @@ from swarmform.flight import (
     FormationPlan,
     SwarmState,
     complete_graph,
-    control_apf,
-    control_log,
-    control_quad,
+    control,
     lyapunov_value,
     metrics,
     simulate,
@@ -47,11 +46,11 @@ def perturbed_state(plan, seed=0, amp=5.0):
 class TestControllers:
     def test_equilibrium_is_fixed_point(self, plan, gains):
         state = equilibrium_state(plan)
-        assert np.allclose(control_log(state, plan, gains), 0.0)
-        assert np.allclose(control_quad(state, plan, gains), 0.0)
+        assert np.allclose(control(state, plan, "log", gains), 0.0)
+        assert np.allclose(control(state, plan, "quad", gains), 0.0)
         # two slots sit 1.6 m apart, so keep d0 below that for the
         # repulsion-free equilibrium check
-        assert np.allclose(control_apf(state, plan, ApfParams(d0=1.5)), 0.0)
+        assert np.allclose(control(state, plan, "apf", gains, ApfParams(d0=1.5)), 0.0)
 
     def test_log_follower_saturates(self, plan, gains):
         # single follower-leader pair: force peaks at k1/2 when |e| = 1
@@ -60,11 +59,11 @@ class TestControllers:
         for mag in (0.1, 1.0, 5.0, 100.0):
             p = two.desired_positions(0.0).copy()
             p[1] += [mag, 0, 0]
-            u = control_log(SwarmState(p, np.zeros((2, 3))), two, g)
+            u = control(SwarmState(p, np.zeros((2, 3))), two, "log", g)
             assert np.linalg.norm(u[1]) <= g.k1 / 2 + 1e-12
         p = two.desired_positions(0.0).copy()
         p[1] += [1.0, 0, 0]
-        u = control_log(SwarmState(p, np.zeros((2, 3))), two, g)
+        u = control(SwarmState(p, np.zeros((2, 3))), two, "log", g)
         assert np.linalg.norm(u[1]) == pytest.approx(g.k1 / 2)
 
     def test_quad_dominates_log_for_large_errors(self, plan, gains):
@@ -74,8 +73,8 @@ class TestControllers:
             - (SLOTS[:, None, :] - SLOTS[None, :, :])
         norms = np.linalg.norm(e, axis=2) + np.eye(plan.n)
         assert (norms >= 1).all()  # every edge error exceeds 1 for this draw
-        u_log = control_log(state, plan, gains)
-        u_quad = control_quad(state, plan, gains)
+        u_log = control(state, plan, "log", gains)
+        u_quad = control(state, plan, "quad", gains)
         followers = [i for i in range(plan.n) if i != gains.leader]
         assert (np.linalg.norm(u_quad[followers], axis=1)
                 >= np.linalg.norm(u_log[followers], axis=1) - 1e-9).all()
@@ -85,7 +84,7 @@ class TestControllers:
         plan = FormationPlan(slots=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
         # both on their slots, separated by d0/2: only repulsion remains
         p = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        u = control_apf(SwarmState(p, np.zeros((2, 3))), plan, apf)
+        u = control(SwarmState(p, np.zeros((2, 3))), plan, "apf", ControlGains(), apf)
         expected = apf.kr * (1 / 1.0 - 1 / apf.d0) / 1.0 ** 2
         assert u[1] == pytest.approx([expected, 0, 0])
         assert u[0] == pytest.approx([-expected, 0, 0])
@@ -94,14 +93,14 @@ class TestControllers:
         apf = ApfParams(ka=2.0, kr=5.0, d0=2.0)
         plan = FormationPlan(slots=np.array([[0.0, 0, 0], [5.0, 0, 0]]))
         p = np.array([[1.0, 0, 0], [4.0, 0, 0]])
-        u = control_apf(SwarmState(p, np.zeros((2, 3))), plan, apf)
+        u = control(SwarmState(p, np.zeros((2, 3))), plan, "apf", ControlGains(), apf)
         assert u[0] == pytest.approx([-apf.ka * 1.0, 0, 0])
 
     def test_apf_coincident_rejected(self):
         plan = FormationPlan(slots=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
         p = np.zeros((2, 3))
         with pytest.raises(FloatingPointError):
-            control_apf(SwarmState(p, np.zeros((2, 3))), plan, ApfParams())
+            control(SwarmState(p, np.zeros((2, 3))), plan, "apf", ControlGains())
 
     def test_gains_validation(self):
         with pytest.raises(ValueError):
@@ -171,24 +170,30 @@ class TestSimulate:
             simulate(equilibrium_state(plan), plan, "pid", gains)
 
     def test_matches_python_controllers(self, plan, gains):
-        # one kernel step reproduces the reference controller + integrator
+        # one kernel step reproduces the per-step controller + integrator
         s = perturbed_state(plan, seed=5)
-        for name, ctrl in (("log", control_log), ("quad", control_quad)):
+        masses, _ = gains.resolved(plan.n)
+        for name in ("log", "quad", "apf"):
             traj = simulate(s, plan, name, gains, 0.01, 0.01)
-            masses, _ = gains.resolved(plan.n)
-            expected = step(s, ctrl(s, plan, gains), masses, 0.01)
+            expected = step(s, control(s, plan, name, gains), masses, 0.01)
             assert np.allclose(traj.positions[1], expected.positions, atol=1e-12)
 
-    def test_kernel_backends_agree(self, plan, gains):
+    @pytest.mark.parametrize("ctrl", [kernels.CTRL_LOG, kernels.CTRL_QUAD, kernels.CTRL_APF],
+                             ids=["log", "quad", "apf"])
+    def test_rollout_matches_oracle(self, plan, ctrl):
         s = perturbed_state(plan, seed=6)
-        masses, adj = gains.resolved(plan.n)
-        args = (s.positions, s.velocities, plan.slots, adj, masses, 0,
-                kernels.CTRL_LOG, gains.k1, gains.k2, gains.kp,
-                1.0, 5.0, 2.0, np.zeros(3), np.array([0.5, 0.3, 0.0]), 0.01, 200)
-        P1, V1, U1, L1 = kernels._rollout_numpy(*args)
-        P2, V2, U2, L2 = kernels._rollout_loops(*args)
-        assert np.allclose(P1, P2, atol=1e-10)
-        assert np.allclose(L1, L2, atol=1e-10)
+        p0 = s.positions.copy()
+        p0[1] = p0[0] + [0.6, 0.3, 0.0]  # an adjacent pair inside d0
+        ring = np.roll(np.eye(plan.n), 1, axis=1)
+        ring = ring + ring.T
+        masses = np.linspace(0.8, 1.4, plan.n)
+        args = (p0, s.velocities, plan.slots, ring, masses, 2, ctrl,
+                4.0, 1.5, 10.0, 3.0, 5.0, 2.0,
+                np.array([1.0, -2.0, 0.5]), np.array([0.5, 0.3, 0.1]), 0.01, 200)
+        got = kernels.rollout(*args)
+        ref = rollout_loops(*args)
+        for name, a, b in zip("PVUL", got, ref):
+            assert np.allclose(a, b, atol=1e-10), name
 
 
 class TestMetrics:
