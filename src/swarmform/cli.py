@@ -151,31 +151,29 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
                          target_velocity=scenario.target.velocity)
     gains = ControlGains(k1=fl.k1, k2=fl.k2, kp=fl.kp,
                          masses=np.full(n, fl.mass_kg), leader=0)
-    apf = ApfParams(ka=fl.apf_ka, kr=fl.apf_kr, d0=fl.apf_d0_m, k2=fl.k2)
+    apf = ApfParams(ka=fl.apf_ka, kr=fl.apf_kr, d0=fl.apf_d0_m)
     half = fl.init_cube_half_width_m
-    runs = []
-    first_traj = None
-    for run in range(fl.runs):
-        rng = np.random.default_rng([seed, run])
-        p0 = scenario.target.position + rng.uniform(-half, half, (n, 3))
-        state = SwarmState(positions=p0, velocities=np.zeros((n, 3)))
-        traj = simulate(state, plan, controller, gains, fl.dt_s, fl.horizon_s, apf)
-        if first_traj is None:
-            first_traj = traj
-        m = metrics(traj)
-        runs.append({
-            "Avg. Distance (m)": m.avg_distance,
-            "Avg. Velocity Err.": m.avg_vel_err,
-            "Max. Velocity Err.": m.max_vel_err,
-            "Avg. Final Pos. Err. (m)": m.avg_final_pos_err,
-        })
+    starts = [
+        SwarmState(positions=scenario.target.position
+                   + np.random.default_rng([seed, run]).uniform(-half, half, (n, 3)),
+                   velocities=np.zeros((n, 3)))
+        for run in range(fl.runs)
+    ]
+    traj = simulate(starts, plan, controller, gains, fl.dt_s, fl.horizon_s, apf)
+    runs = [{
+        "Avg. Distance (m)": m.avg_distance,
+        "Avg. Velocity Err.": m.avg_vel_err,
+        "Max. Velocity Err.": m.max_vel_err,
+        "Avg. Final Pos. Err. (m)": m.avg_final_pos_err,
+    } for m in metrics(traj)]
     mean = {k: float(np.mean([r[k] for r in runs])) for k in runs[0]}
     if out_dir is not None:
-        _write_trace(out_dir / "fly_trace.csv", first_traj)
+        _write_trace(out_dir / "fly_trace.csv", traj)
     return {"Controller": controller, "Seed": seed, "Runs": runs, "Mean": mean}
 
 
 def _write_trace(path: Path, traj) -> None:
+    """Run 0's time series: state, control and V at every step."""
     n = traj.positions.shape[1]
     header = ["t"]
     for i in range(n):
@@ -194,7 +192,7 @@ def _write_trace(path: Path, traj) -> None:
             for i in range(n):
                 u = traj.controls[t, i] if t < traj.controls.shape[0] else (0.0, 0.0, 0.0)
                 row += [repr(float(v)) for v in u]
-            row.append(repr(float(traj.lyapunov[t])))
+            row.append(repr(float(traj.lyapunov[0, t])))
             writer.writerow(row)
 
 

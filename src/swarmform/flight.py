@@ -13,19 +13,25 @@ damps the velocity error v_i - v_t against the target's velocity v_t,
 so in the target's frame the equations are those of a stationary target.
 For a target moving at constant velocity, the Lyapunov function
 
-    V = (k1/2) * sum_edges ln(1 + |e_ij|^2) + (1/2) * sum |v_i - v_t|^2
+    V = (k1/2) * sum_edges ln(1 + |e_ij|^2) + (1/2) * sum m_i |v_i - v_t|^2
         + (kp/2) * |P_L - P_L_des|^2
 
-decreases monotonically along trajectories of unit-mass members
+decreases monotonically along trajectories of members with masses m_i
 (dV/dt = -k2 * sum |v_i - v_t|^2); the k1/2 and kp/2 coefficients are
 exactly the ones that make the cross terms cancel.
 
 The equations live once, in `swarmform.kernels`: `simulate` rolls them
 out, and `control` and `lyapunov_value` evaluate them at a single state.
+`simulate` flies any number of seeded starts (runs) of one plan in one
+batched rollout. The `Trajectory` it returns keeps the full state
+history of the first run only, and for every run the Lyapunov trace and
+what `metrics` needs; each run's numbers are bit for bit those of the
+same start flown alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,10 +108,9 @@ class ApfParams:
     ka: float = 10.0    # slot attraction
     kr: float = 5.0     # repulsion strength
     d0: float = 2.0     # repulsion activation distance, m
-    k2: float = 1.5     # velocity damping
 
     def __post_init__(self):
-        if min(self.ka, self.kr, self.d0, self.k2) <= 0:
+        if min(self.ka, self.kr, self.d0) <= 0:
             raise ValueError("APF parameters must be positive")
 
 
@@ -139,11 +144,16 @@ class FormationPlan:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray          # (steps+1,)
-    positions: np.ndarray      # (steps+1, n, 3)
-    velocities: np.ndarray     # (steps+1, n, 3)
-    controls: np.ndarray       # (steps, n, 3)
-    lyapunov: np.ndarray       # (steps+1,)
+    """R runs of one plan. The state history is run 0's only."""
+
+    times: np.ndarray            # (steps+1,)
+    positions: np.ndarray        # (steps+1, n, 3) run 0
+    velocities: np.ndarray       # (steps+1, n, 3) run 0
+    controls: np.ndarray         # (steps, n, 3) run 0
+    lyapunov: np.ndarray         # (R, steps+1)
+    path_length: np.ndarray      # (R, n) m, per-step distances summed over time
+    vel_err: np.ndarray          # (R, steps+1, n) m/s, |v_i - v_target|
+    final_positions: np.ndarray  # (R, n, 3)
     plan: FormationPlan
     controller: str
 
@@ -172,10 +182,10 @@ def _ctrl_code(controller: str) -> int:
 
 def _law(n: int, plan: FormationPlan, controller: str, gains: ControlGains,
          apf: ApfParams | None):
-    """kernels.law bound to this swarm's plan, graph and gains."""
-    _, adj = gains.resolved(n)
+    """kernels.law bound to this swarm's plan, graph, masses and gains."""
+    masses, adj = gains.resolved(n)
     apf = apf or ApfParams()
-    return kernels.law(_ctrl_code(controller), plan.slots, adj, gains.leader,
+    return kernels.law(_ctrl_code(controller), plan.slots, adj, gains.leader, masses,
                        gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
                        plan.target_velocity)
 
@@ -190,8 +200,9 @@ def control(state: SwarmState, plan: FormationPlan, controller: str,
     within apf.d0. All three damp the velocity error against the target,
     -gains.k2 * (v - plan.target_velocity).
     """
-    forces, _ = _law(state.n, plan, controller, gains, apf)
-    u = forces(state.positions, state.velocities, plan.target_at(state.time))
+    u, _ = _law(state.n, plan, controller, gains, apf)(
+        state.positions[None], state.velocities[None], plan.target_at(state.time))
+    u = u[0]
     if not np.isfinite(u).all():
         raise FloatingPointError("non-finite control force, e.g. from coincident UAVs under APF")
     return u
@@ -211,12 +222,13 @@ def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -
 
 def lyapunov_value(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> float:
     """Lyapunov candidate for the logarithmic controller (module docstring)."""
-    _, lyapunov = _law(state.n, plan, "log", gains, None)
-    return float(lyapunov(state.positions, state.velocities, plan.target_at(state.time)))
+    _, lyap = _law(state.n, plan, "log", gains, None)(
+        state.positions[None], state.velocities[None], plan.target_at(state.time))
+    return float(lyap[0])
 
 
 def simulate(
-    initial: SwarmState,
+    initial: SwarmState | Sequence[SwarmState],
     plan: FormationPlan,
     controller: str,
     gains: ControlGains,
@@ -224,51 +236,62 @@ def simulate(
     horizon: float = 60.0,
     apf: ApfParams | None = None,
 ) -> Trajectory:
-    """Fixed-step rollout; deterministic for fixed inputs.
+    """Fixed-step rollout of one start or of a sequence of starts (one per
+    run, all at the same time); deterministic for fixed inputs.
 
-    The recorded Lyapunov trace always uses the logarithmic candidate,
-    so traces are comparable across controllers.
+    All runs are flown in one batched rollout, and run r of the result is
+    bit for bit the same start flown alone. The recorded Lyapunov trace
+    always uses the logarithmic candidate, so traces are comparable
+    across controllers. A non-finite control force in any run raises
+    FloatingPointError.
     """
     ctrl = _ctrl_code(controller)
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
-    if initial.n != plan.n:
+    starts = [initial] if isinstance(initial, SwarmState) else list(initial)
+    if not starts:
+        raise ValueError("no initial state to fly")
+    if any(s.n != plan.n for s in starts):
         raise ValueError("state and plan disagree on swarm size")
-    masses, adj = gains.resolved(initial.n)
+    t0 = starts[0].time
+    if any(s.time != t0 for s in starts):
+        raise ValueError("initial states must share one start time")
+    masses, adj = gains.resolved(plan.n)
     apf = apf or ApfParams()
     steps = int(round(horizon / dt))
-    P, V, U, lyap = kernels.rollout(
-        initial.positions, initial.velocities, plan.slots, adj, masses,
-        gains.leader, ctrl,
+    P, V, U, lyap, path, vel_err, final = kernels.rollout(
+        np.stack([s.positions for s in starts]), np.stack([s.velocities for s in starts]),
+        plan.slots, adj, masses, gains.leader, ctrl,
         gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
-        plan.target_at(initial.time), plan.target_velocity, dt, steps,
+        plan.target_at(t0), plan.target_velocity, dt, steps,
     )
-    if not np.isfinite(U).all():
-        raise FloatingPointError("non-finite control force during rollout")
-    times = initial.time + dt * np.arange(steps + 1)
+    if not np.isfinite(final).all():
+        raise FloatingPointError("non-finite control force during rollout, "
+                                 "e.g. from coincident UAVs under APF")
+    times = t0 + dt * np.arange(steps + 1)
     return Trajectory(times=times, positions=P, velocities=V, controls=U,
-                      lyapunov=lyap, plan=plan, controller=controller)
+                      lyapunov=lyap, path_length=path, vel_err=vel_err,
+                      final_positions=final, plan=plan, controller=controller)
 
 
-def metrics(traj: Trajectory) -> FlightMetrics:
-    """Aggregate flight-quality metrics over a trajectory.
+def metrics(traj: Trajectory) -> list[FlightMetrics]:
+    """Flight-quality metrics of every run of a trajectory, in run order.
 
     avg_distance: mean over UAVs of per-step path length summed over time.
     Velocity error is measured against the target's instantaneous
     velocity; final position error against the time-varying desired slots.
     """
-    if traj.positions.shape[0] < 2:
+    if traj.times.shape[0] < 2:
         raise ValueError("trajectory has no steps")
-    deltas = np.diff(traj.positions, axis=0)
-    avg_distance = float(np.linalg.norm(deltas, axis=2).sum(axis=0).mean())
-    vel_err = np.linalg.norm(traj.velocities - traj.plan.target_velocity, axis=2)
-    final_err = np.linalg.norm(
-        traj.positions[-1] - traj.plan.desired_positions(traj.times[-1]), axis=1
-    )
-    return FlightMetrics(
-        avg_distance=avg_distance,
-        avg_vel_err=float(vel_err.mean()),
-        max_vel_err=float(vel_err.max()),
-        avg_final_pos_err=float(final_err.mean()),
-        lyapunov_trace=traj.lyapunov,
-    )
+    desired = traj.plan.desired_positions(traj.times[-1])
+    return [
+        FlightMetrics(
+            avg_distance=float(path.mean()),
+            avg_vel_err=float(vel_err.mean()),
+            max_vel_err=float(vel_err.max()),
+            avg_final_pos_err=float(np.linalg.norm(final - desired, axis=1).mean()),
+            lyapunov_trace=lyap,
+        )
+        for path, vel_err, final, lyap in zip(traj.path_length, traj.vel_err,
+                                              traj.final_positions, traj.lyapunov)
+    ]

@@ -3,8 +3,11 @@
 It spells out every controller and the Lyapunov candidate with explicit
 loops over members, edges and axes, independently of the vectorized law
 in `swarmform.kernels`, so tests can compare `kernels.rollout` against it.
-Every controller damps the velocity error against the target, v - vdes.
-Same arguments and outputs as `kernels.rollout`.
+Every controller damps the velocity error against the target, v - vdes,
+and the Lyapunov kinetic term weights each member by its mass. It flies
+one run: the same arguments as `kernels.rollout` with p0 and v0 (n, 3),
+and it returns that run's full positions, velocities, controls and
+Lyapunov trace.
 """
 
 import numpy as np
@@ -40,7 +43,7 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
             wx = v[i, 0] - vdes[0]
             wy = v[i, 1] - vdes[1]
             wz = v[i, 2] - vdes[2]
-            val += 0.5 * (wx * wx + wy * wy + wz * wz)
+            val += 0.5 * masses[i] * (wx * wx + wy * wy + wz * wz)
         lx = p[leader, 0] - (tgt[0] + slots[leader, 0])
         ly = p[leader, 1] - (tgt[1] + slots[leader, 1])
         lz = p[leader, 2] - (tgt[2] + slots[leader, 2])

@@ -240,14 +240,12 @@ def test_criterion_09_lyapunov_decrease_and_convergence():
     f = build_reference_formation()
     plan = FormationPlan(slots=f.positions() - f.target)
     gains = ControlGains(k1=4.0, k2=1.5, kp=10.0)
-    worst_step = -np.inf
-    errs = []
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        p0 = rng.uniform(-15.0, 15.0, (6, 3))
-        traj = simulate(SwarmState(p0, np.zeros((6, 3))), plan, "log", gains, 0.01, 60.0)
-        worst_step = max(worst_step, float(np.diff(traj.lyapunov).max()))
-        errs.append(metrics(traj).avg_final_pos_err)
+    starts = [SwarmState(np.random.default_rng(seed).uniform(-15.0, 15.0, (6, 3)),
+                         np.zeros((6, 3)))
+              for seed in range(20)]
+    traj = simulate(starts, plan, "log", gains, 0.01, 60.0)
+    worst_step = float(np.diff(traj.lyapunov, axis=1).max())
+    errs = [m.avg_final_pos_err for m in metrics(traj)]
     elapsed = time.time() - start
     assert worst_step <= 1e-6, f"Lyapunov increased by {worst_step:.2e} in a step"
     assert max(errs) < 0.1, f"final mean position error {max(errs):.4f} >= 0.1 m"
@@ -258,7 +256,7 @@ def test_criterion_09_lyapunov_decrease_and_convergence():
 
 @functools.cache
 def _benchmark():
-    """(flight config, plan, gains, apf, start positions) of the bundled
+    """(flight config, plan, gains, apf, start states) of the bundled
     flight benchmark; run `run` starts from seed [fl.seed, run]."""
     scenario = parse_scenario(resources.files("swarmform") / "scenarios"
                               / "flight_benchmark.json")
@@ -268,12 +266,13 @@ def _benchmark():
                          target_position=scenario.target.position,
                          target_velocity=scenario.target.velocity)
     gains = ControlGains(k1=fl.k1, k2=fl.k2, kp=fl.kp)
-    apf = ApfParams(ka=fl.apf_ka, kr=fl.apf_kr, d0=fl.apf_d0_m, k2=fl.k2)
+    apf = ApfParams(ka=fl.apf_ka, kr=fl.apf_kr, d0=fl.apf_d0_m)
     starts = []
     for run in range(fl.runs):
         rng = np.random.default_rng([fl.seed, run])
-        starts.append(scenario.target.position + rng.uniform(
-            -fl.init_cube_half_width_m, fl.init_cube_half_width_m, (len(f), 3)))
+        p0 = scenario.target.position + rng.uniform(
+            -fl.init_cube_half_width_m, fl.init_cube_half_width_m, (len(f), 3))
+        starts.append(SwarmState(p0, np.zeros_like(p0)))
     return fl, plan, gains, apf, starts
 
 
@@ -283,9 +282,7 @@ def _benchmark_means():
     fl, plan, gains, apf, starts = _benchmark()
     out = {}
     for ctrl in ("log", "quad", "apf"):
-        ms = [metrics(simulate(SwarmState(p0, np.zeros_like(p0)), plan, ctrl,
-                               gains, fl.dt_s, fl.horizon_s, apf))
-              for p0 in starts]
+        ms = metrics(simulate(starts, plan, ctrl, gains, fl.dt_s, fl.horizon_s, apf))
         out[ctrl] = {
             "dist": float(np.mean([m.avg_distance for m in ms])),
             "ferr": float(np.mean([m.avg_final_pos_err for m in ms])),
@@ -329,13 +326,9 @@ def test_criterion_10b_controller_ranking_final_pos_err():
     assert e["quad"] < e["apf"], f"quadratic < APF leg violated: {e}"
     start = time.time()
     fl, plan, gains, apf, starts = _benchmark()
-    worst_step = -np.inf
-    errs = []
-    for p0 in starts:
-        traj = simulate(SwarmState(p0, np.zeros_like(p0)), plan, "log",
-                        gains, fl.dt_s, 60.0)
-        worst_step = max(worst_step, float(np.diff(traj.lyapunov).max()))
-        errs.append(metrics(traj).avg_final_pos_err)
+    traj = simulate(starts, plan, "log", gains, fl.dt_s, 60.0)
+    worst_step = float(np.diff(traj.lyapunov, axis=1).max())
+    errs = [m.avg_final_pos_err for m in metrics(traj)]
     elapsed = time.time() - start
     assert worst_step <= 1e-6, f"Lyapunov increased by {worst_step:.2e} in a step"
     assert max(errs) < 0.1, f"log final mean position error {max(errs):.4f} >= 0.1 m at 60 s"

@@ -12,6 +12,7 @@ import pytest
 import swarmform
 from swarmform import cli
 from swarmform.cli import main
+from swarmform.flight import SwarmState
 
 
 def scenario(name):
@@ -150,6 +151,28 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert "Not a directory" in done.stderr
         assert not (blocker / "sub" / "report.json").exists()
+
+    def test_coincident_apf_members_in_run_2(self, tmp_path, monkeypatch, capsys):
+        # the starts are seeded draws, so place run 2's members 0 and 1 together
+        real_simulate = cli.simulate
+
+        def coincident_run_2(starts, *args):
+            starts = list(starts)
+            p = starts[2].positions.copy()
+            p[1] = p[0]
+            starts[2] = SwarmState(p, starts[2].velocities)
+            return real_simulate(starts, *args)
+
+        monkeypatch.setattr(cli, "simulate", coincident_run_2)
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["flight"].update(runs=3, horizon_s=0.5, controller="apf")
+        p = tmp_path / "apf3.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", str(p), "--out-dir", str(out)]) == 2
+        assert "numeric error: [stage fly]" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestAtomicWrites:

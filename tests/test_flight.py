@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rollout_oracle import rollout_loops
 from swarmform import kernels
@@ -80,7 +82,7 @@ class TestControllers:
                 >= np.linalg.norm(u_log[followers], axis=1) - 1e-9).all()
 
     def test_apf_repulsion_magnitude(self):
-        apf = ApfParams(ka=1.0, kr=5.0, d0=2.0, k2=1.5)
+        apf = ApfParams(ka=1.0, kr=5.0, d0=2.0)
         plan = FormationPlan(slots=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
         # both on their slots, separated by d0/2: only repulsion remains
         p = np.array([[0.0, 0, 0], [1.0, 0, 0]])
@@ -149,7 +151,19 @@ class TestLyapunov:
         state = SwarmState(state.positions, np.zeros((plan.n, 3)))
         traj = simulate(state, plan, "log", gains, 0.01, 10.0)
         assert np.diff(traj.lyapunov).max() <= 1e-6
-        assert traj.lyapunov[0] == pytest.approx(lyapunov_value(state, plan, gains))
+        assert traj.lyapunov[0, 0] == pytest.approx(lyapunov_value(state, plan, gains))
+
+    @pytest.mark.parametrize("masses", [np.full(6, 0.5), np.full(6, 2.0),
+                                        np.array([0.5, 2.0, 1.0, 0.7, 1.6, 1.2])],
+                             ids=["0.5kg", "2kg", "mixed"])
+    def test_monotone_with_masses(self, plan, masses):
+        # the kinetic term is (1/2) sum m_i |v_i - v_t|^2, matching the
+        # integrator's division of each force by m_i
+        rng = np.random.default_rng(12)
+        starts = [SwarmState(rng.uniform(-15.0, 15.0, (plan.n, 3)), np.zeros((plan.n, 3)))
+                  for _ in range(5)]
+        traj = simulate(starts, plan, "log", ControlGains(masses=masses), 0.01, 20.0)
+        assert np.diff(traj.lyapunov).max() <= 1e-6
 
 
 class TestSimulate:
@@ -182,49 +196,89 @@ class TestSimulate:
                 expected = step(s, control(s, p, name, gains), masses, 0.01)
                 assert np.allclose(traj.positions[1], expected.positions, atol=1e-12)
                 assert np.allclose(traj.velocities[1], expected.velocities, atol=1e-12)
-            assert lyapunov_value(s, p, gains) == pytest.approx(traj.lyapunov[0], abs=1e-12)
+            assert lyapunov_value(s, p, gains) == pytest.approx(traj.lyapunov[0, 0], abs=1e-12)
 
     @pytest.mark.parametrize("ctrl", [kernels.CTRL_LOG, kernels.CTRL_QUAD, kernels.CTRL_APF],
                              ids=["log", "quad", "apf"])
     def test_rollout_matches_oracle(self, plan, ctrl):
-        s = perturbed_state(plan, seed=6)
-        p0 = s.positions.copy()
-        p0[1] = p0[0] + [0.6, 0.3, 0.0]  # an adjacent pair inside d0
+        # an R = 3 batch against the oracle flown run by run
+        starts = [perturbed_state(plan, seed=seed) for seed in (6, 13, 14)]
+        p0 = np.stack([s.positions for s in starts])
+        v0 = np.stack([s.velocities for s in starts])
+        p0[:, 1] = p0[:, 0] + [0.6, 0.3, 0.0]  # an adjacent pair inside d0
         ring = np.roll(np.eye(plan.n), 1, axis=1)
         ring = ring + ring.T
         masses = np.linspace(0.8, 1.4, plan.n)
-        args = (p0, s.velocities, plan.slots, ring, masses, 2, ctrl,
+        vdes = np.array([0.5, 0.3, 0.1])
+        args = (plan.slots, ring, masses, 2, ctrl,
                 4.0, 1.5, 10.0, 3.0, 5.0, 2.0,
-                np.array([1.0, -2.0, 0.5]), np.array([0.5, 0.3, 0.1]), 0.01, 200)
-        got = kernels.rollout(*args)
-        ref = rollout_loops(*args)
-        for name, a, b in zip("PVUL", got, ref):
-            assert np.allclose(a, b, atol=1e-10), name
+                np.array([1.0, -2.0, 0.5]), vdes, 0.01, 200)
+        P, V, U, L, path, vel_err, final = kernels.rollout(p0, v0, *args)
+        for r in range(3):
+            Pr, Vr, Ur, Lr = rollout_loops(p0[r], v0[r], *args)
+            if r == 0:
+                for name, a, b in zip("PVU", (P, V, U), (Pr, Vr, Ur)):
+                    assert np.allclose(a, b, atol=1e-10), name
+            assert np.allclose(L[r], Lr, atol=1e-10), f"L run {r}"
+            assert np.allclose(path[r], np.linalg.norm(np.diff(Pr, axis=0), axis=2).sum(axis=0),
+                               atol=1e-10), f"path run {r}"
+            assert np.allclose(vel_err[r], np.linalg.norm(Vr - vdes, axis=2),
+                               atol=1e-10), f"vel_err run {r}"
+            assert np.allclose(final[r], Pr[-1], atol=1e-10), f"final run {r}"
+
+    def test_coincident_apf_members_in_one_run_raise(self, plan, gains):
+        starts = [perturbed_state(plan, seed=seed) for seed in range(3)]
+        p = starts[2].positions.copy()
+        p[1] = p[0]
+        starts[2] = SwarmState(p, starts[2].velocities)
+        with pytest.raises(FloatingPointError):
+            simulate(starts, plan, "apf", gains, 0.01, 0.5)
+
+
+def _metric_values(m):
+    return (m.avg_distance, m.avg_vel_err, m.max_vel_err, m.avg_final_pos_err,
+            m.lyapunov_trace.tolist())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+       controller=st.sampled_from(["log", "quad", "apf"]), data=st.data())
+def test_batch_runs_equal_runs_flown_alone(seeds, controller, data):
+    plan = FormationPlan(slots=SLOTS, target_position=[1.0, -2.0, 0.5],
+                         target_velocity=[0.5, 0.3, 0.1])
+    gains = ControlGains(masses=np.linspace(0.5, 2.0, plan.n))
+    starts = [perturbed_state(plan, seed=seed) for seed in seeds]
+    batch = simulate(starts, plan, controller, gains, 0.01, 0.5)
+    batch_metrics = [_metric_values(m) for m in metrics(batch)]
+    for r, start in enumerate(starts):
+        alone = simulate(start, plan, controller, gains, 0.01, 0.5)
+        if r == 0:
+            assert (batch.positions == alone.positions).all()
+            assert (batch.velocities == alone.velocities).all()
+            assert (batch.controls == alone.controls).all()
+        assert (batch.lyapunov[r] == alone.lyapunov[0]).all()
+        assert batch_metrics[r] == _metric_values(metrics(alone)[0])
+
+    order = data.draw(st.permutations(range(len(starts))))
+    permuted = simulate([starts[i] for i in order], plan, controller, gains, 0.01, 0.5)
+    assert (permuted.lyapunov == batch.lyapunov[order]).all()
+    assert (permuted.path_length == batch.path_length[order]).all()
+    assert (permuted.vel_err == batch.vel_err[order]).all()
+    assert (permuted.final_positions == batch.final_positions[order]).all()
+    assert [_metric_values(m) for m in metrics(permuted)] == [batch_metrics[i] for i in order]
 
 
 class TestMetrics:
     def test_straight_line_distance(self, plan, gains):
         # constant-velocity drift of 1 m/s for 10 s with matched slots
-        n = plan.n
-        times = np.arange(0, 1001) * 0.01
-        positions = np.zeros((1001, n, 3))
-        positions[:, :, 0] = times[:, None]
-        positions += plan.desired_positions(0.0)
-        traj_like = type("T", (), {})()
-        traj_like.positions = positions
-        traj_like.velocities = np.zeros((1001, n, 3))
-        traj_like.velocities[:, :, 0] = 1.0
-        traj_like.controls = np.zeros((1000, n, 3))
-        traj_like.lyapunov = np.zeros(1001)
-        traj_like.times = times
-        traj_like.plan = FormationPlan(slots=plan.slots,
-                                       target_velocity=np.array([1.0, 0, 0]))
-        m = metrics(traj_like)
+        moving = FormationPlan(slots=plan.slots, target_velocity=np.array([1.0, 0, 0]))
+        start = SwarmState(moving.desired_positions(0.0), np.tile([1.0, 0, 0], (plan.n, 1)))
+        (m,) = metrics(simulate(start, moving, "log", gains, 0.01, 10.0))
         assert m.avg_distance == pytest.approx(10.0)
         assert m.avg_vel_err == pytest.approx(0.0)
         assert m.avg_final_pos_err == pytest.approx(0.0, abs=1e-9)
 
     def test_aggregate_consistency(self, plan, gains):
         traj = simulate(perturbed_state(plan, seed=8), plan, "log", gains, 0.01, 3.0)
-        m = metrics(traj)
+        (m,) = metrics(traj)
         assert m.max_vel_err >= m.avg_vel_err >= 0.0
