@@ -19,7 +19,7 @@ from .flight import (
 )
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation, Pose, Sensor, SphericalPlacement
-from .radio import RadioParams, ResourceModel, link_stats, sinr_db
+from .radio import RadioParams, ResourceModel, link_stats
 from .sensing import CameraIntrinsics, LidarNoise, SensorModels, logdet_reg, total_fim, uav_fim
 
 __version__ = "0.1.0"
@@ -32,5 +32,5 @@ __all__ = [
     "SwarmState", "build_candidates", "coverage", "flip", "greedy_allocate",
     "ground_constrain", "link_stats", "logdet_reg", "lyapunov_value", "metrics",
     "optimize_formation", "parse_formation", "parse_scenario", "simulate",
-    "sinr_db", "total_fim", "uav_fim",
+    "total_fim", "uav_fim",
 ]

@@ -11,7 +11,6 @@ cost; selection stops when the best net utility drops to the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -75,7 +74,6 @@ class AllocWeights:
 
 @dataclass(frozen=True)
 class Candidate:
-    placement: SphericalPlacement
     pose: Pose
     fim: np.ndarray
     penalty: float
@@ -130,21 +128,12 @@ def build_candidates(
                 pose = Pose(position=position, yaw=yaw, sensor=sensor)
                 out.append(
                     Candidate(
-                        placement=placement,
                         pose=pose,
                         fim=uav_fim(pose, target, models),
                         penalty=candidate_penalty(sensor, weights, resources),
                     )
                 )
     return out
-
-
-def subset_logdet(candidates: list[Candidate], eps: float = DEFAULT_EPS) -> float:
-    """Objective value of a candidate subset (empty subset included)."""
-    total = np.zeros((3, 3))
-    for c in candidates:
-        total = total + c.fim
-    return logdet_reg(total, eps)
 
 
 def greedy_allocate(
@@ -164,6 +153,7 @@ def greedy_allocate(
     pool = list(candidates)
     fims = np.array([c.fim for c in pool])
     penalties = np.array([c.penalty for c in pool])
+    positions = np.array([c.pose.position for c in pool])
     active = np.ones(len(pool), dtype=bool)
 
     total = np.zeros((3, 3))
@@ -184,46 +174,7 @@ def greedy_allocate(
         utilities.append(float(util[best]))
         total = total + fims[best]
         current = float(with_each[best])
-        pos = pool[best].pose.position
-        for i, c in enumerate(pool):
-            if active[i] and np.linalg.norm(c.pose.position - pos) < _SAME_PLACEMENT:
-                active[i] = False
+        active &= np.linalg.norm(positions - positions[best], axis=1) >= _SAME_PLACEMENT
 
     formation = Formation(poses=chosen, target=np.asarray(target, dtype=float))
     return AllocationResult(formation=formation, logdet=current, gains=gains, utilities=utilities)
-
-
-def exhaustive_best(
-    candidates: list[Candidate], k: int, eps: float = DEFAULT_EPS
-) -> tuple[tuple[int, ...], float]:
-    """Best objective over all subsets of size <= k (oracle; exponential)."""
-    best_idx: tuple[int, ...] = ()
-    best_val = logdet_reg(np.zeros((3, 3)), eps)
-    for size in range(1, min(k, len(candidates)) + 1):
-        for idx in combinations(range(len(candidates)), size):
-            val = subset_logdet([candidates[i] for i in idx], eps)
-            if val > best_val:
-                best_idx, best_val = idx, val
-    return best_idx, best_val
-
-
-def greedy_unpenalized(
-    candidates: list[Candidate], k: int, eps: float = DEFAULT_EPS
-) -> tuple[list[int], float]:
-    """Cardinality-constrained greedy without penalties (bound-check form)."""
-    fims = np.array([c.fim for c in candidates])
-    active = np.ones(len(candidates), dtype=bool)
-    total = np.zeros((3, 3))
-    current = logdet_reg(total, eps)
-    picked: list[int] = []
-    for _ in range(min(k, len(candidates))):
-        vals = np.linalg.slogdet(total + fims + eps * np.eye(3))[1]
-        vals[~active] = -np.inf
-        best = int(np.argmax(vals))
-        if vals[best] <= current:
-            break
-        picked.append(best)
-        total = total + fims[best]
-        current = float(vals[best])
-        active[best] = False
-    return picked, current

@@ -181,19 +181,16 @@ def _write_trace(path: Path, traj) -> None:
     for i in range(n):
         header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
     header.append("V")
+    times = traj.times.tolist()
+    lyap = traj.lyapunov[0].tolist()
+    idle = [0.0] * (3 * n)  # no control after the last step
     with _write_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # writes each float as its repr
         writer.writerow(header)
-        for t in range(traj.positions.shape[0]):
-            row = [repr(float(traj.times[t]))]
-            for i in range(n):
-                row += [repr(float(v)) for v in traj.positions[t, i]]
-                row += [repr(float(v)) for v in traj.velocities[t, i]]
-            for i in range(n):
-                u = traj.controls[t, i] if t < traj.controls.shape[0] else (0.0, 0.0, 0.0)
-                row += [repr(float(v)) for v in u]
-            row.append(repr(float(traj.lyapunov[0, t])))
-            writer.writerow(row)
+        for t, time in enumerate(times):
+            state = np.concatenate((traj.positions[t], traj.velocities[t]), axis=1)
+            u = traj.controls[t].ravel().tolist() if t < len(traj.controls) else idle
+            writer.writerow([time, *state.ravel().tolist(), *u, lyap[t]])
 
 
 def _run(scenario: Scenario, last_stage: str, out_dir: Path | None,

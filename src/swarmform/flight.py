@@ -131,10 +131,6 @@ class FormationPlan:
     def n(self) -> int:
         return self.slots.shape[0]
 
-    def offset(self, i: int, j: int) -> np.ndarray:
-        """Desired displacement d_ij between members i and j."""
-        return self.slots[i] - self.slots[j]
-
     def target_at(self, t: float) -> np.ndarray:
         return self.target_position + t * self.target_velocity
 

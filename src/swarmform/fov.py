@@ -58,65 +58,28 @@ class CoverageReport:
     per_direction: list[float] = field(default_factory=list)
 
 
-def target_visible(pose: Pose, target: np.ndarray, spec: FovSpec) -> bool:
-    """True iff the target sits inside the pose's FOV frustum."""
-    rel = np.asarray(target, dtype=float) - pose.position
-    d = float(np.linalg.norm(rel))
-    if d > spec.d_max + _ANGLE_TOL:
-        return False
-    d_xy = float(np.hypot(rel[0], rel[1]))
-    if d_xy < _DEGENERATE_XY:
-        return False  # straight above/below: horizontal bearing undefined
-    bearing_err = abs(wrap_pi(np.arctan2(rel[1], rel[0]) - pose.yaw))
-    if bearing_err > spec.gamma / 2.0 + _ANGLE_TOL:
-        return False
-    elevation = abs(np.arctan2(rel[2], d_xy))
-    return elevation <= spec.kappa / 2.0 + _ANGLE_TOL
-
-
-def direction_covered(k: int, pose: Pose, target: np.ndarray, spec: FovSpec) -> bool:
-    """True iff probe direction k falls within gamma/2 of the UAV's
-    horizontal bearing from the target."""
-    if not 0 <= k < spec.n_dirs:
-        raise ValueError(f"direction index {k} outside [0, {spec.n_dirs})")
-    rel = relative_position(pose.position, target)
-    if np.hypot(rel[0], rel[1]) < _DEGENERATE_XY:
-        return False
-    phi = 2.0 * np.pi * k / spec.n_dirs
-    offset = abs(wrap_pi(np.arctan2(rel[1], rel[0]) - phi))
-    return offset <= spec.gamma / 2.0 + _ANGLE_TOL
-
-
 def coverage(formation: Formation, spec: FovSpec) -> CoverageReport:
-    """Intensity per probe direction, integrity xi, and the Gamma metric."""
+    """Intensity per probe direction, integrity xi, and the Gamma metric.
+    Members straight above or below the target cover no direction."""
     if len(formation) == 0:
         raise ValueError("coverage needs a nonempty formation")
-    weights = []
-    bearings = []
-    for pose in formation.poses:
-        rel = relative_position(pose.position, formation.target)
-        d_xy = float(np.hypot(rel[0], rel[1]))
-        if d_xy < _DEGENERATE_XY:
-            continue
-        weights.append(1.0 / (1.0 + spec.lam * d_xy))
-        bearings.append(np.arctan2(rel[1], rel[0]))
-    per_direction = []
-    uncovered = 0
-    for k in range(spec.n_dirs):
-        phi = 2.0 * np.pi * k / spec.n_dirs
-        phi_k = 0.0
-        for w, b in zip(weights, bearings):
-            if abs(wrap_pi(b - phi)) <= spec.gamma / 2.0 + _ANGLE_TOL:
-                phi_k += w
-        per_direction.append(phi_k)
-        if phi_k == 0.0:
-            uncovered += 1
+    rel = formation.positions() - formation.target
+    d_xy = np.hypot(rel[:, 0], rel[:, 1])
+    weights = 1.0 / (1.0 + spec.lam * d_xy)
+    bearings = np.arctan2(rel[:, 1], rel[:, 0])
+    phi = 2.0 * np.pi * np.arange(spec.n_dirs) / spec.n_dirs
+    # the offset wrapped to (-pi, pi], as geom.wrap_pi does, per (member, direction)
+    offset = np.pi - (-(bearings[:, None] - phi) + np.pi) % (2.0 * np.pi)
+    covers = (np.abs(offset) <= spec.gamma / 2.0 + _ANGLE_TOL) & (d_xy >= _DEGENERATE_XY)[:, None]
+    # summed member by member, in member order, as a scalar loop adds them
+    per_direction = np.where(covers, weights[:, None], 0.0).sum(axis=0)
+    uncovered = int(np.count_nonzero(per_direction == 0.0))
     xi = 1.0 - uncovered / spec.n_dirs
     return CoverageReport(
         gamma_metric=xi * float(np.sum(per_direction)),
         xi=xi,
         uncovered=uncovered,
-        per_direction=per_direction,
+        per_direction=per_direction.tolist(),
     )
 
 
@@ -215,27 +178,6 @@ def optimize_formation(
         if step_best is not None:
             best, best_gamma = step_best, step_gamma
             improved = True
-    return best
-
-
-def exhaustive_flip_best(
-    formation: Formation,
-    spec: FovSpec,
-    radio: RadioParams,
-    receiver: int = 0,
-) -> float:
-    """Oracle: best Gamma over every pattern of sector-gated flips meeting
-    the same SINR floor as optimize_formation. Exponential; small swarms."""
-    gated = flip_candidates(formation, spec)
-    base_min = link_stats(formation, receiver, radio)["min_db"]
-    floor = min(spec.eta_min_db, base_min)
-    best = coverage(formation, spec).gamma_metric
-    for size in range(1, len(gated) + 1):
-        for subset in combinations(gated, size):
-            cand = _apply_pattern(formation, subset)
-            if link_stats(cand, receiver, radio)["min_db"] < floor - _ANGLE_TOL:
-                continue
-            best = max(best, coverage(cand, spec).gamma_metric)
     return best
 
 

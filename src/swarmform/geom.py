@@ -100,29 +100,10 @@ def relative_position(uav: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.asarray(uav, dtype=float) - np.asarray(target, dtype=float)
 
 
-def relative_xy(uav: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Relative position projected onto the X-Y plane (z zeroed)."""
-    rel = relative_position(uav, target)
-    rel[2] = 0.0
-    return rel
-
-
 def spherical_to_cartesian(p: SphericalPlacement, center: np.ndarray) -> np.ndarray:
     cd, sd = np.cos(p.delta), np.sin(p.delta)
     offset = p.d * np.array([cd * np.cos(p.beta), cd * np.sin(p.beta), sd])
     return np.asarray(center, dtype=float) + offset
-
-
-def cartesian_to_spherical(point: np.ndarray, center: np.ndarray) -> SphericalPlacement:
-    """Inverse of spherical_to_cartesian. Unique only for delta in (0, pi/2);
-    outside that band the (beta, delta) chart is non-unique."""
-    rel = relative_position(point, center)
-    d = float(np.linalg.norm(rel))
-    if d < _DEGENERATE_XY:
-        raise DegenerateGeometryError("point coincides with center")
-    delta = float(np.arcsin(np.clip(rel[2] / d, -1.0, 1.0)))
-    beta = float(np.arctan2(rel[1], rel[0]))
-    return SphericalPlacement(d=d, beta=wrap_2pi(beta), delta=delta)
 
 
 def yaw_facing_target(uav: np.ndarray, target: np.ndarray) -> float:

@@ -117,18 +117,21 @@ def rollout(p0, v0, slots, adj, masses, leader, ctrl,
     tgt = tgt0.copy()
     P[0] = p[0]
     V[0] = v[0]
-    u, lyap[:, 0] = evaluate(p, v, tgt)
-    vel_err[:, 0] = np.linalg.norm(v - vdes, axis=2)
-    for s in range(steps):
-        U[s] = u[0]
-        v = v + u / m * dt
-        p_next = p + v * dt
-        path += np.linalg.norm(p_next - p, axis=2)
-        p = p_next
-        tgt = tgt + vdes * dt
-        P[s + 1] = p[0]
-        V[s + 1] = v[0]
-        vel_err[:, s + 1] = np.linalg.norm(v - vdes, axis=2)
-        # the forces of the next step and V at this state
-        u, lyap[:, s + 1] = evaluate(p, v, tgt)
+    # a non-finite run turns inf into NaN (inf - inf); that is reported by
+    # the caller from p_final, not warned about step by step
+    with np.errstate(invalid="ignore", over="ignore"):
+        u, lyap[:, 0] = evaluate(p, v, tgt)
+        vel_err[:, 0] = np.linalg.norm(v - vdes, axis=2)
+        for s in range(steps):
+            U[s] = u[0]
+            v = v + u / m * dt
+            p_next = p + v * dt
+            path += np.linalg.norm(p_next - p, axis=2)
+            p = p_next
+            tgt = tgt + vdes * dt
+            P[s + 1] = p[0]
+            V[s + 1] = v[0]
+            vel_err[:, s + 1] = np.linalg.norm(v - vdes, axis=2)
+            # the forces of the next step and V at this state
+            u, lyap[:, s + 1] = evaluate(p, v, tgt)
     return P, V, U, lyap, path, vel_err, p

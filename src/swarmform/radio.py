@@ -1,10 +1,10 @@
 """Path-loss/SINR evaluation over a formation and the resource/cost
 ledger feeding the allocation penalty terms.
 
-Received power decays as tx_power * rho0 * d^-alpha. SINR for a link
-(i -> j) counts every other swarm member as an interferer at receiver j;
-link statistics aggregate over a star topology whose hub is a designated
-fusion receiver (by default the leader, member 0).
+Received power decays as tx_power * rho0 * d^-alpha. Link statistics
+aggregate over a star topology whose hub is a designated fusion receiver
+(by default the leader, member 0): the SINR of each member's link to the
+hub counts every other member as an interferer at the hub.
 """
 
 from __future__ import annotations
@@ -78,28 +78,15 @@ def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:
     return rp.tx_power * rp.rho0 * d ** (-rp.alpha)
 
 
-def sinr(i: int, j: int, formation: Formation, rp: RadioParams) -> float:
-    """SINR of the link i -> j; every member other than i and j interferes."""
-    if i == j:
-        raise ValueError("transmitter and receiver must differ")
-    pts = formation.positions()
-    signal = received_power(pts[i], pts[j], rp)
-    interference = sum(
-        received_power(pts[k], pts[j], rp)
-        for k in range(len(pts))
-        if k not in (i, j)
-    )
-    return signal / (interference + rp.noise_power)
-
-
-def sinr_db(i: int, j: int, formation: Formation, rp: RadioParams) -> float:
-    return to_db(sinr(i, j, formation, rp))
-
-
 def link_stats(formation: Formation, receiver: int, rp: RadioParams) -> dict[str, float]:
     """Mean and minimum SINR in dB over all links into the fusion receiver."""
     n = len(formation)
     if n < 2:
         raise ValueError("link statistics need at least two members")
-    vals = [sinr_db(i, receiver, formation, rp) for i in range(n) if i != receiver]
+    pts = formation.positions()
+    power = np.array([received_power(pts[i], pts[receiver], rp)
+                      for i in range(n) if i != receiver])
+    # column i holds the powers of link i's interferers, summed in member order
+    interference = np.where(~np.eye(n - 1, dtype=bool), power[:, None], 0.0).sum(axis=0)
+    vals = to_db(power / (interference + rp.noise_power))
     return {"avg_db": float(np.mean(vals)), "min_db": float(np.min(vals))}

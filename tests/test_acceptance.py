@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import build_reference_formation, random_pose
+from oracles import exhaustive_best, exhaustive_flip_best, greedy_unpenalized, subset_logdet
 from swarmform.alloc import (
     AllocWeights,
     Candidate,
     GridSpec,
     build_candidates,
-    exhaustive_best,
     greedy_allocate,
-    greedy_unpenalized,
-    subset_logdet,
 )
 from swarmform.cli import main
 from swarmform.config import parse_scenario
@@ -37,7 +35,6 @@ from swarmform.flight import (
 from swarmform.fov import (
     FovSpec,
     coverage,
-    exhaustive_flip_best,
     flip,
     ground_constrain,
     optimize_formation,
@@ -157,7 +154,7 @@ def test_criterion_05_greedy_approximation_bound(models):
         cands = []
         for _ in range(n):
             pose = random_pose(rng)
-            cands.append(Candidate(placement=None, pose=pose,
+            cands.append(Candidate(pose=pose,
                                    fim=uav_fim(pose, np.zeros(3), models), penalty=0.0))
         _, opt = exhaustive_best(cands, k)
         _, val = greedy_unpenalized(cands, k)
@@ -172,7 +169,7 @@ def test_criterion_05_greedy_approximation_bound(models):
 def test_criterion_06_monotone_submodular_sampling(models):
     start = time.time()
     rng = np.random.default_rng(45)
-    pool = [Candidate(placement=None, pose=random_pose(rng),
+    pool = [Candidate(pose=random_pose(rng),
                       fim=uav_fim(random_pose(rng), np.zeros(3), models), penalty=0.0)
             for _ in range(12)]
     for _ in range(200):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_pose
+from oracles import exhaustive_best, greedy_unpenalized, subset_logdet
 from swarmform.alloc import (
     AllocWeights,
     Candidate,
     GridSpec,
     build_candidates,
-    exhaustive_best,
     greedy_allocate,
-    greedy_unpenalized,
-    subset_logdet,
 )
 from swarmform.geom import Sensor
 from swarmform.radio import ResourceModel
@@ -36,7 +34,7 @@ def random_candidates(rng, n, models):
     out = []
     for _ in range(n):
         pose = random_pose(rng)
-        out.append(Candidate(placement=None, pose=pose,
+        out.append(Candidate(pose=pose,
                              fim=uav_fim(pose, np.zeros(3), models), penalty=0.0))
     return out
 

@@ -174,6 +174,26 @@ class TestExitCodes:
         assert "numeric error: [stage fly]" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_coincident_start_prints_one_line(self, tmp_path):
+        # a start cube far below APF's coincidence distance puts every
+        # member on the target: the rollout goes non-finite and the CLI
+        # reports it in one line, with no NumPy warning before it
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["flight"].update(horizon_s=0.5, controller="apf", init_cube_half_width_m=1e-13)
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmform.cli", "fly", "--scenario", str(p),
+             "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("swarmform: numeric error: [stage fly] ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestAtomicWrites:
     def test_failed_trace_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_reference_formation, random_pose
+from oracles import coverage_loops, direction_covered, exhaustive_flip_best, target_visible
 from swarmform.fov import (
     FovSpec,
     coverage,
-    direction_covered,
-    exhaustive_flip_best,
     flip,
     flip_candidates,
     ground_constrain,
     optimize_formation,
-    target_visible,
 )
 from swarmform.geom import Formation, Pose, Sensor, vec3, wrap_pi
 from swarmform.radio import RadioParams, link_stats
@@ -111,6 +111,44 @@ class TestCoverage:
     def test_empty_rejected(self, spec):
         with pytest.raises(ValueError):
             coverage(Formation([], np.zeros(3)), spec)
+
+    def test_member_above_target_covers_nothing(self, spec):
+        f = Formation([Pose(vec3(1, 2, 10), 0.0, Sensor.CAMERA)], vec3(1, 2, 0))
+        rep = coverage(f, spec)
+        assert rep.uncovered == spec.n_dirs
+        assert rep.gamma_metric == 0.0
+
+
+# a member's horizontal offset from the target: polar (range, bearing),
+# with range 0 for a member straight above or below, and bearings on the
+# 5-degree probe grid as well as between its points
+_member = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-6, 40.0)),
+    st.one_of(st.integers(0, 71).map(lambda k: np.radians(5.0 * k)),
+              st.floats(-np.pi, np.pi)),
+    st.floats(-20.0, 20.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.lists(_member, min_size=1, max_size=16),
+       target=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       n_dirs=st.sampled_from([4, 36, 72, 360]),
+       gamma_deg=st.sampled_from([10.0, 50.0, 90.0, 179.0]),
+       lam=st.sampled_from([0.0, 0.1, 0.37]))
+def test_coverage_equals_scalar_loops(members, target, n_dirs, gamma_deg, lam):
+    """Gamma, xi, uncovered and every direction's intensity equal the
+    scalar double loop bit for bit."""
+    target = np.array(target)
+    poses = [Pose(target + [r * np.cos(b), r * np.sin(b), z], 0.0, Sensor.CAMERA)
+             for r, b, z in members]
+    f = Formation(poses, target)
+    spec = FovSpec(gamma=np.radians(gamma_deg), n_dirs=n_dirs, lam=lam)
+    got, want = coverage(f, spec), coverage_loops(f, spec)
+    assert got.gamma_metric == want.gamma_metric
+    assert got.xi == want.xi
+    assert got.uncovered == want.uncovered
+    assert got.per_direction == want.per_direction
 
 
 class TestFlip:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import cartesian_to_spherical
 from swarmform.geom import (
     DegenerateGeometryError,
     Pose,
     Sensor,
     SphericalPlacement,
-    cartesian_to_spherical,
     sector_index,
     spherical_to_cartesian,
     vec3,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import sinr_db
 from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor, vec3
 from swarmform.radio import (
     RadioParams,
@@ -10,8 +13,6 @@ from swarmform.radio import (
     link_stats,
     received_power,
     sensor_cost,
-    sinr,
-    sinr_db,
     to_db,
 )
 
@@ -52,25 +53,30 @@ class TestPower:
 
 class TestSinr:
     def test_three_node_hand_computed(self):
-        # members at x = 0, 1, 3; link 1 -> 0 with member 2 interfering
+        # members at x = 0, 1, 3 into receiver 0: each link's interferer
+        # is the other transmitter
         rp = RadioParams()
         f = line_formation([0.0, 1.0, 3.0])
-        signal = rp.tx_power * rp.rho0          # distance 1
-        interference = rp.tx_power * rp.rho0 / 9.0  # distance 3
-        expected = signal / (interference + rp.noise_power)
-        assert sinr(1, 0, f, rp) == pytest.approx(expected)
-        assert sinr_db(1, 0, f, rp) == pytest.approx(10 * np.log10(expected))
-
-    def test_self_link_rejected(self):
-        with pytest.raises(ValueError):
-            sinr(1, 1, line_formation([0.0, 1.0]), RadioParams())
+        near = rp.tx_power * rp.rho0          # distance 1
+        far = rp.tx_power * rp.rho0 / 9.0     # distance 3
+        link_1 = 10 * np.log10(near / (far + rp.noise_power))
+        link_2 = 10 * np.log10(far / (near + rp.noise_power))
+        stats = link_stats(f, 0, rp)
+        assert stats["min_db"] == pytest.approx(link_2)
+        assert stats["avg_db"] == pytest.approx((link_1 + link_2) / 2)
 
     def test_two_member_link_noise_limited(self):
         # no interferers: SINR = SNR
         rp = RadioParams()
         f = line_formation([0.0, 2.0])
-        expected = rp.tx_power * rp.rho0 / 4.0 / rp.noise_power
-        assert sinr(1, 0, f, rp) == pytest.approx(expected)
+        expected = 10 * np.log10(rp.tx_power * rp.rho0 / 4.0 / rp.noise_power)
+        stats = link_stats(f, 0, rp)
+        assert stats["min_db"] == pytest.approx(expected)
+        assert stats["avg_db"] == stats["min_db"]
+
+    def test_coincident_member_rejected(self):
+        with pytest.raises(DegenerateGeometryError):
+            link_stats(line_formation([0.0, 1.0, 0.0]), 0, RadioParams())
 
     def test_link_stats_aggregates(self):
         rp = RadioParams()
@@ -84,6 +90,23 @@ class TestSinr:
     def test_link_stats_needs_two(self):
         with pytest.raises(ValueError):
             link_stats(line_formation([0.0]), 0, RadioParams())
+
+
+@settings(max_examples=200, deadline=None)
+@given(xyz=st.lists(st.tuples(*[st.floats(-40.0, 40.0)] * 3), min_size=2, max_size=16),
+       alpha=st.floats(1.0, 4.0), noise_dbm=st.floats(-130.0, -60.0), data=st.data())
+def test_link_stats_equals_scalar_sinr(xyz, alpha, noise_dbm, data):
+    """Every link's SINR equals the scalar per-link formula bit for bit."""
+    f = Formation([Pose(np.array(p), 0.0, Sensor.CAMERA) for p in xyz], np.zeros(3))
+    receiver = data.draw(st.integers(0, len(xyz) - 1), label="receiver")
+    pts = f.positions()
+    assume(all(np.linalg.norm(p - pts[receiver]) > 1e-3
+               for i, p in enumerate(pts) if i != receiver))
+    rp = RadioParams(alpha=alpha, noise_power=dbm_to_watts(noise_dbm))
+    vals = [sinr_db(i, receiver, f, rp) for i in range(len(xyz)) if i != receiver]
+    stats = link_stats(f, receiver, rp)
+    assert stats["avg_db"] == float(np.mean(vals))
+    assert stats["min_db"] == float(np.min(vals))
 
 
 class TestResources:
