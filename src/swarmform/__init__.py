@@ -18,7 +18,7 @@ from .flight import (
     simulate,
 )
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
-from .geom import DegenerateGeometryError, Formation, Pose, Sensor, SphericalPlacement
+from .geom import DegenerateGeometryError, Formation, Pose, Sensor
 from .radio import RadioParams, ResourceModel, link_stats
 from .sensing import CameraIntrinsics, LidarNoise, SensorModels, logdet_reg, total_fim, uav_fim
 
@@ -28,8 +28,8 @@ __all__ = [
     "AllocWeights", "ApfParams", "CameraIntrinsics", "ControlGains",
     "DegenerateGeometryError", "Formation", "FormationPlan", "FovSpec",
     "GridSpec", "LidarNoise", "Pose", "RadioParams", "ResourceModel",
-    "Scenario", "ScenarioError", "Sensor", "SensorModels", "SphericalPlacement",
-    "SwarmState", "build_candidates", "coverage", "flip", "greedy_allocate",
+    "Scenario", "ScenarioError", "Sensor", "SensorModels", "SwarmState",
+    "build_candidates", "coverage", "flip", "greedy_allocate",
     "ground_constrain", "link_stats", "logdet_reg", "lyapunov_value", "metrics",
     "optimize_formation", "parse_formation", "parse_scenario", "simulate",
     "total_fim", "uav_fim",

@@ -14,17 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import (
-    DegenerateGeometryError,
-    Formation,
-    Pose,
-    Sensor,
-    SphericalPlacement,
-    spherical_to_cartesian,
-    yaw_facing_target,
-)
+from .geom import _DEGENERATE_XY, Formation, Pose, Sensor, wrap_pi
 from .radio import ResourceModel, comm_resource, sensor_cost
-from .sensing import DEFAULT_EPS, SensorModels, logdet_reg, uav_fim
+from .sensing import DEFAULT_EPS, SensorModels, fims, logdet_reg
 
 _SAME_PLACEMENT = 1e-9
 
@@ -40,7 +32,7 @@ class GridSpec:
     delta_step: float = np.radians(10.0)
 
     def __post_init__(self):
-        if self.distance <= 0:
+        if not self.distance > 0:
             raise ValueError("grid distance must be positive")
         if self.beta_step <= 0 or self.delta_step <= 0:
             raise ValueError("grid steps must be positive")
@@ -73,10 +65,23 @@ class AllocWeights:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    pose: Pose
-    fim: np.ndarray
-    penalty: float
+class Candidates:
+    """Feasible (placement, sensor) candidates, one row each, in grid order:
+    pitch outer, azimuth inner, camera before LiDAR (greedy breaks ties on
+    this order)."""
+
+    positions: np.ndarray   # (N, 3)
+    yaws: np.ndarray        # (N,) target-facing yaw, atan2 range
+    lidar: np.ndarray       # (N,) bool, False for a camera
+    fims: np.ndarray        # (N, 3, 3)
+    penalties: np.ndarray   # (N,)
+
+    def __len__(self) -> int:
+        return len(self.yaws)
+
+    def pose(self, i: int) -> Pose:
+        return Pose(position=self.positions[i].copy(), yaw=float(self.yaws[i]),
+                    sensor=Sensor.LIDAR if self.lidar[i] else Sensor.CAMERA)
 
 
 @dataclass
@@ -101,7 +106,7 @@ def build_candidates(
     resources: ResourceModel,
     models: SensorModels,
     max_boresight_pitch: float = np.radians(20.0),
-) -> list[Candidate]:
+) -> Candidates:
     """Enumerate feasible (placement, sensor) candidates.
 
     A placement is feasible when the target-facing yaw is defined (no
@@ -109,35 +114,38 @@ def build_candidates(
     ``max_boresight_pitch`` off the horizontal boresight, i.e. the target
     stays inside the sensors' vertical field of view (half of the default
     40-degree VFOV).
+
+    Pitch delta is elevation-like, z = d*sin(delta); delta > pi/2 flips the
+    horizontal direction (cos(delta) < 0), the convention under which
+    placements quoted at pitch 160 degrees sit at horizontal bearing
+    beta + 180 degrees.
     """
     target = np.asarray(target, dtype=float)
-    out: list[Candidate] = []
-    for delta in grid.deltas():
-        for beta in grid.betas():
-            placement = SphericalPlacement(d=grid.distance, beta=float(beta), delta=float(delta))
-            position = spherical_to_cartesian(placement, target)
-            try:
-                yaw = yaw_facing_target(position, target)
-            except DegenerateGeometryError:
-                continue
-            rel = position - target
-            pitch = abs(np.arctan2(rel[2], np.hypot(rel[0], rel[1])))
-            if pitch > max_boresight_pitch + 1e-12:
-                continue
-            for sensor in (Sensor.CAMERA, Sensor.LIDAR):
-                pose = Pose(position=position, yaw=yaw, sensor=sensor)
-                out.append(
-                    Candidate(
-                        pose=pose,
-                        fim=uav_fim(pose, target, models),
-                        penalty=candidate_penalty(sensor, weights, resources),
-                    )
-                )
-    return out
+    deltas, betas = grid.deltas(), grid.betas() % (2.0 * np.pi)
+    if len(betas) and deltas[-1] > np.pi:
+        raise ValueError(f"pitch must lie in [0, pi], got {float(deltas[deltas > np.pi][0])}")
+    cd = np.cos(deltas)[:, None]
+    offsets = np.stack(np.broadcast_arrays(cd * np.cos(betas), cd * np.sin(betas),
+                                           np.sin(deltas)[:, None]), axis=-1)
+    positions = target + grid.distance * offsets.reshape(-1, 3)
+    rel = positions - target
+    d_xy = np.hypot(rel[:, 0], rel[:, 1])
+    keep = ((d_xy >= _DEGENERATE_XY)
+            & ~(np.abs(np.arctan2(rel[:, 2], d_xy)) > max_boresight_pitch + 1e-12))
+    facing = target - positions[keep]   # not -rel: the sign of a zero picks atan2's branch
+    # each kept placement twice: a camera row, then a LiDAR row
+    positions = np.repeat(positions[keep], 2, axis=0)
+    yaws = np.repeat(np.arctan2(facing[:, 1], facing[:, 0]), 2)
+    lidar = np.tile([False, True], int(np.count_nonzero(keep)))
+    penalties = np.where(lidar, candidate_penalty(Sensor.LIDAR, weights, resources),
+                         candidate_penalty(Sensor.CAMERA, weights, resources))
+    return Candidates(positions=positions, yaws=yaws, lidar=lidar,
+                      fims=fims(positions, wrap_pi(yaws), lidar, target, models),
+                      penalties=penalties)
 
 
 def greedy_allocate(
-    candidates: list[Candidate],
+    candidates: Candidates,
     target: np.ndarray,
     weights: AllocWeights,
     eps: float = DEFAULT_EPS,
@@ -150,11 +158,8 @@ def greedy_allocate(
     """
     if not candidates:
         raise ValueError("candidate set is empty")
-    pool = list(candidates)
-    fims = np.array([c.fim for c in pool])
-    penalties = np.array([c.penalty for c in pool])
-    positions = np.array([c.pose.position for c in pool])
-    active = np.ones(len(pool), dtype=bool)
+    positions = candidates.positions
+    active = np.ones(len(candidates), dtype=bool)
 
     total = np.zeros((3, 3))
     current = logdet_reg(total, eps)
@@ -163,16 +168,16 @@ def greedy_allocate(
     utilities: list[float] = []
 
     while len(chosen) < weights.max_uavs and active.any():
-        with_each = np.linalg.slogdet(total + fims + eps * np.eye(3))[1]
-        util = with_each - current - penalties
+        with_each = np.linalg.slogdet(total + candidates.fims + eps * np.eye(3))[1]
+        util = with_each - current - candidates.penalties
         util[~active] = -np.inf
         best = int(np.argmax(util))
         if util[best] <= weights.min_gain:
             break
-        chosen.append(pool[best].pose)
+        chosen.append(candidates.pose(best))
         gains.append(float(with_each[best] - current))
         utilities.append(float(util[best]))
-        total = total + fims[best]
+        total = total + candidates.fims[best]
         current = float(with_each[best])
         active &= np.linalg.norm(positions - positions[best], axis=1) >= _SAME_PLACEMENT
 

@@ -8,6 +8,7 @@ rejected and every diagnostic carries the dotted field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +63,15 @@ class Scenario:
     raw: dict = field(default_factory=dict, repr=False)
 
 
+def _finite(x) -> bool:
+    """True for a finite number; JSON admits NaN, Infinity and integers too
+    large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 class _Section:
     """One JSON object with path-tagged, type-checked field access."""
 
@@ -72,15 +82,18 @@ class _Section:
         self.path = path
         self.seen: set[str] = set()
 
+    def _at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
     def child(self, key: str) -> "_Section":
         self.seen.add(key)
-        return _Section(self.data.get(key, {}), f"{self.path}.{key}" if self.path else key)
+        return _Section(self.data.get(key, {}), self._at(key))
 
     def _get(self, key, default):
         self.seen.add(key)
         if key not in self.data:
             if default is _REQUIRED:
-                raise ScenarioError(f"{self.path}.{key}: required field missing")
+                raise ScenarioError(f"{self._at(key)}: required field missing")
             return default
         return self.data[key]
 
@@ -89,7 +102,9 @@ class _Section:
         if v is default:
             return default
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(f"{self.path}.{key}: expected a number, got {v!r}")
+            raise ScenarioError(f"{self._at(key)}: expected a number, got {v!r}")
+        if not _finite(v):
+            raise ScenarioError(f"{self._at(key)}: expected a finite number, got {v!r}")
         return float(v)
 
     def integer(self, key, default=None) -> int:
@@ -97,7 +112,7 @@ class _Section:
         if v is default:
             return default
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ScenarioError(f"{self.path}.{key}: expected an integer, got {v!r}")
+            raise ScenarioError(f"{self._at(key)}: expected an integer, got {v!r}")
         return v
 
     def boolean(self, key, default=None) -> bool:
@@ -105,7 +120,7 @@ class _Section:
         if v is default:
             return default
         if not isinstance(v, bool):
-            raise ScenarioError(f"{self.path}.{key}: expected a boolean, got {v!r}")
+            raise ScenarioError(f"{self._at(key)}: expected a boolean, got {v!r}")
         return v
 
     def string(self, key, default=None, choices=None) -> str:
@@ -113,9 +128,9 @@ class _Section:
         if v is default:
             return default
         if not isinstance(v, str):
-            raise ScenarioError(f"{self.path}.{key}: expected a string, got {v!r}")
+            raise ScenarioError(f"{self._at(key)}: expected a string, got {v!r}")
         if choices and v not in choices:
-            raise ScenarioError(f"{self.path}.{key}: expected one of {sorted(choices)}, got {v!r}")
+            raise ScenarioError(f"{self._at(key)}: expected one of {sorted(choices)}, got {v!r}")
         return v
 
     def vector(self, key, length, default=None) -> np.ndarray:
@@ -124,14 +139,17 @@ class _Section:
             return None if default is None else np.asarray(default, dtype=float)
         if (not isinstance(v, list) or len(v) != length
                 or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
-            raise ScenarioError(f"{self.path}.{key}: expected a list of {length} numbers, got {v!r}")
+            raise ScenarioError(f"{self._at(key)}: expected a list of {length} numbers, got {v!r}")
+        if not all(_finite(x) for x in v):
+            raise ScenarioError(
+                f"{self._at(key)}: expected a list of {length} finite numbers, got {v!r}")
         return np.asarray(v, dtype=float)
 
     def reject_unknown(self):
         unknown = set(self.data) - self.seen
         if unknown:
             k = sorted(unknown)[0]
-            raise ScenarioError(f"{self.path}.{k}: unknown key" if self.path else f"{k}: unknown key")
+            raise ScenarioError(f"{self._at(k)}: unknown key")
 
 
 _REQUIRED = object()
@@ -314,10 +332,10 @@ def parse_formation_dict(doc: dict, name: str = "") -> tuple[Formation, SensorMo
 
     raw_poses = root._get("poses", _REQUIRED)
     if not isinstance(raw_poses, list):
-        raise ScenarioError(f"{root.path}.poses: expected a list, got {type(raw_poses).__name__}")
+        raise ScenarioError(f"{root._at('poses')}: expected a list, got {type(raw_poses).__name__}")
     poses = []
     for idx, entry in enumerate(raw_poses):
-        sec = _Section(entry, f"{root.path}.poses[{idx}]" if root.path else f"poses[{idx}]")
+        sec = _Section(entry, root._at(f"poses[{idx}]"))
         position = sec.vector("position", 3, default=_REQUIRED)
         sensor_name = sec.string("sensor", default=_REQUIRED, choices={"camera", "lidar"})
         yaw_deg = sec.number("yaw_deg", default=None)

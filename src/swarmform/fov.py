@@ -68,8 +68,7 @@ def coverage(formation: Formation, spec: FovSpec) -> CoverageReport:
     weights = 1.0 / (1.0 + spec.lam * d_xy)
     bearings = np.arctan2(rel[:, 1], rel[:, 0])
     phi = 2.0 * np.pi * np.arange(spec.n_dirs) / spec.n_dirs
-    # the offset wrapped to (-pi, pi], as geom.wrap_pi does, per (member, direction)
-    offset = np.pi - (-(bearings[:, None] - phi) + np.pi) % (2.0 * np.pi)
+    offset = wrap_pi(bearings[:, None] - phi)   # per (member, direction)
     covers = (np.abs(offset) <= spec.gamma / 2.0 + _ANGLE_TOL) & (d_xy >= _DEGENERATE_XY)[:, None]
     # summed member by member, in member order, as a scalar loop adds them
     per_direction = np.where(covers, weights[:, None], 0.0).sum(axis=0)

@@ -29,37 +29,15 @@ def vec3(x, y, z) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
 
 
-def wrap_pi(angle: float) -> float:
-    """Normalize an angle to (-pi, pi]."""
-    a = (-angle + np.pi) % (2.0 * np.pi)
-    return float(np.pi - a)
+def wrap_pi(angle):
+    """Normalize an angle, or an array of angles, to (-pi, pi]. A Python
+    float gives a Python float."""
+    return np.pi - (-angle + np.pi) % (2.0 * np.pi)
 
 
 def wrap_2pi(angle: float) -> float:
     """Normalize an angle to [0, 2*pi)."""
     return float(angle % (2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class SphericalPlacement:
-    """A (distance, azimuth, pitch) placement on the candidate sphere.
-
-    Pitch delta is elevation-like with range [0, pi] and z = d*sin(delta);
-    delta > pi/2 flips the horizontal direction (cos(delta) < 0), which is
-    the unique convention consistent with placements quoted at pitch 160
-    degrees sitting at horizontal bearing beta + 180 degrees.
-    """
-
-    d: float
-    beta: float
-    delta: float
-
-    def __post_init__(self):
-        if not self.d > 0:
-            raise ValueError(f"placement distance must be > 0, got {self.d}")
-        if not (0.0 <= self.delta <= np.pi):
-            raise ValueError(f"pitch must lie in [0, pi], got {self.delta}")
-        object.__setattr__(self, "beta", wrap_2pi(self.beta))
 
 
 @dataclass(frozen=True)
@@ -98,12 +76,6 @@ class Formation:
 
 def relative_position(uav: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.asarray(uav, dtype=float) - np.asarray(target, dtype=float)
-
-
-def spherical_to_cartesian(p: SphericalPlacement, center: np.ndarray) -> np.ndarray:
-    cd, sd = np.cos(p.delta), np.sin(p.delta)
-    offset = p.d * np.array([cd * np.cos(p.beta), cd * np.sin(p.beta), sd])
-    return np.asarray(center, dtype=float) + offset
 
 
 def yaw_facing_target(uav: np.ndarray, target: np.ndarray) -> float:

@@ -4,7 +4,9 @@ LiDAR UAVs, plus the swarm-total FIM and its regularized log-determinant.
 The camera projects the target into pixel coordinates through a yaw-only
 rotation; the LiDAR measures (range, azimuth, pitch). Both Jacobians are
 taken with respect to the target position, so each UAV's information
-matrix is O^T Q^-1 O with the sensor's measurement covariance Q.
+matrix is O^T Q^-1 O with the sensor's measurement covariance Q. `fims`
+writes both Jacobians once, over stacked poses; the per-pose measurement
+functions they differentiate are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -59,85 +61,71 @@ class SensorModels:
     lidar: LidarNoise = field(default_factory=LidarNoise)
 
 
-def _camera_depth(pose: Pose, target: np.ndarray) -> float:
-    dx, dy, _ = pose.position - np.asarray(target, dtype=float)
-    z = np.cos(pose.yaw) * dx + np.sin(pose.yaw) * dy
-    if abs(z) < _DEGENERATE:
-        raise DegenerateGeometryError("target lies in the camera's focal plane")
-    return float(z)
+def fims(positions, yaws, lidar, target, models: SensorModels) -> np.ndarray:
+    """(N, 3, 3) information matrices that N stacked poses give about the
+    target: positions (N, 3), yaws (N,) wrapped to (-pi, pi] as `Pose`
+    stores them, and a mask (N,) of the LiDAR rows (the others carry
+    cameras). Each is (J^T Q^-1) J, one batched product per modality.
 
-
-def camera_project(pose: Pose, target: np.ndarray, intr: CameraIntrinsics) -> tuple[float, float]:
-    """Noiseless pixel coordinates (u, v) of the target."""
-    if pose.sensor is not Sensor.CAMERA:
-        raise ValueError("camera_project requires a camera pose")
-    dx, dy, dz = pose.position - np.asarray(target, dtype=float)
-    c, s = np.cos(pose.yaw), np.sin(pose.yaw)
-    z = _camera_depth(pose, target)
-    u = -intr.fx * (c * dy - s * dx) / z + intr.cx
-    v = -intr.fy * dz / z + intr.cy
-    return float(u), float(v)
-
-
-def camera_jacobian(pose: Pose, target: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """2x3 Jacobian of (u, v) with respect to the target position."""
-    dx, dy, dz = pose.position - np.asarray(target, dtype=float)
-    c, s = np.cos(pose.yaw), np.sin(pose.yaw)
-    z = _camera_depth(pose, target)
-    z2 = z * z
-    return np.array([
-        [-intr.fx * dy / z2, intr.fx * dx / z2, 0.0],
-        [-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z],
-    ])
-
-
-def lidar_measure(pose: Pose, target: np.ndarray) -> tuple[float, float, float]:
-    """Noiseless (range, azimuth, pitch) of the UAV relative to the target.
-
-    Azimuth uses the full-quadrant atan2 form.
+    Raises `DegenerateGeometryError` for the first pose, in row order,
+    whose camera has the target in its focal plane or whose LiDAR is
+    vertically aligned with it.
     """
-    rel = pose.position - np.asarray(target, dtype=float)
-    d = float(np.linalg.norm(rel))
-    if d < _DEGENERATE:
-        raise DegenerateGeometryError("UAV coincides with the target")
-    beta = float(np.arctan2(rel[1], rel[0]))
-    delta = float(np.arctan2(rel[2], np.hypot(rel[0], rel[1])))
-    return d, beta, delta
+    rel = np.asarray(positions, dtype=float).reshape(-1, 3) - np.asarray(target, dtype=float)
+    yaws = np.asarray(yaws, dtype=float)
+    lidar = np.asarray(lidar, dtype=bool)
+    cam = ~lidar
+    dx, dy, dz = rel[cam].T
+    c, s = np.cos(yaws[cam]), np.sin(yaws[cam])
+    z = c * dx + s * dy                      # camera depth
+    lrel = rel[lidar]
+    lx, ly, lz = lrel.T
+    d_xy = np.hypot(lx, ly)
+    bad = np.empty(len(rel), dtype=bool)
+    bad[cam] = np.abs(z) < _DEGENERATE
+    bad[lidar] = d_xy < _DEGENERATE
+    if bad.any():
+        raise DegenerateGeometryError(
+            "vertical alignment: azimuth undefined" if lidar[np.argmax(bad)]
+            else "target lies in the camera's focal plane")
 
-
-def lidar_jacobian(pose: Pose, target: np.ndarray) -> np.ndarray:
-    """3x3 Jacobian of (range, azimuth, pitch) with respect to the target."""
-    dx, dy, dz = pose.position - np.asarray(target, dtype=float)
-    d_xy = float(np.hypot(dx, dy))
-    if d_xy < _DEGENERATE:
-        raise DegenerateGeometryError("vertical alignment: azimuth undefined")
-    d, beta, _ = lidar_measure(pose, target)
+    intr = models.camera
+    z2 = z * z
+    zero = np.zeros_like(z)
+    cam_jac = np.stack([
+        np.stack([-intr.fx * dy / z2, intr.fx * dx / z2, zero], axis=-1),
+        np.stack([-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z], axis=-1),
+    ], axis=1)
+    # the range as the dot product a scalar norm takes (a norm along axis 1
+    # rounds differently)
+    d = np.sqrt((lrel[:, None, :] @ lrel[:, :, None])[:, 0, 0])
     d2 = d * d
+    beta = np.arctan2(ly, lx)
     sb, cb = np.sin(beta), np.cos(beta)
-    return np.array([
-        [-dx / d, -dy / d, -dz / d],
-        [sb / d_xy, -cb / d_xy, 0.0],
-        [dz * cb / d2, dz * sb / d2, -d_xy / d2],
-    ])
+    lidar_jac = np.stack([
+        np.stack([-lx / d, -ly / d, -lz / d], axis=-1),
+        np.stack([sb / d_xy, -cb / d_xy, np.zeros_like(d)], axis=-1),
+        np.stack([lz * cb / d2, lz * sb / d2, -d_xy / d2], axis=-1),
+    ], axis=1)
+
+    out = np.empty((len(rel), 3, 3))
+    for rows, jac, cov in ((cam, cam_jac, intr.noise_cov),
+                           (lidar, lidar_jac, models.lidar.noise_cov)):
+        out[rows] = (jac.transpose(0, 2, 1) * (1.0 / np.asarray(cov))) @ jac
+    return out
 
 
 def uav_fim(pose: Pose, target: np.ndarray, models: SensorModels) -> np.ndarray:
     """3x3 information matrix a single UAV contributes about the target."""
-    if pose.sensor is Sensor.CAMERA:
-        jac = camera_jacobian(pose, target, models.camera)
-        inv_var = 1.0 / np.asarray(models.camera.noise_cov)
-    else:
-        jac = lidar_jacobian(pose, target)
-        inv_var = 1.0 / np.asarray(models.lidar.noise_cov)
-    return (jac.T * inv_var) @ jac
+    return fims(pose.position, [pose.yaw], [pose.sensor is Sensor.LIDAR], target, models)[0]
 
 
 def total_fim(formation: Formation, models: SensorModels) -> np.ndarray:
     """Sum of per-UAV FIMs, in member order (deterministic reduction)."""
-    out = np.zeros((3, 3))
-    for pose in formation.poses:
-        out += uav_fim(pose, formation.target, models)
-    return out
+    poses = formation.poses
+    per_uav = fims(formation.positions(), [p.yaw for p in poses],
+                   [p.sensor is Sensor.LIDAR for p in poses], formation.target, models)
+    return per_uav.sum(axis=0, initial=0.0)
 
 
 def logdet_reg(fim: np.ndarray, eps: float = DEFAULT_EPS) -> float:

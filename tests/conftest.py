@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from swarmform.geom import (
-    Formation,
-    Pose,
-    Sensor,
-    SphericalPlacement,
-    spherical_to_cartesian,
-    yaw_facing_target,
-)
+from oracles import SphericalPlacement, spherical_to_cartesian
+from swarmform.geom import Formation, Pose, Sensor, yaw_facing_target
 from swarmform.sensing import SensorModels
 
 # The published six-UAV formation: (sensor, azimuth deg, pitch deg) at 10 m.

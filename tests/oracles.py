@@ -4,6 +4,13 @@ Each spells out a quantity the library computes as array expressions, or
 searches exhaustively where the library searches greedily, so tests can
 compare against it:
 
+- `SphericalPlacement`, `spherical_to_cartesian`, `cartesian_to_spherical`:
+  one grid placement and its conversions;
+- `camera_project`, `camera_jacobian`, `lidar_measure`, `lidar_jacobian`:
+  the measurement models and their Jacobians, one pose at a time;
+- `scalar_fim`, `total_fim_loops`, `build_candidates_loops`: one UAV's
+  FIM from those Jacobians, the swarm total added member by member, and
+  the candidate set built placement by placement;
 - `target_visible`, `direction_covered`, `coverage_loops`: the FOV
   frustum test and the coverage metric, direction by direction and
   member by member;
@@ -12,15 +19,16 @@ compare against it:
 - `exhaustive_flip_best`: the best Gamma over every sector-gated flip
   pattern meeting the SINR floor;
 - `subset_logdet`, `exhaustive_best`, `greedy_unpenalized`: the
-  allocation objective and its exhaustive and penalty-free greedy
-  optima;
-- `cartesian_to_spherical`: the inverse of `geom.spherical_to_cartesian`.
+  allocation objective over a list of FIMs and its exhaustive and
+  penalty-free greedy optima.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from swarmform.alloc import Candidates, candidate_penalty
 from swarmform.fov import (
     _ANGLE_TOL,
     _DEGENERATE_XY,
@@ -32,13 +40,168 @@ from swarmform.fov import (
 from swarmform.geom import (
     DegenerateGeometryError,
     Formation,
-    SphericalPlacement,
+    Pose,
+    Sensor,
     relative_position,
     wrap_2pi,
     wrap_pi,
+    yaw_facing_target,
 )
 from swarmform.radio import link_stats, received_power, to_db
 from swarmform.sensing import DEFAULT_EPS, logdet_reg
+
+_DEGENERATE = 1e-9
+
+
+@dataclass(frozen=True)
+class SphericalPlacement:
+    """A (distance, azimuth, pitch) placement on the candidate sphere.
+
+    Pitch delta is elevation-like with range [0, pi] and z = d*sin(delta);
+    delta > pi/2 flips the horizontal direction (cos(delta) < 0), which is
+    the unique convention consistent with placements quoted at pitch 160
+    degrees sitting at horizontal bearing beta + 180 degrees.
+    """
+
+    d: float
+    beta: float
+    delta: float
+
+    def __post_init__(self):
+        if not self.d > 0:
+            raise ValueError(f"placement distance must be > 0, got {self.d}")
+        if not (0.0 <= self.delta <= np.pi):
+            raise ValueError(f"pitch must lie in [0, pi], got {self.delta}")
+        object.__setattr__(self, "beta", wrap_2pi(self.beta))
+
+
+def spherical_to_cartesian(p: SphericalPlacement, center) -> np.ndarray:
+    cd, sd = np.cos(p.delta), np.sin(p.delta)
+    offset = p.d * np.array([cd * np.cos(p.beta), cd * np.sin(p.beta), sd])
+    return np.asarray(center, dtype=float) + offset
+
+
+def cartesian_to_spherical(point, center) -> SphericalPlacement:
+    """Inverse of spherical_to_cartesian. Unique only for delta in (0, pi/2);
+    outside that band the (beta, delta) chart is non-unique."""
+    rel = relative_position(point, center)
+    d = float(np.linalg.norm(rel))
+    if d < _DEGENERATE_XY:
+        raise DegenerateGeometryError("point coincides with center")
+    delta = float(np.arcsin(np.clip(rel[2] / d, -1.0, 1.0)))
+    beta = float(np.arctan2(rel[1], rel[0]))
+    return SphericalPlacement(d=d, beta=wrap_2pi(beta), delta=delta)
+
+
+def _camera_depth(pose, target) -> float:
+    dx, dy, _ = pose.position - np.asarray(target, dtype=float)
+    z = np.cos(pose.yaw) * dx + np.sin(pose.yaw) * dy
+    if abs(z) < _DEGENERATE:
+        raise DegenerateGeometryError("target lies in the camera's focal plane")
+    return float(z)
+
+
+def camera_project(pose, target, intr) -> tuple[float, float]:
+    """Noiseless pixel coordinates (u, v) of the target."""
+    if pose.sensor is not Sensor.CAMERA:
+        raise ValueError("camera_project requires a camera pose")
+    dx, dy, dz = pose.position - np.asarray(target, dtype=float)
+    c, s = np.cos(pose.yaw), np.sin(pose.yaw)
+    z = _camera_depth(pose, target)
+    u = -intr.fx * (c * dy - s * dx) / z + intr.cx
+    v = -intr.fy * dz / z + intr.cy
+    return float(u), float(v)
+
+
+def camera_jacobian(pose, target, intr) -> np.ndarray:
+    """2x3 Jacobian of (u, v) with respect to the target position."""
+    dx, dy, dz = pose.position - np.asarray(target, dtype=float)
+    c, s = np.cos(pose.yaw), np.sin(pose.yaw)
+    z = _camera_depth(pose, target)
+    z2 = z * z
+    return np.array([
+        [-intr.fx * dy / z2, intr.fx * dx / z2, 0.0],
+        [-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z],
+    ])
+
+
+def lidar_measure(pose, target) -> tuple[float, float, float]:
+    """Noiseless (range, azimuth, pitch) of the UAV relative to the target.
+
+    Azimuth uses the full-quadrant atan2 form.
+    """
+    rel = pose.position - np.asarray(target, dtype=float)
+    d = float(np.linalg.norm(rel))
+    if d < _DEGENERATE:
+        raise DegenerateGeometryError("UAV coincides with the target")
+    beta = float(np.arctan2(rel[1], rel[0]))
+    delta = float(np.arctan2(rel[2], np.hypot(rel[0], rel[1])))
+    return d, beta, delta
+
+
+def lidar_jacobian(pose, target) -> np.ndarray:
+    """3x3 Jacobian of (range, azimuth, pitch) with respect to the target."""
+    dx, dy, dz = pose.position - np.asarray(target, dtype=float)
+    d_xy = float(np.hypot(dx, dy))
+    if d_xy < _DEGENERATE:
+        raise DegenerateGeometryError("vertical alignment: azimuth undefined")
+    d, beta, _ = lidar_measure(pose, target)
+    d2 = d * d
+    sb, cb = np.sin(beta), np.cos(beta)
+    return np.array([
+        [-dx / d, -dy / d, -dz / d],
+        [sb / d_xy, -cb / d_xy, 0.0],
+        [dz * cb / d2, dz * sb / d2, -d_xy / d2],
+    ])
+
+
+def scalar_fim(pose, target, models) -> np.ndarray:
+    """One UAV's FIM, (J^T Q^-1) J, from the per-pose Jacobian."""
+    if pose.sensor is Sensor.CAMERA:
+        jac = camera_jacobian(pose, target, models.camera)
+        inv_var = 1.0 / np.asarray(models.camera.noise_cov)
+    else:
+        jac = lidar_jacobian(pose, target)
+        inv_var = 1.0 / np.asarray(models.lidar.noise_cov)
+    return (jac.T * inv_var) @ jac
+
+
+def total_fim_loops(formation, models) -> np.ndarray:
+    """Sum of per-UAV FIMs, added one by one in member order."""
+    out = np.zeros((3, 3))
+    for pose in formation.poses:
+        out += scalar_fim(pose, formation.target, models)
+    return out
+
+
+def build_candidates_loops(target, grid, weights, resources, models,
+                           max_boresight_pitch=np.radians(20.0)) -> Candidates:
+    """`alloc.build_candidates` placement by placement: one
+    `SphericalPlacement`, `Pose` and `scalar_fim` per candidate."""
+    target = np.asarray(target, dtype=float)
+    rows = []
+    for delta in grid.deltas():
+        for beta in grid.betas():
+            placement = SphericalPlacement(d=grid.distance, beta=float(beta), delta=float(delta))
+            position = spherical_to_cartesian(placement, target)
+            try:
+                yaw = yaw_facing_target(position, target)
+            except DegenerateGeometryError:
+                continue
+            rel = position - target
+            pitch = abs(np.arctan2(rel[2], np.hypot(rel[0], rel[1])))
+            if pitch > max_boresight_pitch + 1e-12:
+                continue
+            for sensor in (Sensor.CAMERA, Sensor.LIDAR):
+                pose = Pose(position=position, yaw=yaw, sensor=sensor)
+                rows.append((position, yaw, sensor is Sensor.LIDAR,
+                             scalar_fim(pose, target, models),
+                             candidate_penalty(sensor, weights, resources)))
+    positions, yaws, lidar, fims, penalties = zip(*rows) if rows else ([],) * 5
+    return Candidates(positions=np.array(positions, dtype=float).reshape(-1, 3),
+                      yaws=np.array(yaws, dtype=float), lidar=np.array(lidar, dtype=bool),
+                      fims=np.array(fims, dtype=float).reshape(-1, 3, 3),
+                      penalties=np.array(penalties, dtype=float))
 
 
 def target_visible(pose, target, spec) -> bool:
@@ -137,35 +300,35 @@ def exhaustive_flip_best(formation, spec, radio, receiver=0) -> float:
     return best
 
 
-def subset_logdet(candidates, eps=DEFAULT_EPS) -> float:
-    """Objective value of a candidate subset (empty subset included)."""
+def subset_logdet(fims, eps=DEFAULT_EPS) -> float:
+    """Objective value of a subset of candidate FIMs (empty subset included)."""
     total = np.zeros((3, 3))
-    for c in candidates:
-        total = total + c.fim
+    for fim in fims:
+        total = total + fim
     return logdet_reg(total, eps)
 
 
-def exhaustive_best(candidates, k, eps=DEFAULT_EPS):
+def exhaustive_best(fims, k, eps=DEFAULT_EPS):
     """Best objective over all subsets of size <= k, as (indices, value)."""
     best_idx = ()
     best_val = logdet_reg(np.zeros((3, 3)), eps)
-    for size in range(1, min(k, len(candidates)) + 1):
-        for idx in combinations(range(len(candidates)), size):
-            val = subset_logdet([candidates[i] for i in idx], eps)
+    for size in range(1, min(k, len(fims)) + 1):
+        for idx in combinations(range(len(fims)), size):
+            val = subset_logdet([fims[i] for i in idx], eps)
             if val > best_val:
                 best_idx, best_val = idx, val
     return best_idx, best_val
 
 
-def greedy_unpenalized(candidates, k, eps=DEFAULT_EPS):
+def greedy_unpenalized(fims, k, eps=DEFAULT_EPS):
     """Cardinality-constrained greedy without penalties (bound-check form),
     as (picked indices, value)."""
-    fims = np.array([c.fim for c in candidates])
-    active = np.ones(len(candidates), dtype=bool)
+    fims = np.array(fims)
+    active = np.ones(len(fims), dtype=bool)
     total = np.zeros((3, 3))
     current = logdet_reg(total, eps)
     picked = []
-    for _ in range(min(k, len(candidates))):
+    for _ in range(min(k, len(fims))):
         vals = np.linalg.slogdet(total + fims + eps * np.eye(3))[1]
         vals[~active] = -np.inf
         best = int(np.argmax(vals))
@@ -176,15 +339,3 @@ def greedy_unpenalized(candidates, k, eps=DEFAULT_EPS):
         current = float(vals[best])
         active[best] = False
     return picked, current
-
-
-def cartesian_to_spherical(point, center) -> SphericalPlacement:
-    """Inverse of spherical_to_cartesian. Unique only for delta in (0, pi/2);
-    outside that band the (beta, delta) chart is non-unique."""
-    rel = relative_position(point, center)
-    d = float(np.linalg.norm(rel))
-    if d < _DEGENERATE_XY:
-        raise DegenerateGeometryError("point coincides with center")
-    delta = float(np.arcsin(np.clip(rel[2] / d, -1.0, 1.0)))
-    beta = float(np.arctan2(rel[1], rel[0]))
-    return SphericalPlacement(d=d, beta=wrap_2pi(beta), delta=delta)

@@ -1,16 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pose
-from oracles import exhaustive_best, greedy_unpenalized, subset_logdet
-from swarmform.alloc import (
-    AllocWeights,
-    Candidate,
-    GridSpec,
-    build_candidates,
-    greedy_allocate,
-)
-from swarmform.geom import Sensor
+from oracles import build_candidates_loops, exhaustive_best, greedy_unpenalized, subset_logdet
+from swarmform.alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
+from swarmform.geom import Pose, Sensor, yaw_facing_target
 from swarmform.radio import ResourceModel
 from swarmform.sensing import SensorModels, logdet_reg, uav_fim
 
@@ -30,13 +28,8 @@ def candidates(grid, weights, models):
     return build_candidates(np.zeros(3), grid, weights, ResourceModel(), models)
 
 
-def random_candidates(rng, n, models):
-    out = []
-    for _ in range(n):
-        pose = random_pose(rng)
-        out.append(Candidate(pose=pose,
-                             fim=uav_fim(pose, np.zeros(3), models), penalty=0.0))
-    return out
+def random_fims(rng, n, models):
+    return [uav_fim(random_pose(rng), np.zeros(3), models) for _ in range(n)]
 
 
 class TestGrid:
@@ -45,8 +38,7 @@ class TestGrid:
         assert len(candidates) == 288
 
     def test_vertical_fov_filter(self, candidates):
-        for c in candidates:
-            rel = c.pose.position
+        for rel in candidates.positions:
             pitch = np.degrees(np.arctan2(abs(rel[2]), np.hypot(rel[0], rel[1])))
             assert pitch <= 20.0 + 1e-9
 
@@ -90,13 +82,13 @@ class TestGreedyStructure:
 class TestObjective:
     def test_monotone(self, models):
         rng = np.random.default_rng(11)
-        cands = random_candidates(rng, 8, models)
+        cands = random_fims(rng, 8, models)
         for k in range(1, 8):
             assert subset_logdet(cands[:k + 1]) >= subset_logdet(cands[:k]) - 1e-12
 
     def test_submodular_sampled(self, models):
         rng = np.random.default_rng(12)
-        cands = random_candidates(rng, 10, models)
+        cands = random_fims(rng, 10, models)
         for _ in range(50):
             idx = rng.permutation(9)
             small = [cands[i] for i in idx[:3]]
@@ -110,7 +102,7 @@ class TestObjective:
 class TestOracle:
     def test_exhaustive_matches_brute_force(self, models):
         rng = np.random.default_rng(13)
-        cands = random_candidates(rng, 6, models)
+        cands = random_fims(rng, 6, models)
         idx, val = exhaustive_best(cands, 2)
         assert len(idx) <= 2
         assert val == pytest.approx(
@@ -123,8 +115,54 @@ class TestOracle:
         rng = np.random.default_rng(14)
         f0 = logdet_reg(np.zeros((3, 3)))
         for _ in range(10):
-            cands = random_candidates(rng, rng.integers(5, 10), models)
+            cands = random_fims(rng, rng.integers(5, 10), models)
             k = int(rng.integers(2, 4))
             _, opt = exhaustive_best(cands, k)
             _, greedy_val = greedy_unpenalized(cands, k)
             assert greedy_val - f0 >= (1 - 1 / np.e) * (opt - f0) - 1e-9
+
+
+def assert_same_candidates(target, grid, models):
+    args = (target, grid, AllocWeights(), ResourceModel(), models)
+    built, loops = build_candidates(*args), build_candidates_loops(*args)
+    assert len(built) == len(loops)
+    for name in ("positions", "yaws", "lidar", "fims", "penalties"):
+        assert np.array_equal(getattr(built, name), getattr(loops, name)), name
+    return built, loops
+
+
+def degree_grid(step):
+    return GridSpec(beta_step=np.radians(step), delta_step=np.radians(step))
+
+
+class TestArrayCandidates:
+    """`build_candidates` equals the placement-by-placement oracle with
+    `==` on every field, so greedy sees the same rows in the same order."""
+
+    @settings(max_examples=10, deadline=None)
+    @example(step=10.0, target=(0.0, 0.0, 0.0))
+    @example(step=5.0, target=(0.0, 0.0, 0.0))
+    @given(step=st.sampled_from([10.0, 5.0]),
+           target=st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+    def test_equal_to_loops(self, step, target):
+        assert_same_candidates(np.array(target), degree_grid(step), SensorModels())
+
+    @pytest.mark.parametrize("target", [(0.0, 0.0, 0.0), (37.3, -48.1, 12.9)])
+    def test_equal_to_loops_one_degree(self, target, models):
+        built, loops = assert_same_candidates(np.array(target), degree_grid(1.0), models)
+        assert len(built) == 15840
+        # a chosen member's Pose is the one the loop built for that row
+        for i in (0, 1, len(built) - 1):
+            pose, position = built.pose(i), loops.positions[i]
+            assert np.array_equal(pose.position, position)
+            assert pose.yaw == Pose(position, yaw_facing_target(position, target), pose.sensor).yaw
+            assert pose.sensor is (Sensor.LIDAR if i % 2 else Sensor.CAMERA)
+
+    def test_pitch_ring_past_pi_rejected_as_before(self, models):
+        # delta_max 180 with a 30-degree step puts the last ring at 190 degrees
+        grid = GridSpec(delta_max=np.pi, delta_step=np.radians(30.0))
+        args = (np.zeros(3), grid, AllocWeights(), ResourceModel(), models)
+        with pytest.raises(ValueError) as loops_exc:
+            build_candidates_loops(*args)
+        with pytest.raises(ValueError, match=re.escape(str(loops_exc.value))):
+            build_candidates(*args)

@@ -138,6 +138,48 @@ class TestExitCodes:
         assert main(["allocate", "--scenario", str(p)]) == 2
         assert "stage allocate" in capsys.readouterr().err
 
+    # JSON admits NaN, Infinity and integers no float holds; each used to
+    # run on (a NaN SINR floor flips nothing, a NaN eps reports a NaN
+    # log-det) or die with an OverflowError traceback (infinite horizon)
+    @pytest.mark.parametrize("path,value", [
+        ("fov.eta_min_db", float("nan")),
+        ("sensors.eps", float("nan")),
+        ("radio.noise_dbm", float("nan")),
+        ("fov.lambda_per_m", float("nan")),
+        ("weights.min_gain", float("nan")),
+        ("flight.horizon_s", float("inf")),
+        pytest.param("grid.distance_m", 10 ** 400, id="grid.distance_m-10**400"),
+        ("target.position", [0.0, -float("inf"), 0.0]),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, path, value):
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        section, key = path.split(".")
+        doc.setdefault(section, {})[key] = value
+        p = tmp_path / "non_finite.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"swarmform: config error: {path}: expected ")
+        assert "finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"target": [0.0, float("nan"), 0.0], "poses": []}, "target"),
+        ({"poses": [{"position": [10.0, 0.0, 0.0], "sensor": "camera",
+                     "yaw_deg": float("inf")}]}, "poses[0].yaw_deg"),
+        ({"sensors": {"lidar_sigma": [0.1, float("nan"), 0.015]}, "poses": []},
+         "sensors.lidar_sigma"),
+    ])
+    def test_non_finite_formation_entry_rejected(self, tmp_path, capsys, doc, path):
+        p = tmp_path / "formation.json"
+        p.write_text(json.dumps(doc))
+        assert main(["eval-fim", "--formation", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"swarmform: config error: {path}: expected ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("stage", ["allocate", "fly"])
     def test_unusable_out_dir(self, tmp_path, stage):
         blocker = tmp_path / "file"

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import cartesian_to_spherical
+from oracles import SphericalPlacement, cartesian_to_spherical, spherical_to_cartesian
 from swarmform.geom import (
     DegenerateGeometryError,
     Pose,
     Sensor,
-    SphericalPlacement,
     sector_index,
-    spherical_to_cartesian,
     vec3,
     wrap_2pi,
     wrap_pi,

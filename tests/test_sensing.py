@@ -1,15 +1,24 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pose
-from swarmform.geom import DegenerateGeometryError, Pose, Sensor, vec3
-from swarmform.sensing import (
-    CameraIntrinsics,
-    SensorModels,
+from oracles import (
     camera_jacobian,
     camera_project,
     lidar_jacobian,
     lidar_measure,
+    scalar_fim,
+    total_fim_loops,
+)
+from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor, vec3
+from swarmform.sensing import (
+    CameraIntrinsics,
+    SensorModels,
+    fims,
     logdet_reg,
     total_fim,
     uav_fim,
@@ -117,3 +126,31 @@ class TestFim:
     def test_noise_defaults_are_squared_sigmas(self, models):
         assert models.camera.noise_cov == pytest.approx((36.0, 36.0))
         assert models.lidar.noise_cov == pytest.approx((0.01, 0.0004, 0.000225))
+
+
+_offset = st.tuples(*[st.floats(-30.0, 30.0)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_offset, st.floats(-10.0, 10.0), st.booleans()),
+                     min_size=1, max_size=8),
+       target=st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+def test_fims_equal_scalar_oracle(rows, target):
+    """Stacked FIMs equal the per-pose (J^T Q^-1) J bit for bit, for both
+    modalities, at yaws that need not face the target; a degenerate pose
+    raises the oracle's error for the first such row."""
+    models = SensorModels()
+    target = np.array(target)
+    poses = [Pose(target + offset, yaw, Sensor.LIDAR if lidar else Sensor.CAMERA)
+             for offset, yaw, lidar in rows]
+    formation = Formation(poses, target)
+    args = (formation.positions(), [p.yaw for p in poses],
+            [p.sensor is Sensor.LIDAR for p in poses], target, models)
+    try:
+        expected = np.array([scalar_fim(p, target, models) for p in poses])
+    except DegenerateGeometryError as exc:
+        with pytest.raises(DegenerateGeometryError, match=re.escape(str(exc))):
+            fims(*args)
+        return
+    assert np.array_equal(fims(*args), expected)
+    assert np.array_equal(total_fim(formation, models), total_fim_loops(formation, models))
