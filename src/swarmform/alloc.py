@@ -38,6 +38,10 @@ class GridSpec:
             raise ValueError("grid steps must be positive")
         if not (0.0 <= self.delta_min <= self.delta_max <= np.pi):
             raise ValueError("pitch range must satisfy 0 <= min <= max <= pi")
+        # the last ring can pass delta_max by up to half a step
+        last = float(self.deltas()[-1])
+        if last > np.pi:
+            raise ValueError(f"pitch must lie in [0, pi], got {last}")
 
     def betas(self) -> np.ndarray:
         n = int(round(2.0 * np.pi / self.beta_step))
@@ -122,8 +126,6 @@ def build_candidates(
     """
     target = np.asarray(target, dtype=float)
     deltas, betas = grid.deltas(), grid.betas() % (2.0 * np.pi)
-    if len(betas) and deltas[-1] > np.pi:
-        raise ValueError(f"pitch must lie in [0, pi], got {float(deltas[deltas > np.pi][0])}")
     cd = np.cos(deltas)[:, None]
     offsets = np.stack(np.broadcast_arrays(cd * np.cos(betas), cd * np.sin(betas),
                                            np.sin(deltas)[:, None]), axis=-1)

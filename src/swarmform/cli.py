@@ -23,20 +23,14 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .alloc import build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
-from .flight import (
-    ApfParams,
-    ControlGains,
-    FormationPlan,
-    SwarmState,
-    metrics,
-    simulate,
-)
+from .flight import CONTROLLERS, FormationPlan, SwarmState, metrics, simulate
 from .fov import coverage, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation
 from .radio import link_stats
@@ -149,9 +143,7 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
     slots = formation.positions() - formation.target
     plan = FormationPlan(slots=slots, target_position=scenario.target.position,
                          target_velocity=scenario.target.velocity)
-    gains = ControlGains(k1=fl.k1, k2=fl.k2, kp=fl.kp,
-                         masses=np.full(n, fl.mass_kg), leader=0)
-    apf = ApfParams(ka=fl.apf_ka, kr=fl.apf_kr, d0=fl.apf_d0_m)
+    gains = replace(fl.gains, masses=np.full(n, fl.mass_kg))
     half = fl.init_cube_half_width_m
     starts = [
         SwarmState(positions=scenario.target.position
@@ -159,7 +151,7 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
                    velocities=np.zeros((n, 3)))
         for run in range(fl.runs)
     ]
-    traj = simulate(starts, plan, controller, gains, fl.dt_s, fl.horizon_s, apf)
+    traj = simulate(starts, plan, controller, gains, fl.dt_s, fl.horizon_s, fl.apf)
     runs = [{
         "Avg. Distance (m)": m.avg_distance,
         "Avg. Velocity Err.": m.avg_vel_err,
@@ -224,7 +216,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out-dir", default=None, help="directory for report.json / CSV traces")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace the scenario's flight seed")
-        p.add_argument("--controller", choices=["log", "quad", "apf"], default=None,
+        p.add_argument("--controller", choices=list(CONTROLLERS), default=None,
                        help="replace the scenario's flight controller")
 
     common(sub.add_parser("allocate", help="stage 1: greedy UAV/sensor allocation"))

@@ -3,6 +3,12 @@
 Scenario documents are JSON with degrees and dBm at this boundary only;
 everything downstream works in radians and watts. Unknown keys are
 rejected and every diagnostic carries the dotted field path.
+
+Each section is a table of (JSON key, field, reader, unit conversion)
+rows. A reader type-checks one value and applies the checks that belong
+to that key alone; the section's dataclass is then built from the keys
+the document sets, so every default is declared once, on the dataclass
+that owns it, and its invariants are reported against the section.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .alloc import AllocWeights, GridSpec
+from .flight import CONTROLLERS, ApfParams, ControlGains
 from .fov import FovSpec
 from .geom import Formation, Pose, Sensor, yaw_facing_target
 from .radio import RadioParams, ResourceModel, dbm_to_watts
-from .sensing import CameraIntrinsics, LidarNoise, SensorModels
+from .sensing import DEFAULT_EPS, CameraIntrinsics, LidarNoise, SensorModels
 
 
 class ScenarioError(ValueError):
@@ -27,16 +34,15 @@ class ScenarioError(ValueError):
 
 @dataclass
 class TargetSpec:
-    position: np.ndarray
-    velocity: np.ndarray
+    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ground: bool = False
 
 
 @dataclass
 class FlightConfig:
-    k1: float = 4.0
-    k2: float = 1.5
-    kp: float = 10.0
+    gains: ControlGains = field(default_factory=ControlGains)
+    apf: ApfParams = field(default_factory=ApfParams)
     mass_kg: float = 1.0
     dt_s: float = 0.01
     horizon_s: float = 60.0
@@ -44,9 +50,6 @@ class FlightConfig:
     seed: int = 0
     runs: int = 1
     init_cube_half_width_m: float = 15.0
-    apf_ka: float = 10.0
-    apf_kr: float = 5.0
-    apf_d0_m: float = 2.0
 
 
 @dataclass
@@ -59,9 +62,12 @@ class Scenario:
     radio: RadioParams
     resources: ResourceModel
     flight: FlightConfig
-    eps: float = 1e-6
+    eps: float = DEFAULT_EPS
     raw: dict = field(default_factory=dict, repr=False)
 
+
+# Readers: (value, dotted path) -> the value checked, or a ScenarioError
+# naming the path.
 
 def _finite(x) -> bool:
     """True for a finite number; JSON admits NaN, Infinity and integers too
@@ -72,8 +78,121 @@ def _finite(x) -> bool:
         return False
 
 
+def _number(v, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(f"{path}: expected a number, got {v!r}")
+    if not _finite(v):
+        raise ScenarioError(f"{path}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _typed(ok, expected: str, shown=repr):
+    def read(v, path: str):
+        if not ok(v):
+            raise ScenarioError(f"{path}: expected {expected}, got {shown(v)}")
+        return v
+    return read
+
+
+_integer = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_boolean = _typed(lambda v: isinstance(v, bool), "a boolean")
+_string = _typed(lambda v: isinstance(v, str), "a string")
+_list = _typed(lambda v: isinstance(v, list), "a list", lambda v: type(v).__name__)
+
+
+def _choice(*choices: str):
+    def read(v, path: str) -> str:
+        if _string(v, path) not in choices:
+            raise ScenarioError(f"{path}: expected one of {sorted(choices)}, got {v!r}")
+        return v
+    return read
+
+
+def _vector(length: int):
+    def read(v, path: str) -> np.ndarray:
+        if (not isinstance(v, list) or len(v) != length
+                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
+            raise ScenarioError(f"{path}: expected a list of {length} numbers, got {v!r}")
+        if not all(_finite(x) for x in v):
+            raise ScenarioError(f"{path}: expected a list of {length} finite numbers, got {v!r}")
+        return np.asarray(v, dtype=float)
+    return read
+
+
+def _bounded(read, ok, rule: str):
+    """`read`, then the key's own bound: the value must satisfy `ok`."""
+    def bounded(v, path: str):
+        x = read(v, path)
+        if not ok(x):
+            raise ScenarioError(f"{path}: must {rule}, got {x}")
+        return x
+    return bounded
+
+
+_positive = _bounded(_number, lambda x: x > 0, "be positive")
+_fov_angle = _bounded(_number, lambda x: 0.0 < x < 180.0, "lie in (0, 180)")
+_count = _bounded(_integer, lambda x: x >= 1, "be >= 1")
+
+
+def _squares(sigmas: np.ndarray) -> tuple[float, ...]:
+    """Noise standard deviations to the variances the models hold."""
+    return tuple(float(x) ** 2 for x in sigmas)
+
+
+def _same(read, *keys: str) -> tuple:
+    """Rows whose JSON key is the field name and that need no conversion."""
+    return tuple((key, key, read, None) for key in keys)
+
+
+_TARGET = (*_same(_vector(3), "position", "velocity"), *_same(_boolean, "ground"))
+_GRID = (
+    ("distance_m", "distance", _number, None),
+    ("beta_step_deg", "beta_step", _number, np.radians),
+    ("delta_min_deg", "delta_min", _number, np.radians),
+    ("delta_max_deg", "delta_max", _number, np.radians),
+    ("delta_step_deg", "delta_step", _number, np.radians),
+)
+_WEIGHTS = (*_same(_number, "alpha_resource", "alpha_cost", "min_gain"),
+            *_same(_integer, "max_uavs"))
+_CAMERA = (*_same(_number, "fx", "fy", "cx", "cy"),
+           ("camera_sigma_px", "noise_cov", _vector(2), _squares))
+_LIDAR = (("lidar_sigma", "noise_cov", _vector(3), _squares),)
+_EPS = _same(_positive, "eps")
+_FOV = (
+    ("hfov_deg", "gamma", _fov_angle, np.radians),
+    ("vfov_deg", "kappa", _fov_angle, np.radians),
+    ("d_max_m", "d_max", _number, None),
+    ("n_dirs", "n_dirs", _integer, None),
+    ("lambda_per_m", "lam", _number, None),
+    ("k_sectors", "k_sectors", _integer, None),
+    ("eta_min_db", "eta_min_db", _number, None),
+)
+_RADIO = (
+    *_same(_number, "rho0", "alpha"),
+    ("tx_power_w", "tx_power", _number, None),
+    ("noise_dbm", "noise_power", _number, dbm_to_watts),
+)
+_RESOURCES = _same(_number, "bandwidth_cam", "duration_cam", "bandwidth_lidar",
+                   "duration_lidar", "cost_cam", "cost_lidar")
+_GAINS = _same(_positive, "k1", "k2", "kp")
+_APF = (*_same(_positive, "ka", "kr"), ("d0_m", "d0", _positive, None))
+_FLIGHT = (
+    *_same(_positive, "mass_kg", "dt_s", "horizon_s"),
+    *_same(_choice(*CONTROLLERS), "controller"),
+    *_same(_integer, "seed"),
+    *_same(_count, "runs"),
+    *_same(_positive, "init_cube_half_width_m"),
+)
+_FORMATION_TARGET = _same(_vector(3), "target")
+_POSES = _same(_list, "poses")
+# an explicit null yaw_deg, like an absent one, faces the target
+_POSE = (*_same(_vector(3), "position"),
+         ("sensor", "sensor", _choice("camera", "lidar"), Sensor),
+         ("yaw_deg", "yaw", lambda v, path: v if v is None else _number(v, path), None))
+
+
 class _Section:
-    """One JSON object with path-tagged, type-checked field access."""
+    """One JSON object at a dotted path; `seen` collects the keys read."""
 
     def __init__(self, data, path: str):
         if not isinstance(data, dict):
@@ -82,80 +201,37 @@ class _Section:
         self.path = path
         self.seen: set[str] = set()
 
-    def _at(self, key: str) -> str:
+    def at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def child(self, key: str) -> "_Section":
         self.seen.add(key)
-        return _Section(self.data.get(key, {}), self._at(key))
+        return _Section(self.data.get(key, {}), self.at(key))
 
-    def _get(self, key, default):
-        self.seen.add(key)
-        if key not in self.data:
-            if default is _REQUIRED:
-                raise ScenarioError(f"{self._at(key)}: required field missing")
-            return default
-        return self.data[key]
+    def require(self, *keys: str) -> None:
+        for key in keys:
+            if key not in self.data:
+                raise ScenarioError(f"{self.at(key)}: required field missing")
 
-    def number(self, key, default=None) -> float:
-        v = self._get(key, default)
-        if v is default:
-            return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(f"{self._at(key)}: expected a number, got {v!r}")
-        if not _finite(v):
-            raise ScenarioError(f"{self._at(key)}: expected a finite number, got {v!r}")
-        return float(v)
+    def take(self, rows) -> dict:
+        """Keyword arguments from the keys of `rows` that this section sets,
+        each read and converted; an absent key keeps its field's default."""
+        kwargs = {}
+        for key, name, read, convert in rows:
+            self.seen.add(key)
+            if key in self.data:
+                v = read(self.data[key], self.at(key))
+                kwargs[name] = v if convert is None else convert(v)
+        return kwargs
 
-    def integer(self, key, default=None) -> int:
-        v = self._get(key, default)
-        if v is default:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ScenarioError(f"{self._at(key)}: expected an integer, got {v!r}")
-        return v
-
-    def boolean(self, key, default=None) -> bool:
-        v = self._get(key, default)
-        if v is default:
-            return default
-        if not isinstance(v, bool):
-            raise ScenarioError(f"{self._at(key)}: expected a boolean, got {v!r}")
-        return v
-
-    def string(self, key, default=None, choices=None) -> str:
-        v = self._get(key, default)
-        if v is default:
-            return default
-        if not isinstance(v, str):
-            raise ScenarioError(f"{self._at(key)}: expected a string, got {v!r}")
-        if choices and v not in choices:
-            raise ScenarioError(f"{self._at(key)}: expected one of {sorted(choices)}, got {v!r}")
-        return v
-
-    def vector(self, key, length, default=None) -> np.ndarray:
-        v = self._get(key, default)
-        if v is default:
-            return None if default is None else np.asarray(default, dtype=float)
-        if (not isinstance(v, list) or len(v) != length
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
-            raise ScenarioError(f"{self._at(key)}: expected a list of {length} numbers, got {v!r}")
-        if not all(_finite(x) for x in v):
-            raise ScenarioError(
-                f"{self._at(key)}: expected a list of {length} finite numbers, got {v!r}")
-        return np.asarray(v, dtype=float)
-
-    def reject_unknown(self):
+    def reject_unknown(self) -> None:
         unknown = set(self.data) - self.seen
         if unknown:
-            k = sorted(unknown)[0]
-            raise ScenarioError(f"{self._at(k)}: unknown key")
-
-
-_REQUIRED = object()
+            raise ScenarioError(f"{self.at(sorted(unknown)[0])}: unknown key")
 
 
 def _invariant(build, path: str):
+    """build(), with a ValueError from a dataclass invariant reported at `path`."""
     try:
         return build()
     except ScenarioError:
@@ -164,123 +240,46 @@ def _invariant(build, path: str):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
+def _build(cls, sec: _Section, rows, **parts):
+    """`cls` from the keys of `rows` that `sec` sets, plus `parts`."""
+    return _invariant(lambda: cls(**sec.take(rows), **parts), sec.path)
+
+
+def _section(root: _Section, key: str, cls, rows):
+    sec = root.child(key)
+    out = _build(cls, sec, rows)
+    sec.reject_unknown()
+    return out
+
+
+def _sensors(root: _Section) -> tuple[SensorModels, float]:
+    """The `sensors` section of a scenario or formation document: the
+    sensor models and the log-det regularizer eps."""
+    s = root.child("sensors")
+    models = SensorModels(camera=_build(CameraIntrinsics, s, _CAMERA),
+                          lidar=_build(LidarNoise, s, _LIDAR))
+    eps = s.take(_EPS).get("eps", DEFAULT_EPS)
+    s.reject_unknown()
+    return models, eps
+
+
 def parse_scenario_dict(doc: dict, name: str = "") -> Scenario:
     root = _Section(doc, name)
-    root.string("description", default="")
-
-    t = root.child("target")
-    target = TargetSpec(
-        position=t.vector("position", 3, default=[0.0, 0.0, 0.0]),
-        velocity=t.vector("velocity", 3, default=[0.0, 0.0, 0.0]),
-        ground=t.boolean("ground", default=False),
-    )
-    t.reject_unknown()
-
-    g = root.child("grid")
-    grid = _invariant(lambda: GridSpec(
-        distance=g.number("distance_m", default=10.0),
-        beta_step=np.radians(g.number("beta_step_deg", default=10.0)),
-        delta_min=np.radians(g.number("delta_min_deg", default=10.0)),
-        delta_max=np.radians(g.number("delta_max_deg", default=170.0)),
-        delta_step=np.radians(g.number("delta_step_deg", default=10.0)),
-    ), g.path)
-    g.reject_unknown()
-
-    w = root.child("weights")
-    weights = _invariant(lambda: AllocWeights(
-        alpha_resource=w.number("alpha_resource", default=0.18),
-        alpha_cost=w.number("alpha_cost", default=0.2),
-        min_gain=w.number("min_gain", default=0.17),
-        max_uavs=w.integer("max_uavs", default=10),
-    ), w.path)
-    w.reject_unknown()
-
-    s = root.child("sensors")
-    cam_sigma = s.vector("camera_sigma_px", 2, default=[6.0, 6.0])
-    lidar_sigma = s.vector("lidar_sigma", 3, default=[0.1, 0.02, 0.015])
-    sensors = _invariant(lambda: SensorModels(
-        camera=CameraIntrinsics(
-            fx=s.number("fx", default=381.0),
-            fy=s.number("fy", default=381.0),
-            cx=s.number("cx", default=320.0),
-            cy=s.number("cy", default=240.0),
-            noise_cov=tuple(float(x) ** 2 for x in cam_sigma),
-        ),
-        lidar=LidarNoise(noise_cov=tuple(float(x) ** 2 for x in lidar_sigma)),
-    ), s.path)
-    eps = s.number("eps", default=1e-6)
-    if eps <= 0:
-        raise ScenarioError(f"{s.path}.eps: must be positive, got {eps}")
-    s.reject_unknown()
-
-    f = root.child("fov")
-    hfov_deg = f.number("hfov_deg", default=50.0)
-    vfov_deg = f.number("vfov_deg", default=40.0)
-    if not 0.0 < hfov_deg < 180.0:
-        raise ScenarioError(f"{f.path}.hfov_deg: must lie in (0, 180), got {hfov_deg}")
-    if not 0.0 < vfov_deg < 180.0:
-        raise ScenarioError(f"{f.path}.vfov_deg: must lie in (0, 180), got {vfov_deg}")
-    fov = _invariant(lambda: FovSpec(
-        gamma=np.radians(hfov_deg),
-        kappa=np.radians(vfov_deg),
-        d_max=f.number("d_max_m", default=30.0),
-        n_dirs=f.integer("n_dirs", default=72),
-        lam=f.number("lambda_per_m", default=0.1),
-        k_sectors=f.integer("k_sectors", default=8),
-        eta_min_db=f.number("eta_min_db", default=10.0),
-    ), f.path)
-    f.reject_unknown()
-
-    r = root.child("radio")
-    radio = _invariant(lambda: RadioParams(
-        rho0=r.number("rho0", default=1e-3),
-        alpha=r.number("alpha", default=2.0),
-        tx_power=r.number("tx_power_w", default=0.1),
-        noise_power=dbm_to_watts(r.number("noise_dbm", default=-110.0)),
-    ), r.path)
-    r.reject_unknown()
-
-    res = root.child("resources")
-    resources = _invariant(lambda: ResourceModel(
-        bandwidth_cam=res.number("bandwidth_cam", default=1.0),
-        duration_cam=res.number("duration_cam", default=1.0),
-        bandwidth_lidar=res.number("bandwidth_lidar", default=3.0),
-        duration_lidar=res.number("duration_lidar", default=1.0),
-        cost_cam=res.number("cost_cam", default=0.1),
-        cost_lidar=res.number("cost_lidar", default=1.0),
-    ), res.path)
-    res.reject_unknown()
-
+    root.take(_same(_string, "description"))
+    target = _section(root, "target", TargetSpec, _TARGET)
+    grid = _section(root, "grid", GridSpec, _GRID)
+    weights = _section(root, "weights", AllocWeights, _WEIGHTS)
+    sensors, eps = _sensors(root)
+    fov = _section(root, "fov", FovSpec, _FOV)
+    radio = _section(root, "radio", RadioParams, _RADIO)
+    resources = _section(root, "resources", ResourceModel, _RESOURCES)
     fl = root.child("flight")
+    fl.require("seed")
     apf = fl.child("apf")
-    flight = FlightConfig(
-        k1=fl.number("k1", default=4.0),
-        k2=fl.number("k2", default=1.5),
-        kp=fl.number("kp", default=10.0),
-        mass_kg=fl.number("mass_kg", default=1.0),
-        dt_s=fl.number("dt_s", default=0.01),
-        horizon_s=fl.number("horizon_s", default=60.0),
-        controller=fl.string("controller", default="log", choices={"log", "quad", "apf"}),
-        seed=fl.integer("seed", default=_REQUIRED),
-        runs=fl.integer("runs", default=1),
-        init_cube_half_width_m=fl.number("init_cube_half_width_m", default=15.0),
-        apf_ka=apf.number("ka", default=10.0),
-        apf_kr=apf.number("kr", default=5.0),
-        apf_d0_m=apf.number("d0_m", default=2.0),
-    )
+    flight = _build(FlightConfig, fl, _FLIGHT, gains=_build(ControlGains, fl, _GAINS),
+                    apf=_build(ApfParams, apf, _APF))
     apf.reject_unknown()
     fl.reject_unknown()
-    for key, val in (("k1", flight.k1), ("k2", flight.k2), ("kp", flight.kp),
-                     ("mass_kg", flight.mass_kg), ("dt_s", flight.dt_s),
-                     ("horizon_s", flight.horizon_s),
-                     ("init_cube_half_width_m", flight.init_cube_half_width_m),
-                     ("apf.ka", flight.apf_ka), ("apf.kr", flight.apf_kr),
-                     ("apf.d0_m", flight.apf_d0_m)):
-        if val <= 0:
-            raise ScenarioError(f"{fl.path}.{key}: must be positive, got {val}")
-    if flight.runs < 1:
-        raise ScenarioError(f"{fl.path}.runs: must be >= 1, got {flight.runs}")
-
     root.reject_unknown()
     return Scenario(target=target, grid=grid, weights=weights, sensors=sensors,
                     fov=fov, radio=radio, resources=resources, flight=flight,
@@ -310,45 +309,22 @@ def parse_formation_dict(doc: dict, name: str = "") -> tuple[Formation, SensorMo
     Each pose needs a position and sensor; yaw_deg defaults to facing the
     target. An empty pose list is allowed (its log-det is 3*ln(eps))."""
     root = _Section(doc, name)
-    target = root.vector("target", 3, default=[0.0, 0.0, 0.0])
-
-    s = root.child("sensors")
-    cam_sigma = s.vector("camera_sigma_px", 2, default=[6.0, 6.0])
-    lidar_sigma = s.vector("lidar_sigma", 3, default=[0.1, 0.02, 0.015])
-    sensors = _invariant(lambda: SensorModels(
-        camera=CameraIntrinsics(
-            fx=s.number("fx", default=381.0),
-            fy=s.number("fy", default=381.0),
-            cx=s.number("cx", default=320.0),
-            cy=s.number("cy", default=240.0),
-            noise_cov=tuple(float(x) ** 2 for x in cam_sigma),
-        ),
-        lidar=LidarNoise(noise_cov=tuple(float(x) ** 2 for x in lidar_sigma)),
-    ), s.path)
-    eps = s.number("eps", default=1e-6)
-    if eps <= 0:
-        raise ScenarioError(f"{s.path}.eps: must be positive, got {eps}")
-    s.reject_unknown()
-
-    raw_poses = root._get("poses", _REQUIRED)
-    if not isinstance(raw_poses, list):
-        raise ScenarioError(f"{root._at('poses')}: expected a list, got {type(raw_poses).__name__}")
-    poses = []
-    for idx, entry in enumerate(raw_poses):
-        sec = _Section(entry, root._at(f"poses[{idx}]"))
-        position = sec.vector("position", 3, default=_REQUIRED)
-        sensor_name = sec.string("sensor", default=_REQUIRED, choices={"camera", "lidar"})
-        yaw_deg = sec.number("yaw_deg", default=None)
+    formation = Formation(**root.take(_FORMATION_TARGET))
+    sensors, eps = _sensors(root)
+    root.require("poses")
+    for idx, entry in enumerate(root.take(_POSES)["poses"]):
+        sec = _Section(entry, root.at(f"poses[{idx}]"))
+        sec.require("position", "sensor")
+        pose = sec.take(_POSE)
         sec.reject_unknown()
-        pose = _invariant(lambda: Pose(
-            position=position,
-            yaw=np.radians(yaw_deg) if yaw_deg is not None
-            else yaw_facing_target(position, target),
-            sensor=Sensor(sensor_name),
-        ), sec.path)
-        poses.append(pose)
+        yaw = pose.pop("yaw", None)
+        formation.poses.append(_invariant(lambda: Pose(
+            yaw=np.radians(yaw) if yaw is not None
+            else yaw_facing_target(pose["position"], formation.target),
+            **pose,
+        ), sec.path))
     root.reject_unknown()
-    return Formation(poses=poses, target=target), sensors, eps
+    return formation, sensors, eps
 
 
 def parse_formation(path: str | Path) -> tuple[Formation, SensorModels, float]:

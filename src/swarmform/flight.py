@@ -38,6 +38,8 @@ import numpy as np
 
 from . import kernels
 
+CONTROLLERS = ("log", "quad", "apf")
+
 
 @dataclass
 class SwarmState:
@@ -167,13 +169,9 @@ class FlightMetrics:
             raise ValueError("velocity-error aggregates are inconsistent")
 
 
-_CTRL_CODES = {"log": kernels.CTRL_LOG, "quad": kernels.CTRL_QUAD, "apf": kernels.CTRL_APF}
-
-
-def _ctrl_code(controller: str) -> int:
-    if controller not in _CTRL_CODES:
+def _check_controller(controller: str) -> None:
+    if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; expected log, quad or apf")
-    return _CTRL_CODES[controller]
 
 
 def _law(n: int, plan: FormationPlan, controller: str, gains: ControlGains,
@@ -181,7 +179,7 @@ def _law(n: int, plan: FormationPlan, controller: str, gains: ControlGains,
     """kernels.law bound to this swarm's plan, graph, masses and gains."""
     masses, adj = gains.resolved(n)
     apf = apf or ApfParams()
-    return kernels.law(_ctrl_code(controller), plan.slots, adj, gains.leader, masses,
+    return kernels.law(controller, plan.slots, adj, gains.leader, masses,
                        gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
                        plan.target_velocity)
 
@@ -196,24 +194,13 @@ def control(state: SwarmState, plan: FormationPlan, controller: str,
     within apf.d0. All three damp the velocity error against the target,
     -gains.k2 * (v - plan.target_velocity).
     """
+    _check_controller(controller)
     u, _ = _law(state.n, plan, controller, gains, apf)(
         state.positions[None], state.velocities[None], plan.target_at(state.time))
     u = u[0]
     if not np.isfinite(u).all():
         raise FloatingPointError("non-finite control force, e.g. from coincident UAVs under APF")
     return u
-
-
-def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -> SwarmState:
-    """Semi-implicit Euler: velocity first, then position with the new velocity."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    forces = np.asarray(forces, dtype=float)
-    if not np.isfinite(forces).all():
-        raise FloatingPointError("non-finite control force")
-    v = state.velocities + forces / np.asarray(masses, dtype=float)[:, None] * dt
-    p = state.positions + v * dt
-    return SwarmState(positions=p, velocities=v, time=state.time + dt)
 
 
 def lyapunov_value(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> float:
@@ -241,7 +228,7 @@ def simulate(
     across controllers. A non-finite control force in any run raises
     FloatingPointError.
     """
-    ctrl = _ctrl_code(controller)
+    _check_controller(controller)
     if dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive")
     starts = [initial] if isinstance(initial, SwarmState) else list(initial)
@@ -257,7 +244,7 @@ def simulate(
     steps = int(round(horizon / dt))
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
         np.stack([s.positions for s in starts]), np.stack([s.velocities for s in starts]),
-        plan.slots, adj, masses, gains.leader, ctrl,
+        plan.slots, adj, masses, gains.leader, controller,
         gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
         plan.target_at(t0), plan.target_velocity, dt, steps,
     )

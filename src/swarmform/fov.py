@@ -19,10 +19,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .geom import Formation, Pose, relative_position, sector_index, wrap_pi
+from .geom import _DEGENERATE_XY, Formation, Pose, relative_position, sector_index, wrap_pi
 from .radio import RadioParams, link_stats
 
-_DEGENERATE_XY = 1e-9
 _ANGLE_TOL = 1e-9          # boundary-inclusive angular tests
 EXHAUSTIVE_LIMIT = 4096    # max flip patterns searched exactly
 

@@ -25,10 +25,6 @@ class Sensor(Enum):
     LIDAR = "lidar"
 
 
-def vec3(x, y, z) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
-
-
 def wrap_pi(angle):
     """Normalize an angle, or an array of angles, to (-pi, pi]. A Python
     float gives a Python float."""

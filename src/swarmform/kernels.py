@@ -19,16 +19,12 @@ need, accumulated step by step. `swarmform.flight` is the supported
 interface; its per-step `control` and `lyapunov_value` evaluate this same
 law as a batch of one.
 
-Controller codes: 0 = logarithmic, 1 = quadratic, 2 = APF.
+Controllers: "log" (logarithmic), "quad" (quadratic), "apf".
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-CTRL_LOG = 0
-CTRL_QUAD = 1
-CTRL_APF = 2
 
 _TINY = 1e-12
 
@@ -65,7 +61,7 @@ def law(ctrl, slots, adj, leader, masses, k1, k2, kp, ka, kr, d0, vt):
                 + 0.5 * (mass * dv * dv).sum(axis=(1, 2))
                 # a row-by-column matmul per run: the same dot product as err_l @ err_l
                 + 0.5 * kp * np.matmul(err_l[:, None, :], err_l[:, :, None])[:, 0, 0])
-        if ctrl == CTRL_APF:
+        if ctrl == "apf":
             u = -ka * (p - (tgt + slots)) - k2 * dv
             dn = np.sqrt(np.einsum("rijk,rijk->rij", d, d))
             dn[:, diag, diag] = np.inf
@@ -77,7 +73,7 @@ def law(ctrl, slots, adj, leader, masses, k1, k2, kp, ka, kr, d0, vt):
             if coincident.any():
                 u[coincident.any(axis=2), 0] = np.inf
         else:
-            w = a / (1.0 + sq) if ctrl == CTRL_LOG else np.broadcast_to(a, sq.shape)
+            w = a / (1.0 + sq) if ctrl == "log" else np.broadcast_to(a, sq.shape)
             u = -k1 * np.einsum("rij,rijk->rik", w, e) - k2 * dv
             u[:, leader] -= kp * err_l
         return u, lyap

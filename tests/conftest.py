@@ -16,6 +16,10 @@ REFERENCE_ROWS = [
 ]
 
 
+def vec3(x, y, z) -> np.ndarray:
+    return np.array([x, y, z], dtype=float)
+
+
 def build_reference_formation(target=None) -> Formation:
     target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
     poses = []

@@ -20,7 +20,8 @@ compare against it:
   pattern meeting the SINR floor;
 - `subset_logdet`, `exhaustive_best`, `greedy_unpenalized`: the
   allocation objective over a list of FIMs and its exhaustive and
-  penalty-free greedy optima.
+  penalty-free greedy optima;
+- `step`: one semi-implicit Euler step of a swarm under given forces.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from swarmform.alloc import Candidates, candidate_penalty
+from swarmform.flight import SwarmState
 from swarmform.fov import (
     _ANGLE_TOL,
     _DEGENERATE_XY,
@@ -339,3 +341,15 @@ def greedy_unpenalized(fims, k, eps=DEFAULT_EPS):
         current = float(vals[best])
         active[best] = False
     return picked, current
+
+
+def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -> SwarmState:
+    """Semi-implicit Euler: velocity first, then position with the new velocity."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    forces = np.asarray(forces, dtype=float)
+    if not np.isfinite(forces).all():
+        raise FloatingPointError("non-finite control force")
+    v = state.velocities + forces / np.asarray(masses, dtype=float)[:, None] * dt
+    p = state.positions + v * dt
+    return SwarmState(positions=p, velocities=v, time=state.time + dt)

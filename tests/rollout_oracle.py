@@ -12,7 +12,7 @@ Lyapunov trace.
 
 import numpy as np
 
-from swarmform.kernels import _TINY, CTRL_APF, CTRL_LOG
+from swarmform.kernels import _TINY
 
 
 def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
@@ -53,7 +53,7 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
     for s in range(steps):
         u = np.zeros((n, 3))
         for i in range(n):
-            if ctrl == CTRL_APF:
+            if ctrl == "apf":
                 for a in range(3):
                     u[i, a] = (-ka * (p[i, a] - (tgt[a] + slots[i, a]))
                                - k2 * (v[i, a] - vdes[a]))
@@ -78,7 +78,7 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
                     ex = p[i, 0] - p[j, 0] - (slots[i, 0] - slots[j, 0])
                     ey = p[i, 1] - p[j, 1] - (slots[i, 1] - slots[j, 1])
                     ez = p[i, 2] - p[j, 2] - (slots[i, 2] - slots[j, 2])
-                    if ctrl == CTRL_LOG:
+                    if ctrl == "log":
                         w = 1.0 / (1.0 + ex * ex + ey * ey + ez * ez)
                     else:
                         w = 1.0

@@ -30,7 +30,6 @@ from swarmform.alloc import AllocWeights, GridSpec, build_candidates, greedy_all
 from swarmform.cli import main
 from swarmform.config import parse_scenario
 from swarmform.flight import (
-    ApfParams,
     ControlGains,
     FormationPlan,
     SwarmState,
@@ -252,8 +251,7 @@ def _benchmark():
     plan = FormationPlan(slots=f.positions() - f.target,
                          target_position=scenario.target.position,
                          target_velocity=scenario.target.velocity)
-    gains = ControlGains(k1=fl.k1, k2=fl.k2, kp=fl.kp)
-    apf = ApfParams(ka=fl.apf_ka, kr=fl.apf_kr, d0=fl.apf_d0_m)
+    gains, apf = fl.gains, fl.apf
     starts = []
     for run in range(fl.runs):
         rng = np.random.default_rng([fl.seed, run])

@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_pose
-from oracles import build_candidates_loops, exhaustive_best, greedy_unpenalized, subset_logdet
+from oracles import (
+    SphericalPlacement,
+    build_candidates_loops,
+    exhaustive_best,
+    greedy_unpenalized,
+    subset_logdet,
+)
 from swarmform.alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
 from swarmform.geom import Pose, Sensor, yaw_facing_target
 from swarmform.radio import ResourceModel
@@ -158,11 +164,11 @@ class TestArrayCandidates:
             assert pose.yaw == Pose(position, yaw_facing_target(position, target), pose.sensor).yaw
             assert pose.sensor is (Sensor.LIDAR if i % 2 else Sensor.CAMERA)
 
-    def test_pitch_ring_past_pi_rejected_as_before(self, models):
-        # delta_max 180 with a 30-degree step puts the last ring at 190 degrees
-        grid = GridSpec(delta_max=np.pi, delta_step=np.radians(30.0))
-        args = (np.zeros(3), grid, AllocWeights(), ResourceModel(), models)
-        with pytest.raises(ValueError) as loops_exc:
-            build_candidates_loops(*args)
-        with pytest.raises(ValueError, match=re.escape(str(loops_exc.value))):
-            build_candidates(*args)
+    def test_pitch_ring_past_pi_rejected_as_before(self):
+        # delta_max 180 with a 30-degree step puts the last ring at 190
+        # degrees; the grid itself refuses it, with the message the
+        # placement-by-placement oracle gives for that ring
+        with pytest.raises(ValueError) as oracle_exc:
+            SphericalPlacement(10.0, 0.0, np.radians(10.0) + 6 * np.radians(30.0))
+        with pytest.raises(ValueError, match=re.escape(str(oracle_exc.value))):
+            GridSpec(delta_max=np.pi, delta_step=np.radians(30.0))

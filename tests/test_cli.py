@@ -180,6 +180,44 @@ class TestExitCodes:
         assert captured.err.startswith(f"swarmform: config error: {path}: expected ")
         assert captured.out == ""
 
+    # every key whose reader carries its own bound, at a value outside it
+    @pytest.mark.parametrize("path,value,rule", [
+        *[(f"flight.{key}", 0.0, "be positive")
+          for key in ("k1", "k2", "kp", "mass_kg", "dt_s", "horizon_s",
+                      "init_cube_half_width_m")],
+        ("flight.runs", 0, "be >= 1"),
+        *[(f"flight.apf.{key}", -1.0, "be positive") for key in ("ka", "kr", "d0_m")],
+        ("sensors.eps", 0.0, "be positive"),
+        ("fov.hfov_deg", 180.0, "lie in (0, 180)"),
+        ("fov.vfov_deg", 0.0, "lie in (0, 180)"),
+    ])
+    def test_bounded_key_rejected(self, tmp_path, capsys, path, value, rule):
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        *sections, key = path.split(".")
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        p = tmp_path / "bounded.json"
+        p.write_text(json.dumps(doc))
+        assert main(["pipeline", "--scenario", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"swarmform: config error: {path}: must {rule}, got {value}\n"
+        assert captured.out == ""
+
+    def test_grid_ring_past_pi_is_a_config_error(self, tmp_path, capsys):
+        # delta_max 180 with a 30-degree step puts the last pitch ring at 190
+        # degrees; the scenario is refused before any stage runs
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["grid"].update(delta_max_deg=180.0, delta_step_deg=30.0)
+        p = tmp_path / "past_pi.json"
+        p.write_text(json.dumps(doc))
+        assert main(["allocate", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "swarmform: config error: grid: pitch must lie in [0, pi], got 3.316")
+
     @pytest.mark.parametrize("stage", ["allocate", "fly"])
     def test_unusable_out_dir(self, tmp_path, stage):
         blocker = tmp_path / "file"

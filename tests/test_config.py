@@ -1,8 +1,12 @@
+import copy
 import json
+from dataclasses import fields, is_dataclass
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmform.config import (
     ScenarioError,
@@ -36,7 +40,7 @@ class TestScenarioParsing:
         assert s.weights.alpha_resource == 0.18
         assert s.weights.alpha_cost == 0.2
         assert s.weights.min_gain == 0.17
-        assert s.flight.k1 == 4.0 and s.flight.k2 == 1.5 and s.flight.kp == 10.0
+        assert s.flight.gains.k1 == 4.0 and s.flight.gains.k2 == 1.5 and s.flight.gains.kp == 10.0
         assert s.grid.distance == 10.0
 
     def test_bundled_ground_flag(self):
@@ -46,7 +50,7 @@ class TestScenarioParsing:
         s = parse_scenario(scenario_path("flight_benchmark.json"))
         assert s.target.velocity == pytest.approx([0.5, 0.3, 0.0])
         assert s.flight.runs == 20
-        assert s.flight.apf_ka == 1.0
+        assert s.flight.apf.ka == 1.0
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ScenarioError, match="radio.bogus"):
@@ -122,3 +126,46 @@ class TestFormationParsing:
             parse_formation_dict(
                 {"poses": [{"position": [1, 0, 0], "sensor": "lidar", "pitch": 3}]}
             )
+
+
+def same_values(a, b) -> bool:
+    """`==` field by field, recursing into dataclasses and tuples, arrays
+    element by element, with types and dtypes equal too; `raw` is skipped."""
+    if type(a) is not type(b):
+        return False
+    if is_dataclass(a):
+        return all(same_values(getattr(a, f.name), getattr(b, f.name))
+                   for f in fields(a) if f.name != "raw")
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and bool((a == b).all())
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_values, a, b))
+    return a == b
+
+
+PAPER_DEFAULT = json.loads(scenario_path("paper_default.json").read_text())
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# flight.seed is required, and paper_default's horizon_s (20 s) is not the
+# default (60 s); every other key spells out its dataclass default
+_KEPT = {("flight",), ("flight", "seed"), ("flight", "horizon_s")}
+_DROPPABLE = sorted(p for p in _key_paths(PAPER_DEFAULT) if p not in _KEPT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dropped=st.sets(st.sampled_from(_DROPPABLE)))
+def test_any_key_subset_parses_as_the_full_document(dropped):
+    doc = copy.deepcopy(PAPER_DEFAULT)
+    for *sections, key in dropped:
+        node = doc
+        for section in sections:
+            node = node.get(section, {})
+        node.pop(key, None)
+    assert same_values(parse_scenario_dict(doc), parse_scenario_dict(PAPER_DEFAULT))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_reference_formation, random_pose
+from conftest import build_reference_formation, random_pose, vec3
 from oracles import coverage_loops, direction_covered, exhaustive_flip_best, target_visible
 from swarmform.fov import (
     FovSpec,
@@ -13,7 +13,7 @@ from swarmform.fov import (
     ground_constrain,
     optimize_formation,
 )
-from swarmform.geom import Formation, Pose, Sensor, vec3, wrap_pi
+from swarmform.geom import Formation, Pose, Sensor, wrap_pi
 from swarmform.radio import RadioParams, link_stats
 from swarmform.sensing import SensorModels, logdet_reg, total_fim, uav_fim
 

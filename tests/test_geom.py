@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import vec3
 from oracles import SphericalPlacement, cartesian_to_spherical, spherical_to_cartesian
 from swarmform.geom import (
     DegenerateGeometryError,
     Pose,
     Sensor,
     sector_index,
-    vec3,
     wrap_2pi,
     wrap_pi,
     yaw_facing_target,

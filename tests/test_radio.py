@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import vec3
 from oracles import sinr_db
-from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor, vec3
+from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor
 from swarmform.radio import (
     RadioParams,
     ResourceModel,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pose
+from conftest import random_pose, vec3
 from oracles import (
     camera_jacobian,
     camera_project,
@@ -14,7 +14,7 @@ from oracles import (
     scalar_fim,
     total_fim_loops,
 )
-from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor, vec3
+from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor
 from swarmform.sensing import (
     CameraIntrinsics,
     SensorModels,
