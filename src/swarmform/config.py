@@ -221,7 +221,11 @@ class _Section:
             self.seen.add(key)
             if key in self.data:
                 v = read(self.data[key], self.at(key))
-                kwargs[name] = v if convert is None else convert(v)
+                try:
+                    kwargs[name] = v if convert is None else convert(v)
+                except OverflowError:   # e.g. a huge noise_dbm or sensor sigma
+                    raise ScenarioError(f"{self.at(key)}: must convert to a finite number, "
+                                        f"got {self.data[key]}") from None
         return kwargs
 
     def reject_unknown(self) -> None:

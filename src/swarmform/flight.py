@@ -239,14 +239,11 @@ def simulate(
     t0 = starts[0].time
     if any(s.time != t0 for s in starts):
         raise ValueError("initial states must share one start time")
-    masses, adj = gains.resolved(plan.n)
-    apf = apf or ApfParams()
     steps = int(round(horizon / dt))
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
+        _law(plan.n, plan, controller, gains, apf),
         np.stack([s.positions for s in starts]), np.stack([s.velocities for s in starts]),
-        plan.slots, adj, masses, gains.leader, controller,
-        gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
-        plan.target_at(t0), plan.target_velocity, dt, steps,
+        gains.resolved(plan.n)[0], plan.target_at(t0), plan.target_velocity, dt, steps,
     )
     if not np.isfinite(final).all():
         raise FloatingPointError("non-finite control force during rollout, "

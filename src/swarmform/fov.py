@@ -9,18 +9,20 @@ of directions seen by at least one UAV).
 Reconfiguration flips UAVs through the target point — a move that leaves
 every per-UAV FIM exactly unchanged — to spread the formation across
 azimuth sectors, improving coverage while respecting a minimum-SINR
-constraint on the links to the fusion receiver.
+constraint on the links to the fusion receiver. A flip pattern puts each
+member in one of two poses, so the search scores a whole matrix of
+patterns from each member's two cover rows and link powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
-from .geom import _DEGENERATE_XY, Formation, Pose, relative_position, sector_index, wrap_pi
-from .radio import RadioParams, link_stats
+from .geom import _DEGENERATE_XY, Formation, Pose, wrap_pi
+from .radio import RadioParams, link_stats, received_power, sinr_db
 
 _ANGLE_TOL = 1e-9          # boundary-inclusive angular tests
 EXHAUSTIVE_LIMIT = 4096    # max flip patterns searched exactly
@@ -57,28 +59,35 @@ class CoverageReport:
     per_direction: list[float] = field(default_factory=list)
 
 
+def _cover_rows(rel: np.ndarray, spec: FovSpec) -> np.ndarray:
+    """Each member's weighted cover row, (..., n_dirs) from offsets rel
+    (..., 3) to the target: its distance weight in every probe direction
+    it covers, else 0. Members straight above or below cover nothing."""
+    d_xy = np.hypot(rel[..., 0], rel[..., 1])
+    weights = 1.0 / (1.0 + spec.lam * d_xy)
+    bearings = np.arctan2(rel[..., 1], rel[..., 0])
+    phi = 2.0 * np.pi * np.arange(spec.n_dirs) / spec.n_dirs
+    offset = wrap_pi(bearings[..., None] - phi)   # per (member, direction)
+    covers = np.abs(offset) <= spec.gamma / 2.0 + _ANGLE_TOL
+    return np.where(covers & (d_xy >= _DEGENERATE_XY)[..., None], weights[..., None], 0.0)
+
+
+def _gamma(per_direction: np.ndarray, n_dirs: int):
+    """(uncovered, xi, Gamma) of intensities per direction along the last axis."""
+    uncovered = np.count_nonzero(per_direction == 0.0, axis=-1)
+    xi = 1.0 - uncovered / n_dirs
+    return uncovered, xi, xi * per_direction.sum(axis=-1)
+
+
 def coverage(formation: Formation, spec: FovSpec) -> CoverageReport:
-    """Intensity per probe direction, integrity xi, and the Gamma metric.
-    Members straight above or below the target cover no direction."""
+    """Intensity per probe direction, integrity xi, and the Gamma metric."""
     if len(formation) == 0:
         raise ValueError("coverage needs a nonempty formation")
-    rel = formation.positions() - formation.target
-    d_xy = np.hypot(rel[:, 0], rel[:, 1])
-    weights = 1.0 / (1.0 + spec.lam * d_xy)
-    bearings = np.arctan2(rel[:, 1], rel[:, 0])
-    phi = 2.0 * np.pi * np.arange(spec.n_dirs) / spec.n_dirs
-    offset = wrap_pi(bearings[:, None] - phi)   # per (member, direction)
-    covers = (np.abs(offset) <= spec.gamma / 2.0 + _ANGLE_TOL) & (d_xy >= _DEGENERATE_XY)[:, None]
     # summed member by member, in member order, as a scalar loop adds them
-    per_direction = np.where(covers, weights[:, None], 0.0).sum(axis=0)
-    uncovered = int(np.count_nonzero(per_direction == 0.0))
-    xi = 1.0 - uncovered / spec.n_dirs
-    return CoverageReport(
-        gamma_metric=xi * float(np.sum(per_direction)),
-        xi=xi,
-        uncovered=uncovered,
-        per_direction=per_direction.tolist(),
-    )
+    per_direction = _cover_rows(formation.positions() - formation.target, spec).sum(axis=0)
+    uncovered, xi, gamma = _gamma(per_direction, spec.n_dirs)
+    return CoverageReport(gamma_metric=float(gamma), xi=float(xi), uncovered=int(uncovered),
+                          per_direction=per_direction.tolist())
 
 
 def flip(pose: Pose, target: np.ndarray) -> Pose:
@@ -97,25 +106,39 @@ def flip(pose: Pose, target: np.ndarray) -> Pose:
     )
 
 
-def _apply_pattern(formation: Formation, members: tuple[int, ...]) -> Formation:
-    poses = list(formation.poses)
-    for i in members:
-        poses[i] = flip(poses[i], formation.target)
-    return Formation(poses=poses, target=formation.target)
-
-
 def flip_candidates(formation: Formation, spec: FovSpec) -> list[int]:
     """Members eligible to flip: those sharing an azimuth sector with at
     least one other member (flipping a lone occupant cannot spread the
-    formation; it just moves the crowding elsewhere)."""
-    counts = [0] * spec.k_sectors
-    sectors = []
-    for pose in formation.poses:
-        rel = relative_position(pose.position, formation.target)
-        s = sector_index(float(np.arctan2(rel[1], rel[0])), spec.k_sectors)
-        sectors.append(s)
-        counts[s] += 1
-    return [i for i, s in enumerate(sectors) if counts[s] >= 2]
+    formation; it just moves the crowding elsewhere). Sectors split
+    bearings in [0, 2*pi) into k_sectors equal arcs."""
+    rel = formation.positions() - formation.target
+    bearings = np.arctan2(rel[:, 1], rel[:, 0]) % (2.0 * np.pi)
+    sectors = np.minimum(np.floor(bearings / (2.0 * np.pi / spec.k_sectors)).astype(int),
+                         spec.k_sectors - 1)
+    return np.flatnonzero(np.bincount(sectors)[sectors] >= 2).tolist()
+
+
+def _score(formation: Formation, flips: np.ndarray, spec: FovSpec, radio: RadioParams,
+           receiver: int):
+    """Gamma and the minimum SINR into `receiver` of `formation` with each
+    row of the (P, n) 0/1 integer matrix `flips` applied, and the members'
+    (unflipped, flipped) poses. Members are added one by one, in member
+    order, as in `coverage` and `link_stats`, so each row equals them."""
+    states = [formation.poses, [flip(p, formation.target) for p in formation.poses]]
+    pos = np.array([[p.position for p in poses] for poses in states])
+    rows = _cover_rows(pos - formation.target, spec)        # (state, member, direction)
+    per_direction = sum(rows[flips[:, i], i] for i in range(len(formation)))
+    # power[h, s, i]: member i in state s at the hub in state h, for only the
+    # pairs some row meets, so a pair no pattern forms raises no error
+    members, hub = np.arange(len(formation)), flips[:, [receiver]]
+    used = np.zeros((2, 2, len(formation)), dtype=bool)
+    used[hub, flips, members] = True
+    used[:, :, receiver] = False
+    power = np.zeros(used.shape)
+    for h, s, i in zip(*np.nonzero(used)):
+        power[h, s, i] = received_power(pos[s, i], pos[h, receiver], radio)
+    links = np.delete(power[hub, flips, members], receiver, axis=1)
+    return _gamma(per_direction, spec.n_dirs)[2], sinr_db(links, radio).min(axis=1), states
 
 
 def optimize_formation(
@@ -131,51 +154,38 @@ def optimize_formation(
     relaxes to "no worse than the input's minimum SINR", so coverage can
     still be optimized without degrading an already-stressed network.
     When the gated pattern space is small the search is exhaustive
-    (hence exactly optimal over this move set); otherwise steepest-ascent
-    sweeps of single flips run to a fixed point. Ties keep the earlier
-    (lexicographically smaller) pattern, so the result is deterministic.
+    (hence exactly optimal over this move set), by size, then
+    lexicographically; otherwise steepest-ascent sweeps of the current
+    formation's single flips run to a fixed point. Ties keep the earlier
+    pattern, so the result is deterministic.
     """
-    if len(formation) < 2:
-        return formation
-    gated = flip_candidates(formation, spec)
+    gated = flip_candidates(formation, spec)   # none for fewer than two members
     if not gated:
         return formation
 
-    base_min = link_stats(formation, receiver, radio)["min_db"]
-    floor = min(spec.eta_min_db, base_min)
+    floor = min(spec.eta_min_db, link_stats(formation, receiver, radio)["min_db"])
+    best, best_gamma = formation, coverage(formation, spec).gamma_metric
 
-    def feasible(f: Formation) -> bool:
-        return link_stats(f, receiver, radio)["min_db"] >= floor - _ANGLE_TOL
+    def improve(flips: np.ndarray) -> bool:
+        """Move `best` to each feasible row of `flips`, in order, that beats
+        it by more than _ANGLE_TOL; True if any did."""
+        nonlocal best, best_gamma
+        gammas, min_db, states = _score(best, flips, spec, radio, receiver)
+        accepted = None
+        for r in np.flatnonzero(min_db >= floor - _ANGLE_TOL):
+            if gammas[r] > best_gamma + _ANGLE_TOL:
+                accepted, best_gamma = r, gammas[r]
+        if accepted is not None:
+            best = Formation([states[s][i] for i, s in enumerate(flips[accepted])], best.target)
+        return accepted is not None
 
-    best = formation
-    best_gamma = coverage(formation, spec).gamma_metric
-
+    single = np.eye(len(formation), dtype=np.intp)[gated]   # row j flips member gated[j]
     if 2 ** len(gated) <= EXHAUSTIVE_LIMIT:
-        for size in range(1, len(gated) + 1):
-            for subset in combinations(gated, size):
-                cand = _apply_pattern(formation, subset)
-                if not feasible(cand):
-                    continue
-                g = coverage(cand, spec).gamma_metric
-                if g > best_gamma + _ANGLE_TOL:
-                    best, best_gamma = cand, g
-        return best
-
-    improved = True
-    while improved:
-        improved = False
-        step_best = None
-        step_gamma = best_gamma
-        for i in gated:
-            cand = _apply_pattern(best, (i,))
-            if not feasible(cand):
-                continue
-            g = coverage(cand, spec).gamma_metric
-            if g > step_gamma + _ANGLE_TOL:
-                step_best, step_gamma = cand, g
-        if step_best is not None:
-            best, best_gamma = step_best, step_gamma
-            improved = True
+        # nonempty subsets by size, then lexicographically (product lists 1s first; sort is stable)
+        improve(np.array(sorted(product((1, 0), repeat=len(gated)), key=sum)[1:]) @ single)
+    else:
+        while improve(single):
+            pass
     return best
 
 

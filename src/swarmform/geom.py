@@ -1,8 +1,7 @@
 """Coordinate conventions shared by every other module.
 
 All angles are in radians internally; degrees appear only at the
-config/CLI boundary. Yaw is stored in (-pi, pi] (atan2 range), sector
-arithmetic works in [0, 2*pi).
+config/CLI boundary. Yaw is stored in (-pi, pi] (atan2 range).
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ def wrap_pi(angle):
     """Normalize an angle, or an array of angles, to (-pi, pi]. A Python
     float gives a Python float."""
     return np.pi - (-angle + np.pi) % (2.0 * np.pi)
-
-
-def wrap_2pi(angle: float) -> float:
-    """Normalize an angle to [0, 2*pi)."""
-    return float(angle % (2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,6 @@ class Formation:
         return np.array([p.position for p in self.poses]).reshape(len(self.poses), 3)
 
 
-def relative_position(uav: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return np.asarray(uav, dtype=float) - np.asarray(target, dtype=float)
-
-
 def yaw_facing_target(uav: np.ndarray, target: np.ndarray) -> float:
     """Yaw that points the sensor boresight at the target, in (-pi, pi]."""
     dx = float(target[0] - uav[0])
@@ -83,11 +73,3 @@ def yaw_facing_target(uav: np.ndarray, target: np.ndarray) -> float:
             "UAV is vertically aligned with the target; facing yaw undefined"
         )
     return float(np.arctan2(dy, dx))
-
-
-def sector_index(theta: float, k: int) -> int:
-    """Bucket a bearing into one of k equal azimuth sectors over [0, 2*pi)."""
-    if k < 1:
-        raise ValueError(f"sector count must be >= 1, got {k}")
-    idx = int(np.floor(wrap_2pi(theta) / (2.0 * np.pi / k)))
-    return min(idx, k - 1)

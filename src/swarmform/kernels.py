@@ -81,10 +81,9 @@ def law(ctrl, slots, adj, leader, masses, k1, k2, kp, ka, kr, d0, vt):
     return evaluate
 
 
-def rollout(p0, v0, slots, adj, masses, leader, ctrl,
-            k1, k2, kp, ka, kr, d0, tgt0, vdes, dt, steps):
-    """Fly R runs for `steps` steps of `dt` from (p0, v0), both (R, n, 3),
-    with the target starting at tgt0 and moving at vdes.
+def rollout(evaluate, p0, v0, masses, tgt0, vdes, dt, steps):
+    """Fly R runs of `evaluate`, a `law` for these masses, for `steps` steps
+    of `dt` from (p0, v0), both (R, n, 3), the target moving from tgt0 at vdes.
 
     Returns, as a tuple of arrays:
     - P, V (steps+1, n, 3) and U (steps, n, 3): positions, velocities and
@@ -98,7 +97,6 @@ def rollout(p0, v0, slots, adj, masses, leader, ctrl,
     A non-finite force in any run leaves that run's state non-finite for
     the rest of the rollout, so it shows in p_final.
     """
-    evaluate = law(ctrl, slots, adj, leader, masses, k1, k2, kp, ka, kr, d0, vdes)
     runs, n = p0.shape[:2]
     P = np.empty((steps + 1, n, 3))
     V = np.empty((steps + 1, n, 3))

@@ -84,9 +84,17 @@ def link_stats(formation: Formation, receiver: int, rp: RadioParams) -> dict[str
     if n < 2:
         raise ValueError("link statistics need at least two members")
     pts = formation.positions()
-    power = np.array([received_power(pts[i], pts[receiver], rp)
-                      for i in range(n) if i != receiver])
-    # column i holds the powers of link i's interferers, summed in member order
-    interference = np.where(~np.eye(n - 1, dtype=bool), power[:, None], 0.0).sum(axis=0)
-    vals = to_db(power / (interference + rp.noise_power))
+    vals = sinr_db(np.array([received_power(pts[i], pts[receiver], rp)
+                             for i in range(n) if i != receiver]), rp)
     return {"avg_db": float(np.mean(vals)), "min_db": float(np.min(vals))}
+
+
+def sinr_db(power: np.ndarray, rp: RadioParams) -> np.ndarray:
+    """SINR in dB of each link into one receiver, from the received powers
+    of its links along the last axis of `power`: every other link
+    interferes, its power added one link at a time, in link order."""
+    links = np.arange(power.shape[-1])
+    interference = np.zeros_like(power)
+    for k in links:
+        interference += np.where(links == k, 0.0, power[..., k, None])
+    return to_db(power / (interference + rp.noise_power))

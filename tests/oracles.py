@@ -16,6 +16,10 @@ compare against it:
   member by member;
 - `sinr`, `sinr_db`: the SINR of one link, each interferer's power added
   one by one;
+- `wrap_2pi`, `relative_position`, `sector_index`, `flip_candidates_loops`:
+  the flip gating, one bearing and one member at a time;
+- `optimize_formation_loops`: the flip search building one formation per
+  pattern and calling `coverage` and `link_stats` on it;
 - `exhaustive_flip_best`: the best Gamma over every sector-gated flip
   pattern meeting the SINR floor;
 - `subset_logdet`, `exhaustive_best`, `greedy_unpenalized`: the
@@ -29,12 +33,14 @@ from itertools import combinations
 
 import numpy as np
 
+from swarmform import fov
 from swarmform.alloc import Candidates, candidate_penalty
 from swarmform.flight import SwarmState
 from swarmform.fov import (
     _ANGLE_TOL,
     _DEGENERATE_XY,
     CoverageReport,
+    FovSpec,
     coverage,
     flip,
     flip_candidates,
@@ -44,15 +50,30 @@ from swarmform.geom import (
     Formation,
     Pose,
     Sensor,
-    relative_position,
-    wrap_2pi,
     wrap_pi,
     yaw_facing_target,
 )
-from swarmform.radio import link_stats, received_power, to_db
+from swarmform.radio import RadioParams, link_stats, received_power, to_db
 from swarmform.sensing import DEFAULT_EPS, logdet_reg
 
 _DEGENERATE = 1e-9
+
+
+def wrap_2pi(angle: float) -> float:
+    """Normalize an angle to [0, 2*pi)."""
+    return float(angle % (2.0 * np.pi))
+
+
+def relative_position(uav: np.ndarray, target: np.ndarray) -> np.ndarray:
+    return np.asarray(uav, dtype=float) - np.asarray(target, dtype=float)
+
+
+def sector_index(theta: float, k: int) -> int:
+    """Bucket a bearing into one of k equal azimuth sectors over [0, 2*pi)."""
+    if k < 1:
+        raise ValueError(f"sector count must be >= 1, got {k}")
+    idx = int(np.floor(wrap_2pi(theta) / (2.0 * np.pi / k)))
+    return min(idx, k - 1)
 
 
 @dataclass(frozen=True)
@@ -282,6 +303,80 @@ def sinr(i, j, formation, rp) -> float:
 
 def sinr_db(i, j, formation, rp) -> float:
     return to_db(sinr(i, j, formation, rp))
+
+
+def flip_candidates_loops(formation: Formation, spec: FovSpec) -> list[int]:
+    """`fov.flip_candidates` one member at a time: the members whose
+    azimuth sector holds at least one other member."""
+    counts = [0] * spec.k_sectors
+    sectors = []
+    for pose in formation.poses:
+        rel = relative_position(pose.position, formation.target)
+        s = sector_index(float(np.arctan2(rel[1], rel[0])), spec.k_sectors)
+        sectors.append(s)
+        counts[s] += 1
+    return [i for i, s in enumerate(sectors) if counts[s] >= 2]
+
+
+def _apply_pattern(formation: Formation, members: tuple[int, ...]) -> Formation:
+    poses = list(formation.poses)
+    for i in members:
+        poses[i] = flip(poses[i], formation.target)
+    return Formation(poses=poses, target=formation.target)
+
+
+def optimize_formation_loops(
+    formation: Formation,
+    spec: FovSpec,
+    radio: RadioParams,
+    receiver: int = 0,
+) -> Formation:
+    """`fov.optimize_formation` pattern by pattern: one `Formation` of new
+    poses per flip pattern, scored by `coverage` and `link_stats`. It
+    reads `fov.EXHAUSTIVE_LIMIT` when called, so a test can force either
+    branch."""
+    if len(formation) < 2:
+        return formation
+    gated = flip_candidates_loops(formation, spec)
+    if not gated:
+        return formation
+
+    base_min = link_stats(formation, receiver, radio)["min_db"]
+    floor = min(spec.eta_min_db, base_min)
+
+    def feasible(f: Formation) -> bool:
+        return link_stats(f, receiver, radio)["min_db"] >= floor - _ANGLE_TOL
+
+    best = formation
+    best_gamma = coverage(formation, spec).gamma_metric
+
+    if 2 ** len(gated) <= fov.EXHAUSTIVE_LIMIT:
+        for size in range(1, len(gated) + 1):
+            for subset in combinations(gated, size):
+                cand = _apply_pattern(formation, subset)
+                if not feasible(cand):
+                    continue
+                g = coverage(cand, spec).gamma_metric
+                if g > best_gamma + _ANGLE_TOL:
+                    best, best_gamma = cand, g
+        return best
+
+    improved = True
+    while improved:
+        improved = False
+        step_best = None
+        step_gamma = best_gamma
+        for i in gated:
+            cand = _apply_pattern(best, (i,))
+            if not feasible(cand):
+                continue
+            g = coverage(cand, spec).gamma_metric
+            if g > step_gamma + _ANGLE_TOL:
+                step_best, step_gamma = cand, g
+        if step_best is not None:
+            best, best_gamma = step_best, step_gamma
+            improved = True
+    return best
 
 
 def exhaustive_flip_best(formation, spec, radio, receiver=0) -> float:

@@ -5,8 +5,9 @@ loops over members, edges and axes, independently of the vectorized law
 in `swarmform.kernels`, so tests can compare `kernels.rollout` against it.
 Every controller damps the velocity error against the target, v - vdes,
 and the Lyapunov kinetic term weights each member by its mass. It flies
-one run: the same arguments as `kernels.rollout` with p0 and v0 (n, 3),
-and it returns that run's full positions, velocities, controls and
+one run from p0 and v0 (n, 3), taking the arguments of `kernels.law`
+(slots through d0) and of `kernels.rollout` (tgt0 through steps) one by
+one, and it returns that run's full positions, velocities, controls and
 Lyapunov trace.
 """
 

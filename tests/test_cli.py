@@ -190,6 +190,7 @@ class TestExitCodes:
         ("sensors.eps", 0.0, "be positive"),
         ("fov.hfov_deg", 180.0, "lie in (0, 180)"),
         ("fov.vfov_deg", 0.0, "lie in (0, 180)"),
+        ("radio.noise_dbm", 5000.0, "convert to a finite number"),
     ])
     def test_bounded_key_rejected(self, tmp_path, capsys, path, value, rule):
         doc = json.loads((resources.files("swarmform") / "scenarios"

@@ -82,6 +82,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="flight.dt_s"):
             parse_scenario_dict(minimal_doc(flight={"seed": 0, "dt_s": 0.0}))
 
+    def test_overflowing_sigma_named(self):
+        # the variance of a finite sigma can overflow, as 10 ** (dBm / 10) can
+        with pytest.raises(ScenarioError, match=r"sensors.camera_sigma_px: must convert to a "
+                                                r"finite number, got \[1e\+200, 1.0\]"):
+            parse_scenario_dict(minimal_doc(sensors={"camera_sigma_px": [1e200, 1.0]}))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             parse_scenario(tmp_path / "nope.json")

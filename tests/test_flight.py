@@ -209,12 +209,14 @@ class TestSimulate:
         ring = ring + ring.T
         masses = np.linspace(0.8, 1.4, plan.n)
         vdes = np.array([0.5, 0.3, 0.1])
-        args = (plan.slots, ring, masses, 2, ctrl,
-                4.0, 1.5, 10.0, 3.0, 5.0, 2.0,
-                np.array([1.0, -2.0, 0.5]), vdes, 0.01, 200)
-        P, V, U, L, path, vel_err, final = kernels.rollout(p0, v0, *args)
+        gains = (4.0, 1.5, 10.0, 3.0, 5.0, 2.0)   # k1, k2, kp, ka, kr, d0
+        tgt0 = np.array([1.0, -2.0, 0.5])
+        evaluate = kernels.law(ctrl, plan.slots, ring, 2, masses, *gains, vdes)
+        P, V, U, L, path, vel_err, final = kernels.rollout(
+            evaluate, p0, v0, masses, tgt0, vdes, 0.01, 200)
         for r in range(3):
-            Pr, Vr, Ur, Lr = rollout_loops(p0[r], v0[r], *args)
+            Pr, Vr, Ur, Lr = rollout_loops(p0[r], v0[r], plan.slots, ring, masses, 2, ctrl,
+                                           *gains, tgt0, vdes, 0.01, 200)
             if r == 0:
                 for name, a, b in zip("PVU", (P, V, U), (Pr, Vr, Ur)):
                     assert np.allclose(a, b, atol=1e-10), name

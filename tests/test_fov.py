@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_reference_formation, random_pose, vec3
-from oracles import coverage_loops, direction_covered, exhaustive_flip_best, target_visible
+from oracles import (
+    coverage_loops,
+    direction_covered,
+    exhaustive_flip_best,
+    flip_candidates_loops,
+    optimize_formation_loops,
+    target_visible,
+)
+from swarmform import fov
 from swarmform.fov import (
     FovSpec,
     coverage,
@@ -13,7 +21,14 @@ from swarmform.fov import (
     ground_constrain,
     optimize_formation,
 )
-from swarmform.geom import Formation, Pose, Sensor, wrap_pi
+from swarmform.geom import (
+    DegenerateGeometryError,
+    Formation,
+    Pose,
+    Sensor,
+    wrap_pi,
+    yaw_facing_target,
+)
 from swarmform.radio import RadioParams, link_stats
 from swarmform.sensing import SensorModels, logdet_reg, total_fim, uav_fim
 
@@ -228,6 +243,126 @@ class TestOptimize:
         assert flip_candidates(f, spec) == []
         opt = optimize_formation(f, spec, radio)
         assert np.allclose(opt.positions(), f.positions())
+
+
+def _same_poses(got: Formation, want: Formation) -> bool:
+    return all(a.position.tobytes() == b.position.tobytes() and a.yaw == b.yaw
+               for a, b in zip(got.poses, want.poses, strict=True))
+
+
+# a member's offset from the target: (range, bearing, height), with range 0
+# straight above or below, and a yaw that need not face the target
+_pose = st.tuples(st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+                  st.floats(-np.pi, np.pi), st.floats(-15.0, 15.0), st.floats(-np.pi, np.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.lists(_pose, min_size=2, max_size=13, unique_by=lambda m: m[:3]),
+       target=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       eta_min_db=st.one_of(st.just(-100.0), st.just(10.0), st.floats(-30.0, 5.0)),
+       k_sectors=st.sampled_from([1, 3, 8]),
+       steepest=st.booleans(), data=st.data())
+def test_search_equals_pattern_by_pattern(members, target, eta_min_db, k_sectors, steepest,
+                                          data):
+    """Both branches of the flip search return the formation the
+    pattern-by-pattern search returns, bit for bit, or raise as it does."""
+    target = np.array(target)
+    f = Formation([Pose(target + [r * np.cos(b), r * np.sin(b), z], yaw, Sensor.CAMERA)
+                   for r, b, z, yaw in members], target)
+    receiver = data.draw(st.integers(0, len(members) - 1), label="receiver")
+    spec, radio = FovSpec(eta_min_db=eta_min_db, k_sectors=k_sectors), RadioParams()
+    with pytest.MonkeyPatch.context() as mp:
+        if steepest:
+            mp.setattr(fov, "EXHAUSTIVE_LIMIT", 0)
+        try:
+            want = optimize_formation_loops(f, spec, radio, receiver)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                optimize_formation(f, spec, radio, receiver)
+            return
+        assert _same_poses(optimize_formation(f, spec, radio, receiver), want)
+
+
+def test_steepest_ascent_flips_a_member_twice(monkeypatch):
+    """Steepest ascent flips member 2, then 1 and 3, then 2 again, which
+    leaves it at 2t - (2t - p) with its yaw wrapped twice: not the input's
+    bytes. Each sweep scores the flips of the current formation, so the
+    result still equals the pattern-by-pattern search."""
+    target = vec3(-2.4, -4.1, -3.7)
+    positions = [vec3(-3.1, 3.8, -6.0), vec3(-16.3, -4.6, -11.9), vec3(-5.4, -2.8, -2.9),
+                 vec3(-9.8, 5.0, -3.0), vec3(-13.8, -2.6, -15.5)]
+    f = Formation([Pose(p, yaw_facing_target(p, target), Sensor.CAMERA) for p in positions],
+                  target)
+    spec, radio = FovSpec(eta_min_db=-100.0, k_sectors=3), RadioParams()
+    monkeypatch.setattr(fov, "EXHAUSTIVE_LIMIT", 0)
+    got = optimize_formation(f, spec, radio)
+    assert _same_poses(got, optimize_formation_loops(f, spec, radio))
+    twice = got.poses[2]
+    assert np.allclose(twice.position, f.poses[2].position)
+    assert twice.position.tobytes() != f.poses[2].position.tobytes()
+    assert twice.yaw != f.poses[2].yaw
+
+
+# a member at a bearing on a sector boundary for k = 1, 2, 3, 4, 8 or 12
+# (axis points give bearings of exactly 0, -0.0, pi/2, pi and -pi), or anywhere
+_boundary_xy = st.sampled_from([(5.0, 0.0), (5.0, -0.0), (0.0, 5.0), (-5.0, 0.0),
+                                (-5.0, -0.0), (0.0, -5.0), (5.0, 5.0), (-5.0, -5.0)])
+_on_sector_edge = st.builds(lambda j, k, r: (r * np.cos(2 * np.pi * j / k),
+                                             r * np.sin(2 * np.pi * j / k)),
+                            st.integers(0, 11), st.sampled_from([1, 2, 3, 4, 8, 12]),
+                            st.floats(0.5, 30.0))
+_xy = st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.lists(st.one_of(_boundary_xy, _on_sector_edge, _xy), min_size=1, max_size=16),
+       target=st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-10.0, 10.0)] * 3)),
+       k_sectors=st.sampled_from([1, 2, 3, 4, 8, 12]))
+def test_flip_candidates_equal_scalar_gating(members, target, k_sectors):
+    target = np.array(target)
+    offsets = np.array([[x, y, 1.0] for x, y in members])
+    # a zero target is not added, so that an offset's y of -0.0 survives (-0.0 + 0.0 is 0.0)
+    positions = target + offsets if target.any() else offsets
+    f = Formation([Pose(p, 0.0, Sensor.CAMERA) for p in positions], target)
+    spec = FovSpec(k_sectors=k_sectors)
+    assert flip_candidates(f, spec) == flip_candidates_loops(f, spec)
+
+
+def test_pair_no_pattern_forms_is_not_scored(spec, radio):
+    """Member 1 alone in its sector, opposite the hub (member 0) through the
+    target: flipped, it would sit on the hub. No pattern flips it, so the
+    search must not evaluate that pair, as the pattern-by-pattern one does not."""
+    poses = [Pose(vec3(10, 0, 2), np.pi, Sensor.CAMERA),
+             Pose(vec3(-10, 0, -2), 0.0, Sensor.CAMERA),
+             Pose(vec3(1, 10, 1), -np.pi / 2, Sensor.LIDAR),
+             Pose(vec3(2, 9, -1), -np.pi / 2, Sensor.CAMERA)]
+    f = Formation(poses, np.zeros(3))
+    assert flip_candidates(f, spec) == [2, 3]
+    for limit in (fov.EXHAUSTIVE_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fov, "EXHAUSTIVE_LIMIT", limit)
+            assert _same_poses(optimize_formation(f, spec, radio),
+                               optimize_formation_loops(f, spec, radio))
+
+
+def test_steepest_ascent_gap_to_exhaustive(monkeypatch, spec, radio):
+    """How much Gamma steepest ascent leaves below the exhaustive optimum
+    on seeded formations with 12-14 gated members. Printed, not asserted:
+    the measurement to make before raising EXHAUSTIVE_LIMIT."""
+    print()
+    for seed in (2, 5, 8, 13, 17):
+        rng = np.random.default_rng(seed)
+        f = Formation([random_pose(rng) for _ in range(14)], np.zeros(3))
+        gated = len(flip_candidates(f, spec))
+        assert 12 <= gated <= 14
+        gammas = {}
+        for name, limit in (("exhaustive", 2 ** gated), ("steepest", 0)):
+            monkeypatch.setattr(fov, "EXHAUSTIVE_LIMIT", limit)
+            gammas[name] = coverage(optimize_formation(f, spec, radio), spec).gamma_metric
+        base = coverage(f, spec).gamma_metric
+        print(f"[flip gap] seed {seed}: {gated} of 14 gated, Gamma {base:.3f} -> "
+              f"exhaustive {gammas['exhaustive']:.3f}, steepest {gammas['steepest']:.3f} "
+              f"(gap {gammas['exhaustive'] - gammas['steepest']:.3f})")
 
 
 class TestGroundConstraint:

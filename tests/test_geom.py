@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import vec3
-from oracles import SphericalPlacement, cartesian_to_spherical, spherical_to_cartesian
-from swarmform.geom import (
-    DegenerateGeometryError,
-    Pose,
-    Sensor,
+from oracles import (
+    SphericalPlacement,
+    cartesian_to_spherical,
     sector_index,
+    spherical_to_cartesian,
     wrap_2pi,
-    wrap_pi,
-    yaw_facing_target,
 )
+from swarmform.geom import DegenerateGeometryError, Pose, Sensor, wrap_pi, yaw_facing_target
 
 
 class TestAngleWrapping:
