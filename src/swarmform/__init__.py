@@ -18,19 +18,19 @@ from .flight import (
     simulate,
 )
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
-from .geom import DegenerateGeometryError, Formation, Pose, Sensor
+from .geom import DegenerateGeometryError, Formation, Sensor
 from .radio import RadioParams, ResourceModel, link_stats
-from .sensing import CameraIntrinsics, LidarNoise, SensorModels, logdet_reg, total_fim, uav_fim
+from .sensing import CameraIntrinsics, LidarNoise, SensorModels, logdet_reg, total_fim
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocWeights", "ApfParams", "CameraIntrinsics", "ControlGains",
     "DegenerateGeometryError", "Formation", "FormationPlan", "FovSpec",
-    "GridSpec", "LidarNoise", "Pose", "RadioParams", "ResourceModel",
+    "GridSpec", "LidarNoise", "RadioParams", "ResourceModel",
     "Scenario", "ScenarioError", "Sensor", "SensorModels", "SwarmState",
     "build_candidates", "coverage", "flip", "greedy_allocate",
     "ground_constrain", "link_stats", "logdet_reg", "lyapunov_value", "metrics",
     "optimize_formation", "parse_formation", "parse_scenario", "simulate",
-    "total_fim", "uav_fim",
+    "total_fim",
 ]

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import _DEGENERATE_XY, Formation, Pose, Sensor, wrap_pi
+from .geom import _DEGENERATE_XY, Formation, Sensor, wrap_pi
 from .radio import ResourceModel, comm_resource, sensor_cost
 from .sensing import DEFAULT_EPS, SensorModels, fims, logdet_reg
 
 _SAME_PLACEMENT = 1e-9
+MAX_PLACEMENTS = 1_000_000   # grid points; the 0.25-degree grid has 923,040
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,27 @@ class GridSpec:
             raise ValueError("grid steps must be positive")
         if not (0.0 <= self.delta_min <= self.delta_max <= np.pi):
             raise ValueError("pitch range must satisfy 0 <= min <= max <= pi")
+        # counted before any array is made; deltas() is made even with no azimuth
+        azimuths, rings = self._sizes()
+        if not max(azimuths, 1.0) * rings <= MAX_PLACEMENTS:
+            raise ValueError(f"steps give {azimuths:.4g} x {rings:.4g} placements, "
+                             f"more than {MAX_PLACEMENTS}")
         # the last ring can pass delta_max by up to half a step
         last = float(self.deltas()[-1])
         if last > np.pi:
             raise ValueError(f"pitch must lie in [0, pi], got {last}")
 
+    def _sizes(self) -> list[float]:
+        """Azimuth and pitch-ring counts, in Python floats: inf for a tiny step, no warning."""
+        beta, delta, span = map(float, (self.beta_step, self.delta_step,
+                                        self.delta_max - self.delta_min))
+        return [float(np.round(2.0 * np.pi / beta)), float(np.floor(span / delta + 0.5)) + 1]
+
     def betas(self) -> np.ndarray:
-        n = int(round(2.0 * np.pi / self.beta_step))
-        return np.arange(n) * self.beta_step
+        return np.arange(int(self._sizes()[0])) * self.beta_step
 
     def deltas(self) -> np.ndarray:
-        n = int(np.floor((self.delta_max - self.delta_min) / self.delta_step + 0.5)) + 1
-        return self.delta_min + np.arange(n) * self.delta_step
+        return self.delta_min + np.arange(int(self._sizes()[1])) * self.delta_step
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,6 @@ class Candidates:
 
     def __len__(self) -> int:
         return len(self.yaws)
-
-    def pose(self, i: int) -> Pose:
-        return Pose(position=self.positions[i].copy(), yaw=float(self.yaws[i]),
-                    sensor=Sensor.LIDAR if self.lidar[i] else Sensor.CAMERA)
 
 
 @dataclass
@@ -165,7 +171,7 @@ def greedy_allocate(
 
     total = np.zeros((3, 3))
     current = logdet_reg(total, eps)
-    chosen: list[Pose] = []
+    chosen: list[int] = []
     gains: list[float] = []
     utilities: list[float] = []
 
@@ -176,12 +182,13 @@ def greedy_allocate(
         best = int(np.argmax(util))
         if util[best] <= weights.min_gain:
             break
-        chosen.append(candidates.pose(best))
+        chosen.append(best)
         gains.append(float(with_each[best] - current))
         utilities.append(float(util[best]))
         total = total + candidates.fims[best]
         current = float(with_each[best])
         active &= np.linalg.norm(positions - positions[best], axis=1) >= _SAME_PLACEMENT
 
-    formation = Formation(poses=chosen, target=np.asarray(target, dtype=float))
+    formation = Formation(positions[chosen], candidates.yaws[chosen], candidates.lidar[chosen],
+                          target)
     return AllocationResult(formation=formation, logdet=current, gains=gains, utilities=utilities)

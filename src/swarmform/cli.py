@@ -32,7 +32,7 @@ from .alloc import build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
 from .flight import CONTROLLERS, FormationPlan, SwarmState, metrics, simulate
 from .fov import coverage, ground_constrain, optimize_formation
-from .geom import DegenerateGeometryError, Formation
+from .geom import DegenerateGeometryError, Formation, Sensor
 from .radio import link_stats
 from .sensing import logdet_reg, total_fim
 
@@ -70,15 +70,14 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _pose_doc(pose, target) -> dict:
-    rel = pose.position - target
-    return {
-        "Sensor": pose.sensor.value,
+def _member_docs(f: Formation) -> list[dict]:
+    return [{
+        "Sensor": (Sensor.LIDAR if lidar else Sensor.CAMERA).value,
         "Azimuth (deg)": float(np.degrees(np.arctan2(rel[1], rel[0])) % 360.0),
         "Pitch (deg)": float(np.degrees(np.arctan2(rel[2], np.hypot(rel[0], rel[1])))),
-        "Position (x, y, z)": [float(v) for v in pose.position],
-        "Yaw (deg)": float(np.degrees(pose.yaw)),
-    }
+        "Position (x, y, z)": [float(v) for v in position],
+        "Yaw (deg)": float(np.degrees(yaw)),
+    } for position, rel, yaw, lidar in zip(f.positions, f.positions - f.target, f.yaws, f.lidar)]
 
 
 def _formation_stats(f: Formation, scenario: Scenario) -> dict:
@@ -104,9 +103,9 @@ def _stage_allocate(scenario: Scenario) -> tuple[Formation, dict]:
         raise DegenerateGeometryError("candidate grid is empty after FOV filtering")
     result = greedy_allocate(candidates, scenario.target.position,
                              scenario.weights, scenario.eps)
-    lidar = sum(1 for p in result.formation.poses if p.sensor.value == "lidar")
+    lidar = int(np.count_nonzero(result.formation.lidar))
     doc = {
-        "Members": [_pose_doc(p, result.formation.target) for p in result.formation.poses],
+        "Members": _member_docs(result.formation),
         "UAV count": len(result.formation),
         "Sensor mix": {"lidar": lidar, "camera": len(result.formation) - lidar},
         "log-det FIM": result.logdet,
@@ -127,7 +126,7 @@ def _stage_formation(scenario: Scenario, allocated: Formation) -> tuple[Formatio
         "Before": before,
         "After": after,
         "Ground constrained": scenario.target.ground,
-        "Members": [_pose_doc(p, optimized.target) for p in optimized.poses],
+        "Members": _member_docs(optimized),
     }
     return optimized, doc
 
@@ -140,7 +139,7 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
     n = len(formation)
     if n < 2:
         raise DegenerateGeometryError("flight stage needs at least 2 UAVs")
-    slots = formation.positions() - formation.target
+    slots = formation.positions - formation.target
     plan = FormationPlan(slots=slots, target_position=scenario.target.position,
                          target_velocity=scenario.target.velocity)
     gains = replace(fl.gains, masses=np.full(n, fl.mass_kg))

@@ -23,7 +23,7 @@ import numpy as np
 from .alloc import AllocWeights, GridSpec
 from .flight import CONTROLLERS, ApfParams, ControlGains
 from .fov import FovSpec
-from .geom import Formation, Pose, Sensor, yaw_facing_target
+from .geom import Formation, Sensor, yaw_facing_target
 from .radio import RadioParams, ResourceModel, dbm_to_watts
 from .sensing import DEFAULT_EPS, CameraIntrinsics, LidarNoise, SensorModels
 
@@ -313,22 +313,22 @@ def parse_formation_dict(doc: dict, name: str = "") -> tuple[Formation, SensorMo
     Each pose needs a position and sensor; yaw_deg defaults to facing the
     target. An empty pose list is allowed (its log-det is 3*ln(eps))."""
     root = _Section(doc, name)
-    formation = Formation(**root.take(_FORMATION_TARGET))
+    target = root.take(_FORMATION_TARGET).get("target", np.zeros(3))
     sensors, eps = _sensors(root)
     root.require("poses")
+    positions, yaws, lidar = [], [], []
     for idx, entry in enumerate(root.take(_POSES)["poses"]):
         sec = _Section(entry, root.at(f"poses[{idx}]"))
         sec.require("position", "sensor")
         pose = sec.take(_POSE)
         sec.reject_unknown()
-        yaw = pose.pop("yaw", None)
-        formation.poses.append(_invariant(lambda: Pose(
-            yaw=np.radians(yaw) if yaw is not None
-            else yaw_facing_target(pose["position"], formation.target),
-            **pose,
-        ), sec.path))
+        yaw = pose.get("yaw")
+        positions.append(pose["position"])
+        yaws.append(np.radians(yaw) if yaw is not None else _invariant(
+            lambda: yaw_facing_target(pose["position"], target), sec.path))
+        lidar.append(pose["sensor"] is Sensor.LIDAR)
     root.reject_unknown()
-    return formation, sensors, eps
+    return Formation(np.reshape(positions, (-1, 3)), yaws, lidar, target), sensors, eps
 
 
 def parse_formation(path: str | Path) -> tuple[Formation, SensorModels, float]:

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .geom import _DEGENERATE_XY, Formation, Pose, wrap_pi
+from .geom import _DEGENERATE_XY, Formation, wrap_pi
 from .radio import RadioParams, link_stats, received_power, sinr_db
 
 _ANGLE_TOL = 1e-9          # boundary-inclusive angular tests
@@ -84,26 +84,26 @@ def coverage(formation: Formation, spec: FovSpec) -> CoverageReport:
     if len(formation) == 0:
         raise ValueError("coverage needs a nonempty formation")
     # summed member by member, in member order, as a scalar loop adds them
-    per_direction = _cover_rows(formation.positions() - formation.target, spec).sum(axis=0)
+    per_direction = _cover_rows(formation.positions - formation.target, spec).sum(axis=0)
     uncovered, xi, gamma = _gamma(per_direction, spec.n_dirs)
     return CoverageReport(gamma_metric=float(gamma), xi=float(xi), uncovered=int(uncovered),
                           per_direction=per_direction.tolist())
 
 
-def flip(pose: Pose, target: np.ndarray) -> Pose:
-    """Reflect a pose through the target point, re-aiming the sensor.
+def flip(formation: Formation, flips=True) -> Formation:
+    """Reflect the members that the (n,) mask `flips` selects (all, by
+    default) through the target point, re-aiming their sensors.
 
-    The full 3-D point reflection with yaw + pi keeps that UAV's FIM
-    contribution exactly unchanged (both measurement Jacobians only
+    The full 3-D point reflection with yaw + pi keeps each flipped UAV's
+    FIM contribution exactly unchanged (both measurement Jacobians only
     change sign row-wise), which is what makes flips free moves for the
     coverage optimization.
     """
-    target = np.asarray(target, dtype=float)
-    return Pose(
-        position=2.0 * target - pose.position,
-        yaw=wrap_pi(pose.yaw + np.pi),
-        sensor=pose.sensor,
-    )
+    p, t = formation.positions, formation.target
+    mask = np.broadcast_to(np.asarray(flips, dtype=bool), formation.yaws.shape)
+    return Formation(positions=np.where(mask[:, None], 2.0 * t - p, p),
+                     yaws=np.where(mask, wrap_pi(formation.yaws + np.pi), formation.yaws),
+                     lidar=formation.lidar, target=t)
 
 
 def flip_candidates(formation: Formation, spec: FovSpec) -> list[int]:
@@ -111,7 +111,7 @@ def flip_candidates(formation: Formation, spec: FovSpec) -> list[int]:
     least one other member (flipping a lone occupant cannot spread the
     formation; it just moves the crowding elsewhere). Sectors split
     bearings in [0, 2*pi) into k_sectors equal arcs."""
-    rel = formation.positions() - formation.target
+    rel = formation.positions - formation.target
     bearings = np.arctan2(rel[:, 1], rel[:, 0]) % (2.0 * np.pi)
     sectors = np.minimum(np.floor(bearings / (2.0 * np.pi / spec.k_sectors)).astype(int),
                          spec.k_sectors - 1)
@@ -121,11 +121,10 @@ def flip_candidates(formation: Formation, spec: FovSpec) -> list[int]:
 def _score(formation: Formation, flips: np.ndarray, spec: FovSpec, radio: RadioParams,
            receiver: int):
     """Gamma and the minimum SINR into `receiver` of `formation` with each
-    row of the (P, n) 0/1 integer matrix `flips` applied, and the members'
-    (unflipped, flipped) poses. Members are added one by one, in member
-    order, as in `coverage` and `link_stats`, so each row equals them."""
-    states = [formation.poses, [flip(p, formation.target) for p in formation.poses]]
-    pos = np.array([[p.position for p in poses] for poses in states])
+    row of the (P, n) 0/1 integer matrix `flips` applied. Members are
+    added one by one, in member order, as in `coverage` and `link_stats`,
+    so each row equals them."""
+    pos = np.stack([formation.positions, flip(formation).positions])  # (state, member, 3)
     rows = _cover_rows(pos - formation.target, spec)        # (state, member, direction)
     per_direction = sum(rows[flips[:, i], i] for i in range(len(formation)))
     # power[h, s, i]: member i in state s at the hub in state h, for only the
@@ -138,7 +137,7 @@ def _score(formation: Formation, flips: np.ndarray, spec: FovSpec, radio: RadioP
     for h, s, i in zip(*np.nonzero(used)):
         power[h, s, i] = received_power(pos[s, i], pos[h, receiver], radio)
     links = np.delete(power[hub, flips, members], receiver, axis=1)
-    return _gamma(per_direction, spec.n_dirs)[2], sinr_db(links, radio).min(axis=1), states
+    return _gamma(per_direction, spec.n_dirs)[2], sinr_db(links, radio).min(axis=1)
 
 
 def optimize_formation(
@@ -170,13 +169,13 @@ def optimize_formation(
         """Move `best` to each feasible row of `flips`, in order, that beats
         it by more than _ANGLE_TOL; True if any did."""
         nonlocal best, best_gamma
-        gammas, min_db, states = _score(best, flips, spec, radio, receiver)
+        gammas, min_db = _score(best, flips, spec, radio, receiver)
         accepted = None
         for r in np.flatnonzero(min_db >= floor - _ANGLE_TOL):
             if gammas[r] > best_gamma + _ANGLE_TOL:
                 accepted, best_gamma = r, gammas[r]
         if accepted is not None:
-            best = Formation([states[s][i] for i, s in enumerate(flips[accepted])], best.target)
+            best = flip(best, flips[accepted])
         return accepted is not None
 
     single = np.eye(len(formation), dtype=np.intp)[gated]   # row j flips member gated[j]
@@ -193,12 +192,6 @@ def ground_constrain(formation: Formation, target: np.ndarray) -> Formation:
     """Reflect any member below the target's horizontal plane back above
     it (z-mirror about the plane; x, y, yaw untouched)."""
     target = np.asarray(target, dtype=float)
-    poses = []
-    for pose in formation.poses:
-        dz = pose.position[2] - target[2]
-        if dz < 0.0:
-            p = pose.position.copy()
-            p[2] = target[2] - dz
-            pose = Pose(position=p, yaw=pose.yaw, sensor=pose.sensor)
-        poses.append(pose)
-    return Formation(poses=poses, target=target)
+    p, dz = formation.positions, formation.positions[:, 2] - target[2]
+    lifted = np.column_stack([p[:, :2], np.where(dz < 0.0, target[2] - dz, p[:, 2])])
+    return Formation(lifted, formation.yaws, formation.lidar, target)

@@ -6,7 +6,7 @@ config/CLI boundary. Yaw is stored in (-pi, pi] (atan2 range).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,37 +31,30 @@ def wrap_pi(angle):
 
 
 @dataclass(frozen=True)
-class Pose:
-    """A UAV's position, yaw and sensor modality. Pitch and roll are zero;
-    the heading vector is [cos(yaw), sin(yaw), 0]."""
-
-    position: np.ndarray
-    yaw: float
-    sensor: Sensor
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            raise ValueError(f"position must be a finite 3-vector, got {self.position}")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "yaw", wrap_pi(float(self.yaw)))
-
-
-@dataclass
 class Formation:
-    """An ordered set of poses plus the target estimate."""
+    """A formation's members as rows: positions (n, 3), yaws (n,) wrapped
+    to (-pi, pi], and a mask (n,) of the LiDAR members (the others carry
+    cameras); plus the target estimate. Pitch and roll are zero, so member
+    i heads along [cos(yaws[i]), sin(yaws[i]), 0]."""
 
-    poses: list[Pose] = field(default_factory=list)
-    target: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    positions: np.ndarray
+    yaws: np.ndarray
+    lidar: np.ndarray
+    target: np.ndarray
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=float)
+        p = np.asarray(self.positions, dtype=float)
+        yaws, lidar = np.asarray(self.yaws, dtype=float), np.asarray(self.lidar, dtype=bool)
+        if not (p.ndim == 2 and p.shape[1] == 3 and np.isfinite(p).all()
+                and yaws.shape == lidar.shape == (len(p),)):
+            raise ValueError("need finite positions (n, 3), yaws (n,) and sensor flags (n,), "
+                             f"got shapes {p.shape}, {yaws.shape} and {lidar.shape}")
+        for name, value in (("positions", p), ("yaws", wrap_pi(yaws)), ("lidar", lidar),
+                            ("target", np.asarray(self.target, dtype=float))):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.poses)
-
-    def positions(self) -> np.ndarray:
-        return np.array([p.position for p in self.poses]).reshape(len(self.poses), 3)
+        return len(self.yaws)
 
 
 def yaw_facing_target(uav: np.ndarray, target: np.ndarray) -> float:

@@ -79,22 +79,27 @@ def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:
 
 
 def link_stats(formation: Formation, receiver: int, rp: RadioParams) -> dict[str, float]:
-    """Mean and minimum SINR in dB over all links into the fusion receiver."""
+    """Mean and minimum SINR in dB over all links into the fusion receiver;
+    `FloatingPointError` if one is not finite (extreme radio parameters)."""
     n = len(formation)
     if n < 2:
         raise ValueError("link statistics need at least two members")
-    pts = formation.positions()
+    pts = formation.positions
     vals = sinr_db(np.array([received_power(pts[i], pts[receiver], rp)
                              for i in range(n) if i != receiver]), rp)
+    if not np.isfinite(vals).all():
+        raise FloatingPointError(f"a link SINR into member {receiver} is {np.min(vals)} dB")
     return {"avg_db": float(np.mean(vals)), "min_db": float(np.min(vals))}
 
 
 def sinr_db(power: np.ndarray, rp: RadioParams) -> np.ndarray:
     """SINR in dB of each link into one receiver, from the received powers
     of its links along the last axis of `power`: every other link
-    interferes, its power added one link at a time, in link order."""
+    interferes, its power added one link at a time, in link order. A ratio
+    that underflows to 0 gives -inf, and overflowing powers NaN, unwarned."""
     links = np.arange(power.shape[-1])
     interference = np.zeros_like(power)
     for k in links:
         interference += np.where(links == k, 0.0, power[..., k, None])
-    return to_db(power / (interference + rp.noise_power))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return to_db(power / (interference + rp.noise_power))

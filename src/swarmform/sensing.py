@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import DegenerateGeometryError, Formation, Pose, Sensor
+from .geom import DegenerateGeometryError, Formation
 
 _DEGENERATE = 1e-9
 
@@ -63,7 +63,7 @@ class SensorModels:
 
 def fims(positions, yaws, lidar, target, models: SensorModels) -> np.ndarray:
     """(N, 3, 3) information matrices that N stacked poses give about the
-    target: positions (N, 3), yaws (N,) wrapped to (-pi, pi] as `Pose`
+    target: positions (N, 3), yaws (N,) wrapped to (-pi, pi] as `Formation`
     stores them, and a mask (N,) of the LiDAR rows (the others carry
     cameras). Each is (J^T Q^-1) J, one batched product per modality.
 
@@ -115,17 +115,10 @@ def fims(positions, yaws, lidar, target, models: SensorModels) -> np.ndarray:
     return out
 
 
-def uav_fim(pose: Pose, target: np.ndarray, models: SensorModels) -> np.ndarray:
-    """3x3 information matrix a single UAV contributes about the target."""
-    return fims(pose.position, [pose.yaw], [pose.sensor is Sensor.LIDAR], target, models)[0]
-
-
 def total_fim(formation: Formation, models: SensorModels) -> np.ndarray:
     """Sum of per-UAV FIMs, in member order (deterministic reduction)."""
-    poses = formation.poses
-    per_uav = fims(formation.positions(), [p.yaw for p in poses],
-                   [p.sensor is Sensor.LIDAR for p in poses], formation.target, models)
-    return per_uav.sum(axis=0, initial=0.0)
+    return fims(formation.positions, formation.yaws, formation.lidar, formation.target,
+                models).sum(axis=0, initial=0.0)
 
 
 def logdet_reg(fim: np.ndarray, eps: float = DEFAULT_EPS) -> float:

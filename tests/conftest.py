@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import SphericalPlacement, spherical_to_cartesian
-from swarmform.geom import Formation, Pose, Sensor, yaw_facing_target
+from oracles import Pose, SphericalPlacement, formation_of, spherical_to_cartesian
+from swarmform.geom import Formation, Sensor, yaw_facing_target
 from swarmform.sensing import SensorModels
 
 # The published six-UAV formation: (sensor, azimuth deg, pitch deg) at 10 m.
@@ -27,7 +27,7 @@ def build_reference_formation(target=None) -> Formation:
         placement = SphericalPlacement(10.0, np.radians(beta), np.radians(delta))
         position = spherical_to_cartesian(placement, target)
         poses.append(Pose(position, yaw_facing_target(position, target), sensor))
-    return Formation(poses=poses, target=target)
+    return formation_of(poses, target)
 
 
 @pytest.fixture

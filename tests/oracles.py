@@ -4,6 +4,9 @@ Each spells out a quantity the library computes as array expressions, or
 searches exhaustively where the library searches greedily, so tests can
 compare against it:
 
+- `Pose`, `formation_of`, `poses_of`, `flip_pose`, `pose_fim`: one member
+  as a record, the `Formation` whose rows are a list of them and back,
+  and one member's flip and FIM;
 - `SphericalPlacement`, `spherical_to_cartesian`, `cartesian_to_spherical`:
   one grid placement and its conversions;
 - `camera_project`, `camera_jacobian`, `lidar_measure`, `lidar_jacobian`:
@@ -42,21 +45,63 @@ from swarmform.fov import (
     CoverageReport,
     FovSpec,
     coverage,
-    flip,
     flip_candidates,
 )
 from swarmform.geom import (
     DegenerateGeometryError,
     Formation,
-    Pose,
     Sensor,
     wrap_pi,
     yaw_facing_target,
 )
 from swarmform.radio import RadioParams, link_stats, received_power, to_db
-from swarmform.sensing import DEFAULT_EPS, logdet_reg
+from swarmform.sensing import DEFAULT_EPS, fims, logdet_reg
 
 _DEGENERATE = 1e-9
+
+
+@dataclass(frozen=True)
+class Pose:
+    """One UAV: position, yaw and sensor modality. The yaw is wrapped to
+    (-pi, pi], as `Formation` stores its yaws."""
+
+    position: np.ndarray
+    yaw: float
+    sensor: Sensor
+
+    def __post_init__(self):
+        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        object.__setattr__(self, "yaw", wrap_pi(float(self.yaw)))
+
+
+def formation_of(poses, target) -> Formation:
+    """The `Formation` whose rows are `poses`, in order."""
+    return Formation(positions=np.reshape([p.position for p in poses], (-1, 3)),
+                     yaws=[p.yaw for p in poses],
+                     lidar=[p.sensor is Sensor.LIDAR for p in poses], target=target)
+
+
+def poses_of(formation: Formation) -> list[Pose]:
+    """The rows of `formation`, one `Pose` each."""
+    return [Pose(position, yaw, Sensor.LIDAR if lidar else Sensor.CAMERA)
+            for position, yaw, lidar in zip(formation.positions, formation.yaws,
+                                            formation.lidar)]
+
+
+def flip_pose(pose: Pose, target) -> Pose:
+    """`fov.flip` of one member: the pose reflected through the target
+    point, its sensor re-aimed."""
+    target = np.asarray(target, dtype=float)
+    return Pose(
+        position=2.0 * target - pose.position,
+        yaw=wrap_pi(pose.yaw + np.pi),
+        sensor=pose.sensor,
+    )
+
+
+def pose_fim(pose: Pose, target, models) -> np.ndarray:
+    """3x3 information matrix a single UAV contributes, from `sensing.fims`."""
+    return fims(pose.position, [pose.yaw], [pose.sensor is Sensor.LIDAR], target, models)[0]
 
 
 def wrap_2pi(angle: float) -> float:
@@ -192,7 +237,7 @@ def scalar_fim(pose, target, models) -> np.ndarray:
 def total_fim_loops(formation, models) -> np.ndarray:
     """Sum of per-UAV FIMs, added one by one in member order."""
     out = np.zeros((3, 3))
-    for pose in formation.poses:
+    for pose in poses_of(formation):
         out += scalar_fim(pose, formation.target, models)
     return out
 
@@ -260,7 +305,7 @@ def coverage_loops(formation, spec) -> CoverageReport:
     """`fov.coverage` as a double loop over directions and members."""
     weights = []
     bearings = []
-    for pose in formation.poses:
+    for pose in poses_of(formation):
         rel = relative_position(pose.position, formation.target)
         d_xy = float(np.hypot(rel[0], rel[1]))
         if d_xy < _DEGENERATE_XY:
@@ -291,7 +336,7 @@ def sinr(i, j, formation, rp) -> float:
     """SINR of the link i -> j; every member other than i and j interferes."""
     if i == j:
         raise ValueError("transmitter and receiver must differ")
-    pts = formation.positions()
+    pts = formation.positions
     signal = received_power(pts[i], pts[j], rp)
     interference = sum(
         received_power(pts[k], pts[j], rp)
@@ -310,7 +355,7 @@ def flip_candidates_loops(formation: Formation, spec: FovSpec) -> list[int]:
     azimuth sector holds at least one other member."""
     counts = [0] * spec.k_sectors
     sectors = []
-    for pose in formation.poses:
+    for pose in poses_of(formation):
         rel = relative_position(pose.position, formation.target)
         s = sector_index(float(np.arctan2(rel[1], rel[0])), spec.k_sectors)
         sectors.append(s)
@@ -319,10 +364,10 @@ def flip_candidates_loops(formation: Formation, spec: FovSpec) -> list[int]:
 
 
 def _apply_pattern(formation: Formation, members: tuple[int, ...]) -> Formation:
-    poses = list(formation.poses)
+    poses = poses_of(formation)
     for i in members:
-        poses[i] = flip(poses[i], formation.target)
-    return Formation(poses=poses, target=formation.target)
+        poses[i] = flip_pose(poses[i], formation.target)
+    return formation_of(poses, formation.target)
 
 
 def optimize_formation_loops(
@@ -388,9 +433,9 @@ def exhaustive_flip_best(formation, spec, radio, receiver=0) -> float:
     best = coverage(formation, spec).gamma_metric
     for size in range(1, len(gated) + 1):
         for subset in combinations(gated, size):
-            poses = [flip(p, formation.target) if i in subset else p
-                     for i, p in enumerate(formation.poses)]
-            cand = Formation(poses=poses, target=formation.target)
+            poses = [flip_pose(p, formation.target) if i in subset else p
+                     for i, p in enumerate(poses_of(formation))]
+            cand = formation_of(poses, formation.target)
             if link_stats(cand, receiver, radio)["min_db"] < floor - _ANGLE_TOL:
                 continue
             best = max(best, coverage(cand, spec).gamma_metric)

@@ -19,9 +19,11 @@ from oracles import (
     camera_project,
     exhaustive_best,
     exhaustive_flip_best,
+    formation_of,
     greedy_unpenalized,
     lidar_jacobian,
     lidar_measure,
+    pose_fim,
     sinr,
     subset_logdet,
 )
@@ -45,7 +47,7 @@ from swarmform.fov import (
 )
 from swarmform.geom import Sensor
 from swarmform.radio import RadioParams, ResourceModel, link_stats
-from swarmform.sensing import SensorModels, logdet_reg, total_fim, uav_fim
+from swarmform.sensing import SensorModels, fims, logdet_reg, total_fim
 
 
 def _report(n, text):
@@ -87,11 +89,10 @@ def test_criterion_02_flip_preserves_fim(models):
     rng = np.random.default_rng(43)
     worst = 0.0
     for sensor in (Sensor.CAMERA, Sensor.LIDAR):
-        for _ in range(1000):
-            pose = random_pose(rng, sensor)
-            f0 = uav_fim(pose, np.zeros(3), models)
-            f1 = uav_fim(flip(pose, np.zeros(3)), np.zeros(3), models)
-            worst = max(worst, np.abs(f1 - f0).max())
+        # per member: each row of the flipped formation against its own row
+        f = formation_of([random_pose(rng, sensor) for _ in range(1000)], np.zeros(3))
+        f0, f1 = (fims(g.positions, g.yaws, g.lidar, g.target, models) for g in (f, flip(f)))
+        worst = max(worst, np.abs(f1 - f0).max())
     # consequently the total log-det survives any accepted move set
     f = build_reference_formation()
     opt = optimize_formation(f, FovSpec(), RadioParams())
@@ -129,7 +130,7 @@ def test_criterion_04_greedy_structure(models):
     result = greedy_allocate(candidates, np.zeros(3), AllocWeights())
     elapsed = time.time() - start
     assert len(result.formation) == 6
-    lidar = sum(1 for p in result.formation.poses if p.sensor is Sensor.LIDAR)
+    lidar = int(np.count_nonzero(result.formation.lidar))
     assert lidar == 2
     gains = np.array(result.gains)
     assert np.all(np.diff(gains) <= 1e-9), "marginal gains must be non-increasing"
@@ -146,7 +147,7 @@ def test_criterion_05_greedy_approximation_bound(models):
     for _ in range(50):
         n = int(rng.integers(6, 17))
         k = int(rng.integers(2, 5))
-        cands = [uav_fim(random_pose(rng), np.zeros(3), models) for _ in range(n)]
+        cands = [pose_fim(random_pose(rng), np.zeros(3), models) for _ in range(n)]
         _, opt = exhaustive_best(cands, k)
         _, val = greedy_unpenalized(cands, k)
         assert val - f0 >= (1 - 1 / np.e) * (opt - f0) - 1e-9
@@ -160,7 +161,7 @@ def test_criterion_05_greedy_approximation_bound(models):
 def test_criterion_06_monotone_submodular_sampling(models):
     start = time.time()
     rng = np.random.default_rng(45)
-    pool = [uav_fim(random_pose(rng), np.zeros(3), models) for _ in range(12)]
+    pool = [pose_fim(random_pose(rng), np.zeros(3), models) for _ in range(12)]
     for _ in range(200):
         idx = rng.permutation(11)
         s_size = int(rng.integers(0, 4))
@@ -194,8 +195,7 @@ def test_criterion_07_formation_optimization(models):
     assert g1 == pytest.approx(exhaustive_flip_best(f, spec, radio))
     # a second, independent <= 12-UAV instance against the oracle
     rng = np.random.default_rng(46)
-    from swarmform.geom import Formation
-    crowd = Formation([random_pose(rng) for _ in range(9)], np.zeros(3))
+    crowd = formation_of([random_pose(rng) for _ in range(9)], np.zeros(3))
     opt2 = optimize_formation(crowd, spec, radio)
     assert coverage(opt2, spec).gamma_metric == pytest.approx(
         exhaustive_flip_best(crowd, spec, radio))
@@ -210,7 +210,7 @@ def test_criterion_08_ground_constraint(models):
     f = build_reference_formation()
     opt = optimize_formation(f, FovSpec(), RadioParams())
     g = ground_constrain(opt, f.target)
-    assert all(p.position[2] >= f.target[2] for p in g.poses)
+    assert (g.positions[:, 2] >= f.target[2]).all()
     ld_air = logdet_reg(total_fim(opt, models))
     ld_ground = logdet_reg(total_fim(g, models))
     degradation = ld_air - ld_ground
@@ -224,7 +224,7 @@ def test_criterion_08_ground_constraint(models):
 def test_criterion_09_lyapunov_decrease_and_convergence():
     start = time.time()
     f = build_reference_formation()
-    plan = FormationPlan(slots=f.positions() - f.target)
+    plan = FormationPlan(slots=f.positions - f.target)
     gains = ControlGains(k1=4.0, k2=1.5, kp=10.0)
     starts = [SwarmState(np.random.default_rng(seed).uniform(-15.0, 15.0, (6, 3)),
                          np.zeros((6, 3)))
@@ -248,7 +248,7 @@ def _benchmark():
                               / "flight_benchmark.json")
     f = build_reference_formation(scenario.target.position)
     fl = scenario.flight
-    plan = FormationPlan(slots=f.positions() - f.target,
+    plan = FormationPlan(slots=f.positions - f.target,
                          target_position=scenario.target.position,
                          target_velocity=scenario.target.velocity)
     gains, apf = fl.gains, fl.apf

@@ -11,12 +11,19 @@ from oracles import (
     build_candidates_loops,
     exhaustive_best,
     greedy_unpenalized,
+    pose_fim,
     subset_logdet,
 )
-from swarmform.alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
-from swarmform.geom import Pose, Sensor, yaw_facing_target
+from swarmform.alloc import (
+    MAX_PLACEMENTS,
+    AllocWeights,
+    GridSpec,
+    build_candidates,
+    greedy_allocate,
+)
+from swarmform.geom import wrap_pi
 from swarmform.radio import ResourceModel
-from swarmform.sensing import SensorModels, logdet_reg, uav_fim
+from swarmform.sensing import SensorModels, logdet_reg
 
 
 @pytest.fixture
@@ -35,7 +42,7 @@ def candidates(grid, weights, models):
 
 
 def random_fims(rng, n, models):
-    return [uav_fim(random_pose(rng), np.zeros(3), models) for _ in range(n)]
+    return [pose_fim(random_pose(rng), np.zeros(3), models) for _ in range(n)]
 
 
 class TestGrid:
@@ -54,13 +61,26 @@ class TestGrid:
         with pytest.raises(ValueError):
             GridSpec(delta_min=2.0, delta_max=1.0)
 
+    def test_placement_count_bounded(self):
+        # counted from the steps, so none of these makes an array: 3.6e8
+        # azimuths, 2.8e6 pitch rings with no azimuth at all, and a step
+        # so small that 2 pi / step is inf
+        for kwargs in ({"beta_step": np.radians(1e-6)},
+                       {"beta_step": 13.0, "delta_step": 1e-6},
+                       {"beta_step": np.radians(1e-320)}):
+            with pytest.raises(ValueError, match="placements, more than 1000000"):
+                GridSpec(**kwargs)
+        # the bound leaves room above a 1-degree grid over every pitch
+        whole = GridSpec(beta_step=np.radians(1.0), delta_min=0.0, delta_max=np.pi,
+                         delta_step=np.radians(1.0))
+        assert len(whole.betas()) * len(whole.deltas()) == 65160 <= MAX_PLACEMENTS
+
 
 class TestGreedyStructure:
     def test_selects_six_with_two_lidar(self, candidates, weights):
         result = greedy_allocate(candidates, np.zeros(3), weights)
         assert len(result.formation) == 6
-        mix = sum(1 for p in result.formation.poses if p.sensor is Sensor.LIDAR)
-        assert mix == 2
+        assert np.count_nonzero(result.formation.lidar) == 2
         assert result.logdet == pytest.approx(16.4820, abs=1e-3)
 
     def test_gains_non_increasing(self, candidates, weights):
@@ -70,7 +90,7 @@ class TestGreedyStructure:
 
     def test_no_colocated_members(self, candidates, weights):
         result = greedy_allocate(candidates, np.zeros(3), weights)
-        pts = result.formation.positions()
+        pts = result.formation.positions
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert np.linalg.norm(pts[i] - pts[j]) > 1e-6
@@ -157,12 +177,15 @@ class TestArrayCandidates:
     def test_equal_to_loops_one_degree(self, target, models):
         built, loops = assert_same_candidates(np.array(target), degree_grid(1.0), models)
         assert len(built) == 15840
-        # a chosen member's Pose is the one the loop built for that row
-        for i in (0, 1, len(built) - 1):
-            pose, position = built.pose(i), loops.positions[i]
-            assert np.array_equal(pose.position, position)
-            assert pose.yaw == Pose(position, yaw_facing_target(position, target), pose.sensor).yaw
-            assert pose.sensor is (Sensor.LIDAR if i % 2 else Sensor.CAMERA)
+        # each greedy member is the loop's row at its placement and sensor:
+        # same position bytes, the row's yaw wrapped, the same sensor
+        formation = greedy_allocate(built, np.array(target), AllocWeights()).formation
+        assert len(formation) == 6
+        rows = {(p.tobytes(), lidar): i for i, (p, lidar)
+                in enumerate(zip(loops.positions, loops.lidar))}
+        for position, yaw, lidar in zip(formation.positions, formation.yaws, formation.lidar):
+            i = rows[position.tobytes(), lidar]
+            assert yaw == wrap_pi(loops.yaws[i])
 
     def test_pitch_ring_past_pi_rejected_as_before(self):
         # delta_max 180 with a 30-degree step puts the last ring at 190

@@ -219,6 +219,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "swarmform: config error: grid: pitch must lie in [0, pi], got 3.316")
 
+    # the SINR ratio underflows to 0 against the noise power (-inf dB), or
+    # the received powers overflow to inf (inf / inf is NaN): each reached
+    # report.json as -Infinity or NaN, after a NumPy warning, with exit 0
+    @pytest.mark.parametrize("radio", [{"noise_dbm": 3000, "tx_power_w": 1e-30},
+                                       {"tx_power_w": 1e300, "rho0": 1e10}])
+    def test_non_finite_sinr_is_a_numeric_error(self, tmp_path, radio):
+        p = tmp_path / "radio.json"
+        p.write_text(json.dumps({"flight": {"seed": 0}, "radio": radio}))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmform.cli", "pipeline", "--stage", "formation",
+             "--scenario", str(p), "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("swarmform: numeric error: [stage formation] ")
+        assert done.stderr.count("\n") == 1 and "Warning" not in done.stderr
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("stage", ["allocate", "fly"])
     def test_unusable_out_dir(self, tmp_path, stage):
         blocker = tmp_path / "file"

@@ -82,6 +82,13 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="flight.dt_s"):
             parse_scenario_dict(minimal_doc(flight={"seed": 0, "dt_s": 0.0}))
 
+    def test_grid_size_bounded(self):
+        # 3.6e8 azimuths per pitch ring: refused from the steps, before the
+        # grid's arrays exist
+        with pytest.raises(ScenarioError, match=r"^grid: steps give 3\.6e\+08 x 17 placements, "
+                                                r"more than 1000000$"):
+            parse_scenario_dict(minimal_doc(grid={"beta_step_deg": 1e-6}))
+
     def test_overflowing_sigma_named(self):
         # the variance of a finite sigma can overflow, as 10 ** (dBm / 10) can
         with pytest.raises(ScenarioError, match=r"sensors.camera_sigma_px: must convert to a "
@@ -111,7 +118,7 @@ class TestFormationParsing:
         f, _, eps = parse_formation(scenario_path("reference_formation.json"))
         assert len(f) == 6
         assert eps == 1e-6
-        assert sum(p.sensor.value == "lidar" for p in f.poses) == 2
+        assert np.count_nonzero(f.lidar) == 2
 
     def test_empty_poses_allowed(self):
         f, _, _ = parse_formation_dict({"poses": []})
@@ -121,7 +128,7 @@ class TestFormationParsing:
         f, _, _ = parse_formation_dict(
             {"poses": [{"position": [10.0, 0.0, 0.0], "sensor": "camera"}]}
         )
-        assert f.poses[0].yaw == pytest.approx(np.pi)
+        assert f.yaws[0] == pytest.approx(np.pi)
 
     def test_sensor_validated(self):
         with pytest.raises(ScenarioError, match="poses\\[0\\].sensor"):

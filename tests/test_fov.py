@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import build_reference_formation, random_pose, vec3
 from oracles import (
+    Pose,
     coverage_loops,
     direction_covered,
     exhaustive_flip_best,
     flip_candidates_loops,
+    formation_of,
     optimize_formation_loops,
+    poses_of,
     target_visible,
 )
 from swarmform import fov
@@ -24,13 +27,12 @@ from swarmform.fov import (
 from swarmform.geom import (
     DegenerateGeometryError,
     Formation,
-    Pose,
     Sensor,
     wrap_pi,
     yaw_facing_target,
 )
 from swarmform.radio import RadioParams, link_stats
-from swarmform.sensing import SensorModels, logdet_reg, total_fim, uav_fim
+from swarmform.sensing import SensorModels, fims, logdet_reg, total_fim
 
 
 @pytest.fixture
@@ -58,7 +60,7 @@ class TestVisibility:
 
     def test_vertical_boundary_inclusive(self, spec, reference_formation):
         # reference members sit at elevation 20 deg = exactly half the VFOV
-        for pose in reference_formation.poses:
+        for pose in poses_of(reference_formation):
             assert target_visible(pose, reference_formation.target, spec)
 
     def test_just_outside_vertical(self, spec):
@@ -92,7 +94,7 @@ class TestDirections:
 class TestCoverage:
     def test_single_uav_unweighted(self):
         spec = FovSpec(lam=0.0)
-        f = Formation([Pose(vec3(10, 0, 0), np.pi, Sensor.CAMERA)], np.zeros(3))
+        f = formation_of([Pose(vec3(10, 0, 0), np.pi, Sensor.CAMERA)], np.zeros(3))
         rep = coverage(f, spec)
         assert sum(rep.per_direction) == pytest.approx(11.0)
         assert rep.xi == pytest.approx(11 / 72)
@@ -104,7 +106,7 @@ class TestCoverage:
         uncovered = 0
         for k in range(spec.n_dirs):
             phi = 0.0
-            for pose in reference_formation.poses:
+            for pose in poses_of(reference_formation):
                 if direction_covered(k, pose, reference_formation.target, spec):
                     rel = pose.position - reference_formation.target
                     phi += 1.0 / (1.0 + spec.lam * np.hypot(rel[0], rel[1]))
@@ -117,18 +119,18 @@ class TestCoverage:
         base = coverage(reference_formation, spec).gamma_metric
         a = 2 * np.pi / spec.n_dirs
         rot = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
-        rotated = Formation(
-            [Pose(rot @ p.position, p.yaw + a, p.sensor) for p in reference_formation.poses],
+        rotated = formation_of(
+            [Pose(rot @ p.position, p.yaw + a, p.sensor) for p in poses_of(reference_formation)],
             reference_formation.target,
         )
         assert coverage(rotated, spec).gamma_metric == pytest.approx(base)
 
     def test_empty_rejected(self, spec):
         with pytest.raises(ValueError):
-            coverage(Formation([], np.zeros(3)), spec)
+            coverage(formation_of([], np.zeros(3)), spec)
 
     def test_member_above_target_covers_nothing(self, spec):
-        f = Formation([Pose(vec3(1, 2, 10), 0.0, Sensor.CAMERA)], vec3(1, 2, 0))
+        f = formation_of([Pose(vec3(1, 2, 10), 0.0, Sensor.CAMERA)], vec3(1, 2, 0))
         rep = coverage(f, spec)
         assert rep.uncovered == spec.n_dirs
         assert rep.gamma_metric == 0.0
@@ -157,7 +159,7 @@ def test_coverage_equals_scalar_loops(members, target, n_dirs, gamma_deg, lam):
     target = np.array(target)
     poses = [Pose(target + [r * np.cos(b), r * np.sin(b), z], 0.0, Sensor.CAMERA)
              for r, b, z in members]
-    f = Formation(poses, target)
+    f = formation_of(poses, target)
     spec = FovSpec(gamma=np.radians(gamma_deg), n_dirs=n_dirs, lam=lam)
     got, want = coverage(f, spec), coverage_loops(f, spec)
     assert got.gamma_metric == want.gamma_metric
@@ -166,37 +168,60 @@ def test_coverage_equals_scalar_loops(members, target, n_dirs, gamma_deg, lam):
     assert got.per_direction == want.per_direction
 
 
+def member_fims(f: Formation, models: SensorModels) -> np.ndarray:
+    return fims(f.positions, f.yaws, f.lidar, f.target, models)
+
+
 class TestFlip:
     def test_point_reflection(self):
-        pose = Pose(vec3(-7.2, -6.0, 3.4), np.radians(40.0), Sensor.CAMERA)
-        flipped = flip(pose, np.zeros(3))
-        assert flipped.position == pytest.approx([7.2, 6.0, -3.4])
-        assert abs(wrap_pi(flipped.yaw - pose.yaw)) == pytest.approx(np.pi)
+        f = formation_of([Pose(vec3(-7.2, -6.0, 3.4), np.radians(40.0), Sensor.CAMERA)],
+                         np.zeros(3))
+        flipped = flip(f)
+        assert flipped.positions[0] == pytest.approx([7.2, 6.0, -3.4])
+        assert abs(wrap_pi(flipped.yaws[0] - f.yaws[0])) == pytest.approx(np.pi)
 
     def test_involution(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            pose = random_pose(rng)
-            back = flip(flip(pose, vec3(1, 2, 3)), vec3(1, 2, 3))
-            assert back.position == pytest.approx(pose.position)
-            assert wrap_pi(back.yaw - pose.yaw) == pytest.approx(0.0, abs=1e-12)
+        f = formation_of([random_pose(rng) for _ in range(20)], vec3(1, 2, 3))
+        back = flip(flip(f))
+        assert back.positions == pytest.approx(f.positions)
+        assert wrap_pi(back.yaws - f.yaws) == pytest.approx(np.zeros(20), abs=1e-12)
 
     def test_preserves_range(self):
         rng = np.random.default_rng(6)
         target = vec3(3, -1, 2)
-        for _ in range(20):
-            pose = random_pose(rng, target=target)
-            d0 = np.linalg.norm(pose.position - target)
-            d1 = np.linalg.norm(flip(pose, target).position - target)
-            assert d1 == pytest.approx(d0)
+        f = formation_of([random_pose(rng, target=target) for _ in range(20)], target)
+        d0 = np.linalg.norm(f.positions - target, axis=1)
+        d1 = np.linalg.norm(flip(f).positions - target, axis=1)
+        assert d1 == pytest.approx(d0)
 
     def test_fim_invariant(self, models):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            pose = random_pose(rng)
-            f0 = uav_fim(pose, np.zeros(3), models)
-            f1 = uav_fim(flip(pose, np.zeros(3)), np.zeros(3), models)
-            assert np.max(np.abs(f1 - f0)) < 1e-9
+        f = formation_of([random_pose(rng) for _ in range(50)], np.zeros(3))
+        assert np.abs(member_fims(flip(f), models) - member_fims(f, models)).max() < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.lists(st.tuples(st.tuples(*[st.floats(-30.0, 30.0)] * 3),
+                                  st.floats(-10.0, 10.0), st.booleans(), st.booleans()),
+                        min_size=1, max_size=12),
+       target=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_flip_reflects_masked_rows(members, target):
+    """`flip(f, mask)` gives 2t - p and wrap_pi(yaw + pi) on the masked
+    rows, bit for bit, and leaves the other rows' bytes as they were;
+    flipping the same rows twice brings the positions back."""
+    target = np.array(target)
+    f = formation_of([Pose(target + p, yaw, Sensor.LIDAR if lidar else Sensor.CAMERA)
+                      for p, yaw, lidar, _ in members], target)
+    mask = np.array([m[3] for m in members])
+    got = flip(f, mask)
+    for i, flipped in enumerate(mask):
+        want_p = 2.0 * target - f.positions[i] if flipped else f.positions[i]
+        assert got.positions[i].tobytes() == want_p.tobytes()
+        assert got.yaws[i] == (wrap_pi(f.yaws[i] + np.pi) if flipped else f.yaws[i])
+    assert got.lidar.tobytes() == f.lidar.tobytes()
+    assert got.target.tobytes() == f.target.tobytes()
+    assert flip(got, mask).positions == pytest.approx(f.positions, abs=1e-9)
 
 
 class TestOptimize:
@@ -212,7 +237,7 @@ class TestOptimize:
     def test_fixed_point(self, spec, radio, reference_formation):
         opt = optimize_formation(reference_formation, spec, radio)
         again = optimize_formation(opt, spec, radio)
-        assert np.allclose(again.positions(), opt.positions())
+        assert np.allclose(again.positions, opt.positions)
 
     def test_matches_exhaustive_oracle(self, spec, radio, reference_formation):
         opt = optimize_formation(reference_formation, spec, radio)
@@ -227,7 +252,7 @@ class TestOptimize:
             Pose(vec3(9.8, 1.5, -1.0), np.pi, Sensor.LIDAR),
             Pose(vec3(10.2, 2.5, 0.5), np.pi, Sensor.CAMERA),
         ]
-        f = Formation(poses, np.zeros(3))
+        f = formation_of(poses, np.zeros(3))
         assert len(flip_candidates(f, spec)) == 3
         opt = optimize_formation(f, spec, radio)
         assert coverage(opt, spec).gamma_metric == pytest.approx(
@@ -239,15 +264,15 @@ class TestOptimize:
             Pose(vec3(10, 0, 0), np.pi, Sensor.CAMERA),
             Pose(vec3(-10, 0, 0), 0.0, Sensor.CAMERA),
         ]
-        f = Formation(poses, np.zeros(3))
+        f = formation_of(poses, np.zeros(3))
         assert flip_candidates(f, spec) == []
         opt = optimize_formation(f, spec, radio)
-        assert np.allclose(opt.positions(), f.positions())
+        assert np.allclose(opt.positions, f.positions)
 
 
 def _same_poses(got: Formation, want: Formation) -> bool:
     return all(a.position.tobytes() == b.position.tobytes() and a.yaw == b.yaw
-               for a, b in zip(got.poses, want.poses, strict=True))
+               for a, b in zip(poses_of(got), poses_of(want), strict=True))
 
 
 # a member's offset from the target: (range, bearing, height), with range 0
@@ -267,8 +292,8 @@ def test_search_equals_pattern_by_pattern(members, target, eta_min_db, k_sectors
     """Both branches of the flip search return the formation the
     pattern-by-pattern search returns, bit for bit, or raise as it does."""
     target = np.array(target)
-    f = Formation([Pose(target + [r * np.cos(b), r * np.sin(b), z], yaw, Sensor.CAMERA)
-                   for r, b, z, yaw in members], target)
+    f = formation_of([Pose(target + [r * np.cos(b), r * np.sin(b), z], yaw, Sensor.CAMERA)
+                      for r, b, z, yaw in members], target)
     receiver = data.draw(st.integers(0, len(members) - 1), label="receiver")
     spec, radio = FovSpec(eta_min_db=eta_min_db, k_sectors=k_sectors), RadioParams()
     with pytest.MonkeyPatch.context() as mp:
@@ -291,16 +316,16 @@ def test_steepest_ascent_flips_a_member_twice(monkeypatch):
     target = vec3(-2.4, -4.1, -3.7)
     positions = [vec3(-3.1, 3.8, -6.0), vec3(-16.3, -4.6, -11.9), vec3(-5.4, -2.8, -2.9),
                  vec3(-9.8, 5.0, -3.0), vec3(-13.8, -2.6, -15.5)]
-    f = Formation([Pose(p, yaw_facing_target(p, target), Sensor.CAMERA) for p in positions],
-                  target)
+    f = formation_of([Pose(p, yaw_facing_target(p, target), Sensor.CAMERA) for p in positions],
+                     target)
     spec, radio = FovSpec(eta_min_db=-100.0, k_sectors=3), RadioParams()
     monkeypatch.setattr(fov, "EXHAUSTIVE_LIMIT", 0)
     got = optimize_formation(f, spec, radio)
     assert _same_poses(got, optimize_formation_loops(f, spec, radio))
-    twice = got.poses[2]
-    assert np.allclose(twice.position, f.poses[2].position)
-    assert twice.position.tobytes() != f.poses[2].position.tobytes()
-    assert twice.yaw != f.poses[2].yaw
+    twice, start = poses_of(got)[2], poses_of(f)[2]
+    assert np.allclose(twice.position, start.position)
+    assert twice.position.tobytes() != start.position.tobytes()
+    assert twice.yaw != start.yaw
 
 
 # a member at a bearing on a sector boundary for k = 1, 2, 3, 4, 8 or 12
@@ -323,7 +348,7 @@ def test_flip_candidates_equal_scalar_gating(members, target, k_sectors):
     offsets = np.array([[x, y, 1.0] for x, y in members])
     # a zero target is not added, so that an offset's y of -0.0 survives (-0.0 + 0.0 is 0.0)
     positions = target + offsets if target.any() else offsets
-    f = Formation([Pose(p, 0.0, Sensor.CAMERA) for p in positions], target)
+    f = formation_of([Pose(p, 0.0, Sensor.CAMERA) for p in positions], target)
     spec = FovSpec(k_sectors=k_sectors)
     assert flip_candidates(f, spec) == flip_candidates_loops(f, spec)
 
@@ -336,7 +361,7 @@ def test_pair_no_pattern_forms_is_not_scored(spec, radio):
              Pose(vec3(-10, 0, -2), 0.0, Sensor.CAMERA),
              Pose(vec3(1, 10, 1), -np.pi / 2, Sensor.LIDAR),
              Pose(vec3(2, 9, -1), -np.pi / 2, Sensor.CAMERA)]
-    f = Formation(poses, np.zeros(3))
+    f = formation_of(poses, np.zeros(3))
     assert flip_candidates(f, spec) == [2, 3]
     for limit in (fov.EXHAUSTIVE_LIMIT, 0):
         with pytest.MonkeyPatch.context() as mp:
@@ -352,7 +377,7 @@ def test_steepest_ascent_gap_to_exhaustive(monkeypatch, spec, radio):
     print()
     for seed in (2, 5, 8, 13, 17):
         rng = np.random.default_rng(seed)
-        f = Formation([random_pose(rng) for _ in range(14)], np.zeros(3))
+        f = formation_of([random_pose(rng) for _ in range(14)], np.zeros(3))
         gated = len(flip_candidates(f, spec))
         assert 12 <= gated <= 14
         gammas = {}
@@ -367,19 +392,19 @@ def test_steepest_ascent_gap_to_exhaustive(monkeypatch, spec, radio):
 
 class TestGroundConstraint:
     def test_reflects_below_plane(self):
-        f = Formation([Pose(vec3(1, 2, -3.4), 0.5, Sensor.LIDAR)], np.zeros(3))
+        f = formation_of([Pose(vec3(1, 2, -3.4), 0.5, Sensor.LIDAR)], np.zeros(3))
         g = ground_constrain(f, np.zeros(3))
-        assert g.poses[0].position == pytest.approx([1, 2, 3.4])
-        assert g.poses[0].yaw == pytest.approx(0.5)
+        assert g.positions[0] == pytest.approx([1, 2, 3.4])
+        assert g.yaws[0] == pytest.approx(0.5)
 
     def test_identity_on_feasible(self, reference_formation):
         g = ground_constrain(reference_formation, reference_formation.target)
-        assert np.allclose(g.positions(), reference_formation.positions())
+        assert np.allclose(g.positions, reference_formation.positions)
 
     def test_logdet_degrades_slightly(self, spec, radio, models, reference_formation):
         opt = optimize_formation(reference_formation, spec, radio)
         g = ground_constrain(opt, reference_formation.target)
-        assert min(p.position[2] for p in g.poses) >= 0.0
+        assert g.positions[:, 2].min() >= 0.0
         ld_air = logdet_reg(total_fim(opt, models))
         ld_ground = logdet_reg(total_fim(g, models))
         assert ld_ground == pytest.approx(16.4142, abs=1e-3)

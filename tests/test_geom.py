@@ -9,7 +9,7 @@ from oracles import (
     spherical_to_cartesian,
     wrap_2pi,
 )
-from swarmform.geom import DegenerateGeometryError, Pose, Sensor, wrap_pi, yaw_facing_target
+from swarmform.geom import DegenerateGeometryError, Formation, wrap_pi, yaw_facing_target
 
 
 class TestAngleWrapping:
@@ -90,13 +90,20 @@ class TestYawAndSectors:
             sector_index(0.0, 0)
 
 
-class TestPose:
+class TestFormation:
     def test_yaw_normalized(self):
-        pose = Pose(vec3(1, 0, 0), 3 * np.pi, Sensor.CAMERA)
-        assert pose.yaw == pytest.approx(np.pi)
+        f = Formation([vec3(1, 0, 0)], [3 * np.pi], [False], np.zeros(3))
+        assert f.yaws[0] == pytest.approx(np.pi)
 
     def test_position_validation(self):
         with pytest.raises(ValueError):
-            Pose(np.array([1.0, np.nan, 0.0]), 0.0, Sensor.LIDAR)
+            Formation([[1.0, np.nan, 0.0]], [0.0], [True], np.zeros(3))
         with pytest.raises(ValueError):
-            Pose(np.zeros(2), 0.0, Sensor.LIDAR)
+            Formation([np.zeros(2)], [0.0], [True], np.zeros(3))
+
+    def test_unequal_lengths_rejected(self):
+        positions = [vec3(1, 0, 0), vec3(0, 1, 0)]
+        with pytest.raises(ValueError):
+            Formation(positions, [0.0], [True, False], np.zeros(3))
+        with pytest.raises(ValueError):
+            Formation(positions, [0.0, 1.0], [True], np.zeros(3))

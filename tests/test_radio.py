@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import vec3
-from oracles import sinr_db
-from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor
+from oracles import Pose, formation_of, sinr_db
+from swarmform import radio
+from swarmform.geom import DegenerateGeometryError, Sensor
 from swarmform.radio import (
     RadioParams,
     ResourceModel,
@@ -20,7 +21,7 @@ from swarmform.radio import (
 
 def line_formation(xs):
     poses = [Pose(vec3(x, 0, 0), 0.0, Sensor.CAMERA) for x in xs]
-    return Formation(poses=poses, target=np.zeros(3))
+    return formation_of(poses, np.zeros(3))
 
 
 class TestUnits:
@@ -93,14 +94,27 @@ class TestSinr:
             link_stats(line_formation([0.0]), 0, RadioParams())
 
 
+def test_non_finite_sinr_refused():
+    """A ratio that underflows to 0 is -inf dB, and one of overflowing
+    powers NaN, with no warning (the suite fails on any RuntimeWarning);
+    `link_stats` refuses both."""
+    rp = RadioParams(tx_power=1e-30, noise_power=dbm_to_watts(3000.0))
+    assert radio.sinr_db(np.array([1e-40, 2e-40]), rp).tolist() == [-np.inf, -np.inf]
+    assert np.isnan(radio.sinr_db(np.array([np.inf, np.inf]), rp)).all()
+    with pytest.raises(FloatingPointError, match="into member 0 is -inf dB"):
+        link_stats(line_formation([0.0, 10.0, 20.0]), 0, rp)
+    with pytest.raises(FloatingPointError, match="into member 0 is nan dB"):
+        link_stats(line_formation([0.0, 10.0, 20.0]), 0, RadioParams(tx_power=1e300, rho0=1e10))
+
+
 @settings(max_examples=200, deadline=None)
 @given(xyz=st.lists(st.tuples(*[st.floats(-40.0, 40.0)] * 3), min_size=2, max_size=16),
        alpha=st.floats(1.0, 4.0), noise_dbm=st.floats(-130.0, -60.0), data=st.data())
 def test_link_stats_equals_scalar_sinr(xyz, alpha, noise_dbm, data):
     """Every link's SINR equals the scalar per-link formula bit for bit."""
-    f = Formation([Pose(np.array(p), 0.0, Sensor.CAMERA) for p in xyz], np.zeros(3))
+    f = formation_of([Pose(np.array(p), 0.0, Sensor.CAMERA) for p in xyz], np.zeros(3))
     receiver = data.draw(st.integers(0, len(xyz) - 1), label="receiver")
-    pts = f.positions()
+    pts = f.positions
     assume(all(np.linalg.norm(p - pts[receiver]) > 1e-3
                for i, p in enumerate(pts) if i != receiver))
     rp = RadioParams(alpha=alpha, noise_power=dbm_to_watts(noise_dbm))

@@ -7,21 +7,24 @@ from hypothesis import strategies as st
 
 from conftest import random_pose, vec3
 from oracles import (
+    Pose,
     camera_jacobian,
     camera_project,
+    formation_of,
     lidar_jacobian,
     lidar_measure,
+    pose_fim,
+    poses_of,
     scalar_fim,
     total_fim_loops,
 )
-from swarmform.geom import DegenerateGeometryError, Formation, Pose, Sensor
+from swarmform.geom import DegenerateGeometryError, Sensor
 from swarmform.sensing import (
     CameraIntrinsics,
     SensorModels,
     fims,
     logdet_reg,
     total_fim,
-    uav_fim,
 )
 
 
@@ -91,21 +94,21 @@ class TestFim:
     def test_psd_and_symmetry(self, models):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            fim = uav_fim(random_pose(rng), np.zeros(3), models)
+            fim = pose_fim(random_pose(rng), np.zeros(3), models)
             assert np.allclose(fim, fim.T)
             assert np.linalg.eigvalsh(fim).min() >= -1e-9
 
     def test_camera_fim_rank_two(self, models):
         rng = np.random.default_rng(4)
-        fim = uav_fim(random_pose(rng, Sensor.CAMERA), np.zeros(3), models)
+        fim = pose_fim(random_pose(rng, Sensor.CAMERA), np.zeros(3), models)
         eig = np.sort(np.linalg.eigvalsh(fim))
         assert eig[0] == pytest.approx(0.0, abs=1e-6)
         assert eig[1] > 1e-4
 
     def test_total_is_sum(self, reference_formation, models):
         total = total_fim(reference_formation, models)
-        parts = sum(uav_fim(p, reference_formation.target, models)
-                    for p in reference_formation.poses)
+        parts = sum(pose_fim(p, reference_formation.target, models)
+                    for p in poses_of(reference_formation))
         assert np.allclose(total, parts)
 
     def test_logdet_reg_empty(self):
@@ -143,8 +146,8 @@ def test_fims_equal_scalar_oracle(rows, target):
     target = np.array(target)
     poses = [Pose(target + offset, yaw, Sensor.LIDAR if lidar else Sensor.CAMERA)
              for offset, yaw, lidar in rows]
-    formation = Formation(poses, target)
-    args = (formation.positions(), [p.yaw for p in poses],
+    formation = formation_of(poses, target)
+    args = (formation.positions, [p.yaw for p in poses],
             [p.sensor is Sensor.LIDAR for p in poses], target, models)
     try:
         expected = np.array([scalar_fim(p, target, models) for p in poses])
