@@ -17,7 +17,6 @@ identical inputs produce byte-identical outputs; time series go to CSV.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -37,6 +36,7 @@ from .radio import link_stats
 from .sensing import logdet_reg, total_fim
 
 STAGES = ("allocate", "formation", "fly")
+_TRACE_BLOCK = 64  # trace rows formatted per write
 
 
 class UsageError(Exception):
@@ -164,24 +164,33 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
 
 
 def _write_trace(path: Path, traj) -> None:
-    """Run 0's time series: state, control and V at every step."""
-    n = traj.positions.shape[1]
+    """Run 0's time series as CSV, one row per step from t = 0 on.
+
+    Columns: `t`; then `px{i} py{i} pz{i} vx{i} vy{i} vz{i}` for each
+    member i; then `ux{i} uy{i} uz{i}` for each member; then `V`. The last
+    row's controls are 0.0, as no step follows it. Each float is written
+    as its Python `repr` and each line ends in `\r\n`. Rows are formatted
+    and written in blocks of `_TRACE_BLOCK`, so memory does not grow with
+    the horizon.
+    """
+    rows, n = traj.positions.shape[:2]
     header = ["t"]
     for i in range(n):
         header += [f"{axis}{i}" for axis in ("px", "py", "pz", "vx", "vy", "vz")]
     for i in range(n):
         header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
     header.append("V")
-    times = traj.times.tolist()
-    lyap = traj.lyapunov[0].tolist()
-    idle = [0.0] * (3 * n)  # no control after the last step
     with _write_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)  # writes each float as its repr
-        writer.writerow(header)
-        for t, time in enumerate(times):
-            state = np.concatenate((traj.positions[t], traj.velocities[t]), axis=1)
-            u = traj.controls[t].ravel().tolist() if t < len(traj.controls) else idle
-            writer.writerow([time, *state.ravel().tolist(), *u, lyap[t]])
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, rows, _TRACE_BLOCK):
+            block = slice(lo, lo + _TRACE_BLOCK)
+            state = np.concatenate((traj.positions[block], traj.velocities[block]), axis=2)
+            state = state.reshape(-1, 6 * n)
+            u = traj.controls[block].reshape(-1, 3 * n)
+            if len(u) < len(state):  # no control after the last step
+                u = np.vstack((u, np.zeros((1, 3 * n))))
+            table = np.column_stack((traj.times[block], state, u, traj.lyapunov[0, block]))
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist()))
 
 
 def _run(scenario: Scenario, last_stage: str, out_dir: Path | None,

@@ -52,7 +52,11 @@ def law(ctrl, slots, adj, leader, masses, k1, k2, kp, ka, kr, d0, vt):
     mass = masses[:, None]
 
     def evaluate(p, v, tgt):
-        d = p[:, :, None, :] - p[:, None, :, :]
+        # d[r, i, j] = p[r, i] - p[r, j], as one contiguous subtraction of
+        # (R, n, 3n) rows: each p_i repeated n times against the whole swarm
+        runs, n = p.shape[:2]
+        d = (np.repeat(p, n, axis=1).reshape(runs, n, 3 * n)
+             - p.reshape(runs, 1, 3 * n)).reshape(runs, n, n, 3)
         e = d - slot_diff
         sq = np.einsum("rijk,rijk->rij", e, e)
         dv = v - vt

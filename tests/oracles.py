@@ -28,9 +28,12 @@ compare against it:
 - `subset_logdet`, `exhaustive_best`, `greedy_unpenalized`: the
   allocation objective over a list of FIMs and its exhaustive and
   penalty-free greedy optima;
-- `step`: one semi-implicit Euler step of a swarm under given forces.
+- `step`: one semi-implicit Euler step of a swarm under given forces;
+- `write_trace_csv`: the flight trace CSV written row by row with
+  `csv.writer`.
 """
 
+import csv
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -493,3 +496,26 @@ def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -
     v = state.velocities + forces / np.asarray(masses, dtype=float)[:, None] * dt
     p = state.positions + v * dt
     return SwarmState(positions=p, velocities=v, time=state.time + dt)
+
+
+def write_trace_csv(path, traj) -> None:
+    """Run 0's time series, one `csv.writer` row per step: t, each member's
+    position and velocity, each member's control (0.0 after the last step)
+    and V."""
+    n = traj.positions.shape[1]
+    header = ["t"]
+    for i in range(n):
+        header += [f"{axis}{i}" for axis in ("px", "py", "pz", "vx", "vy", "vz")]
+    for i in range(n):
+        header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
+    header.append("V")
+    times = traj.times.tolist()
+    lyap = traj.lyapunov[0].tolist()
+    idle = [0.0] * (3 * n)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)  # writes each float as its repr
+        writer.writerow(header)
+        for t, time in enumerate(times):
+            state = np.concatenate((traj.positions[t], traj.velocities[t]), axis=1)
+            u = traj.controls[t].ravel().tolist() if t < len(traj.controls) else idle
+            writer.writerow([time, *state.ravel().tolist(), *u, lyap[t]])

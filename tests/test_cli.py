@@ -1,8 +1,8 @@
-import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import swarmform
+from oracles import write_trace_csv
 from swarmform import cli
 from swarmform.cli import main
-from swarmform.flight import SwarmState
+from swarmform.flight import ControlGains, FormationPlan, SwarmState, simulate
 
 
 def scenario(name):
@@ -297,25 +298,86 @@ class TestExitCodes:
 
 class TestAtomicWrites:
     def test_failed_trace_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        real_writer = csv.writer
+        real_fdopen = cli.os.fdopen
 
-        def failing_writer(fh):
-            writer = real_writer(fh)
+        class FailingHandle:
+            """A text handle whose 10th write fails: the trace's header and
+            8 of its 32 blocks of rows are written, the rest is not."""
 
-            class Failing:
-                rows = 0
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
 
-                def writerow(self, row):
-                    if self.rows == 10:
-                        raise OSError(28, "No space left on device")
-                    self.rows += 1
-                    return writer.writerow(row)
+            def __enter__(self):
+                return self
 
-            return Failing()
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
 
-        monkeypatch.setattr(cli.csv, "writer", failing_writer)
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 10:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli.os, "fdopen",
+                            lambda *args, **kwargs: FailingHandle(real_fdopen(*args, **kwargs)))
         out = tmp_path / "out"
         assert main(["fly", "--scenario", scenario("paper_default.json"),
                      "--out-dir", str(out)]) == 1
         assert "No space left on device" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+def _flown(n, steps, controller="log"):
+    """A seeded n-member flight of `steps` steps toward slots on a 10 m circle."""
+    angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    plan = FormationPlan(slots=np.column_stack((10.0 * np.cos(angles), 10.0 * np.sin(angles),
+                                                np.full(n, 3.4))))
+    rng = np.random.default_rng(n + steps)
+    start = SwarmState(plan.desired_positions(0.0) + rng.uniform(-5.0, 5.0, (n, 3)),
+                       rng.uniform(-1.0, 1.0, (n, 3)))
+    return simulate(start, plan, controller, ControlGains(), 0.01, steps * 0.01)
+
+
+class TestTraceWriter:
+    """`cli._write_trace` writes the bytes of the row-by-row `csv.writer` oracle."""
+
+    def assert_same_bytes(self, tmp_path, traj):
+        cli._write_trace(tmp_path / "trace.csv", traj)
+        write_trace_csv(tmp_path / "oracle.csv", traj)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("controller", ["log", "quad", "apf"])
+    def test_paper_default_flights(self, tmp_path, monkeypatch, controller):
+        doc = json.loads(Path(scenario("paper_default.json")).read_text())
+        doc["flight"]["horizon_s"] = 1.5
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        flown = []
+        write_trace = cli._write_trace
+        monkeypatch.setattr(cli, "_write_trace",
+                            lambda p, traj: (flown.append(traj), write_trace(p, traj)))
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", str(path), "--controller", controller,
+                     "--out-dir", str(out)]) == 0
+        write_trace_csv(tmp_path / "oracle.csv", flown[0])
+        assert (out / "fly_trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 128])
+    def test_block_edges(self, tmp_path, steps):
+        traj = _flown(6, steps)
+        assert len(traj.times) == steps + 1
+        self.assert_same_bytes(tmp_path, traj)
+
+    def test_two_members(self, tmp_path):
+        self.assert_same_bytes(tmp_path, _flown(2, 70, "apf"))
+
+    def test_extreme_floats(self, tmp_path):
+        traj = _flown(3, 66)
+        values = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, np.inf, np.nan]
+        arrays = {name: getattr(traj, name).copy()
+                  for name in ("times", "positions", "velocities", "controls", "lyapunov")}
+        for a in arrays.values():
+            a.reshape(-1)[:len(values)] = values
+        self.assert_same_bytes(tmp_path, replace(traj, **arrays))

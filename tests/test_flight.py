@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,59 @@ class TestSimulate:
             assert np.allclose(vel_err[r], np.linalg.norm(Vr - vdes, axis=2),
                                atol=1e-10), f"vel_err run {r}"
             assert np.allclose(final[r], Pr[-1], atol=1e-10), f"final run {r}"
+
+    # the sha256 of each returned array's float64 bytes, in return order
+    # (P, V, U, lyap, path, vel_err, p_final); recorded with NumPy 2
+    ROLLOUT_DIGESTS = {
+        "log": (
+            "8b56927a8c48511dc2d7d2b3edb8cf11de5aaa671c8c749b9462c13bea80a26f",
+            "7630641138d39e9132decedb943fb718148ed651249b65b491d4949a1c5abbdf",
+            "6b02cc0b4327a6cea902a85e00019b5057dd905776e80bc55e20fd5f213197e9",
+            "2b8a074a978bf6e6c46472a0a6f6cd43fc19825ba3d0acce1bb21c0470b92512",
+            "7cff7302455fadda112818411f328e3016c80bf6383edb757e6d9d613088da1b",
+            "a79722bd8353ecec87c91a1db01fa3d106c96cd41bf91f43e5fd3dd3cf940a11",
+            "0f7ee5f012a16299ebf68bc6f0fde00ac18c0a3a47e3e727e8e7620483aaa9d0",
+        ),
+        "quad": (
+            "5bfe4c1b1854cc83bb53acd65478c664d6d673c5dd0332b19c9bf15841492557",
+            "3381b91f43a825712a80da6079d0e17a4cff7c48f2e718686317f90cbaf9eee8",
+            "d8b1ad47e040b99a271f3b07c877f67d77adbc1ccb12e004256ebf91b14a23cf",
+            "e37a82ee6cc57736f7ee4a7e88f9651882dfa73794f5d66b4f9c040c4f5fa942",
+            "4a6626919236c9fc0fb26494623b6f21a78073b8036a6a5e0179d27d5fb97534",
+            "5bf0b0a17407a29cff61ed961513b866bf99f01d23a2bf1f55f0172450da51e3",
+            "ce2e65d520a6bfca56a7346acd2e00c63449200ecd5219aa0c2bad0874ffce55",
+        ),
+        "apf": (
+            "53c3dc03bdc98e26fac793625f4c4c73cd925dea4b0c3e98b37ad5ae342ea5c5",
+            "23a65d9a6251619d13049b667ddb7aacc09d2f0745c310c1e802f8eccd766240",
+            "b02ddba118ae76ca746ea51e975713aaa77776ec6227e086fe80a87db94a7a54",
+            "a4de8eb40294db0ac1d910bf7c92880d34ac1209b2d3ac0217525e4dba3a3a15",
+            "d36f5f3bfa96243769358f2812124ad301fff91c7502d46eb86dc5dbb2a066a8",
+            "d84bcdcaacd809ffd834be3a4bc0aacc199214b6cf62e8d3d0431ce6c66c5b58",
+            "8e2bdb5499e793206bc564aaa2b7df340104b89dde4c5d34f421ca412d9d911a",
+        ),
+    }
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="digests recorded with NumPy 2")
+    @pytest.mark.parametrize("ctrl", ["log", "quad", "apf"])
+    def test_rollout_bytes_frozen(self, plan, ctrl):
+        # the R = 3 ring case of test_rollout_matches_oracle, bit for bit
+        starts = [perturbed_state(plan, seed=seed) for seed in (6, 13, 14)]
+        p0 = np.stack([s.positions for s in starts])
+        v0 = np.stack([s.velocities for s in starts])
+        p0[:, 1] = p0[:, 0] + [0.6, 0.3, 0.0]
+        ring = np.roll(np.eye(plan.n), 1, axis=1)
+        ring = ring + ring.T
+        masses = np.linspace(0.8, 1.4, plan.n)
+        vdes = np.array([0.5, 0.3, 0.1])
+        evaluate = kernels.law(ctrl, plan.slots, ring, 2, masses,
+                               4.0, 1.5, 10.0, 3.0, 5.0, 2.0, vdes)
+        out = kernels.rollout(evaluate, p0, v0, masses, np.array([1.0, -2.0, 0.5]),
+                              vdes, 0.01, 200)
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+                        for a in out)
+        assert digests == self.ROLLOUT_DIGESTS[ctrl]
 
     def test_coincident_apf_members_in_one_run_raise(self, plan, gains):
         starts = [perturbed_state(plan, seed=seed) for seed in range(3)]
