@@ -12,8 +12,6 @@ from .flight import (
     ApfParams,
     ControlGains,
     FormationPlan,
-    SwarmState,
-    lyapunov_value,
     metrics,
     simulate,
 )
@@ -28,9 +26,9 @@ __all__ = [
     "AllocWeights", "ApfParams", "CameraIntrinsics", "ControlGains",
     "DegenerateGeometryError", "Formation", "FormationPlan", "FovSpec",
     "GridSpec", "LidarNoise", "RadioParams", "ResourceModel",
-    "Scenario", "ScenarioError", "Sensor", "SensorModels", "SwarmState",
+    "Scenario", "ScenarioError", "Sensor", "SensorModels",
     "build_candidates", "coverage", "flip", "greedy_allocate",
-    "ground_constrain", "link_stats", "logdet_reg", "lyapunov_value", "metrics",
+    "ground_constrain", "link_stats", "logdet_reg", "metrics",
     "optimize_formation", "parse_formation", "parse_scenario", "simulate",
     "total_fim",
 ]

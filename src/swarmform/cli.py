@@ -29,7 +29,7 @@ import numpy as np
 
 from .alloc import build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
-from .flight import CONTROLLERS, FormationPlan, SwarmState, metrics, simulate
+from .flight import CONTROLLERS, FormationPlan, metrics, simulate
 from .fov import coverage, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation, Sensor
 from .radio import link_stats
@@ -144,13 +144,15 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
                          target_velocity=scenario.target.velocity)
     gains = replace(fl.gains, masses=np.full(n, fl.mass_kg))
     half = fl.init_cube_half_width_m
-    starts = [
-        SwarmState(positions=scenario.target.position
-                   + np.random.default_rng([seed, run]).uniform(-half, half, (n, 3)),
-                   velocities=np.zeros((n, 3)))
-        for run in range(fl.runs)
-    ]
-    traj = simulate(starts, plan, controller, gains, fl.dt_s, fl.horizon_s, fl.apf)
+    try:   # run r starts at rest, uniform in the cube around the target
+        offsets = np.stack([np.random.default_rng([seed, run]).uniform(-half, half, (n, 3))
+                            for run in range(fl.runs)])
+    except OverflowError:   # the cube's width 2 * half is not a finite float
+        raise FloatingPointError(f"start cube half-width {half} m is too large: "
+                                 "the cube's width overflows") from None
+    p0 = scenario.target.position + offsets
+    traj = simulate((p0, np.zeros_like(p0)), plan, controller, gains, fl.dt_s, fl.horizon_s,
+                    fl.apf)
     runs = [{
         "Avg. Distance (m)": m.avg_distance,
         "Avg. Velocity Err.": m.avg_vel_err,

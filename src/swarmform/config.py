@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .alloc import AllocWeights, GridSpec
-from .flight import CONTROLLERS, ApfParams, ControlGains
+from .flight import CONTROLLERS, ApfParams, ControlGains, step_count
 from .fov import FovSpec
 from .geom import Formation, Sensor, yaw_facing_target
 from .radio import RadioParams, ResourceModel, dbm_to_watts
@@ -50,6 +50,9 @@ class FlightConfig:
     seed: int = 0
     runs: int = 1
     init_cube_half_width_m: float = 15.0
+
+    def __post_init__(self):
+        step_count(self.dt_s, self.horizon_s)
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Double-integrator swarm flight simulation with three controllers.
 
 The logarithmic and quadratic controllers are consensus-style formation
-laws on a connected undirected graph; only the leader carries the
-absolute position term toward its desired slot, so the swarm tracks the
-target through the leader. The APF controller attracts every member to
-its own absolute slot and adds short-range pairwise repulsion.
+laws on the complete graph of the swarm; only the leader, member 0,
+carries the absolute position term toward its desired slot, so the
+swarm tracks the target through the leader. Member 0 is also the fusion
+receiver of `fov` and `radio`. The APF controller attracts every member
+to its own absolute slot and adds short-range pairwise repulsion.
 
 The logarithmic law saturates: each edge contributes at most k1/2 of
 force regardless of the formation error, which is what bounds control
@@ -20,18 +21,16 @@ decreases monotonically along trajectories of members with masses m_i
 (dV/dt = -k2 * sum |v_i - v_t|^2); the k1/2 and kp/2 coefficients are
 exactly the ones that make the cross terms cancel.
 
-The equations live once, in `swarmform.kernels`: `simulate` rolls them
-out, and `control` and `lyapunov_value` evaluate them at a single state.
-`simulate` flies any number of seeded starts (runs) of one plan in one
-batched rollout. The `Trajectory` it returns keeps the full state
-history of the first run only, and for every run the Lyapunov trace and
-what `metrics` needs; each run's numbers are bit for bit those of the
-same start flown alone.
+The equations live once, in `swarmform.kernels`, and `simulate` rolls
+them out. A start is a pair (positions, velocities) of (R, n, 3) arrays:
+R runs of one plan, all flown from t = 0 in one batched rollout. The
+`Trajectory` it returns keeps the full state history of the first run
+only, and for every run the Lyapunov trace and what `metrics` needs;
+each run's numbers are bit for bit those of the same start flown alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,42 +38,19 @@ import numpy as np
 from . import kernels
 
 CONTROLLERS = ("log", "quad", "apf")
+MAX_STEPS = 100_000  # the longest flight: 1,000 s at the default 0.01 s step
 
 
-@dataclass
-class SwarmState:
-    positions: np.ndarray      # (n, 3) m
-    velocities: np.ndarray     # (n, 3) m/s
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
-        if self.positions.shape != self.velocities.shape or self.positions.shape[1] != 3:
-            raise ValueError("positions and velocities must both be (n, 3)")
-        if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
-            raise ValueError("swarm state must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-
-def complete_graph(n: int) -> np.ndarray:
-    return np.ones((n, n)) - np.eye(n)
-
-
-def _connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if adj[i, j] != 0 and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
+def step_count(dt: float, horizon: float) -> int:
+    """The steps of a flight, round(horizon / dt); refused outside [1, MAX_STEPS]."""
+    if not (dt > 0 and horizon > 0):
+        raise ValueError("dt and horizon must be positive")
+    ratio = horizon / dt   # inf when it overflows
+    # round(ratio) lies in [1, MAX_STEPS] exactly when ratio does in (0.5, MAX_STEPS + 0.5]
+    if not 0.5 < ratio <= MAX_STEPS + 0.5:
+        raise ValueError(f"horizon / dt must round to 1 to {MAX_STEPS} steps, "
+                         f"got {horizon} / {dt}")
+    return int(round(ratio))
 
 
 @dataclass
@@ -83,26 +59,17 @@ class ControlGains:
     k2: float = 1.5
     kp: float = 10.0
     masses: np.ndarray | None = None   # kg per member; default 1.0
-    leader: int = 0
-    graph: np.ndarray | None = None    # symmetric adjacency; default complete
 
     def __post_init__(self):
         if min(self.k1, self.k2, self.kp) <= 0:
             raise ValueError("gains must be positive")
 
-    def resolved(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(masses, adjacency) materialized for an n-member swarm."""
+    def member_masses(self, n: int) -> np.ndarray:
+        """The (n,) masses of an n-member swarm."""
         masses = np.ones(n) if self.masses is None else np.asarray(self.masses, dtype=float)
         if masses.shape != (n,) or (masses <= 0).any():
             raise ValueError("masses must be n positive values")
-        adj = complete_graph(n) if self.graph is None else np.asarray(self.graph, dtype=float)
-        if adj.shape != (n, n) or not np.allclose(adj, adj.T):
-            raise ValueError("graph must be a symmetric n x n adjacency")
-        if not 0 <= self.leader < n:
-            raise ValueError(f"leader index {self.leader} out of range")
-        if not _connected(adj):
-            raise ValueError("communication graph must be connected")
-        return masses, adj
+        return masses
 
 
 @dataclass
@@ -153,7 +120,6 @@ class Trajectory:
     vel_err: np.ndarray          # (R, steps+1, n) m/s, |v_i - v_target|
     final_positions: np.ndarray  # (R, n, 3)
     plan: FormationPlan
-    controller: str
 
 
 @dataclass
@@ -169,49 +135,8 @@ class FlightMetrics:
             raise ValueError("velocity-error aggregates are inconsistent")
 
 
-def _check_controller(controller: str) -> None:
-    if controller not in CONTROLLERS:
-        raise ValueError(f"unknown controller {controller!r}; expected log, quad or apf")
-
-
-def _law(n: int, plan: FormationPlan, controller: str, gains: ControlGains,
-         apf: ApfParams | None):
-    """kernels.law bound to this swarm's plan, graph, masses and gains."""
-    masses, adj = gains.resolved(n)
-    apf = apf or ApfParams()
-    return kernels.law(controller, plan.slots, adj, gains.leader, masses,
-                       gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
-                       plan.target_velocity)
-
-
-def control(state: SwarmState, plan: FormationPlan, controller: str,
-            gains: ControlGains, apf: ApfParams | None = None) -> np.ndarray:
-    """Control input of `controller` at `state`, exactly as `simulate` applies it.
-
-    log: saturating per-edge force k1*e/(1+|e|^2); quad: linear per-edge
-    force k1*e; both pull the leader toward its slot with kp. apf: every
-    member attracted to its own slot with apf.ka, plus pairwise repulsion
-    within apf.d0. All three damp the velocity error against the target,
-    -gains.k2 * (v - plan.target_velocity).
-    """
-    _check_controller(controller)
-    u, _ = _law(state.n, plan, controller, gains, apf)(
-        state.positions[None], state.velocities[None], plan.target_at(state.time))
-    u = u[0]
-    if not np.isfinite(u).all():
-        raise FloatingPointError("non-finite control force, e.g. from coincident UAVs under APF")
-    return u
-
-
-def lyapunov_value(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> float:
-    """Lyapunov candidate for the logarithmic controller (module docstring)."""
-    _, lyap = _law(state.n, plan, "log", gains, None)(
-        state.positions[None], state.velocities[None], plan.target_at(state.time))
-    return float(lyap[0])
-
-
 def simulate(
-    initial: SwarmState | Sequence[SwarmState],
+    start: tuple[np.ndarray, np.ndarray],
     plan: FormationPlan,
     controller: str,
     gains: ControlGains,
@@ -219,39 +144,43 @@ def simulate(
     horizon: float = 60.0,
     apf: ApfParams | None = None,
 ) -> Trajectory:
-    """Fixed-step rollout of one start or of a sequence of starts (one per
-    run, all at the same time); deterministic for fixed inputs.
+    """Fixed-step rollout from t = 0 of `start` = (positions, velocities),
+    two (R, n, 3) arrays, one run per leading row; deterministic for
+    fixed inputs.
 
     All runs are flown in one batched rollout, and run r of the result is
     bit for bit the same start flown alone. The recorded Lyapunov trace
     always uses the logarithmic candidate, so traces are comparable
-    across controllers. A non-finite control force in any run raises
-    FloatingPointError.
+    across controllers. A run whose state, Lyapunov trace or metrics go
+    non-finite raises FloatingPointError.
     """
-    _check_controller(controller)
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
-    starts = [initial] if isinstance(initial, SwarmState) else list(initial)
-    if not starts:
-        raise ValueError("no initial state to fly")
-    if any(s.n != plan.n for s in starts):
-        raise ValueError("state and plan disagree on swarm size")
-    t0 = starts[0].time
-    if any(s.time != t0 for s in starts):
-        raise ValueError("initial states must share one start time")
-    steps = int(round(horizon / dt))
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller {controller!r}; expected log, quad or apf")
+    positions, velocities = (np.asarray(a, dtype=float) for a in start)
+    if positions.shape != velocities.shape or positions.ndim != 3 or positions.shape[2] != 3:
+        raise ValueError("start positions and velocities must both be (R, n, 3), got shapes "
+                         f"{positions.shape} and {velocities.shape}")
+    if len(positions) == 0:
+        raise ValueError("no run to fly")
+    if positions.shape[1] != plan.n:
+        raise ValueError("start and plan disagree on swarm size")
+    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
+        raise ValueError("swarm state must be finite")
+    steps = step_count(dt, horizon)
+    n, masses, apf = plan.n, gains.member_masses(plan.n), apf or ApfParams()
+    # the complete graph, led by member 0
+    evaluate = kernels.law(controller, plan.slots, np.ones((n, n)), 0, masses,
+                           gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
+                           plan.target_velocity)
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
-        _law(plan.n, plan, controller, gains, apf),
-        np.stack([s.positions for s in starts]), np.stack([s.velocities for s in starts]),
-        gains.resolved(plan.n)[0], plan.target_at(t0), plan.target_velocity, dt, steps,
-    )
-    if not np.isfinite(final).all():
-        raise FloatingPointError("non-finite control force during rollout, "
-                                 "e.g. from coincident UAVs under APF")
-    times = t0 + dt * np.arange(steps + 1)
-    return Trajectory(times=times, positions=P, velocities=V, controls=U,
+        evaluate, positions, velocities, masses, plan.target_at(0.0), plan.target_velocity,
+        dt, steps)
+    if not all(np.isfinite(a).all() for a in (final, lyap, path, vel_err)):
+        raise FloatingPointError("flight went non-finite during rollout, e.g. from "
+                                 "coincident UAVs under APF or a start too far out")
+    return Trajectory(times=dt * np.arange(steps + 1), positions=P, velocities=V, controls=U,
                       lyapunov=lyap, path_length=path, vel_err=vel_err,
-                      final_positions=final, plan=plan, controller=controller)
+                      final_positions=final, plan=plan)
 
 
 def metrics(traj: Trajectory) -> list[FlightMetrics]:
@@ -261,8 +190,6 @@ def metrics(traj: Trajectory) -> list[FlightMetrics]:
     Velocity error is measured against the target's instantaneous
     velocity; final position error against the time-varying desired slots.
     """
-    if traj.times.shape[0] < 2:
-        raise ValueError("trajectory has no steps")
     desired = traj.plan.desired_positions(traj.times[-1])
     return [
         FlightMetrics(

@@ -3,10 +3,11 @@ both over a batch of runs.
 
 A state is positions p and velocities v of shape (R, n, 3): R runs of
 an n-member swarm that share one plan, graph, gains and target. `law`
-binds the slots, graph, masses, gains and the target's constant velocity
-vt once and returns one function of (p, v, target position tgt) that
-gives both the (R, n, 3) control input of the chosen controller and the
-(R,) logarithmic Lyapunov candidate. Every controller
+binds the slots, an undirected graph (adjacency), the leader, masses,
+gains and the target's constant velocity vt once and returns one
+function of (p, v, target position tgt) that gives both the (R, n, 3)
+control input of the chosen controller and the (R,) logarithmic
+Lyapunov candidate. Every controller
 damps the velocity error v - vt, i.e. in the target's frame, so a target
 moving at constant velocity is tracked with no steady drag. Each run is
 computed with the same reductions, in the same order, as a batch of one,
@@ -15,9 +16,10 @@ so a run's numbers do not depend on the other runs in its batch.
 `rollout` integrates all R runs with fixed-step semi-implicit Euler in
 one loop and is deterministic for fixed inputs. It keeps the full state
 history of run 0 only; for every run it keeps what the flight metrics
-need, accumulated step by step. `swarmform.flight` is the supported
-interface; its per-step `control` and `lyapunov_value` evaluate this same
-law as a batch of one.
+need, accumulated step by step. `swarmform.flight.simulate` is the
+supported interface: it flies (R, n, 3) starts on the complete graph led
+by member 0. The graph and leader stay arguments here for the tests,
+which drive the law on other graphs and leaders.
 
 Controllers: "log" (logarithmic), "quad" (quadratic), "apf".
 """

@@ -28,6 +28,9 @@ compare against it:
 - `subset_logdet`, `exhaustive_best`, `greedy_unpenalized`: the
   allocation objective over a list of FIMs and its exhaustive and
   penalty-free greedy optima;
+- `SwarmState`, `stacked`, `control`, `lyapunov_value`: one swarm's
+  state, a list of them as `flight.simulate`'s (R, n, 3) start, and the
+  flight law bound as `simulate` binds it, evaluated at one state;
 - `step`: one semi-implicit Euler step of a swarm under given forces;
 - `write_trace_csv`: the flight trace CSV written row by row with
   `csv.writer`.
@@ -39,9 +42,9 @@ from itertools import combinations
 
 import numpy as np
 
-from swarmform import fov
+from swarmform import fov, kernels
 from swarmform.alloc import Candidates, candidate_penalty
-from swarmform.flight import SwarmState
+from swarmform.flight import ApfParams, ControlGains, FormationPlan
 from swarmform.fov import (
     _ANGLE_TOL,
     _DEGENERATE_XY,
@@ -367,10 +370,13 @@ def flip_candidates_loops(formation: Formation, spec: FovSpec) -> list[int]:
 
 
 def _apply_pattern(formation: Formation, members: tuple[int, ...]) -> Formation:
-    poses = poses_of(formation)
+    """`formation` with each of `members` reflected through the target and
+    turned by pi, row by row, as `flip_pose` does."""
+    positions, yaws = formation.positions.copy(), formation.yaws.copy()
     for i in members:
-        poses[i] = flip_pose(poses[i], formation.target)
-    return formation_of(poses, formation.target)
+        positions[i] = 2.0 * formation.target - positions[i]
+        yaws[i] = wrap_pi(yaws[i] + np.pi)
+    return Formation(positions, yaws, formation.lidar, formation.target)
 
 
 def optimize_formation_loops(
@@ -484,6 +490,68 @@ def greedy_unpenalized(fims, k, eps=DEFAULT_EPS):
         current = float(vals[best])
         active[best] = False
     return picked, current
+
+
+@dataclass
+class SwarmState:
+    """One swarm's positions and velocities, each (n, 3), at `time`."""
+
+    positions: np.ndarray      # (n, 3) m
+    velocities: np.ndarray     # (n, 3) m/s
+    time: float = 0.0
+
+    def __post_init__(self):
+        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+        if self.positions.shape != self.velocities.shape or self.positions.shape[1] != 3:
+            raise ValueError("positions and velocities must both be (n, 3)")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
+            raise ValueError("swarm state must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.positions.shape[0]
+
+
+def stacked(states) -> tuple[np.ndarray, np.ndarray]:
+    """`flight.simulate`'s start: the (R, n, 3) positions and velocities
+    of `states`, one run each."""
+    return np.stack([s.positions for s in states]), np.stack([s.velocities for s in states])
+
+
+def _law_at(state: SwarmState, plan: FormationPlan, controller: str, gains: ControlGains,
+            apf: ApfParams | None):
+    """(control input (n, 3), Lyapunov candidate) of `kernels.law` bound as
+    `flight.simulate` binds it, on the complete graph led by member 0,
+    evaluated at `state` as a batch of one."""
+    apf = apf or ApfParams()
+    evaluate = kernels.law(controller, plan.slots, np.ones((state.n, state.n)), 0,
+                           gains.member_masses(state.n), gains.k1, gains.k2, gains.kp,
+                           apf.ka, apf.kr, apf.d0, plan.target_velocity)
+    u, lyap = evaluate(state.positions[None], state.velocities[None],
+                       plan.target_at(state.time))
+    return u[0], float(lyap[0])
+
+
+def control(state: SwarmState, plan: FormationPlan, controller: str,
+            gains: ControlGains, apf: ApfParams | None = None) -> np.ndarray:
+    """Control input of `controller` at `state`, as `simulate` applies it.
+
+    log: saturating per-edge force k1*e/(1+|e|^2); quad: linear per-edge
+    force k1*e; both pull the leader toward its slot with kp. apf: every
+    member attracted to its own slot with apf.ka, plus pairwise repulsion
+    within apf.d0. All three damp the velocity error against the target,
+    -gains.k2 * (v - plan.target_velocity).
+    """
+    u, _ = _law_at(state, plan, controller, gains, apf)
+    if not np.isfinite(u).all():
+        raise FloatingPointError("non-finite control force, e.g. from coincident UAVs under APF")
+    return u
+
+
+def lyapunov_value(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> float:
+    """Lyapunov candidate of the logarithmic controller at `state`."""
+    return _law_at(state, plan, "log", gains, None)[1]
 
 
 def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -> SwarmState:

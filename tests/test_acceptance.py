@@ -31,13 +31,7 @@ from swarmform import cli
 from swarmform.alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
 from swarmform.cli import main
 from swarmform.config import parse_scenario
-from swarmform.flight import (
-    ControlGains,
-    FormationPlan,
-    SwarmState,
-    metrics,
-    simulate,
-)
+from swarmform.flight import ControlGains, FormationPlan, metrics, simulate
 from swarmform.fov import (
     FovSpec,
     coverage,
@@ -226,10 +220,9 @@ def test_criterion_09_lyapunov_decrease_and_convergence():
     f = build_reference_formation()
     plan = FormationPlan(slots=f.positions - f.target)
     gains = ControlGains(k1=4.0, k2=1.5, kp=10.0)
-    starts = [SwarmState(np.random.default_rng(seed).uniform(-15.0, 15.0, (6, 3)),
-                         np.zeros((6, 3)))
-              for seed in range(20)]
-    traj = simulate(starts, plan, "log", gains, 0.01, 60.0)
+    p0 = np.stack([np.random.default_rng(seed).uniform(-15.0, 15.0, (6, 3))
+                   for seed in range(20)])
+    traj = simulate((p0, np.zeros_like(p0)), plan, "log", gains, 0.01, 60.0)
     worst_step = float(np.diff(traj.lyapunov, axis=1).max())
     errs = [m.avg_final_pos_err for m in metrics(traj)]
     elapsed = time.time() - start
@@ -242,7 +235,7 @@ def test_criterion_09_lyapunov_decrease_and_convergence():
 
 @functools.cache
 def _benchmark():
-    """(flight config, plan, gains, apf, start states) of the bundled
+    """(flight config, plan, gains, apf, start arrays) of the bundled
     flight benchmark; run `run` starts from seed [fl.seed, run]."""
     scenario = parse_scenario(resources.files("swarmform") / "scenarios"
                               / "flight_benchmark.json")
@@ -251,14 +244,11 @@ def _benchmark():
     plan = FormationPlan(slots=f.positions - f.target,
                          target_position=scenario.target.position,
                          target_velocity=scenario.target.velocity)
-    gains, apf = fl.gains, fl.apf
-    starts = []
-    for run in range(fl.runs):
-        rng = np.random.default_rng([fl.seed, run])
-        p0 = scenario.target.position + rng.uniform(
-            -fl.init_cube_half_width_m, fl.init_cube_half_width_m, (len(f), 3))
-        starts.append(SwarmState(p0, np.zeros_like(p0)))
-    return fl, plan, gains, apf, starts
+    half = fl.init_cube_half_width_m
+    p0 = scenario.target.position + np.stack([
+        np.random.default_rng([fl.seed, run]).uniform(-half, half, (len(f), 3))
+        for run in range(fl.runs)])
+    return fl, plan, fl.gains, fl.apf, (p0, np.zeros_like(p0))
 
 
 # Criteria 10a and 10b read the same 60 rollouts; fly them once per session.

@@ -13,7 +13,7 @@ import swarmform
 from oracles import write_trace_csv
 from swarmform import cli
 from swarmform.cli import main
-from swarmform.flight import ControlGains, FormationPlan, SwarmState, simulate
+from swarmform.flight import ControlGains, FormationPlan, simulate
 
 
 def scenario(name):
@@ -257,12 +257,11 @@ class TestExitCodes:
         # the starts are seeded draws, so place run 2's members 0 and 1 together
         real_simulate = cli.simulate
 
-        def coincident_run_2(starts, *args):
-            starts = list(starts)
-            p = starts[2].positions.copy()
-            p[1] = p[0]
-            starts[2] = SwarmState(p, starts[2].velocities)
-            return real_simulate(starts, *args)
+        def coincident_run_2(start, *args):
+            p, v = start
+            p = p.copy()
+            p[2, 1] = p[2, 0]
+            return real_simulate((p, v), *args)
 
         monkeypatch.setattr(cli, "simulate", coincident_run_2)
         doc = json.loads((resources.files("swarmform") / "scenarios"
@@ -294,6 +293,45 @@ class TestExitCodes:
         assert done.stderr.startswith("swarmform: numeric error: [stage fly] ")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
         assert not out.exists() or list(out.iterdir()) == []
+
+    # at 1e308 the cube's width overflows NumPy's uniform draw (an
+    # OverflowError traceback); at 1e200 squared distances overflow and
+    # report.json got Infinity after two NumPy warnings, with exit 0
+    @pytest.mark.parametrize("half", [1e308, 1e200])
+    def test_huge_start_cube_is_a_numeric_error(self, tmp_path, half):
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["flight"].update(horizon_s=0.5, init_cube_half_width_m=half)
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmform.cli", "fly", "--scenario", str(p),
+             "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("swarmform: numeric error: [stage fly] ")
+        assert done.stderr.count("\n") == 1 and "Warning" not in done.stderr
+        assert not out.exists() or list(out.iterdir()) == []
+
+    # horizon_s 0.1 at dt_s 1.0 ran two stages, then failed with "trajectory
+    # has no steps"; horizon_s 1e9 ran out of memory with a traceback; the
+    # last ratio overflows to inf
+    @pytest.mark.parametrize("flight", [{"dt_s": 1.0, "horizon_s": 0.1}, {"horizon_s": 1e9},
+                                        {"dt_s": 1e-300, "horizon_s": 1e300}])
+    def test_step_count_out_of_bounds_is_a_config_error(self, tmp_path, capsys, flight):
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["flight"].update(flight)
+        p = tmp_path / "steps.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("swarmform: config error: flight: horizon / dt must "
+                                       "round to 1 to 100000 steps")
+        assert captured.out == "" and not out.exists()
 
 
 class TestAtomicWrites:
@@ -335,9 +373,9 @@ def _flown(n, steps, controller="log"):
     plan = FormationPlan(slots=np.column_stack((10.0 * np.cos(angles), 10.0 * np.sin(angles),
                                                 np.full(n, 3.4))))
     rng = np.random.default_rng(n + steps)
-    start = SwarmState(plan.desired_positions(0.0) + rng.uniform(-5.0, 5.0, (n, 3)),
-                       rng.uniform(-1.0, 1.0, (n, 3)))
-    return simulate(start, plan, controller, ControlGains(), 0.01, steps * 0.01)
+    p0 = plan.desired_positions(0.0) + rng.uniform(-5.0, 5.0, (n, 3))
+    v0 = rng.uniform(-1.0, 1.0, (n, 3))
+    return simulate((p0[None], v0[None]), plan, controller, ControlGains(), 0.01, steps * 0.01)
 
 
 class TestTraceWriter:

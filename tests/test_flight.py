@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import step
+from oracles import SwarmState, control, lyapunov_value, stacked, step
 from rollout_oracle import rollout_loops
 from swarmform import kernels
 from swarmform.flight import (
+    MAX_STEPS,
     ApfParams,
     ControlGains,
     FormationPlan,
-    SwarmState,
-    complete_graph,
-    control,
-    lyapunov_value,
     metrics,
     simulate,
+    step_count,
 )
 
 SLOTS = np.array([
@@ -79,7 +77,7 @@ class TestControllers:
         assert (norms >= 1).all()  # every edge error exceeds 1 for this draw
         u_log = control(state, plan, "log", gains)
         u_quad = control(state, plan, "quad", gains)
-        followers = [i for i in range(plan.n) if i != gains.leader]
+        followers = list(range(1, plan.n))  # member 0 leads
         assert (np.linalg.norm(u_quad[followers], axis=1)
                 >= np.linalg.norm(u_log[followers], axis=1) - 1e-9).all()
 
@@ -110,10 +108,9 @@ class TestControllers:
         with pytest.raises(ValueError):
             ControlGains(k1=0.0)
         with pytest.raises(ValueError):
-            ControlGains(leader=9).resolved(3)
-        disconnected = np.zeros((3, 3))
+            ControlGains(masses=[1.0, 0.0, 1.0]).member_masses(3)
         with pytest.raises(ValueError):
-            ControlGains(graph=disconnected).resolved(3)
+            ControlGains(masses=[1.0, 1.0]).member_masses(3)
 
 
 class TestStep:
@@ -151,7 +148,7 @@ class TestLyapunov:
     def test_monotone_under_log_control(self, plan, gains):
         state = perturbed_state(plan, seed=3, amp=10.0)
         state = SwarmState(state.positions, np.zeros((plan.n, 3)))
-        traj = simulate(state, plan, "log", gains, 0.01, 10.0)
+        traj = simulate(stacked([state]), plan, "log", gains, 0.01, 10.0)
         assert np.diff(traj.lyapunov).max() <= 1e-6
         assert traj.lyapunov[0, 0] == pytest.approx(lyapunov_value(state, plan, gains))
 
@@ -164,18 +161,18 @@ class TestLyapunov:
         rng = np.random.default_rng(12)
         starts = [SwarmState(rng.uniform(-15.0, 15.0, (plan.n, 3)), np.zeros((plan.n, 3)))
                   for _ in range(5)]
-        traj = simulate(starts, plan, "log", ControlGains(masses=masses), 0.01, 20.0)
+        traj = simulate(stacked(starts), plan, "log", ControlGains(masses=masses), 0.01, 20.0)
         assert np.diff(traj.lyapunov).max() <= 1e-6
 
 
 class TestSimulate:
     def test_converged_start_stays(self, plan, gains):
-        traj = simulate(equilibrium_state(plan), plan, "log", gains, 0.01, 1.0)
+        traj = simulate(stacked([equilibrium_state(plan)]), plan, "log", gains, 0.01, 1.0)
         drift = np.abs(np.diff(traj.positions, axis=0)).max()
         assert drift < 1e-9
 
     def test_bitwise_deterministic(self, plan, gains):
-        s = perturbed_state(plan, seed=4)
+        s = stacked([perturbed_state(plan, seed=4)])
         t1 = simulate(s, plan, "quad", gains, 0.01, 2.0)
         t2 = simulate(s, plan, "quad", gains, 0.01, 2.0)
         assert (t1.positions == t2.positions).all()
@@ -183,18 +180,49 @@ class TestSimulate:
 
     def test_unknown_controller(self, plan, gains):
         with pytest.raises(ValueError):
-            simulate(equilibrium_state(plan), plan, "pid", gains)
+            simulate(stacked([equilibrium_state(plan)]), plan, "pid", gains)
+
+    def test_refuses_bad_starts(self, plan, gains):
+        p, v = stacked([perturbed_state(plan, seed=9)])
+        for bad, message in (((p, v[:, :-1]), "must both be"), ((p[0], v[0]), "must both be"),
+                             ((p[:0], v[:0]), "no run"), ((p[:, :-1], v[:, :-1]), "disagree")):
+            with pytest.raises(ValueError, match=message):
+                simulate(bad, plan, "log", gains, 0.01, 0.1)
+        p[0, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="swarm state must be finite"):
+            simulate((p, v), plan, "log", gains, 0.01, 0.1)
+
+    @pytest.mark.parametrize("dt, horizon", [(1.0, 0.1), (0.01, 1e9), (1e-300, 1e300),
+                                             (0.01, 0.0), (-0.01, 1.0)])
+    def test_refuses_step_counts_out_of_bounds(self, plan, gains, dt, horizon):
+        with pytest.raises(ValueError):
+            simulate(stacked([equilibrium_state(plan)]), plan, "log", gains, dt, horizon)
+
+    def test_step_count_edges(self):
+        assert step_count(1.0, 0.6) == 1
+        assert step_count(0.01, 60.0) == 6000
+        assert step_count(1.0, MAX_STEPS + 0.5) == MAX_STEPS   # rounds half to even
+        for horizon in (0.5, MAX_STEPS + 0.6):
+            with pytest.raises(ValueError, match="must round to 1 to 100000 steps"):
+                step_count(1.0, horizon)
+
+    def test_start_too_far_out_raises(self, plan, gains):
+        # squared distances overflow, so V, path lengths and velocity
+        # errors would reach the report as inf
+        p, v = stacked([perturbed_state(plan, seed=10)])
+        with pytest.raises(FloatingPointError):
+            simulate((1e200 * p, v), plan, "log", gains, 0.01, 0.1)
 
     def test_matches_python_controllers(self, plan, gains):
         # one kernel step reproduces the per-step controller + integrator,
         # for a stationary and for a moving target
         moving = FormationPlan(slots=plan.slots, target_position=[1.0, -2.0, 0.5],
                                target_velocity=[0.5, 0.3, 0.1])
-        masses, _ = gains.resolved(plan.n)
+        masses = gains.member_masses(plan.n)
         for p in (plan, moving):
             s = perturbed_state(p, seed=5)
             for name in ("log", "quad", "apf"):
-                traj = simulate(s, p, name, gains, 0.01, 0.01)
+                traj = simulate(stacked([s]), p, name, gains, 0.01, 0.01)
                 expected = step(s, control(s, p, name, gains), masses, 0.01)
                 assert np.allclose(traj.positions[1], expected.positions, atol=1e-12)
                 assert np.allclose(traj.velocities[1], expected.velocities, atol=1e-12)
@@ -288,7 +316,7 @@ class TestSimulate:
         p[1] = p[0]
         starts[2] = SwarmState(p, starts[2].velocities)
         with pytest.raises(FloatingPointError):
-            simulate(starts, plan, "apf", gains, 0.01, 0.5)
+            simulate(stacked(starts), plan, "apf", gains, 0.01, 0.5)
 
 
 def _metric_values(m):
@@ -304,10 +332,10 @@ def test_batch_runs_equal_runs_flown_alone(seeds, controller, data):
                          target_velocity=[0.5, 0.3, 0.1])
     gains = ControlGains(masses=np.linspace(0.5, 2.0, plan.n))
     starts = [perturbed_state(plan, seed=seed) for seed in seeds]
-    batch = simulate(starts, plan, controller, gains, 0.01, 0.5)
+    batch = simulate(stacked(starts), plan, controller, gains, 0.01, 0.5)
     batch_metrics = [_metric_values(m) for m in metrics(batch)]
     for r, start in enumerate(starts):
-        alone = simulate(start, plan, controller, gains, 0.01, 0.5)
+        alone = simulate(stacked([start]), plan, controller, gains, 0.01, 0.5)
         if r == 0:
             assert (batch.positions == alone.positions).all()
             assert (batch.velocities == alone.velocities).all()
@@ -316,7 +344,8 @@ def test_batch_runs_equal_runs_flown_alone(seeds, controller, data):
         assert batch_metrics[r] == _metric_values(metrics(alone)[0])
 
     order = data.draw(st.permutations(range(len(starts))))
-    permuted = simulate([starts[i] for i in order], plan, controller, gains, 0.01, 0.5)
+    permuted = simulate(stacked([starts[i] for i in order]), plan, controller, gains,
+                        0.01, 0.5)
     assert (permuted.lyapunov == batch.lyapunov[order]).all()
     assert (permuted.path_length == batch.path_length[order]).all()
     assert (permuted.vel_err == batch.vel_err[order]).all()
@@ -324,17 +353,43 @@ def test_batch_runs_equal_runs_flown_alone(seeds, controller, data):
     assert [_metric_values(m) for m in metrics(permuted)] == [batch_metrics[i] for i in order]
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lyapunov_never_rises_on_connected_graphs(n, seed, data):
+    """V of the log law never rises, for a constant-velocity target,
+    random masses in [0.5, 2], a random connected graph and a random
+    leader: the kernel's general-graph code, which `simulate` does not
+    reach."""
+    leader = data.draw(st.integers(0, n - 1), label="leader")
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < rng.random(), 1).astype(float)
+    order = rng.permutation(n)
+    for k in range(1, n):   # a random spanning tree keeps the graph connected
+        adj[order[rng.integers(k)], order[k]] = 1.0
+    adj = np.maximum(adj, adj.T)
+    np.fill_diagonal(adj, 0.0)
+    masses = rng.uniform(0.5, 2.0, n)
+    slots = rng.uniform(-10.0, 10.0, (n, 3))
+    vt = rng.uniform(-1.0, 1.0, 3)
+    tgt0 = rng.uniform(-5.0, 5.0, 3)
+    p0 = tgt0 + rng.uniform(-15.0, 15.0, (3, n, 3))
+    v0 = rng.uniform(-1.0, 1.0, (3, n, 3))
+    evaluate = kernels.law("log", slots, adj, leader, masses, 4.0, 1.5, 10.0, 10.0, 5.0, 2.0, vt)
+    lyap = kernels.rollout(evaluate, p0, v0, masses, tgt0, vt, 0.01, 1000)[3]
+    assert np.diff(lyap, axis=1).max() <= 1e-6
+
+
 class TestMetrics:
     def test_straight_line_distance(self, plan, gains):
         # constant-velocity drift of 1 m/s for 10 s with matched slots
         moving = FormationPlan(slots=plan.slots, target_velocity=np.array([1.0, 0, 0]))
         start = SwarmState(moving.desired_positions(0.0), np.tile([1.0, 0, 0], (plan.n, 1)))
-        (m,) = metrics(simulate(start, moving, "log", gains, 0.01, 10.0))
+        (m,) = metrics(simulate(stacked([start]), moving, "log", gains, 0.01, 10.0))
         assert m.avg_distance == pytest.approx(10.0)
         assert m.avg_vel_err == pytest.approx(0.0)
         assert m.avg_final_pos_err == pytest.approx(0.0, abs=1e-9)
 
     def test_aggregate_consistency(self, plan, gains):
-        traj = simulate(perturbed_state(plan, seed=8), plan, "log", gains, 0.01, 3.0)
+        traj = simulate(stacked([perturbed_state(plan, seed=8)]), plan, "log", gains, 0.01, 3.0)
         (m,) = metrics(traj)
         assert m.max_vel_err >= m.avg_vel_err >= 0.0
