@@ -16,7 +16,7 @@ from .flight import (
     simulate,
 )
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
-from .geom import DegenerateGeometryError, Formation, Sensor
+from .geom import DegenerateGeometryError, Formation
 from .radio import RadioParams, ResourceModel, link_stats
 from .sensing import CameraIntrinsics, LidarNoise, SensorModels, logdet_reg, total_fim
 
@@ -26,7 +26,7 @@ __all__ = [
     "AllocWeights", "ApfParams", "CameraIntrinsics", "ControlGains",
     "DegenerateGeometryError", "Formation", "FormationPlan", "FovSpec",
     "GridSpec", "LidarNoise", "RadioParams", "ResourceModel",
-    "Scenario", "ScenarioError", "Sensor", "SensorModels",
+    "Scenario", "ScenarioError", "SensorModels",
     "build_candidates", "coverage", "flip", "greedy_allocate",
     "ground_constrain", "link_stats", "logdet_reg", "metrics",
     "optimize_formation", "parse_formation", "parse_scenario", "simulate",

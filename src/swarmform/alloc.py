@@ -1,11 +1,14 @@
 """Greedy UAV/sensor allocation on a spherical candidate grid.
 
-The objective is the regularized log-determinant of the swarm FIM; it is
-monotone and submodular in the candidate set, so greedy selection with a
-stopping threshold carries the classic (1 - 1/e) guarantee against the
+The candidate set is a `Formation`: one row per feasible (placement,
+sensor) pair, built from the grid's geometry alone. The objective is the
+regularized log-determinant of the swarm FIM; it is monotone and
+submodular in the candidate set, so greedy selection with a stopping
+threshold carries the classic (1 - 1/e) guarantee against the
 budget-constrained optimum. Each candidate's marginal gain is discounted
-by a penalty combining its communication resource block and hardware
-cost; selection stops when the best net utility drops to the threshold.
+by a penalty read from the `ResourceModel` row its `lidar` flag picks:
+its communication resource block (bandwidth * duration) and its hardware
+cost. Selection stops when the best net utility drops to the threshold.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import _DEGENERATE_XY, Formation, Sensor, wrap_pi
-from .radio import ResourceModel, comm_resource, sensor_cost
+from .geom import _DEGENERATE_XY, Formation
+from .radio import ResourceModel
 from .sensing import DEFAULT_EPS, SensorModels, fims, logdet_reg
 
 _SAME_PLACEMENT = 1e-9
@@ -78,22 +81,6 @@ class AllocWeights:
             raise ValueError("max_uavs must be >= 1")
 
 
-@dataclass(frozen=True)
-class Candidates:
-    """Feasible (placement, sensor) candidates, one row each, in grid order:
-    pitch outer, azimuth inner, camera before LiDAR (greedy breaks ties on
-    this order)."""
-
-    positions: np.ndarray   # (N, 3)
-    yaws: np.ndarray        # (N,) target-facing yaw, atan2 range
-    lidar: np.ndarray       # (N,) bool, False for a camera
-    fims: np.ndarray        # (N, 3, 3)
-    penalties: np.ndarray   # (N,)
-
-    def __len__(self) -> int:
-        return len(self.yaws)
-
-
 @dataclass
 class AllocationResult:
     formation: Formation
@@ -102,22 +89,14 @@ class AllocationResult:
     utilities: list[float] = field(default_factory=list)   # gains net of penalty
 
 
-def candidate_penalty(sensor: Sensor, weights: AllocWeights, resources: ResourceModel) -> float:
-    return (
-        weights.alpha_resource * comm_resource(sensor, resources)
-        + weights.alpha_cost * sensor_cost(sensor, resources)
-    )
-
-
 def build_candidates(
     target: np.ndarray,
     grid: GridSpec,
-    weights: AllocWeights,
-    resources: ResourceModel,
-    models: SensorModels,
     max_boresight_pitch: float = np.radians(20.0),
-) -> Candidates:
-    """Enumerate feasible (placement, sensor) candidates.
+) -> Formation:
+    """The feasible (placement, sensor) candidates as the rows of a
+    `Formation`, in grid order: pitch outer, azimuth inner, camera before
+    LiDAR (greedy breaks ties on this order). Each row faces the target.
 
     A placement is feasible when the target-facing yaw is defined (no
     vertical alignment) and the line of sight pitches no more than
@@ -142,23 +121,21 @@ def build_candidates(
             & ~(np.abs(np.arctan2(rel[:, 2], d_xy)) > max_boresight_pitch + 1e-12))
     facing = target - positions[keep]   # not -rel: the sign of a zero picks atan2's branch
     # each kept placement twice: a camera row, then a LiDAR row
-    positions = np.repeat(positions[keep], 2, axis=0)
-    yaws = np.repeat(np.arctan2(facing[:, 1], facing[:, 0]), 2)
-    lidar = np.tile([False, True], int(np.count_nonzero(keep)))
-    penalties = np.where(lidar, candidate_penalty(Sensor.LIDAR, weights, resources),
-                         candidate_penalty(Sensor.CAMERA, weights, resources))
-    return Candidates(positions=positions, yaws=yaws, lidar=lidar,
-                      fims=fims(positions, wrap_pi(yaws), lidar, target, models),
-                      penalties=penalties)
+    return Formation(np.repeat(positions[keep], 2, axis=0),
+                     np.repeat(np.arctan2(facing[:, 1], facing[:, 0]), 2),
+                     np.tile([False, True], int(np.count_nonzero(keep))), target)
 
 
 def greedy_allocate(
-    candidates: Candidates,
-    target: np.ndarray,
+    candidates: Formation,
     weights: AllocWeights,
+    resources: ResourceModel,
+    models: SensorModels,
     eps: float = DEFAULT_EPS,
 ) -> AllocationResult:
-    """Penalty-discounted greedy selection with threshold stopping.
+    """Penalty-discounted greedy selection with threshold stopping over the
+    rows of `candidates`; the result's formation is the rows picked, in
+    the order picked.
 
     Ties break on candidate order (deterministic). Selecting a candidate
     removes every candidate at the same placement: one airframe per
@@ -166,7 +143,14 @@ def greedy_allocate(
     """
     if not candidates:
         raise ValueError("candidate set is empty")
-    positions = candidates.positions
+    positions, lidar, rm = candidates.positions, candidates.lidar, resources
+
+    def penalty(bandwidth: float, duration: float, cost: float) -> float:
+        return weights.alpha_resource * (bandwidth * duration) + weights.alpha_cost * cost
+
+    penalties = np.where(lidar, penalty(rm.bandwidth_lidar, rm.duration_lidar, rm.cost_lidar),
+                         penalty(rm.bandwidth_cam, rm.duration_cam, rm.cost_cam))
+    row_fims = fims(candidates, models)
     active = np.ones(len(candidates), dtype=bool)
 
     total = np.zeros((3, 3))
@@ -176,8 +160,8 @@ def greedy_allocate(
     utilities: list[float] = []
 
     while len(chosen) < weights.max_uavs and active.any():
-        with_each = np.linalg.slogdet(total + candidates.fims + eps * np.eye(3))[1]
-        util = with_each - current - candidates.penalties
+        with_each = np.linalg.slogdet(total + row_fims + eps * np.eye(3))[1]
+        util = with_each - current - penalties
         util[~active] = -np.inf
         best = int(np.argmax(util))
         if util[best] <= weights.min_gain:
@@ -185,10 +169,10 @@ def greedy_allocate(
         chosen.append(best)
         gains.append(float(with_each[best] - current))
         utilities.append(float(util[best]))
-        total = total + candidates.fims[best]
+        total = total + row_fims[best]
         current = float(with_each[best])
         active &= np.linalg.norm(positions - positions[best], axis=1) >= _SAME_PLACEMENT
 
-    formation = Formation(positions[chosen], candidates.yaws[chosen], candidates.lidar[chosen],
-                          target)
+    formation = Formation(positions[chosen], candidates.yaws[chosen], lidar[chosen],
+                          candidates.target)
     return AllocationResult(formation=formation, logdet=current, gains=gains, utilities=utilities)

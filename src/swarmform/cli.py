@@ -31,7 +31,7 @@ from .alloc import build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
 from .flight import CONTROLLERS, FormationPlan, metrics, simulate
 from .fov import coverage, ground_constrain, optimize_formation
-from .geom import DegenerateGeometryError, Formation, Sensor
+from .geom import DegenerateGeometryError, Formation
 from .radio import link_stats
 from .sensing import logdet_reg, total_fim
 
@@ -72,7 +72,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _member_docs(f: Formation) -> list[dict]:
     return [{
-        "Sensor": (Sensor.LIDAR if lidar else Sensor.CAMERA).value,
+        "Sensor": "lidar" if lidar else "camera",
         "Azimuth (deg)": float(np.degrees(np.arctan2(rel[1], rel[0])) % 360.0),
         "Pitch (deg)": float(np.degrees(np.arctan2(rel[2], np.hypot(rel[0], rel[1])))),
         "Position (x, y, z)": [float(v) for v in position],
@@ -94,15 +94,12 @@ def _formation_stats(f: Formation, scenario: Scenario) -> dict:
 
 
 def _stage_allocate(scenario: Scenario) -> tuple[Formation, dict]:
-    candidates = build_candidates(
-        scenario.target.position, scenario.grid, scenario.weights,
-        scenario.resources, scenario.sensors,
-        max_boresight_pitch=scenario.fov.kappa / 2.0,
-    )
+    candidates = build_candidates(scenario.target.position, scenario.grid,
+                                  max_boresight_pitch=scenario.fov.kappa / 2.0)
     if not candidates:
         raise DegenerateGeometryError("candidate grid is empty after FOV filtering")
-    result = greedy_allocate(candidates, scenario.target.position,
-                             scenario.weights, scenario.eps)
+    result = greedy_allocate(candidates, scenario.weights, scenario.resources,
+                             scenario.sensors, scenario.eps)
     lidar = int(np.count_nonzero(result.formation.lidar))
     doc = {
         "Members": _member_docs(result.formation),

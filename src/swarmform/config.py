@@ -23,7 +23,7 @@ import numpy as np
 from .alloc import AllocWeights, GridSpec
 from .flight import CONTROLLERS, ApfParams, ControlGains, step_count
 from .fov import FovSpec
-from .geom import Formation, Sensor, yaw_facing_target
+from .geom import Formation, yaw_facing_target
 from .radio import RadioParams, ResourceModel, dbm_to_watts
 from .sensing import DEFAULT_EPS, CameraIntrinsics, LidarNoise, SensorModels
 
@@ -190,7 +190,7 @@ _FORMATION_TARGET = _same(_vector(3), "target")
 _POSES = _same(_list, "poses")
 # an explicit null yaw_deg, like an absent one, faces the target
 _POSE = (*_same(_vector(3), "position"),
-         ("sensor", "sensor", _choice("camera", "lidar"), Sensor),
+         ("sensor", "lidar", _choice("camera", "lidar"), lambda v: v == "lidar"),
          ("yaw_deg", "yaw", lambda v, path: v if v is None else _number(v, path), None))
 
 
@@ -329,7 +329,7 @@ def parse_formation_dict(doc: dict, name: str = "") -> tuple[Formation, SensorMo
         positions.append(pose["position"])
         yaws.append(np.radians(yaw) if yaw is not None else _invariant(
             lambda: yaw_facing_target(pose["position"], target), sec.path))
-        lidar.append(pose["sensor"] is Sensor.LIDAR)
+        lidar.append(pose["lidar"])
     root.reject_unknown()
     return Formation(np.reshape(positions, (-1, 3)), yaws, lidar, target), sensors, eps
 

@@ -7,7 +7,6 @@ config/CLI boundary. Yaw is stored in (-pi, pi] (atan2 range).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -19,11 +18,6 @@ class DegenerateGeometryError(ValueError):
     (vertical alignment, coincident positions, zero camera depth)."""
 
 
-class Sensor(Enum):
-    CAMERA = "camera"
-    LIDAR = "lidar"
-
-
 def wrap_pi(angle):
     """Normalize an angle, or an array of angles, to (-pi, pi]. A Python
     float gives a Python float."""
@@ -32,10 +26,11 @@ def wrap_pi(angle):
 
 @dataclass(frozen=True)
 class Formation:
-    """A formation's members as rows: positions (n, 3), yaws (n,) wrapped
-    to (-pi, pi], and a mask (n,) of the LiDAR members (the others carry
-    cameras); plus the target estimate. Pitch and roll are zero, so member
-    i heads along [cos(yaws[i]), sin(yaws[i]), 0]."""
+    """A formation's members, or the allocation candidates, as rows:
+    positions (n, 3), yaws (n,) wrapped to (-pi, pi], and a mask (n,) of
+    the LiDAR members (the others carry cameras); plus the target
+    estimate. Pitch and roll are zero, so member i heads along
+    [cos(yaws[i]), sin(yaws[i]), 0]."""
 
     positions: np.ndarray
     yaws: np.ndarray

@@ -1,5 +1,6 @@
-"""Path-loss/SINR evaluation over a formation and the resource/cost
-ledger feeding the allocation penalty terms.
+"""Path-loss/SINR evaluation over a formation, and the resource/cost
+ledger (`ResourceModel`) whose camera and LiDAR fields `alloc.greedy_allocate`
+reads for its penalty terms.
 
 Received power decays as tx_power * rho0 * d^-alpha. Link statistics
 aggregate over a star topology whose hub is a designated fusion receiver
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import DegenerateGeometryError, Formation, Sensor
+from .geom import DegenerateGeometryError, Formation
 
 _MIN_DISTANCE = 1e-9
 
@@ -43,7 +44,8 @@ class RadioParams:
 @dataclass(frozen=True)
 class ResourceModel:
     """Time-frequency resource blocks (bandwidth * duration) and hardware
-    cost per sensor modality. LiDAR strictly exceeds camera on both."""
+    cost per sensor modality, one field per modality; a candidate's
+    `lidar` flag picks which. LiDAR strictly exceeds camera on both."""
 
     bandwidth_cam: float = 1.0
     duration_cam: float = 1.0
@@ -59,16 +61,6 @@ class ResourceModel:
             raise ValueError("LiDAR resource block must exceed the camera's")
         if self.cost_lidar <= self.cost_cam:
             raise ValueError("LiDAR hardware cost must exceed the camera's")
-
-
-def comm_resource(sensor: Sensor, rm: ResourceModel) -> float:
-    if sensor is Sensor.LIDAR:
-        return rm.bandwidth_lidar * rm.duration_lidar
-    return rm.bandwidth_cam * rm.duration_cam
-
-
-def sensor_cost(sensor: Sensor, rm: ResourceModel) -> float:
-    return rm.cost_lidar if sensor is Sensor.LIDAR else rm.cost_cam
 
 
 def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:

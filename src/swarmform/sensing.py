@@ -5,8 +5,12 @@ The camera projects the target into pixel coordinates through a yaw-only
 rotation; the LiDAR measures (range, azimuth, pitch). Both Jacobians are
 taken with respect to the target position, so each UAV's information
 matrix is O^T Q^-1 O with the sensor's measurement covariance Q. `fims`
-writes both Jacobians once, over stacked poses; the per-pose measurement
-functions they differentiate are kept as test oracles.
+writes both Jacobians once, over the rows of a `Formation`: a formation's
+members or the allocation candidates, whose `lidar` mask picks each row's
+model. A pose so far out that its squared range or camera depth
+overflows is refused with `FloatingPointError`, not given a Jacobian that
+silently lost those terms. The per-pose measurement functions the
+Jacobians differentiate are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -61,45 +65,49 @@ class SensorModels:
     lidar: LidarNoise = field(default_factory=LidarNoise)
 
 
-def fims(positions, yaws, lidar, target, models: SensorModels) -> np.ndarray:
-    """(N, 3, 3) information matrices that N stacked poses give about the
-    target: positions (N, 3), yaws (N,) wrapped to (-pi, pi] as `Formation`
-    stores them, and a mask (N,) of the LiDAR rows (the others carry
-    cameras). Each is (J^T Q^-1) J, one batched product per modality.
+def fims(rows: Formation, models: SensorModels) -> np.ndarray:
+    """(N, 3, 3) information matrices that the N rows of `rows` (the
+    members of a formation or the allocation candidates) give about its
+    target. Each is (J^T Q^-1) J, one batched product per modality.
 
-    Raises `DegenerateGeometryError` for the first pose, in row order,
+    Raises `DegenerateGeometryError` for the first row, in row order,
     whose camera has the target in its focal plane or whose LiDAR is
-    vertically aligned with it.
+    vertically aligned with it; then `FloatingPointError` when a squared
+    LiDAR range or camera depth is not finite (a pose so far out that the
+    Jacobian would lose its range or depth terms).
     """
-    rel = np.asarray(positions, dtype=float).reshape(-1, 3) - np.asarray(target, dtype=float)
-    yaws = np.asarray(yaws, dtype=float)
-    lidar = np.asarray(lidar, dtype=bool)
+    lidar = rows.lidar
     cam = ~lidar
-    dx, dy, dz = rel[cam].T
-    c, s = np.cos(yaws[cam]), np.sin(yaws[cam])
-    z = c * dx + s * dy                      # camera depth
-    lrel = rel[lidar]
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused below
+        rel = rows.positions - rows.target
+        dx, dy, dz = rel[cam].T
+        c, s = np.cos(rows.yaws[cam]), np.sin(rows.yaws[cam])
+        z = c * dx + s * dy                      # camera depth
+        z2 = z * z
+        lrel = rel[lidar]
+        # the range as the dot product a scalar norm takes (a norm along
+        # axis 1 rounds differently)
+        d = np.sqrt((lrel[:, None, :] @ lrel[:, :, None])[:, 0, 0])
+        d2 = d * d
     lx, ly, lz = lrel.T
     d_xy = np.hypot(lx, ly)
-    bad = np.empty(len(rel), dtype=bool)
+    bad = np.empty(len(rows), dtype=bool)
     bad[cam] = np.abs(z) < _DEGENERATE
     bad[lidar] = d_xy < _DEGENERATE
     if bad.any():
         raise DegenerateGeometryError(
             "vertical alignment: azimuth undefined" if lidar[np.argmax(bad)]
             else "target lies in the camera's focal plane")
+    if not (np.isfinite(z2).all() and np.isfinite(d2).all()):
+        raise FloatingPointError("a squared LiDAR range or camera depth overflows: "
+                                 "a pose is too far from the target")
 
     intr = models.camera
-    z2 = z * z
     zero = np.zeros_like(z)
     cam_jac = np.stack([
         np.stack([-intr.fx * dy / z2, intr.fx * dx / z2, zero], axis=-1),
         np.stack([-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z], axis=-1),
     ], axis=1)
-    # the range as the dot product a scalar norm takes (a norm along axis 1
-    # rounds differently)
-    d = np.sqrt((lrel[:, None, :] @ lrel[:, :, None])[:, 0, 0])
-    d2 = d * d
     beta = np.arctan2(ly, lx)
     sb, cb = np.sin(beta), np.cos(beta)
     lidar_jac = np.stack([
@@ -108,17 +116,16 @@ def fims(positions, yaws, lidar, target, models: SensorModels) -> np.ndarray:
         np.stack([lz * cb / d2, lz * sb / d2, -d_xy / d2], axis=-1),
     ], axis=1)
 
-    out = np.empty((len(rel), 3, 3))
-    for rows, jac, cov in ((cam, cam_jac, intr.noise_cov),
+    out = np.empty((len(rows), 3, 3))
+    for mask, jac, cov in ((cam, cam_jac, intr.noise_cov),
                            (lidar, lidar_jac, models.lidar.noise_cov)):
-        out[rows] = (jac.transpose(0, 2, 1) * (1.0 / np.asarray(cov))) @ jac
+        out[mask] = (jac.transpose(0, 2, 1) * (1.0 / np.asarray(cov))) @ jac
     return out
 
 
 def total_fim(formation: Formation, models: SensorModels) -> np.ndarray:
     """Sum of per-UAV FIMs, in member order (deterministic reduction)."""
-    return fims(formation.positions, formation.yaws, formation.lidar, formation.target,
-                models).sum(axis=0, initial=0.0)
+    return fims(formation, models).sum(axis=0, initial=0.0)
 
 
 def logdet_reg(fim: np.ndarray, eps: float = DEFAULT_EPS) -> float:

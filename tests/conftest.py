@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import Pose, SphericalPlacement, formation_of, spherical_to_cartesian
-from swarmform.geom import Formation, Sensor, yaw_facing_target
+from oracles import Pose, Sensor, SphericalPlacement, formation_of, spherical_to_cartesian
+from swarmform.geom import Formation, yaw_facing_target
 from swarmform.sensing import SensorModels
 
 # The published six-UAV formation: (sensor, azimuth deg, pitch deg) at 10 m.

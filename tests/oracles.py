@@ -4,16 +4,17 @@ Each spells out a quantity the library computes as array expressions, or
 searches exhaustively where the library searches greedily, so tests can
 compare against it:
 
-- `Pose`, `formation_of`, `poses_of`, `flip_pose`, `pose_fim`: one member
-  as a record, the `Formation` whose rows are a list of them and back,
-  and one member's flip and FIM;
+- `Sensor`, `Pose`, `formation_of`, `poses_of`, `flip_pose`, `pose_fim`:
+  one member as a record with its modality as an enum, the `Formation`
+  whose rows are a list of them and back, and one member's flip and FIM;
 - `SphericalPlacement`, `spherical_to_cartesian`, `cartesian_to_spherical`:
   one grid placement and its conversions;
 - `camera_project`, `camera_jacobian`, `lidar_measure`, `lidar_jacobian`:
   the measurement models and their Jacobians, one pose at a time;
 - `scalar_fim`, `total_fim_loops`, `build_candidates_loops`: one UAV's
   FIM from those Jacobians, the swarm total added member by member, and
-  the candidate set built placement by placement;
+  the candidate set built placement by placement, with each row's FIM and
+  allocation penalty;
 - `target_visible`, `direction_covered`, `coverage_loops`: the FOV
   frustum test and the coverage metric, direction by direction and
   member by member;
@@ -38,12 +39,12 @@ compare against it:
 
 import csv
 from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 
 import numpy as np
 
 from swarmform import fov, kernels
-from swarmform.alloc import Candidates, candidate_penalty
 from swarmform.flight import ApfParams, ControlGains, FormationPlan
 from swarmform.fov import (
     _ANGLE_TOL,
@@ -56,7 +57,6 @@ from swarmform.fov import (
 from swarmform.geom import (
     DegenerateGeometryError,
     Formation,
-    Sensor,
     wrap_pi,
     yaw_facing_target,
 )
@@ -64,6 +64,11 @@ from swarmform.radio import RadioParams, link_stats, received_power, to_db
 from swarmform.sensing import DEFAULT_EPS, fims, logdet_reg
 
 _DEGENERATE = 1e-9
+
+
+class Sensor(Enum):
+    CAMERA = "camera"
+    LIDAR = "lidar"
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ def flip_pose(pose: Pose, target) -> Pose:
 
 def pose_fim(pose: Pose, target, models) -> np.ndarray:
     """3x3 information matrix a single UAV contributes, from `sensing.fims`."""
-    return fims(pose.position, [pose.yaw], [pose.sensor is Sensor.LIDAR], target, models)[0]
+    return fims(formation_of([pose], target), models)[0]
 
 
 def wrap_2pi(angle: float) -> float:
@@ -249,11 +254,18 @@ def total_fim_loops(formation, models) -> np.ndarray:
 
 
 def build_candidates_loops(target, grid, weights, resources, models,
-                           max_boresight_pitch=np.radians(20.0)) -> Candidates:
+                           max_boresight_pitch=np.radians(20.0)):
     """`alloc.build_candidates` placement by placement: one
-    `SphericalPlacement`, `Pose` and `scalar_fim` per candidate."""
+    `SphericalPlacement`, `Pose` and `scalar_fim` per candidate. Returns
+    the rows as a `Formation`, their FIMs (N, 3, 3) and their allocation
+    penalties (N,), each read from the `ResourceModel` fields of the row's
+    sensor."""
     target = np.asarray(target, dtype=float)
-    rows = []
+    costs = {Sensor.CAMERA: (resources.bandwidth_cam, resources.duration_cam,
+                             resources.cost_cam),
+             Sensor.LIDAR: (resources.bandwidth_lidar, resources.duration_lidar,
+                            resources.cost_lidar)}
+    poses, row_fims, penalties = [], [], []
     for delta in grid.deltas():
         for beta in grid.betas():
             placement = SphericalPlacement(d=grid.distance, beta=float(beta), delta=float(delta))
@@ -268,14 +280,13 @@ def build_candidates_loops(target, grid, weights, resources, models,
                 continue
             for sensor in (Sensor.CAMERA, Sensor.LIDAR):
                 pose = Pose(position=position, yaw=yaw, sensor=sensor)
-                rows.append((position, yaw, sensor is Sensor.LIDAR,
-                             scalar_fim(pose, target, models),
-                             candidate_penalty(sensor, weights, resources)))
-    positions, yaws, lidar, fims, penalties = zip(*rows) if rows else ([],) * 5
-    return Candidates(positions=np.array(positions, dtype=float).reshape(-1, 3),
-                      yaws=np.array(yaws, dtype=float), lidar=np.array(lidar, dtype=bool),
-                      fims=np.array(fims, dtype=float).reshape(-1, 3, 3),
-                      penalties=np.array(penalties, dtype=float))
+                bandwidth, duration, cost = costs[sensor]
+                poses.append(pose)
+                row_fims.append(scalar_fim(pose, target, models))
+                penalties.append(weights.alpha_resource * (bandwidth * duration)
+                                 + weights.alpha_cost * cost)
+    return (formation_of(poses, target), np.array(row_fims, dtype=float).reshape(-1, 3, 3),
+            np.array(penalties, dtype=float))
 
 
 def target_visible(pose, target, spec) -> bool:

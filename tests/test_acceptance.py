@@ -23,6 +23,7 @@ from oracles import (
     greedy_unpenalized,
     lidar_jacobian,
     lidar_measure,
+    Sensor,
     pose_fim,
     sinr,
     subset_logdet,
@@ -39,7 +40,6 @@ from swarmform.fov import (
     ground_constrain,
     optimize_formation,
 )
-from swarmform.geom import Sensor
 from swarmform.radio import RadioParams, ResourceModel, link_stats
 from swarmform.sensing import SensorModels, fims, logdet_reg, total_fim
 
@@ -85,7 +85,7 @@ def test_criterion_02_flip_preserves_fim(models):
     for sensor in (Sensor.CAMERA, Sensor.LIDAR):
         # per member: each row of the flipped formation against its own row
         f = formation_of([random_pose(rng, sensor) for _ in range(1000)], np.zeros(3))
-        f0, f1 = (fims(g.positions, g.yaws, g.lidar, g.target, models) for g in (f, flip(f)))
+        f0, f1 = fims(f, models), fims(flip(f), models)
         worst = max(worst, np.abs(f1 - f0).max())
     # consequently the total log-det survives any accepted move set
     f = build_reference_formation()
@@ -119,9 +119,8 @@ def test_criterion_03_reference_formation_logdet(capsys):
 
 def test_criterion_04_greedy_structure(models):
     start = time.time()
-    candidates = build_candidates(np.zeros(3), GridSpec(), AllocWeights(),
-                                  ResourceModel(), models)
-    result = greedy_allocate(candidates, np.zeros(3), AllocWeights())
+    candidates = build_candidates(np.zeros(3), GridSpec())
+    result = greedy_allocate(candidates, AllocWeights(), ResourceModel(), models)
     elapsed = time.time() - start
     assert len(result.formation) == 6
     lidar = int(np.count_nonzero(result.formation.lidar))

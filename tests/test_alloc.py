@@ -21,9 +21,8 @@ from swarmform.alloc import (
     build_candidates,
     greedy_allocate,
 )
-from swarmform.geom import wrap_pi
 from swarmform.radio import ResourceModel
-from swarmform.sensing import SensorModels, logdet_reg
+from swarmform.sensing import SensorModels, fims, logdet_reg
 
 
 @pytest.fixture
@@ -37,8 +36,12 @@ def weights():
 
 
 @pytest.fixture
-def candidates(grid, weights, models):
-    return build_candidates(np.zeros(3), grid, weights, ResourceModel(), models)
+def candidates(grid):
+    return build_candidates(np.zeros(3), grid)
+
+
+def allocate(candidates, weights, models=SensorModels()):
+    return greedy_allocate(candidates, weights, ResourceModel(), models)
 
 
 def random_fims(rng, n, models):
@@ -78,18 +81,18 @@ class TestGrid:
 
 class TestGreedyStructure:
     def test_selects_six_with_two_lidar(self, candidates, weights):
-        result = greedy_allocate(candidates, np.zeros(3), weights)
+        result = allocate(candidates, weights)
         assert len(result.formation) == 6
         assert np.count_nonzero(result.formation.lidar) == 2
         assert result.logdet == pytest.approx(16.4820, abs=1e-3)
 
     def test_gains_non_increasing(self, candidates, weights):
-        result = greedy_allocate(candidates, np.zeros(3), weights)
+        result = allocate(candidates, weights)
         gains = np.array(result.gains)
         assert np.all(np.diff(gains) <= 1e-9)
 
     def test_no_colocated_members(self, candidates, weights):
-        result = greedy_allocate(candidates, np.zeros(3), weights)
+        result = allocate(candidates, weights)
         pts = result.formation.positions
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -97,11 +100,11 @@ class TestGreedyStructure:
 
     def test_empty_pool_rejected(self, weights):
         with pytest.raises(ValueError):
-            greedy_allocate([], np.zeros(3), weights)
+            allocate([], weights)
 
     def test_max_uavs_cap(self, candidates):
         capped = AllocWeights(min_gain=-100.0, max_uavs=3)
-        result = greedy_allocate(candidates, np.zeros(3), capped)
+        result = allocate(candidates, capped)
         assert len(result.formation) == 3
 
 
@@ -149,12 +152,28 @@ class TestOracle:
 
 
 def assert_same_candidates(target, grid, models):
-    args = (target, grid, AllocWeights(), ResourceModel(), models)
-    built, loops = build_candidates(*args), build_candidates_loops(*args)
-    assert len(built) == len(loops)
-    for name in ("positions", "yaws", "lidar", "fims", "penalties"):
-        assert np.array_equal(getattr(built, name), getattr(loops, name)), name
-    return built, loops
+    """The built rows and their FIMs equal the oracle's with `==`; each
+    greedy member is the oracle's row at its placement and sensor (same
+    position bytes, same yaw), and its round's net utility is its gain
+    less the oracle's penalty for that row. Returns the candidates and
+    the greedy result."""
+    built = build_candidates(target, grid)
+    rows, row_fims, penalties = build_candidates_loops(target, grid, AllocWeights(),
+                                                       ResourceModel(), models)
+    assert len(built) == len(rows)
+    for name in ("positions", "yaws", "lidar", "target"):
+        assert np.array_equal(getattr(built, name), getattr(rows, name)), name
+    assert np.array_equal(fims(built, models), row_fims)
+    result = allocate(built, AllocWeights(), models)
+    index = {(p.tobytes(), lidar): i for i, (p, lidar) in enumerate(zip(rows.positions,
+                                                                         rows.lidar))}
+    f = result.formation
+    for position, yaw, lidar, gain, utility in zip(f.positions, f.yaws, f.lidar,
+                                                   result.gains, result.utilities):
+        i = index[position.tobytes(), lidar]
+        assert yaw == rows.yaws[i]
+        assert utility == gain - penalties[i]
+    return built, result
 
 
 def degree_grid(step):
@@ -175,17 +194,9 @@ class TestArrayCandidates:
 
     @pytest.mark.parametrize("target", [(0.0, 0.0, 0.0), (37.3, -48.1, 12.9)])
     def test_equal_to_loops_one_degree(self, target, models):
-        built, loops = assert_same_candidates(np.array(target), degree_grid(1.0), models)
+        built, result = assert_same_candidates(np.array(target), degree_grid(1.0), models)
         assert len(built) == 15840
-        # each greedy member is the loop's row at its placement and sensor:
-        # same position bytes, the row's yaw wrapped, the same sensor
-        formation = greedy_allocate(built, np.array(target), AllocWeights()).formation
-        assert len(formation) == 6
-        rows = {(p.tobytes(), lidar): i for i, (p, lidar)
-                in enumerate(zip(loops.positions, loops.lidar))}
-        for position, yaw, lidar in zip(formation.positions, formation.yaws, formation.lidar):
-            i = rows[position.tobytes(), lidar]
-            assert yaw == wrap_pi(loops.yaws[i])
+        assert len(result.formation) == 6
 
     def test_pitch_ring_past_pi_rejected_as_before(self):
         # delta_max 180 with a 30-degree step puts the last ring at 190
@@ -195,3 +206,21 @@ class TestArrayCandidates:
             SphericalPlacement(10.0, 0.0, np.radians(10.0) + 6 * np.radians(30.0))
         with pytest.raises(ValueError, match=re.escape(str(oracle_exc.value))):
             GridSpec(delta_max=np.pi, delta_step=np.radians(30.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+       step=st.sampled_from([10.0, 15.0, 20.0, 30.0]), distance=st.floats(2.0, 40.0),
+       alpha_resource=st.floats(0.0, 1.0), alpha_cost=st.floats(0.0, 1.0),
+       min_gain=st.floats(-1.0, 0.5), max_uavs=st.integers(1, 12))
+def test_greedy_gains_non_negative_utilities_non_increasing(
+        target, step, distance, alpha_resource, alpha_cost, min_gain, max_uavs):
+    """The log-det is monotone, so no marginal gain is negative; it is
+    submodular and each row's penalty is fixed, so the best net utility
+    never rises from one round to the next."""
+    grid = GridSpec(distance=distance, beta_step=np.radians(step),
+                    delta_step=np.radians(step))
+    weights = AllocWeights(alpha_resource, alpha_cost, min_gain, max_uavs)
+    result = allocate(build_candidates(np.array(target), grid), weights)
+    assert min(result.gains, default=0.0) >= 0.0
+    assert np.all(np.diff(result.utilities) <= 1e-9)

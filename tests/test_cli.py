@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +79,73 @@ class TestFly:
         assert code == 0
         assert report["Flight"]["Controller"] == "quad"
         assert report["Flight"]["Seed"] == 7
+
+
+def far_out_scenario(tmp_path, distance):
+    doc = json.loads((resources.files("swarmform") / "scenarios"
+                      / "paper_default.json").read_text())
+    doc["grid"]["distance_m"] = distance
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+class TestFarOutPoses:
+    """Beyond about 1.3e154 m a squared LiDAR range overflows. The range
+    row of its FIM then silently became 0: one LiDAR at 1e160 m printed
+    the empty formation's 3 ln(eps), and a grid at 1e160 m allocated no
+    UAV, both with exit 0."""
+
+    @pytest.mark.parametrize("x, code, out", [(1e150, 0, "-23.025851\n"), (1e160, 2, "")])
+    def test_eval_fim_lidar(self, tmp_path, capsys, x, code, out):
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps({"poses": [{"position": [x, 0.0, 0.0], "sensor": "lidar"}]}))
+        assert main(["eval-fim", "--formation", str(p)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        if code:
+            assert captured.err.startswith("swarmform: numeric error: ")
+            assert captured.err.count("\n") == 1
+
+    def test_allocate_grid_at_1e150(self, tmp_path):
+        code, report = run(tmp_path, "allocate", "--scenario", far_out_scenario(tmp_path, 1e150))
+        assert code == 0
+        assert report["Allocation"]["Sensor mix"] == {"lidar": 3, "camera": 0}
+
+    def test_allocate_grid_at_1e160(self, tmp_path, capsys):
+        code, report = run(tmp_path, "allocate", "--scenario", far_out_scenario(tmp_path, 1e160))
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("swarmform: numeric error: [stage allocate] ")
+        assert err.count("\n") == 1
+
+
+# sha256 of the bundled scenarios' outputs, recorded before the candidate
+# set became a `Formation`; any change to these bytes must be deliberate
+PINNED_OUTPUTS = {
+    ("formation", "paper_default.json"): {
+        "report.json": "f6ff23b0efff1ae1d1c2df106528644c7dbc3111d81b4724e5ed2f6e295649a0",
+    },
+    ("formation", "paper_ground.json"): {
+        "report.json": "b65d3cc823b469cce0b419f2b84b65cba180b38991184b0a2cb642cbcd85e84d",
+    },
+    ("fly", "paper_default.json"): {
+        "report.json": "6ee4e3082a19ad1a78391602139222f51663503406924d375988073d6a09bc77",
+        "fly_trace.csv": "3fc782d468fe31253f8b81c2d3642e62d8abf23de9ed617a259e4a0e04b79b3a",
+    },
+}
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="digests recorded with NumPy 2")
+@pytest.mark.parametrize("command, name", sorted(PINNED_OUTPUTS))
+def test_output_bytes_pinned(tmp_path, command, name):
+    out = tmp_path / "out"
+    assert main([command, "--scenario", scenario(name), "--controller", "log",
+                 "--out-dir", str(out)]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in PINNED_OUTPUTS[command, name]}
+    assert digests == PINNED_OUTPUTS[command, name]
 
 
 class TestPipelineDeterminism:

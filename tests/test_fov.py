@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import build_reference_formation, random_pose, vec3
 from oracles import (
     Pose,
+    Sensor,
     coverage_loops,
     direction_covered,
     exhaustive_flip_best,
@@ -27,12 +28,11 @@ from swarmform.fov import (
 from swarmform.geom import (
     DegenerateGeometryError,
     Formation,
-    Sensor,
     wrap_pi,
     yaw_facing_target,
 )
 from swarmform.radio import RadioParams, link_stats
-from swarmform.sensing import SensorModels, fims, logdet_reg, total_fim
+from swarmform.sensing import fims, logdet_reg, total_fim
 
 
 @pytest.fixture
@@ -168,10 +168,6 @@ def test_coverage_equals_scalar_loops(members, target, n_dirs, gamma_deg, lam):
     assert got.per_direction == want.per_direction
 
 
-def member_fims(f: Formation, models: SensorModels) -> np.ndarray:
-    return fims(f.positions, f.yaws, f.lidar, f.target, models)
-
-
 class TestFlip:
     def test_point_reflection(self):
         f = formation_of([Pose(vec3(-7.2, -6.0, 3.4), np.radians(40.0), Sensor.CAMERA)],
@@ -198,7 +194,7 @@ class TestFlip:
     def test_fim_invariant(self, models):
         rng = np.random.default_rng(7)
         f = formation_of([random_pose(rng) for _ in range(50)], np.zeros(3))
-        assert np.abs(member_fims(flip(f), models) - member_fims(f, models)).max() < 1e-9
+        assert np.abs(fims(flip(f), models) - fims(f, models)).max() < 1e-9
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,17 +4,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import vec3
-from oracles import Pose, formation_of, sinr_db
+from oracles import Pose, Sensor, formation_of, sinr_db
 from swarmform import radio
-from swarmform.geom import DegenerateGeometryError, Sensor
+from swarmform.geom import DegenerateGeometryError, Formation
 from swarmform.radio import (
     RadioParams,
     ResourceModel,
-    comm_resource,
     dbm_to_watts,
     link_stats,
     received_power,
-    sensor_cost,
     to_db,
 )
 
@@ -124,12 +122,32 @@ def test_link_stats_equals_scalar_sinr(xyz, alpha, noise_dbm, data):
     assert stats["min_db"] == float(np.min(vals))
 
 
-class TestResources:
-    def test_lidar_exceeds_camera(self):
-        rm = ResourceModel()
-        assert comm_resource(Sensor.LIDAR, rm) > comm_resource(Sensor.CAMERA, rm)
-        assert sensor_cost(Sensor.LIDAR, rm) > sensor_cost(Sensor.CAMERA, rm)
+@settings(max_examples=100, deadline=None)
+@given(xyz=st.lists(st.tuples(*[st.floats(-40.0, 40.0)] * 3), min_size=2, max_size=10),
+       shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3), alpha=st.floats(1.0, 4.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_link_stats_invariant_under_rigid_motion(xyz, shift, alpha, seed, data):
+    """SINR depends on the distances to the receiver only, so a rotation
+    and a translation of the whole formation move the mean and minimum dB
+    by rounding alone."""
+    pts = np.array(xyz)
+    receiver = data.draw(st.integers(0, len(pts) - 1), label="receiver")
+    others = np.delete(pts, receiver, axis=0)
+    assume(np.linalg.norm(others - pts[receiver], axis=1).min() > 0.1)
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    rp = RadioParams(alpha=alpha)
+    n = len(pts)
+    before = link_stats(Formation(pts, np.zeros(n), np.zeros(n, bool), np.zeros(3)), receiver, rp)
+    moved = Formation(pts @ q.T + shift, np.zeros(n), np.zeros(n, bool), np.zeros(3))
+    after = link_stats(moved, receiver, rp)
+    assert abs(after["avg_db"] - before["avg_db"]) <= 1e-9
+    assert abs(after["min_db"] - before["min_db"]) <= 1e-9
 
+
+class TestResources:
     def test_validation(self):
         with pytest.raises(ValueError):
             ResourceModel(bandwidth_lidar=0.5)

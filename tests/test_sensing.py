@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_pose, vec3
 from oracles import (
     Pose,
+    Sensor,
     camera_jacobian,
     camera_project,
     formation_of,
@@ -18,7 +19,7 @@ from oracles import (
     scalar_fim,
     total_fim_loops,
 )
-from swarmform.geom import DegenerateGeometryError, Sensor
+from swarmform.geom import DegenerateGeometryError, Formation
 from swarmform.sensing import (
     CameraIntrinsics,
     SensorModels,
@@ -126,6 +127,19 @@ class TestFim:
         val = logdet_reg(total_fim(reference_formation, models))
         assert val == pytest.approx(16.4820, abs=1e-3)
 
+    def test_far_lidar_keeps_its_range_row(self, models):
+        # at 1e150 m the squared range, 1e300, is still finite
+        f = Formation(np.array([[1e150, 0.0, 0.0]]), [np.pi], [True], np.zeros(3))
+        assert fims(f, models)[0, 0, 0] == pytest.approx(1.0 / models.lidar.noise_cov[0])
+
+    @pytest.mark.parametrize("lidar", [True, False])
+    def test_overflowing_square_refused(self, models, lidar):
+        # at 1e160 m the squared range (or depth) overflowed, and the LiDAR's
+        # range row silently became 0 instead of a unit vector
+        f = Formation(np.array([[1e160, 0.0, 0.0]]), [np.pi], [lidar], np.zeros(3))
+        with pytest.raises(FloatingPointError, match="too far from the target"):
+            fims(f, models)
+
     def test_noise_defaults_are_squared_sigmas(self, models):
         assert models.camera.noise_cov == pytest.approx((36.0, 36.0))
         assert models.lidar.noise_cov == pytest.approx((0.01, 0.0004, 0.000225))
@@ -147,13 +161,11 @@ def test_fims_equal_scalar_oracle(rows, target):
     poses = [Pose(target + offset, yaw, Sensor.LIDAR if lidar else Sensor.CAMERA)
              for offset, yaw, lidar in rows]
     formation = formation_of(poses, target)
-    args = (formation.positions, [p.yaw for p in poses],
-            [p.sensor is Sensor.LIDAR for p in poses], target, models)
     try:
         expected = np.array([scalar_fim(p, target, models) for p in poses])
     except DegenerateGeometryError as exc:
         with pytest.raises(DegenerateGeometryError, match=re.escape(str(exc))):
-            fims(*args)
+            fims(formation, models)
         return
-    assert np.array_equal(fims(*args), expected)
+    assert np.array_equal(fims(formation, models), expected)
     assert np.array_equal(total_fim(formation, models), total_fim_loops(formation, models))
