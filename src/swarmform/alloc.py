@@ -47,22 +47,22 @@ class GridSpec:
         if not max(azimuths, 1.0) * rings <= MAX_PLACEMENTS:
             raise ValueError(f"steps give {azimuths:.4g} x {rings:.4g} placements, "
                              f"more than {MAX_PLACEMENTS}")
-        # the last ring can pass delta_max by up to half a step
-        last = float(self.deltas()[-1])
-        if last > np.pi:
-            raise ValueError(f"pitch must lie in [0, pi], got {last}")
 
     def _sizes(self) -> list[float]:
-        """Azimuth and pitch-ring counts, in Python floats: inf for a tiny step, no warning."""
+        """Azimuth and pitch-ring counts, in Python floats: inf for a tiny step, no warning.
+        The rings are the steps from delta_min that stay within delta_max,
+        up to a rounding slack."""
         beta, delta, span = map(float, (self.beta_step, self.delta_step,
                                         self.delta_max - self.delta_min))
-        return [float(np.round(2.0 * np.pi / beta)), float(np.floor(span / delta + 0.5)) + 1]
+        return [float(np.round(2.0 * np.pi / beta)), float(np.floor(span / delta + 1e-9)) + 1]
 
     def betas(self) -> np.ndarray:
         return np.arange(int(self._sizes()[0])) * self.beta_step
 
     def deltas(self) -> np.ndarray:
-        return self.delta_min + np.arange(int(self._sizes()[1])) * self.delta_step
+        """Pitch rings, each capped at delta_max (the slack can pass it by an ulp)."""
+        return np.minimum(self.delta_min + np.arange(int(self._sizes()[1])) * self.delta_step,
+                          self.delta_max)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +81,7 @@ def _member_docs(f: Formation) -> list[dict]:
 
 def _formation_stats(f: Formation, scenario: Scenario) -> dict:
     cov = coverage(f, scenario.fov)
-    sinr = link_stats(f, 0, scenario.radio)
+    sinr = link_stats(f, scenario.radio)
     return {
         "log-det FIM": logdet_reg(total_fim(f, scenario.sensors), scenario.eps),
         "Gamma": cov.gamma_metric,
@@ -139,7 +138,6 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
     slots = formation.positions - formation.target
     plan = FormationPlan(slots=slots, target_position=scenario.target.position,
                          target_velocity=scenario.target.velocity)
-    gains = replace(fl.gains, masses=np.full(n, fl.mass_kg))
     half = fl.init_cube_half_width_m
     try:   # run r starts at rest, uniform in the cube around the target
         offsets = np.stack([np.random.default_rng([seed, run]).uniform(-half, half, (n, 3))
@@ -148,7 +146,7 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
         raise FloatingPointError(f"start cube half-width {half} m is too large: "
                                  "the cube's width overflows") from None
     p0 = scenario.target.position + offsets
-    traj = simulate((p0, np.zeros_like(p0)), plan, controller, gains, fl.dt_s, fl.horizon_s,
+    traj = simulate((p0, np.zeros_like(p0)), plan, controller, fl.gains, fl.dt_s, fl.horizon_s,
                     fl.apf)
     runs = [{
         "Avg. Distance (m)": m.avg_distance,

@@ -43,7 +43,6 @@ class TargetSpec:
 class FlightConfig:
     gains: ControlGains = field(default_factory=ControlGains)
     apf: ApfParams = field(default_factory=ApfParams)
-    mass_kg: float = 1.0
     dt_s: float = 0.01
     horizon_s: float = 60.0
     controller: str = "log"
@@ -177,10 +176,10 @@ _RADIO = (
 )
 _RESOURCES = _same(_number, "bandwidth_cam", "duration_cam", "bandwidth_lidar",
                    "duration_lidar", "cost_cam", "cost_lidar")
-_GAINS = _same(_positive, "k1", "k2", "kp")
+_GAINS = (*_same(_positive, "k1", "k2", "kp"), ("mass_kg", "mass", _positive, None))
 _APF = (*_same(_positive, "ka", "kr"), ("d0_m", "d0", _positive, None))
 _FLIGHT = (
-    *_same(_positive, "mass_kg", "dt_s", "horizon_s"),
+    *_same(_positive, "dt_s", "horizon_s"),
     *_same(_choice(*CONTROLLERS), "controller"),
     *_same(_integer, "seed"),
     *_same(_count, "runs"),
@@ -278,6 +277,9 @@ def parse_scenario_dict(doc: dict, name: str = "") -> Scenario:
     weights = _section(root, "weights", AllocWeights, _WEIGHTS)
     sensors, eps = _sensors(root)
     fov = _section(root, "fov", FovSpec, _FOV)
+    if grid.distance > fov.d_max:   # coverage assumes every UAV sees the target
+        raise ScenarioError(f"{root.at('grid.distance_m')}: must not exceed fov.d_max_m "
+                            f"({fov.d_max}), got {grid.distance}")
     radio = _section(root, "radio", RadioParams, _RADIO)
     resources = _section(root, "resources", ResourceModel, _RESOURCES)
     fl = root.child("flight")

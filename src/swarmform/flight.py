@@ -5,7 +5,8 @@ laws on the complete graph of the swarm; only the leader, member 0,
 carries the absolute position term toward its desired slot, so the
 swarm tracks the target through the leader. Member 0 is also the fusion
 receiver of `fov` and `radio`. The APF controller attracts every member
-to its own absolute slot and adds short-range pairwise repulsion.
+to its own absolute slot and adds short-range pairwise repulsion. Every
+member has the same mass m.
 
 The logarithmic law saturates: each edge contributes at most k1/2 of
 force regardless of the formation error, which is what bounds control
@@ -14,12 +15,12 @@ damps the velocity error v_i - v_t against the target's velocity v_t,
 so in the target's frame the equations are those of a stationary target.
 For a target moving at constant velocity, the Lyapunov function
 
-    V = (k1/2) * sum_edges ln(1 + |e_ij|^2) + (1/2) * sum m_i |v_i - v_t|^2
+    V = (k1/2) * sum_edges ln(1 + |e_ij|^2) + (m/2) * sum |v_i - v_t|^2
         + (kp/2) * |P_L - P_L_des|^2
 
-decreases monotonically along trajectories of members with masses m_i
-(dV/dt = -k2 * sum |v_i - v_t|^2); the k1/2 and kp/2 coefficients are
-exactly the ones that make the cross terms cancel.
+decreases monotonically along trajectories (dV/dt = -k2 * sum |v_i - v_t|^2);
+the k1/2 and kp/2 coefficients are exactly the ones that make the cross
+terms cancel.
 
 The equations live once, in `swarmform.kernels`, and `simulate` rolls
 them out. A start is a pair (positions, velocities) of (R, n, 3) arrays:
@@ -58,18 +59,13 @@ class ControlGains:
     k1: float = 4.0
     k2: float = 1.5
     kp: float = 10.0
-    masses: np.ndarray | None = None   # kg per member; default 1.0
+    mass: float = 1.0   # kg, every member's
 
     def __post_init__(self):
         if min(self.k1, self.k2, self.kp) <= 0:
             raise ValueError("gains must be positive")
-
-    def member_masses(self, n: int) -> np.ndarray:
-        """The (n,) masses of an n-member swarm."""
-        masses = np.ones(n) if self.masses is None else np.asarray(self.masses, dtype=float)
-        if masses.shape != (n,) or (masses <= 0).any():
-            raise ValueError("masses must be n positive values")
-        return masses
+        if not self.mass > 0:
+            raise ValueError("mass must be positive")
 
 
 @dataclass
@@ -128,7 +124,6 @@ class FlightMetrics:
     avg_vel_err: float
     max_vel_err: float
     avg_final_pos_err: float
-    lyapunov_trace: np.ndarray
 
     def __post_init__(self):
         if not self.max_vel_err >= self.avg_vel_err >= 0:
@@ -167,14 +162,12 @@ def simulate(
     if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
         raise ValueError("swarm state must be finite")
     steps = step_count(dt, horizon)
-    n, masses, apf = plan.n, gains.member_masses(plan.n), apf or ApfParams()
-    # the complete graph, led by member 0
-    evaluate = kernels.law(controller, plan.slots, np.ones((n, n)), 0, masses,
-                           gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0,
-                           plan.target_velocity)
+    apf = apf or ApfParams()
+    evaluate = kernels.law(controller, plan.slots, gains.mass, gains.k1, gains.k2, gains.kp,
+                           apf.ka, apf.kr, apf.d0, plan.target_velocity)
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
-        evaluate, positions, velocities, masses, plan.target_at(0.0), plan.target_velocity,
-        dt, steps)
+        evaluate, positions, velocities, gains.mass, plan.target_at(0.0),
+        plan.target_velocity, dt, steps)
     if not all(np.isfinite(a).all() for a in (final, lyap, path, vel_err)):
         raise FloatingPointError("flight went non-finite during rollout, e.g. from "
                                  "coincident UAVs under APF or a start too far out")
@@ -197,8 +190,6 @@ def metrics(traj: Trajectory) -> list[FlightMetrics]:
             avg_vel_err=float(vel_err.mean()),
             max_vel_err=float(vel_err.max()),
             avg_final_pos_err=float(np.linalg.norm(final - desired, axis=1).mean()),
-            lyapunov_trace=lyap,
         )
-        for path, vel_err, final, lyap in zip(traj.path_length, traj.vel_err,
-                                              traj.final_positions, traj.lyapunov)
+        for path, vel_err, final in zip(traj.path_length, traj.vel_err, traj.final_positions)
     ]

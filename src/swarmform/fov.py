@@ -9,9 +9,9 @@ of directions seen by at least one UAV).
 Reconfiguration flips UAVs through the target point — a move that leaves
 every per-UAV FIM exactly unchanged — to spread the formation across
 azimuth sectors, improving coverage while respecting a minimum-SINR
-constraint on the links to the fusion receiver. A flip pattern puts each
-member in one of two poses, so the search scores a whole matrix of
-patterns from each member's two cover rows and link powers.
+constraint on the links into the fusion receiver, member 0. A flip
+pattern puts each member in one of two poses, so the search scores a
+whole matrix of patterns from each member's two cover rows and link powers.
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ def flip_candidates(formation: Formation, spec: FovSpec) -> list[int]:
     return np.flatnonzero(np.bincount(sectors)[sectors] >= 2).tolist()
 
 
-def _score(formation: Formation, flips: np.ndarray, spec: FovSpec, radio: RadioParams,
-           receiver: int):
-    """Gamma and the minimum SINR into `receiver` of `formation` with each
+def _score(formation: Formation, flips: np.ndarray, spec: FovSpec, radio: RadioParams):
+    """Gamma and the minimum SINR into member 0 of `formation` with each
     row of the (P, n) 0/1 integer matrix `flips` applied. Members are
     added one by one, in member order, as in `coverage` and `link_stats`,
     so each row equals them."""
@@ -129,23 +128,18 @@ def _score(formation: Formation, flips: np.ndarray, spec: FovSpec, radio: RadioP
     per_direction = sum(rows[flips[:, i], i] for i in range(len(formation)))
     # power[h, s, i]: member i in state s at the hub in state h, for only the
     # pairs some row meets, so a pair no pattern forms raises no error
-    members, hub = np.arange(len(formation)), flips[:, [receiver]]
+    members, hub = np.arange(len(formation)), flips[:, [0]]
     used = np.zeros((2, 2, len(formation)), dtype=bool)
     used[hub, flips, members] = True
-    used[:, :, receiver] = False
+    used[:, :, 0] = False
     power = np.zeros(used.shape)
     for h, s, i in zip(*np.nonzero(used)):
-        power[h, s, i] = received_power(pos[s, i], pos[h, receiver], radio)
-    links = np.delete(power[hub, flips, members], receiver, axis=1)
+        power[h, s, i] = received_power(pos[s, i], pos[h, 0], radio)
+    links = power[hub, flips, members][:, 1:]
     return _gamma(per_direction, spec.n_dirs)[2], sinr_db(links, radio).min(axis=1)
 
 
-def optimize_formation(
-    formation: Formation,
-    spec: FovSpec,
-    radio: RadioParams,
-    receiver: int = 0,
-) -> Formation:
+def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams) -> Formation:
     """Maximize Gamma over flips of sector-crowded members, subject to the
     minimum link SINR staying at or above eta_min.
 
@@ -162,14 +156,14 @@ def optimize_formation(
     if not gated:
         return formation
 
-    floor = min(spec.eta_min_db, link_stats(formation, receiver, radio)["min_db"])
+    floor = min(spec.eta_min_db, link_stats(formation, radio)["min_db"])
     best, best_gamma = formation, coverage(formation, spec).gamma_metric
 
     def improve(flips: np.ndarray) -> bool:
         """Move `best` to each feasible row of `flips`, in order, that beats
         it by more than _ANGLE_TOL; True if any did."""
         nonlocal best, best_gamma
-        gammas, min_db = _score(best, flips, spec, radio, receiver)
+        gammas, min_db = _score(best, flips, spec, radio)
         accepted = None
         for r in np.flatnonzero(min_db >= floor - _ANGLE_TOL):
             if gammas[r] > best_gamma + _ANGLE_TOL:

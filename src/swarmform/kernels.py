@@ -2,24 +2,23 @@
 both over a batch of runs.
 
 A state is positions p and velocities v of shape (R, n, 3): R runs of
-an n-member swarm that share one plan, graph, gains and target. `law`
-binds the slots, an undirected graph (adjacency), the leader, masses,
-gains and the target's constant velocity vt once and returns one
-function of (p, v, target position tgt) that gives both the (R, n, 3)
-control input of the chosen controller and the (R,) logarithmic
-Lyapunov candidate. Every controller
-damps the velocity error v - vt, i.e. in the target's frame, so a target
-moving at constant velocity is tracked with no steady drag. Each run is
-computed with the same reductions, in the same order, as a batch of one,
-so a run's numbers do not depend on the other runs in its batch.
+an n-member swarm that share one plan, mass, gains and target. The swarm
+is the one `swarmform.flight` flies: every pair of members is an edge
+(the complete graph), member 0 leads, and every member has the same
+mass. `law` binds the slots, the mass, gains and the target's constant
+velocity vt once and returns one function of (p, v, target position tgt)
+that gives both the (R, n, 3) control input of the chosen controller and
+the (R,) logarithmic Lyapunov candidate. Every controller damps the
+velocity error v - vt, i.e. in the target's frame, so a target moving at
+constant velocity is tracked with no steady drag. Each run is computed
+with the same reductions, in the same order, as a batch of one, so a
+run's numbers do not depend on the other runs in its batch.
 
 `rollout` integrates all R runs with fixed-step semi-implicit Euler in
 one loop and is deterministic for fixed inputs. It keeps the full state
 history of run 0 only; for every run it keeps what the flight metrics
 need, accumulated step by step. `swarmform.flight.simulate` is the
-supported interface: it flies (R, n, 3) starts on the complete graph led
-by member 0. The graph and leader stay arguments here for the tests,
-which drive the law on other graphs and leaders.
+supported interface.
 
 Controllers: "log" (logarithmic), "quad" (quadratic), "apf".
 """
@@ -34,36 +33,34 @@ _TINY = 1e-12
 NUMBA_ENABLED = False
 
 
-def law(ctrl, slots, adj, leader, masses, k1, k2, kp, ka, kr, d0, vt):
+def law(ctrl, slots, mass, k1, k2, kp, ka, kr, d0, vt):
     """The flight law of one swarm whose target moves at vt: a function
     (p, v, tgt) -> (u, V) of a batch of states, p and v (R, n, 3), giving
     the control input u (R, n, 3) of controller `ctrl` and the logarithmic
     Lyapunov candidate V (R,). Both come from one evaluation because they
     share the pairwise offsets. Damping is -k2 * (v - vt), and the kinetic
-    term of V is sum_i m_i |v_i - vt|^2 / 2.
+    term of V is mass * sum_i |v_i - vt|^2 / 2.
 
-    APF forces of members that coincide with a neighbour are +inf on x.
+    APF forces of members that coincide with another member are +inf on x.
     """
+    n = len(slots)
     slot_diff = slots[:, None, :] - slots[None, :, :]
-    a = np.asarray(adj, dtype=float).copy()
-    np.fill_diagonal(a, 0.0)
     # edges i < j as flat indices; np.take keeps each run's row contiguous,
     # so its sum below reduces in the same pairwise order as for one run
-    edges = np.flatnonzero(np.triu(a, 1) > 0)
-    diag = np.arange(len(slots))
-    mass = masses[:, None]
+    edges = np.flatnonzero(np.triu(np.ones((n, n)), 1))
+    diag = np.arange(n)
 
     def evaluate(p, v, tgt):
         # d[r, i, j] = p[r, i] - p[r, j], as one contiguous subtraction of
         # (R, n, 3n) rows: each p_i repeated n times against the whole swarm
-        runs, n = p.shape[:2]
+        runs = len(p)
         d = (np.repeat(p, n, axis=1).reshape(runs, n, 3 * n)
              - p.reshape(runs, 1, 3 * n)).reshape(runs, n, n, 3)
         e = d - slot_diff
         sq = np.einsum("rijk,rijk->rij", e, e)
         dv = v - vt
-        err_l = p[:, leader] - (tgt + slots[leader])
-        lyap = (0.5 * k1 * np.log1p(np.take(sq.reshape(len(p), -1), edges, axis=1)).sum(axis=1)
+        err_l = p[:, 0] - (tgt + slots[0])
+        lyap = (0.5 * k1 * np.log1p(np.take(sq.reshape(runs, -1), edges, axis=1)).sum(axis=1)
                 + 0.5 * (mass * dv * dv).sum(axis=(1, 2))
                 # a row-by-column matmul per run: the same dot product as err_l @ err_l
                 + 0.5 * kp * np.matmul(err_l[:, None, :], err_l[:, :, None])[:, 0, 0])
@@ -71,24 +68,25 @@ def law(ctrl, slots, adj, leader, masses, k1, k2, kp, ka, kr, d0, vt):
             u = -ka * (p - (tgt + slots)) - k2 * dv
             dn = np.sqrt(np.einsum("rijk,rijk->rij", d, d))
             dn[:, diag, diag] = np.inf
-            coincident = (a > 0) & (dn < _TINY)
-            active = (a > 0) & (dn < d0) & ~coincident
+            coincident = dn < _TINY
+            active = (dn < d0) & ~coincident
             coef = np.zeros_like(dn)
             coef[active] = kr * (1.0 / dn[active] - 1.0 / d0) / dn[active] ** 3
             u += np.einsum("rij,rijk->rik", coef, d)
             if coincident.any():
                 u[coincident.any(axis=2), 0] = np.inf
         else:
-            w = a / (1.0 + sq) if ctrl == "log" else np.broadcast_to(a, sq.shape)
+            # a member's own term weighs e_ii = +0.0, so it adds nothing
+            w = 1.0 / (1.0 + sq) if ctrl == "log" else np.ones_like(sq)
             u = -k1 * np.einsum("rij,rijk->rik", w, e) - k2 * dv
-            u[:, leader] -= kp * err_l
+            u[:, 0] -= kp * err_l
         return u, lyap
 
     return evaluate
 
 
-def rollout(evaluate, p0, v0, masses, tgt0, vdes, dt, steps):
-    """Fly R runs of `evaluate`, a `law` for these masses, for `steps` steps
+def rollout(evaluate, p0, v0, mass, tgt0, vdes, dt, steps):
+    """Fly R runs of `evaluate`, a `law` for this mass, for `steps` steps
     of `dt` from (p0, v0), both (R, n, 3), the target moving from tgt0 at vdes.
 
     Returns, as a tuple of arrays:
@@ -110,7 +108,6 @@ def rollout(evaluate, p0, v0, masses, tgt0, vdes, dt, steps):
     lyap = np.empty((runs, steps + 1))
     path = np.zeros((runs, n))
     vel_err = np.empty((runs, steps + 1, n))
-    m = masses[:, None]
 
     p = p0.copy()
     v = v0.copy()
@@ -124,7 +121,7 @@ def rollout(evaluate, p0, v0, masses, tgt0, vdes, dt, steps):
         vel_err[:, 0] = np.linalg.norm(v - vdes, axis=2)
         for s in range(steps):
             U[s] = u[0]
-            v = v + u / m * dt
+            v = v + u / mass * dt
             p_next = p + v * dt
             path += np.linalg.norm(p_next - p, axis=2)
             p = p_next

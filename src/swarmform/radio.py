@@ -3,9 +3,9 @@ ledger (`ResourceModel`) whose camera and LiDAR fields `alloc.greedy_allocate`
 reads for its penalty terms.
 
 Received power decays as tx_power * rho0 * d^-alpha. Link statistics
-aggregate over a star topology whose hub is a designated fusion receiver
-(by default the leader, member 0): the SINR of each member's link to the
-hub counts every other member as an interferer at the hub.
+aggregate over a star topology whose hub is the fusion receiver, member 0
+(the flight leader): the SINR of each other member's link to the hub
+counts every other member as an interferer at the hub.
 """
 
 from __future__ import annotations
@@ -70,17 +70,16 @@ def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:
     return rp.tx_power * rp.rho0 * d ** (-rp.alpha)
 
 
-def link_stats(formation: Formation, receiver: int, rp: RadioParams) -> dict[str, float]:
-    """Mean and minimum SINR in dB over all links into the fusion receiver;
-    `FloatingPointError` if one is not finite (extreme radio parameters)."""
-    n = len(formation)
-    if n < 2:
+def link_stats(formation: Formation, rp: RadioParams) -> dict[str, float]:
+    """Mean and minimum SINR in dB over all links into member 0, the fusion
+    receiver; `FloatingPointError` if one is not finite (extreme radio
+    parameters)."""
+    if len(formation) < 2:
         raise ValueError("link statistics need at least two members")
-    pts = formation.positions
-    vals = sinr_db(np.array([received_power(pts[i], pts[receiver], rp)
-                             for i in range(n) if i != receiver]), rp)
+    hub, *members = formation.positions
+    vals = sinr_db(np.array([received_power(p, hub, rp) for p in members]), rp)
     if not np.isfinite(vals).all():
-        raise FloatingPointError(f"a link SINR into member {receiver} is {np.min(vals)} dB")
+        raise FloatingPointError(f"a link SINR into member 0 is {np.min(vals)} dB")
     return {"avg_db": float(np.mean(vals)), "min_db": float(np.min(vals))}
 
 

@@ -8,8 +8,9 @@ matrix is O^T Q^-1 O with the sensor's measurement covariance Q. `fims`
 writes both Jacobians once, over the rows of a `Formation`: a formation's
 members or the allocation candidates, whose `lidar` mask picks each row's
 model. A pose so far out that its squared range or camera depth
-overflows is refused with `FloatingPointError`, not given a Jacobian that
-silently lost those terms. The per-pose measurement functions the
+overflows, or whose information matrix overflows, is refused with
+`FloatingPointError`, not given a Jacobian that silently lost those terms
+or an infinite matrix. The per-pose measurement functions the
 Jacobians differentiate are kept as test oracles.
 """
 
@@ -74,11 +75,14 @@ def fims(rows: Formation, models: SensorModels) -> np.ndarray:
     whose camera has the target in its focal plane or whose LiDAR is
     vertically aligned with it; then `FloatingPointError` when a squared
     LiDAR range or camera depth is not finite (a pose so far out that the
-    Jacobian would lose its range or depth terms).
+    Jacobian would lose its range or depth terms), or when any row's
+    matrix is not finite (e.g. a camera whose target lies far off its
+    boresight, where the Jacobian's squares overflow).
     """
     lidar = rows.lidar
     cam = ~lidar
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused below
+    # overflow is refused below, after the degenerate rows
+    with np.errstate(over="ignore", invalid="ignore"):
         rel = rows.positions - rows.target
         dx, dy, dz = rel[cam].T
         c, s = np.cos(rows.yaws[cam]), np.sin(rows.yaws[cam])
@@ -89,37 +93,40 @@ def fims(rows: Formation, models: SensorModels) -> np.ndarray:
         # axis 1 rounds differently)
         d = np.sqrt((lrel[:, None, :] @ lrel[:, :, None])[:, 0, 0])
         d2 = d * d
-    lx, ly, lz = lrel.T
-    d_xy = np.hypot(lx, ly)
-    bad = np.empty(len(rows), dtype=bool)
-    bad[cam] = np.abs(z) < _DEGENERATE
-    bad[lidar] = d_xy < _DEGENERATE
-    if bad.any():
-        raise DegenerateGeometryError(
-            "vertical alignment: azimuth undefined" if lidar[np.argmax(bad)]
-            else "target lies in the camera's focal plane")
-    if not (np.isfinite(z2).all() and np.isfinite(d2).all()):
-        raise FloatingPointError("a squared LiDAR range or camera depth overflows: "
-                                 "a pose is too far from the target")
+        lx, ly, lz = lrel.T
+        d_xy = np.hypot(lx, ly)
+        bad = np.empty(len(rows), dtype=bool)
+        bad[cam] = np.abs(z) < _DEGENERATE
+        bad[lidar] = d_xy < _DEGENERATE
+        if bad.any():
+            raise DegenerateGeometryError(
+                "vertical alignment: azimuth undefined" if lidar[np.argmax(bad)]
+                else "target lies in the camera's focal plane")
+        if not (np.isfinite(z2).all() and np.isfinite(d2).all()):
+            raise FloatingPointError("a squared LiDAR range or camera depth overflows: "
+                                     "a pose is too far from the target")
 
-    intr = models.camera
-    zero = np.zeros_like(z)
-    cam_jac = np.stack([
-        np.stack([-intr.fx * dy / z2, intr.fx * dx / z2, zero], axis=-1),
-        np.stack([-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z], axis=-1),
-    ], axis=1)
-    beta = np.arctan2(ly, lx)
-    sb, cb = np.sin(beta), np.cos(beta)
-    lidar_jac = np.stack([
-        np.stack([-lx / d, -ly / d, -lz / d], axis=-1),
-        np.stack([sb / d_xy, -cb / d_xy, np.zeros_like(d)], axis=-1),
-        np.stack([lz * cb / d2, lz * sb / d2, -d_xy / d2], axis=-1),
-    ], axis=1)
+        intr = models.camera
+        zero = np.zeros_like(z)
+        cam_jac = np.stack([
+            np.stack([-intr.fx * dy / z2, intr.fx * dx / z2, zero], axis=-1),
+            np.stack([-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z], axis=-1),
+        ], axis=1)
+        beta = np.arctan2(ly, lx)
+        sb, cb = np.sin(beta), np.cos(beta)
+        lidar_jac = np.stack([
+            np.stack([-lx / d, -ly / d, -lz / d], axis=-1),
+            np.stack([sb / d_xy, -cb / d_xy, np.zeros_like(d)], axis=-1),
+            np.stack([lz * cb / d2, lz * sb / d2, -d_xy / d2], axis=-1),
+        ], axis=1)
 
-    out = np.empty((len(rows), 3, 3))
-    for mask, jac, cov in ((cam, cam_jac, intr.noise_cov),
-                           (lidar, lidar_jac, models.lidar.noise_cov)):
-        out[mask] = (jac.transpose(0, 2, 1) * (1.0 / np.asarray(cov))) @ jac
+        out = np.empty((len(rows), 3, 3))
+        for mask, jac, cov in ((cam, cam_jac, intr.noise_cov),
+                               (lidar, lidar_jac, models.lidar.noise_cov)):
+            out[mask] = (jac.transpose(0, 2, 1) * (1.0 / np.asarray(cov))) @ jac
+    if not np.isfinite(out).all():
+        raise FloatingPointError("an information matrix overflows: a pose lies too far "
+                                 "off its sensor's boresight")
     return out
 
 

@@ -390,12 +390,8 @@ def _apply_pattern(formation: Formation, members: tuple[int, ...]) -> Formation:
     return Formation(positions, yaws, formation.lidar, formation.target)
 
 
-def optimize_formation_loops(
-    formation: Formation,
-    spec: FovSpec,
-    radio: RadioParams,
-    receiver: int = 0,
-) -> Formation:
+def optimize_formation_loops(formation: Formation, spec: FovSpec,
+                             radio: RadioParams) -> Formation:
     """`fov.optimize_formation` pattern by pattern: one `Formation` of new
     poses per flip pattern, scored by `coverage` and `link_stats`. It
     reads `fov.EXHAUSTIVE_LIMIT` when called, so a test can force either
@@ -406,11 +402,11 @@ def optimize_formation_loops(
     if not gated:
         return formation
 
-    base_min = link_stats(formation, receiver, radio)["min_db"]
+    base_min = link_stats(formation, radio)["min_db"]
     floor = min(spec.eta_min_db, base_min)
 
     def feasible(f: Formation) -> bool:
-        return link_stats(f, receiver, radio)["min_db"] >= floor - _ANGLE_TOL
+        return link_stats(f, radio)["min_db"] >= floor - _ANGLE_TOL
 
     best = formation
     best_gamma = coverage(formation, spec).gamma_metric
@@ -444,11 +440,11 @@ def optimize_formation_loops(
     return best
 
 
-def exhaustive_flip_best(formation, spec, radio, receiver=0) -> float:
+def exhaustive_flip_best(formation, spec, radio) -> float:
     """Best Gamma over every pattern of sector-gated flips meeting the
     same SINR floor as `fov.optimize_formation`. Exponential; small swarms."""
     gated = flip_candidates(formation, spec)
-    base_min = link_stats(formation, receiver, radio)["min_db"]
+    base_min = link_stats(formation, radio)["min_db"]
     floor = min(spec.eta_min_db, base_min)
     best = coverage(formation, spec).gamma_metric
     for size in range(1, len(gated) + 1):
@@ -456,7 +452,7 @@ def exhaustive_flip_best(formation, spec, radio, receiver=0) -> float:
             poses = [flip_pose(p, formation.target) if i in subset else p
                      for i, p in enumerate(poses_of(formation))]
             cand = formation_of(poses, formation.target)
-            if link_stats(cand, receiver, radio)["min_db"] < floor - _ANGLE_TOL:
+            if link_stats(cand, radio)["min_db"] < floor - _ANGLE_TOL:
                 continue
             best = max(best, coverage(cand, spec).gamma_metric)
     return best
@@ -536,8 +532,7 @@ def _law_at(state: SwarmState, plan: FormationPlan, controller: str, gains: Cont
     `flight.simulate` binds it, on the complete graph led by member 0,
     evaluated at `state` as a batch of one."""
     apf = apf or ApfParams()
-    evaluate = kernels.law(controller, plan.slots, np.ones((state.n, state.n)), 0,
-                           gains.member_masses(state.n), gains.k1, gains.k2, gains.kp,
+    evaluate = kernels.law(controller, plan.slots, gains.mass, gains.k1, gains.k2, gains.kp,
                            apf.ka, apf.kr, apf.d0, plan.target_velocity)
     u, lyap = evaluate(state.positions[None], state.velocities[None],
                        plan.target_at(state.time))
@@ -565,14 +560,15 @@ def lyapunov_value(state: SwarmState, plan: FormationPlan, gains: ControlGains) 
     return _law_at(state, plan, "log", gains, None)[1]
 
 
-def step(state: SwarmState, forces: np.ndarray, masses: np.ndarray, dt: float) -> SwarmState:
-    """Semi-implicit Euler: velocity first, then position with the new velocity."""
+def step(state: SwarmState, forces: np.ndarray, mass: float, dt: float) -> SwarmState:
+    """Semi-implicit Euler for members of one mass: velocity first, then
+    position with the new velocity."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     forces = np.asarray(forces, dtype=float)
     if not np.isfinite(forces).all():
         raise FloatingPointError("non-finite control force")
-    v = state.velocities + forces / np.asarray(masses, dtype=float)[:, None] * dt
+    v = state.velocities + forces / mass * dt
     p = state.positions + v * dt
     return SwarmState(positions=p, velocities=v, time=state.time + dt)
 

@@ -3,12 +3,12 @@
 It spells out every controller and the Lyapunov candidate with explicit
 loops over members, edges and axes, independently of the vectorized law
 in `swarmform.kernels`, so tests can compare `kernels.rollout` against it.
-Every controller damps the velocity error against the target, v - vdes,
-and the Lyapunov kinetic term weights each member by its mass. It flies
-one run from p0 and v0 (n, 3), taking the arguments of `kernels.law`
-(slots through d0) and of `kernels.rollout` (tgt0 through steps) one by
-one, and it returns that run's full positions, velocities, controls and
-Lyapunov trace.
+The swarm is the kernels': every pair of members is an edge, member 0
+leads, and all members share one mass. Every controller damps the
+velocity error against the target, v - vdes. It flies one run from p0
+and v0 (n, 3), taking the arguments of `kernels.law` (slots through d0)
+and of `kernels.rollout` (tgt0 through steps) one by one, and it returns
+that run's full positions, velocities, controls and Lyapunov trace.
 """
 
 import numpy as np
@@ -16,8 +16,7 @@ import numpy as np
 from swarmform.kernels import _TINY
 
 
-def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
-                  k1, k2, kp, ka, kr, d0, tgt0, vdes, dt, steps):
+def rollout_loops(p0, v0, slots, mass, ctrl, k1, k2, kp, ka, kr, d0, tgt0, vdes, dt, steps):
     n = p0.shape[0]
     P = np.empty((steps + 1, n, 3))
     V = np.empty((steps + 1, n, 3))
@@ -34,8 +33,6 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
         val = 0.0
         for i in range(n):
             for j in range(i + 1, n):
-                if adj[i, j] == 0.0:
-                    continue
                 ex = p[i, 0] - p[j, 0] - (slots[i, 0] - slots[j, 0])
                 ey = p[i, 1] - p[j, 1] - (slots[i, 1] - slots[j, 1])
                 ez = p[i, 2] - p[j, 2] - (slots[i, 2] - slots[j, 2])
@@ -44,10 +41,10 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
             wx = v[i, 0] - vdes[0]
             wy = v[i, 1] - vdes[1]
             wz = v[i, 2] - vdes[2]
-            val += 0.5 * masses[i] * (wx * wx + wy * wy + wz * wz)
-        lx = p[leader, 0] - (tgt[0] + slots[leader, 0])
-        ly = p[leader, 1] - (tgt[1] + slots[leader, 1])
-        lz = p[leader, 2] - (tgt[2] + slots[leader, 2])
+            val += 0.5 * mass * (wx * wx + wy * wy + wz * wz)
+        lx = p[0, 0] - (tgt[0] + slots[0, 0])
+        ly = p[0, 1] - (tgt[1] + slots[0, 1])
+        lz = p[0, 2] - (tgt[2] + slots[0, 2])
         return val + 0.5 * kp * (lx * lx + ly * ly + lz * lz)
 
     lyap[0] = lyap_value(p, v, tgt)
@@ -59,7 +56,7 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
                     u[i, a] = (-ka * (p[i, a] - (tgt[a] + slots[i, a]))
                                - k2 * (v[i, a] - vdes[a]))
                 for j in range(n):
-                    if j == i or adj[i, j] == 0.0:
+                    if j == i:
                         continue
                     dx = p[i, 0] - p[j, 0]
                     dy = p[i, 1] - p[j, 1]
@@ -74,7 +71,7 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
                         u[i, 2] += c * dz
             else:
                 for j in range(n):
-                    if j == i or adj[i, j] == 0.0:
+                    if j == i:
                         continue
                     ex = p[i, 0] - p[j, 0] - (slots[i, 0] - slots[j, 0])
                     ey = p[i, 1] - p[j, 1] - (slots[i, 1] - slots[j, 1])
@@ -88,12 +85,12 @@ def rollout_loops(p0, v0, slots, adj, masses, leader, ctrl,
                     u[i, 2] += -k1 * w * ez
                 for a in range(3):
                     u[i, a] -= k2 * (v[i, a] - vdes[a])
-                if i == leader:
+                if i == 0:
                     for a in range(3):
                         u[i, a] -= kp * (p[i, a] - (tgt[a] + slots[i, a]))
         for i in range(n):
             for a in range(3):
-                v[i, a] += u[i, a] / masses[i] * dt
+                v[i, a] += u[i, a] / mass * dt
                 p[i, a] += v[i, a] * dt
         for a in range(3):
             tgt[a] += vdes[a] * dt

@@ -177,11 +177,11 @@ def test_criterion_07_formation_optimization(models):
     spec, radio = FovSpec(), RadioParams()
     f = build_reference_formation()
     g0 = coverage(f, spec).gamma_metric
-    s0 = link_stats(f, 0, radio)["min_db"]
+    s0 = link_stats(f, radio)["min_db"]
     ld0 = logdet_reg(total_fim(f, models))
     opt = optimize_formation(f, spec, radio)
     g1 = coverage(opt, spec).gamma_metric
-    s1 = link_stats(opt, 0, radio)["min_db"]
+    s1 = link_stats(opt, radio)["min_db"]
     assert g1 > g0, "coverage must strictly increase"
     assert s1 > s0, "minimum link SINR must rise"
     assert logdet_reg(total_fim(opt, models)) == pytest.approx(ld0, abs=1e-6)

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import random_pose
 from oracles import (
-    SphericalPlacement,
     build_candidates_loops,
     exhaustive_best,
     greedy_unpenalized,
@@ -198,14 +195,23 @@ class TestArrayCandidates:
         assert len(built) == 15840
         assert len(result.formation) == 6
 
-    def test_pitch_ring_past_pi_rejected_as_before(self):
-        # delta_max 180 with a 30-degree step puts the last ring at 190
-        # degrees; the grid itself refuses it, with the message the
-        # placement-by-placement oracle gives for that ring
-        with pytest.raises(ValueError) as oracle_exc:
-            SphericalPlacement(10.0, 0.0, np.radians(10.0) + 6 * np.radians(30.0))
-        with pytest.raises(ValueError, match=re.escape(str(oracle_exc.value))):
-            GridSpec(delta_max=np.pi, delta_step=np.radians(30.0))
+    def test_last_ring_stays_below_delta_max(self):
+        # 10-170 degrees at a 15-degree step: the rings run 10, 25, ..., 160;
+        # rounding the ring count up once made a 175-degree ring
+        deltas = GridSpec(delta_step=np.radians(15.0)).deltas()
+        assert len(deltas) == 11
+        assert np.degrees(deltas[-1]) == pytest.approx(160.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(0.0, 180.0), span=st.floats(0.0, 180.0), step=st.floats(0.5, 200.0))
+    def test_rings_never_pass_delta_max(self, lo, span, step):
+        grid = GridSpec(delta_min=np.radians(lo), delta_max=np.radians(min(lo + span, 180.0)),
+                        delta_step=np.radians(step))
+        deltas = grid.deltas()
+        assert deltas[0] == grid.delta_min
+        assert (deltas <= grid.delta_max).all()
+        # and no ring that fits is dropped
+        assert grid.delta_max - deltas[-1] < grid.delta_step
 
 
 @settings(max_examples=40, deadline=None)

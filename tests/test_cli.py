@@ -85,6 +85,7 @@ def far_out_scenario(tmp_path, distance):
     doc = json.loads((resources.files("swarmform") / "scenarios"
                       / "paper_default.json").read_text())
     doc["grid"]["distance_m"] = distance
+    doc["fov"]["d_max_m"] = distance   # the grid must lie within perception range
     p = tmp_path / "far.json"
     p.write_text(json.dumps(doc))
     return str(p)
@@ -94,12 +95,26 @@ class TestFarOutPoses:
     """Beyond about 1.3e154 m a squared LiDAR range overflows. The range
     row of its FIM then silently became 0: one LiDAR at 1e160 m printed
     the empty formation's 3 ln(eps), and a grid at 1e160 m allocated no
-    UAV, both with exit 0."""
+    UAV, both with exit 0. A camera at 1 m depth whose target lies 1e160 m
+    to the side of its boresight has Jacobian entries whose squares
+    overflow: its FIM printed inf after a RuntimeWarning, with exit 0."""
 
     @pytest.mark.parametrize("x, code, out", [(1e150, 0, "-23.025851\n"), (1e160, 2, "")])
     def test_eval_fim_lidar(self, tmp_path, capsys, x, code, out):
         p = tmp_path / "far.json"
         p.write_text(json.dumps({"poses": [{"position": [x, 0.0, 0.0], "sensor": "lidar"}]}))
+        assert main(["eval-fim", "--formation", str(p)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        if code:
+            assert captured.err.startswith("swarmform: numeric error: ")
+            assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("y, code, out", [(1e150, 0, "693.564176\n"), (1e160, 2, "")])
+    def test_eval_fim_camera_off_boresight(self, tmp_path, capsys, y, code, out):
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps({"poses": [{"position": [1.0, y, 0.0], "sensor": "camera",
+                                            "yaw_deg": 0.0}]}))
         assert main(["eval-fim", "--formation", str(p)]) == code
         captured = capsys.readouterr()
         assert captured.out == out
@@ -276,17 +291,31 @@ class TestExitCodes:
         assert captured.err == f"swarmform: config error: {path}: must {rule}, got {value}\n"
         assert captured.out == ""
 
-    def test_grid_ring_past_pi_is_a_config_error(self, tmp_path, capsys):
-        # delta_max 180 with a 30-degree step puts the last pitch ring at 190
-        # degrees; the scenario is refused before any stage runs
+    def test_full_pitch_range_allocates(self, tmp_path):
+        # 0-180 degrees at a 3-degree step: the 61st ring, 180 degrees, once
+        # landed an ulp past pi and the scenario was refused as a config error
         doc = json.loads((resources.files("swarmform") / "scenarios"
                           / "paper_default.json").read_text())
-        doc["grid"].update(delta_max_deg=180.0, delta_step_deg=30.0)
-        p = tmp_path / "past_pi.json"
+        doc["grid"].update(delta_min_deg=0.0, delta_max_deg=180.0, delta_step_deg=3.0)
+        p = tmp_path / "full_pitch.json"
         p.write_text(json.dumps(doc))
-        assert main(["allocate", "--scenario", str(p)]) == 1
-        assert capsys.readouterr().err.startswith(
-            "swarmform: config error: grid: pitch must lie in [0, pi], got 3.316")
+        code, report = run(tmp_path, "allocate", "--scenario", str(p))
+        assert code == 0
+        assert report["Allocation"]["UAV count"] >= 1
+
+    def test_grid_beyond_perception_range_is_a_config_error(self, tmp_path, capsys):
+        # every UAV 40 m out, past the 30 m range: coverage does not read the
+        # range, so this reported a Gamma of 3.14 with exit 0
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["grid"]["distance_m"] = 40.0
+        p = tmp_path / "out_of_range.json"
+        p.write_text(json.dumps(doc))
+        assert main(["formation", "--scenario", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("swarmform: config error: grid.distance_m: must not exceed "
+                                "fov.d_max_m (30.0), got 40.0\n")
 
     # the SINR ratio underflows to 0 against the noise power (-inf dB), or
     # the received powers overflow to inf (inf / inf is NaN): each reached

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmform.cli import main
 from swarmform.config import (
     ScenarioError,
     parse_formation,
@@ -106,11 +107,14 @@ class TestScenarioParsing:
             parse_scenario(p)
 
     def test_canonical_round_trip(self, tmp_path):
-        src = scenario_path("paper_default.json")
-        s = parse_scenario(src)
-        canon1 = json.dumps(s.raw, sort_keys=True)
-        canon2 = json.dumps(parse_scenario(src).raw, sort_keys=True)
-        assert canon1 == canon2
+        """The "Scenario" echo that report.json carries parses back to the
+        scenario each bundled file gives."""
+        for name in ("paper_default.json", "paper_ground.json", "flight_benchmark.json"):
+            out = tmp_path / name
+            assert main(["allocate", "--scenario", str(scenario_path(name)),
+                         "--out-dir", str(out)]) == 0
+            echo = json.loads((out / "report.json").read_text())["Scenario"]
+            assert same_values(parse_scenario_dict(echo), parse_scenario(scenario_path(name)))
 
 
 class TestFormationParsing:

@@ -61,7 +61,7 @@ class TestSinr:
         far = rp.tx_power * rp.rho0 / 9.0     # distance 3
         link_1 = 10 * np.log10(near / (far + rp.noise_power))
         link_2 = 10 * np.log10(far / (near + rp.noise_power))
-        stats = link_stats(f, 0, rp)
+        stats = link_stats(f, rp)
         assert stats["min_db"] == pytest.approx(link_2)
         assert stats["avg_db"] == pytest.approx((link_1 + link_2) / 2)
 
@@ -70,18 +70,18 @@ class TestSinr:
         rp = RadioParams()
         f = line_formation([0.0, 2.0])
         expected = 10 * np.log10(rp.tx_power * rp.rho0 / 4.0 / rp.noise_power)
-        stats = link_stats(f, 0, rp)
+        stats = link_stats(f, rp)
         assert stats["min_db"] == pytest.approx(expected)
         assert stats["avg_db"] == stats["min_db"]
 
     def test_coincident_member_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            link_stats(line_formation([0.0, 1.0, 0.0]), 0, RadioParams())
+            link_stats(line_formation([0.0, 1.0, 0.0]), RadioParams())
 
     def test_link_stats_aggregates(self):
         rp = RadioParams()
         f = line_formation([0.0, 1.0, 3.0])
-        stats = link_stats(f, 0, rp)
+        stats = link_stats(f, rp)
         vals = [sinr_db(1, 0, f, rp), sinr_db(2, 0, f, rp)]
         assert stats["avg_db"] == pytest.approx(np.mean(vals))
         assert stats["min_db"] == pytest.approx(min(vals))
@@ -89,7 +89,7 @@ class TestSinr:
 
     def test_link_stats_needs_two(self):
         with pytest.raises(ValueError):
-            link_stats(line_formation([0.0]), 0, RadioParams())
+            link_stats(line_formation([0.0]), RadioParams())
 
 
 def test_non_finite_sinr_refused():
@@ -100,9 +100,9 @@ def test_non_finite_sinr_refused():
     assert radio.sinr_db(np.array([1e-40, 2e-40]), rp).tolist() == [-np.inf, -np.inf]
     assert np.isnan(radio.sinr_db(np.array([np.inf, np.inf]), rp)).all()
     with pytest.raises(FloatingPointError, match="into member 0 is -inf dB"):
-        link_stats(line_formation([0.0, 10.0, 20.0]), 0, rp)
+        link_stats(line_formation([0.0, 10.0, 20.0]), rp)
     with pytest.raises(FloatingPointError, match="into member 0 is nan dB"):
-        link_stats(line_formation([0.0, 10.0, 20.0]), 0, RadioParams(tx_power=1e300, rho0=1e10))
+        link_stats(line_formation([0.0, 10.0, 20.0]), RadioParams(tx_power=1e300, rho0=1e10))
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,14 +110,15 @@ def test_non_finite_sinr_refused():
        alpha=st.floats(1.0, 4.0), noise_dbm=st.floats(-130.0, -60.0), data=st.data())
 def test_link_stats_equals_scalar_sinr(xyz, alpha, noise_dbm, data):
     """Every link's SINR equals the scalar per-link formula bit for bit."""
-    f = formation_of([Pose(np.array(p), 0.0, Sensor.CAMERA) for p in xyz], np.zeros(3))
+    # the member drawn to be the fusion receiver moves to row 0
     receiver = data.draw(st.integers(0, len(xyz) - 1), label="receiver")
+    xyz = [xyz[receiver], *xyz[:receiver], *xyz[receiver + 1:]]
+    f = formation_of([Pose(np.array(p), 0.0, Sensor.CAMERA) for p in xyz], np.zeros(3))
     pts = f.positions
-    assume(all(np.linalg.norm(p - pts[receiver]) > 1e-3
-               for i, p in enumerate(pts) if i != receiver))
+    assume(all(np.linalg.norm(p - pts[0]) > 1e-3 for p in pts[1:]))
     rp = RadioParams(alpha=alpha, noise_power=dbm_to_watts(noise_dbm))
-    vals = [sinr_db(i, receiver, f, rp) for i in range(len(xyz)) if i != receiver]
-    stats = link_stats(f, receiver, rp)
+    vals = [sinr_db(i, 0, f, rp) for i in range(1, len(xyz))]
+    stats = link_stats(f, rp)
     assert stats["avg_db"] == float(np.mean(vals))
     assert stats["min_db"] == float(np.min(vals))
 
@@ -130,19 +131,20 @@ def test_link_stats_invariant_under_rigid_motion(xyz, shift, alpha, seed, data):
     """SINR depends on the distances to the receiver only, so a rotation
     and a translation of the whole formation move the mean and minimum dB
     by rounding alone."""
+    # the member drawn to be the fusion receiver moves to row 0
+    receiver = data.draw(st.integers(0, len(xyz) - 1), label="receiver")
+    xyz = [xyz[receiver], *xyz[:receiver], *xyz[receiver + 1:]]
     pts = np.array(xyz)
-    receiver = data.draw(st.integers(0, len(pts) - 1), label="receiver")
-    others = np.delete(pts, receiver, axis=0)
-    assume(np.linalg.norm(others - pts[receiver], axis=1).min() > 0.1)
+    assume(np.linalg.norm(pts[1:] - pts[0], axis=1).min() > 0.1)
     q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     rp = RadioParams(alpha=alpha)
     n = len(pts)
-    before = link_stats(Formation(pts, np.zeros(n), np.zeros(n, bool), np.zeros(3)), receiver, rp)
+    before = link_stats(Formation(pts, np.zeros(n), np.zeros(n, bool), np.zeros(3)), rp)
     moved = Formation(pts @ q.T + shift, np.zeros(n), np.zeros(n, bool), np.zeros(3))
-    after = link_stats(moved, receiver, rp)
+    after = link_stats(moved, rp)
     assert abs(after["avg_db"] - before["avg_db"]) <= 1e-9
     assert abs(after["min_db"] - before["min_db"]) <= 1e-9
 
