@@ -8,13 +8,7 @@ touching the FIM, and Lyapunov-stable formation flight simulation.
 
 from .alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
-from .flight import (
-    ApfParams,
-    ControlGains,
-    FormationPlan,
-    metrics,
-    simulate,
-)
+from .flight import ApfParams, ControlGains, metrics, simulate
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation
 from .radio import RadioParams, ResourceModel, link_stats
@@ -24,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocWeights", "ApfParams", "CameraIntrinsics", "ControlGains",
-    "DegenerateGeometryError", "Formation", "FormationPlan", "FovSpec",
+    "DegenerateGeometryError", "Formation", "FovSpec",
     "GridSpec", "LidarNoise", "RadioParams", "ResourceModel",
     "Scenario", "ScenarioError", "SensorModels",
     "build_candidates", "coverage", "flip", "greedy_allocate",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .alloc import build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
-from .flight import CONTROLLERS, FormationPlan, metrics, simulate
+from .flight import CONTROLLERS, metrics, simulate
 from .fov import coverage, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation
 from .radio import link_stats
@@ -135,9 +135,6 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
     n = len(formation)
     if n < 2:
         raise DegenerateGeometryError("flight stage needs at least 2 UAVs")
-    slots = formation.positions - formation.target
-    plan = FormationPlan(slots=slots, target_position=scenario.target.position,
-                         target_velocity=scenario.target.velocity)
     half = fl.init_cube_half_width_m
     try:   # run r starts at rest, uniform in the cube around the target
         offsets = np.stack([np.random.default_rng([seed, run]).uniform(-half, half, (n, 3))
@@ -146,15 +143,17 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
         raise FloatingPointError(f"start cube half-width {half} m is too large: "
                                  "the cube's width overflows") from None
     p0 = scenario.target.position + offsets
-    traj = simulate((p0, np.zeros_like(p0)), plan, controller, fl.gains, fl.dt_s, fl.horizon_s,
-                    fl.apf)
-    runs = [{
+    traj = simulate((p0, np.zeros_like(p0)), formation, controller, fl.gains,
+                    scenario.target.velocity, fl.dt_s, fl.horizon_s, fl.apf)
+    m = metrics(traj)
+    columns = {
         "Avg. Distance (m)": m.avg_distance,
         "Avg. Velocity Err.": m.avg_vel_err,
         "Max. Velocity Err.": m.max_vel_err,
         "Avg. Final Pos. Err. (m)": m.avg_final_pos_err,
-    } for m in metrics(traj)]
-    mean = {k: float(np.mean([r[k] for r in runs])) for k in runs[0]}
+    }
+    runs = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    mean = {k: float(np.mean(c)) for k, c in columns.items()}
     if out_dir is not None:
         _write_trace(out_dir / "fly_trace.csv", traj)
     return {"Controller": controller, "Seed": seed, "Runs": runs, "Mean": mean}

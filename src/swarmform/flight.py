@@ -23,20 +23,24 @@ the k1/2 and kp/2 coefficients are exactly the ones that make the cross
 terms cancel.
 
 The equations live once, in `swarmform.kernels`, and `simulate` rolls
-them out. A start is a pair (positions, velocities) of (R, n, 3) arrays:
-R runs of one plan, all flown from t = 0 in one batched rollout. The
-`Trajectory` it returns keeps the full state history of the first run
-only, and for every run the Lyapunov trace and what `metrics` needs;
-each run's numbers are bit for bit those of the same start flown alone.
+them out. It flies the designed `Formation`: each member's slot is its
+offset from the formation's target, which moves at a constant velocity.
+A start is a pair (positions, velocities) of (R, n, 3) arrays: R runs,
+all flown from t = 0 in one batched rollout. The `Trajectory` it returns
+holds outputs only: the full state history of the first run, and for
+every run the Lyapunov trace and what `metrics` reduces to one row per
+run; each run's numbers are bit for bit those of the same start flown
+alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+from .geom import Formation
 
 CONTROLLERS = ("log", "quad", "apf")
 MAX_STEPS = 100_000  # the longest flight: 1,000 s at the default 0.01 s step
@@ -80,32 +84,8 @@ class ApfParams:
 
 
 @dataclass
-class FormationPlan:
-    """Desired formation as slot offsets from the (moving) target."""
-
-    slots: np.ndarray                          # (n, 3) offsets from target
-    target_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    target_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.slots = np.atleast_2d(np.asarray(self.slots, dtype=float))
-        self.target_position = np.asarray(self.target_position, dtype=float)
-        self.target_velocity = np.asarray(self.target_velocity, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return self.slots.shape[0]
-
-    def target_at(self, t: float) -> np.ndarray:
-        return self.target_position + t * self.target_velocity
-
-    def desired_positions(self, t: float) -> np.ndarray:
-        return self.target_at(t) + self.slots
-
-
-@dataclass
 class Trajectory:
-    """R runs of one plan. The state history is run 0's only."""
+    """R runs of one formation's flight. The state history is run 0's only."""
 
     times: np.ndarray            # (steps+1,)
     positions: np.ndarray        # (steps+1, n, 3) run 0
@@ -114,34 +94,36 @@ class Trajectory:
     lyapunov: np.ndarray         # (R, steps+1)
     path_length: np.ndarray      # (R, n) m, per-step distances summed over time
     vel_err: np.ndarray          # (R, steps+1, n) m/s, |v_i - v_target|
-    final_positions: np.ndarray  # (R, n, 3)
-    plan: FormationPlan
+    final_error: np.ndarray      # (R, n) m, |p_i - desired_i| at the last step
 
 
 @dataclass
 class FlightMetrics:
-    avg_distance: float
-    avg_vel_err: float
-    max_vel_err: float
-    avg_final_pos_err: float
+    """Flight-quality metrics as (R,) columns, one row per run."""
+
+    avg_distance: np.ndarray
+    avg_vel_err: np.ndarray
+    max_vel_err: np.ndarray
+    avg_final_pos_err: np.ndarray
 
     def __post_init__(self):
-        if not self.max_vel_err >= self.avg_vel_err >= 0:
+        if not np.all((self.max_vel_err >= self.avg_vel_err) & (self.avg_vel_err >= 0)):
             raise ValueError("velocity-error aggregates are inconsistent")
 
 
 def simulate(
     start: tuple[np.ndarray, np.ndarray],
-    plan: FormationPlan,
+    formation: Formation,
     controller: str,
     gains: ControlGains,
-    dt: float = 0.01,
-    horizon: float = 60.0,
-    apf: ApfParams | None = None,
+    velocity: np.ndarray,
+    dt: float,
+    horizon: float,
+    apf: ApfParams,
 ) -> Trajectory:
     """Fixed-step rollout from t = 0 of `start` = (positions, velocities),
-    two (R, n, 3) arrays, one run per leading row; deterministic for
-    fixed inputs.
+    two (R, n, 3) arrays, one run per leading row, toward `formation`
+    whose target moves at `velocity`; deterministic for fixed inputs.
 
     All runs are flown in one batched rollout, and run r of the result is
     bit for bit the same start flown alone. The recorded Lyapunov trace
@@ -157,39 +139,38 @@ def simulate(
                          f"{positions.shape} and {velocities.shape}")
     if len(positions) == 0:
         raise ValueError("no run to fly")
-    if positions.shape[1] != plan.n:
-        raise ValueError("start and plan disagree on swarm size")
+    if positions.shape[1] != len(formation):
+        raise ValueError("start and formation disagree on swarm size")
     if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
         raise ValueError("swarm state must be finite")
     steps = step_count(dt, horizon)
-    apf = apf or ApfParams()
-    evaluate = kernels.law(controller, plan.slots, gains.mass, gains.k1, gains.k2, gains.kp,
-                           apf.ka, apf.kr, apf.d0, plan.target_velocity)
+    velocity = np.asarray(velocity, dtype=float)
+    slots = formation.positions - formation.target
+    evaluate = kernels.law(controller, slots, gains.mass, gains.k1, gains.k2, gains.kp,
+                           apf.ka, apf.kr, apf.d0, velocity)
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
-        evaluate, positions, velocities, gains.mass, plan.target_at(0.0),
-        plan.target_velocity, dt, steps)
+        evaluate, positions, velocities, gains.mass, formation.target + 0.0 * velocity,
+        velocity, dt, steps)
     if not all(np.isfinite(a).all() for a in (final, lyap, path, vel_err)):
         raise FloatingPointError("flight went non-finite during rollout, e.g. from "
                                  "coincident UAVs under APF or a start too far out")
-    return Trajectory(times=dt * np.arange(steps + 1), positions=P, velocities=V, controls=U,
-                      lyapunov=lyap, path_length=path, vel_err=vel_err,
-                      final_positions=final, plan=plan)
+    times = dt * np.arange(steps + 1)
+    desired = formation.target + times[-1] * velocity + slots
+    return Trajectory(times=times, positions=P, velocities=V, controls=U, lyapunov=lyap,
+                      path_length=path, vel_err=vel_err,
+                      final_error=np.linalg.norm(final - desired, axis=2))
 
 
-def metrics(traj: Trajectory) -> list[FlightMetrics]:
-    """Flight-quality metrics of every run of a trajectory, in run order.
+def metrics(traj: Trajectory) -> FlightMetrics:
+    """Flight-quality metrics of every run of a trajectory, one row per run.
 
     avg_distance: mean over UAVs of per-step path length summed over time.
     Velocity error is measured against the target's instantaneous
-    velocity; final position error against the time-varying desired slots.
+    velocity; final position error against the moving formation's slots.
     """
-    desired = traj.plan.desired_positions(traj.times[-1])
-    return [
-        FlightMetrics(
-            avg_distance=float(path.mean()),
-            avg_vel_err=float(vel_err.mean()),
-            max_vel_err=float(vel_err.max()),
-            avg_final_pos_err=float(np.linalg.norm(final - desired, axis=1).mean()),
-        )
-        for path, vel_err, final in zip(traj.path_length, traj.vel_err, traj.final_positions)
-    ]
+    return FlightMetrics(
+        avg_distance=traj.path_length.mean(axis=1),
+        avg_vel_err=traj.vel_err.mean(axis=(1, 2)),
+        max_vel_err=traj.vel_err.max(axis=(1, 2)),
+        avg_final_pos_err=traj.final_error.mean(axis=1),
+    )

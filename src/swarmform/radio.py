@@ -64,6 +64,11 @@ class ResourceModel:
 
 
 def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:
+    # One link at a time, as a Python float, on purpose: NumPy's array `**`
+    # differs from Python's float `**` by 1 ulp on about 5% of float64
+    # inputs (NumPy 2.4.6 on an AVX-512 CPU, even for 1-element arrays), so
+    # a batched power changes SINR and report bytes. Batched distances are
+    # not the problem; they can match `np.linalg.norm` exactly.
     d = float(np.linalg.norm(np.asarray(tx, float) - np.asarray(rx, float)))
     if d < _MIN_DISTANCE:
         raise DegenerateGeometryError("coincident transmitter and receiver")

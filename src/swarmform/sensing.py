@@ -131,8 +131,14 @@ def fims(rows: Formation, models: SensorModels) -> np.ndarray:
 
 
 def total_fim(formation: Formation, models: SensorModels) -> np.ndarray:
-    """Sum of per-UAV FIMs, in member order (deterministic reduction)."""
-    return fims(formation, models).sum(axis=0, initial=0.0)
+    """Sum of per-UAV FIMs, in member order (deterministic reduction);
+    `FloatingPointError` if the sum of finite FIMs overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = fims(formation, models).sum(axis=0, initial=0.0)
+    if not np.isfinite(total).all():
+        raise FloatingPointError("the members' information matrices sum past the "
+                                 "float range")
+    return total
 
 
 def logdet_reg(fim: np.ndarray, eps: float = DEFAULT_EPS) -> float:

@@ -30,6 +30,15 @@ def build_reference_formation(target=None) -> Formation:
     return formation_of(poses, target)
 
 
+def slotted(slots, target=None) -> Formation:
+    """The camera-only formation whose members sit at `slots` (n, 3), offsets
+    from `target` (the origin by default), all at yaw 0: what
+    `flight.simulate` flies."""
+    slots = np.asarray(slots, dtype=float)
+    target = np.zeros(3) if target is None else np.asarray(target, dtype=float)
+    return Formation(target + slots, np.zeros(len(slots)), np.zeros(len(slots), bool), target)
+
+
 @pytest.fixture
 def reference_formation() -> Formation:
     return build_reference_formation()

@@ -18,8 +18,8 @@ compare against it:
 - `target_visible`, `direction_covered`, `coverage_loops`: the FOV
   frustum test and the coverage metric, direction by direction and
   member by member;
-- `sinr`, `sinr_db`: the SINR of one link, each interferer's power added
-  one by one;
+- `sinr`, `sinr_db`: the SINR of one link from the oracle's own scalar
+  path-loss power, each interferer's power added one by one;
 - `wrap_2pi`, `relative_position`, `sector_index`, `flip_candidates_loops`:
   the flip gating, one bearing and one member at a time;
 - `optimize_formation_loops`: the flip search building one formation per
@@ -45,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from swarmform import fov, kernels
-from swarmform.flight import ApfParams, ControlGains, FormationPlan
+from swarmform.flight import ApfParams, ControlGains
 from swarmform.fov import (
     _ANGLE_TOL,
     _DEGENERATE_XY,
@@ -60,7 +60,7 @@ from swarmform.geom import (
     wrap_pi,
     yaw_facing_target,
 )
-from swarmform.radio import RadioParams, link_stats, received_power, to_db
+from swarmform.radio import RadioParams, link_stats, to_db
 from swarmform.sensing import DEFAULT_EPS, fims, logdet_reg
 
 _DEGENERATE = 1e-9
@@ -349,14 +349,24 @@ def coverage_loops(formation, spec) -> CoverageReport:
     )
 
 
+def _power(tx, rx, rp) -> float:
+    """tx_power * rho0 * d^-alpha with the distance d and the power as
+    Python floats, written here rather than taken from `radio`, so a
+    library change to how the power is computed shows in `sinr`."""
+    d = float(np.linalg.norm(tx - rx))
+    if d < _DEGENERATE:
+        raise DegenerateGeometryError("coincident transmitter and receiver")
+    return rp.tx_power * rp.rho0 * d ** (-rp.alpha)
+
+
 def sinr(i, j, formation, rp) -> float:
     """SINR of the link i -> j; every member other than i and j interferes."""
     if i == j:
         raise ValueError("transmitter and receiver must differ")
     pts = formation.positions
-    signal = received_power(pts[i], pts[j], rp)
+    signal = _power(pts[i], pts[j], rp)
     interference = sum(
-        received_power(pts[k], pts[j], rp)
+        _power(pts[k], pts[j], rp)
         for k in range(len(pts))
         if k not in (i, j)
     )
@@ -526,20 +536,22 @@ def stacked(states) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s.positions for s in states]), np.stack([s.velocities for s in states])
 
 
-def _law_at(state: SwarmState, plan: FormationPlan, controller: str, gains: ControlGains,
-            apf: ApfParams | None):
+def _law_at(state: SwarmState, formation: Formation, velocity: np.ndarray, controller: str,
+            gains: ControlGains, apf: ApfParams | None):
     """(control input (n, 3), Lyapunov candidate) of `kernels.law` bound as
-    `flight.simulate` binds it, on the complete graph led by member 0,
-    evaluated at `state` as a batch of one."""
+    `flight.simulate` binds it toward `formation`, whose target moves at
+    `velocity`, on the complete graph led by member 0, evaluated at
+    `state` as a batch of one."""
     apf = apf or ApfParams()
-    evaluate = kernels.law(controller, plan.slots, gains.mass, gains.k1, gains.k2, gains.kp,
-                           apf.ka, apf.kr, apf.d0, plan.target_velocity)
+    velocity = np.asarray(velocity, dtype=float)
+    evaluate = kernels.law(controller, formation.positions - formation.target, gains.mass,
+                           gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0, velocity)
     u, lyap = evaluate(state.positions[None], state.velocities[None],
-                       plan.target_at(state.time))
+                       formation.target + state.time * velocity)
     return u[0], float(lyap[0])
 
 
-def control(state: SwarmState, plan: FormationPlan, controller: str,
+def control(state: SwarmState, formation: Formation, velocity: np.ndarray, controller: str,
             gains: ControlGains, apf: ApfParams | None = None) -> np.ndarray:
     """Control input of `controller` at `state`, as `simulate` applies it.
 
@@ -547,17 +559,18 @@ def control(state: SwarmState, plan: FormationPlan, controller: str,
     force k1*e; both pull the leader toward its slot with kp. apf: every
     member attracted to its own slot with apf.ka, plus pairwise repulsion
     within apf.d0. All three damp the velocity error against the target,
-    -gains.k2 * (v - plan.target_velocity).
+    -gains.k2 * (v - velocity).
     """
-    u, _ = _law_at(state, plan, controller, gains, apf)
+    u, _ = _law_at(state, formation, velocity, controller, gains, apf)
     if not np.isfinite(u).all():
         raise FloatingPointError("non-finite control force, e.g. from coincident UAVs under APF")
     return u
 
 
-def lyapunov_value(state: SwarmState, plan: FormationPlan, gains: ControlGains) -> float:
+def lyapunov_value(state: SwarmState, formation: Formation, velocity: np.ndarray,
+                   gains: ControlGains) -> float:
     """Lyapunov candidate of the logarithmic controller at `state`."""
-    return _law_at(state, plan, "log", gains, None)[1]
+    return _law_at(state, formation, velocity, "log", gains, None)[1]
 
 
 def step(state: SwarmState, forces: np.ndarray, mass: float, dt: float) -> SwarmState:

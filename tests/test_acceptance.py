@@ -32,7 +32,7 @@ from swarmform import cli
 from swarmform.alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
 from swarmform.cli import main
 from swarmform.config import parse_scenario
-from swarmform.flight import ControlGains, FormationPlan, metrics, simulate
+from swarmform.flight import ApfParams, ControlGains, metrics, simulate
 from swarmform.fov import (
     FovSpec,
     coverage,
@@ -217,13 +217,13 @@ def test_criterion_08_ground_constraint(models):
 def test_criterion_09_lyapunov_decrease_and_convergence():
     start = time.time()
     f = build_reference_formation()
-    plan = FormationPlan(slots=f.positions - f.target)
     gains = ControlGains(k1=4.0, k2=1.5, kp=10.0)
     p0 = np.stack([np.random.default_rng(seed).uniform(-15.0, 15.0, (6, 3))
                    for seed in range(20)])
-    traj = simulate((p0, np.zeros_like(p0)), plan, "log", gains, 0.01, 60.0)
+    traj = simulate((p0, np.zeros_like(p0)), f, "log", gains, np.zeros(3), 0.01, 60.0,
+                    ApfParams())
     worst_step = float(np.diff(traj.lyapunov, axis=1).max())
-    errs = [m.avg_final_pos_err for m in metrics(traj)]
+    errs = metrics(traj).avg_final_pos_err
     elapsed = time.time() - start
     assert worst_step <= 1e-6, f"Lyapunov increased by {worst_step:.2e} in a step"
     assert max(errs) < 0.1, f"final mean position error {max(errs):.4f} >= 0.1 m"
@@ -234,32 +234,29 @@ def test_criterion_09_lyapunov_decrease_and_convergence():
 
 @functools.cache
 def _benchmark():
-    """(flight config, plan, gains, apf, start arrays) of the bundled
-    flight benchmark; run `run` starts from seed [fl.seed, run]."""
+    """(flight config, formation, target velocity, start arrays) of the
+    bundled flight benchmark; run `run` starts from seed [fl.seed, run]."""
     scenario = parse_scenario(resources.files("swarmform") / "scenarios"
                               / "flight_benchmark.json")
     f = build_reference_formation(scenario.target.position)
     fl = scenario.flight
-    plan = FormationPlan(slots=f.positions - f.target,
-                         target_position=scenario.target.position,
-                         target_velocity=scenario.target.velocity)
     half = fl.init_cube_half_width_m
     p0 = scenario.target.position + np.stack([
         np.random.default_rng([fl.seed, run]).uniform(-half, half, (len(f), 3))
         for run in range(fl.runs)])
-    return fl, plan, fl.gains, fl.apf, (p0, np.zeros_like(p0))
+    return fl, f, scenario.target.velocity, (p0, np.zeros_like(p0))
 
 
 # Criteria 10a and 10b read the same 60 rollouts; fly them once per session.
 @functools.cache
 def _benchmark_means():
-    fl, plan, gains, apf, starts = _benchmark()
+    fl, f, vt, starts = _benchmark()
     out = {}
     for ctrl in ("log", "quad", "apf"):
-        ms = metrics(simulate(starts, plan, ctrl, gains, fl.dt_s, fl.horizon_s, apf))
+        m = metrics(simulate(starts, f, ctrl, fl.gains, vt, fl.dt_s, fl.horizon_s, fl.apf))
         out[ctrl] = {
-            "dist": float(np.mean([m.avg_distance for m in ms])),
-            "ferr": float(np.mean([m.avg_final_pos_err for m in ms])),
+            "dist": float(np.mean(m.avg_distance)),
+            "ferr": float(np.mean(m.avg_final_pos_err)),
         }
     return out
 
@@ -299,10 +296,10 @@ def test_criterion_10b_controller_ranking_final_pos_err():
     e = {c: means[c]["ferr"] for c in means}
     assert e["quad"] < e["apf"], f"quadratic < APF leg violated: {e}"
     start = time.time()
-    fl, plan, gains, apf, starts = _benchmark()
-    traj = simulate(starts, plan, "log", gains, fl.dt_s, 60.0)
+    fl, f, vt, starts = _benchmark()
+    traj = simulate(starts, f, "log", fl.gains, vt, fl.dt_s, 60.0, fl.apf)
     worst_step = float(np.diff(traj.lyapunov, axis=1).max())
-    errs = [m.avg_final_pos_err for m in metrics(traj)]
+    errs = metrics(traj).avg_final_pos_err
     elapsed = time.time() - start
     assert worst_step <= 1e-6, f"Lyapunov increased by {worst_step:.2e} in a step"
     assert max(errs) < 0.1, f"log final mean position error {max(errs):.4f} >= 0.1 m at 60 s"

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import swarmform
+from conftest import slotted
 from oracles import write_trace_csv
 from swarmform import cli
 from swarmform.cli import main
-from swarmform.flight import ControlGains, FormationPlan, simulate
+from swarmform.flight import ApfParams, ControlGains, simulate
 
 
 def scenario(name):
@@ -97,7 +98,9 @@ class TestFarOutPoses:
     the empty formation's 3 ln(eps), and a grid at 1e160 m allocated no
     UAV, both with exit 0. A camera at 1 m depth whose target lies 1e160 m
     to the side of its boresight has Jacobian entries whose squares
-    overflow: its FIM printed inf after a RuntimeWarning, with exit 0."""
+    overflow: its FIM printed inf after a RuntimeWarning, with exit 0. Two
+    cameras at 1.5e152 m off boresight have finite FIMs whose sum
+    overflows, which printed inf the same way."""
 
     @pytest.mark.parametrize("x, code, out", [(1e150, 0, "-23.025851\n"), (1e160, 2, "")])
     def test_eval_fim_lidar(self, tmp_path, capsys, x, code, out):
@@ -122,6 +125,19 @@ class TestFarOutPoses:
             assert captured.err.startswith("swarmform: numeric error: ")
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("copies, code, out", [(1, 0, "703.585447\n"), (2, 2, "")])
+    def test_eval_fim_total_overflows(self, tmp_path, capsys, copies, code, out):
+        # each camera's FIM is finite, but two of them sum past the float range
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps({"poses": [{"position": [1.0, 1.5e152, 0.0], "sensor": "camera",
+                                            "yaw_deg": 0.0}] * copies}))
+        assert main(["eval-fim", "--formation", str(p)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        if code:
+            assert captured.err.startswith("swarmform: numeric error: ")
+            assert captured.err.count("\n") == 1
+
     def test_allocate_grid_at_1e150(self, tmp_path):
         code, report = run(tmp_path, "allocate", "--scenario", far_out_scenario(tmp_path, 1e150))
         assert code == 0
@@ -135,8 +151,12 @@ class TestFarOutPoses:
         assert err.count("\n") == 1
 
 
-# sha256 of the bundled scenarios' outputs, recorded before the candidate
-# set became a `Formation`; any change to these bytes must be deliberate
+# sha256 of the bundled scenarios' outputs, keyed by (command, scenario);
+# a command such as "fly-quad" names its controller, a bare one flies log. The
+# first three were recorded before the candidate set became a `Formation`,
+# the flight_benchmark ones before `simulate` took the designed `Formation`
+# (that scenario's seed is 0, so they equal perfbench's fly_fleet at seed
+# 0). Any change to these bytes must be deliberate.
 PINNED_OUTPUTS = {
     ("formation", "paper_default.json"): {
         "report.json": "f6ff23b0efff1ae1d1c2df106528644c7dbc3111d81b4724e5ed2f6e295649a0",
@@ -148,6 +168,18 @@ PINNED_OUTPUTS = {
         "report.json": "6ee4e3082a19ad1a78391602139222f51663503406924d375988073d6a09bc77",
         "fly_trace.csv": "3fc782d468fe31253f8b81c2d3642e62d8abf23de9ed617a259e4a0e04b79b3a",
     },
+    ("fly", "flight_benchmark.json"): {
+        "report.json": "dc6c9569597546753a564a3bf167b04134f938aeab481a84c5b03416357db92b",
+        "fly_trace.csv": "ba06543dcf9215be1964198c97b27b2334f21e85a7e8d96045531bde0984a3b3",
+    },
+    ("fly-quad", "flight_benchmark.json"): {
+        "report.json": "6374a48d646851161091bf4177118a50f97c13c6dada451be23e35096ed23e32",
+        "fly_trace.csv": "f6a7263665dc0212bebd749cc399c342b5469dda10251cff407c9755066ea40b",
+    },
+    ("fly-apf", "flight_benchmark.json"): {
+        "report.json": "e5b40001cfa0876f993d5e809d5af6549343d4ebcaaa65a8ad7f2d77dc0e3052",
+        "fly_trace.csv": "f7d2f908abbf21d1836c14f9397d1d7d48e281b42c7d23a0e141ba26e36e53c3",
+    },
 }
 
 
@@ -155,8 +187,9 @@ PINNED_OUTPUTS = {
                     reason="digests recorded with NumPy 2")
 @pytest.mark.parametrize("command, name", sorted(PINNED_OUTPUTS))
 def test_output_bytes_pinned(tmp_path, command, name):
+    subcommand, _, controller = command.partition("-")
     out = tmp_path / "out"
-    assert main([command, "--scenario", scenario(name), "--controller", "log",
+    assert main([subcommand, "--scenario", scenario(name), "--controller", controller or "log",
                  "--out-dir", str(out)]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in PINNED_OUTPUTS[command, name]}
@@ -467,12 +500,13 @@ class TestAtomicWrites:
 def _flown(n, steps, controller="log"):
     """A seeded n-member flight of `steps` steps toward slots on a 10 m circle."""
     angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    plan = FormationPlan(slots=np.column_stack((10.0 * np.cos(angles), 10.0 * np.sin(angles),
-                                                np.full(n, 3.4))))
+    formation = slotted(np.column_stack((10.0 * np.cos(angles), 10.0 * np.sin(angles),
+                                         np.full(n, 3.4))))
     rng = np.random.default_rng(n + steps)
-    p0 = plan.desired_positions(0.0) + rng.uniform(-5.0, 5.0, (n, 3))
+    p0 = formation.positions + rng.uniform(-5.0, 5.0, (n, 3))
     v0 = rng.uniform(-1.0, 1.0, (n, 3))
-    return simulate((p0[None], v0[None]), plan, controller, ControlGains(), 0.01, steps * 0.01)
+    return simulate((p0[None], v0[None]), formation, controller, ControlGains(), np.zeros(3),
+                    0.01, steps * 0.01, ApfParams())
 
 
 class TestTraceWriter:

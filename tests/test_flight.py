@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import slotted
 from oracles import SwarmState, control, lyapunov_value, stacked, step
 from rollout_oracle import rollout_loops
 from swarmform import kernels
@@ -12,7 +13,7 @@ from swarmform.flight import (
     MAX_STEPS,
     ApfParams,
     ControlGains,
-    FormationPlan,
+    FlightMetrics,
     metrics,
     simulate,
     step_count,
@@ -22,11 +23,13 @@ SLOTS = np.array([
     [9.4, 0.0, 3.4], [0.0, 9.4, 3.4], [7.2, 6.0, 3.4],
     [-4.7, 8.1, 3.4], [9.3, -1.6, 3.4], [-1.6, -9.3, 3.4],
 ])
+STILL = np.zeros(3)   # a stationary target's velocity
+APF = ApfParams()
 
 
 @pytest.fixture
-def plan():
-    return FormationPlan(slots=SLOTS)
+def formation():
+    return slotted(SLOTS)
 
 
 @pytest.fixture
@@ -34,75 +37,78 @@ def gains():
     return ControlGains()
 
 
-def equilibrium_state(plan):
-    return SwarmState(positions=plan.desired_positions(0.0),
-                      velocities=np.zeros((plan.n, 3)))
+def equilibrium_state(formation):
+    return SwarmState(positions=formation.positions,
+                      velocities=np.zeros((len(formation), 3)))
 
 
-def perturbed_state(plan, seed=0, amp=5.0):
+def perturbed_state(formation, seed=0, amp=5.0):
     rng = np.random.default_rng(seed)
-    return SwarmState(positions=plan.desired_positions(0.0) + rng.uniform(-amp, amp, (plan.n, 3)),
-                      velocities=rng.uniform(-1, 1, (plan.n, 3)))
+    n = len(formation)
+    return SwarmState(positions=formation.positions + rng.uniform(-amp, amp, (n, 3)),
+                      velocities=rng.uniform(-1, 1, (n, 3)))
 
 
 class TestControllers:
-    def test_equilibrium_is_fixed_point(self, plan, gains):
-        state = equilibrium_state(plan)
-        assert np.allclose(control(state, plan, "log", gains), 0.0)
-        assert np.allclose(control(state, plan, "quad", gains), 0.0)
+    def test_equilibrium_is_fixed_point(self, formation, gains):
+        state = equilibrium_state(formation)
+        assert np.allclose(control(state, formation, STILL, "log", gains), 0.0)
+        assert np.allclose(control(state, formation, STILL, "quad", gains), 0.0)
         # two slots sit 1.6 m apart, so keep d0 below that for the
         # repulsion-free equilibrium check
-        assert np.allclose(control(state, plan, "apf", gains, ApfParams(d0=1.5)), 0.0)
+        assert np.allclose(control(state, formation, STILL, "apf", gains, ApfParams(d0=1.5)),
+                           0.0)
 
-    def test_log_follower_saturates(self, plan, gains):
+    def test_log_follower_saturates(self, gains):
         # single follower-leader pair: force peaks at k1/2 when |e| = 1
-        two = FormationPlan(slots=SLOTS[:2])
+        two = slotted(SLOTS[:2])
         g = ControlGains()
         for mag in (0.1, 1.0, 5.0, 100.0):
-            p = two.desired_positions(0.0).copy()
+            p = two.positions.copy()
             p[1] += [mag, 0, 0]
-            u = control(SwarmState(p, np.zeros((2, 3))), two, "log", g)
+            u = control(SwarmState(p, np.zeros((2, 3))), two, STILL, "log", g)
             assert np.linalg.norm(u[1]) <= g.k1 / 2 + 1e-12
-        p = two.desired_positions(0.0).copy()
+        p = two.positions.copy()
         p[1] += [1.0, 0, 0]
-        u = control(SwarmState(p, np.zeros((2, 3))), two, "log", g)
+        u = control(SwarmState(p, np.zeros((2, 3))), two, STILL, "log", g)
         assert np.linalg.norm(u[1]) == pytest.approx(g.k1 / 2)
 
-    def test_quad_dominates_log_for_large_errors(self, plan, gains):
-        state = perturbed_state(plan, seed=1, amp=8.0)
-        state = SwarmState(state.positions, np.zeros((plan.n, 3)))
+    def test_quad_dominates_log_for_large_errors(self, formation, gains):
+        n = len(formation)
+        state = perturbed_state(formation, seed=1, amp=8.0)
+        state = SwarmState(state.positions, np.zeros((n, 3)))
         e = state.positions[:, None, :] - state.positions[None, :, :] \
             - (SLOTS[:, None, :] - SLOTS[None, :, :])
-        norms = np.linalg.norm(e, axis=2) + np.eye(plan.n)
+        norms = np.linalg.norm(e, axis=2) + np.eye(n)
         assert (norms >= 1).all()  # every edge error exceeds 1 for this draw
-        u_log = control(state, plan, "log", gains)
-        u_quad = control(state, plan, "quad", gains)
-        followers = list(range(1, plan.n))  # member 0 leads
+        u_log = control(state, formation, STILL, "log", gains)
+        u_quad = control(state, formation, STILL, "quad", gains)
+        followers = list(range(1, n))  # member 0 leads
         assert (np.linalg.norm(u_quad[followers], axis=1)
                 >= np.linalg.norm(u_log[followers], axis=1) - 1e-9).all()
 
     def test_apf_repulsion_magnitude(self):
         apf = ApfParams(ka=1.0, kr=5.0, d0=2.0)
-        plan = FormationPlan(slots=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
+        pair = slotted([[0.0, 0, 0], [1.0, 0, 0]])
         # both on their slots, separated by d0/2: only repulsion remains
         p = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        u = control(SwarmState(p, np.zeros((2, 3))), plan, "apf", ControlGains(), apf)
+        u = control(SwarmState(p, np.zeros((2, 3))), pair, STILL, "apf", ControlGains(), apf)
         expected = apf.kr * (1 / 1.0 - 1 / apf.d0) / 1.0 ** 2
         assert u[1] == pytest.approx([expected, 0, 0])
         assert u[0] == pytest.approx([-expected, 0, 0])
 
     def test_apf_inactive_beyond_d0(self):
         apf = ApfParams(ka=2.0, kr=5.0, d0=2.0)
-        plan = FormationPlan(slots=np.array([[0.0, 0, 0], [5.0, 0, 0]]))
+        pair = slotted([[0.0, 0, 0], [5.0, 0, 0]])
         p = np.array([[1.0, 0, 0], [4.0, 0, 0]])
-        u = control(SwarmState(p, np.zeros((2, 3))), plan, "apf", ControlGains(), apf)
+        u = control(SwarmState(p, np.zeros((2, 3))), pair, STILL, "apf", ControlGains(), apf)
         assert u[0] == pytest.approx([-apf.ka * 1.0, 0, 0])
 
     def test_apf_coincident_rejected(self):
-        plan = FormationPlan(slots=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
+        pair = slotted([[0.0, 0, 0], [1.0, 0, 0]])
         p = np.zeros((2, 3))
         with pytest.raises(FloatingPointError):
-            control(SwarmState(p, np.zeros((2, 3))), plan, "apf", ControlGains())
+            control(SwarmState(p, np.zeros((2, 3))), pair, STILL, "apf", ControlGains())
 
     def test_gains_validation(self):
         with pytest.raises(ValueError):
@@ -134,66 +140,73 @@ class TestStep:
 
 
 class TestLyapunov:
-    def test_zero_at_equilibrium(self, plan, gains):
-        assert lyapunov_value(equilibrium_state(plan), plan, gains) == pytest.approx(0.0)
+    def test_zero_at_equilibrium(self, formation, gains):
+        assert lyapunov_value(equilibrium_state(formation), formation, STILL, gains) \
+            == pytest.approx(0.0)
 
     def test_single_edge_value(self):
-        plan2 = FormationPlan(slots=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
+        pair = slotted([[0.0, 0, 0], [1.0, 0, 0]])
         g = ControlGains()
         p = np.array([[0.0, 0, 0], [2.0, 0, 0]])  # one edge error of norm 1
-        v = lyapunov_value(SwarmState(p, np.zeros((2, 3))), plan2, g)
+        v = lyapunov_value(SwarmState(p, np.zeros((2, 3))), pair, STILL, g)
         assert v == pytest.approx(0.5 * g.k1 * np.log(2.0))
 
-    def test_monotone_under_log_control(self, plan, gains):
-        state = perturbed_state(plan, seed=3, amp=10.0)
-        state = SwarmState(state.positions, np.zeros((plan.n, 3)))
-        traj = simulate(stacked([state]), plan, "log", gains, 0.01, 10.0)
+    def test_monotone_under_log_control(self, formation, gains):
+        state = perturbed_state(formation, seed=3, amp=10.0)
+        state = SwarmState(state.positions, np.zeros((len(formation), 3)))
+        traj = simulate(stacked([state]), formation, "log", gains, STILL, 0.01, 10.0, APF)
         assert np.diff(traj.lyapunov).max() <= 1e-6
-        assert traj.lyapunov[0, 0] == pytest.approx(lyapunov_value(state, plan, gains))
+        assert traj.lyapunov[0, 0] == pytest.approx(lyapunov_value(state, formation, STILL,
+                                                                    gains))
 
     @pytest.mark.parametrize("mass", [0.5, 2.0], ids=["0.5kg", "2kg"])
-    def test_monotone_with_masses(self, plan, mass):
+    def test_monotone_with_masses(self, formation, mass):
         # the kinetic term is (m/2) sum |v_i - v_t|^2, matching the
         # integrator's division of each force by m
         rng = np.random.default_rng(12)
-        starts = [SwarmState(rng.uniform(-15.0, 15.0, (plan.n, 3)), np.zeros((plan.n, 3)))
+        n = len(formation)
+        starts = [SwarmState(rng.uniform(-15.0, 15.0, (n, 3)), np.zeros((n, 3)))
                   for _ in range(5)]
-        traj = simulate(stacked(starts), plan, "log", ControlGains(mass=mass), 0.01, 20.0)
+        traj = simulate(stacked(starts), formation, "log", ControlGains(mass=mass), STILL,
+                        0.01, 20.0, APF)
         assert np.diff(traj.lyapunov).max() <= 1e-6
 
 
 class TestSimulate:
-    def test_converged_start_stays(self, plan, gains):
-        traj = simulate(stacked([equilibrium_state(plan)]), plan, "log", gains, 0.01, 1.0)
+    def test_converged_start_stays(self, formation, gains):
+        traj = simulate(stacked([equilibrium_state(formation)]), formation, "log", gains, STILL,
+                        0.01, 1.0, APF)
         drift = np.abs(np.diff(traj.positions, axis=0)).max()
         assert drift < 1e-9
 
-    def test_bitwise_deterministic(self, plan, gains):
-        s = stacked([perturbed_state(plan, seed=4)])
-        t1 = simulate(s, plan, "quad", gains, 0.01, 2.0)
-        t2 = simulate(s, plan, "quad", gains, 0.01, 2.0)
+    def test_bitwise_deterministic(self, formation, gains):
+        s = stacked([perturbed_state(formation, seed=4)])
+        t1 = simulate(s, formation, "quad", gains, STILL, 0.01, 2.0, APF)
+        t2 = simulate(s, formation, "quad", gains, STILL, 0.01, 2.0, APF)
         assert (t1.positions == t2.positions).all()
         assert (t1.lyapunov == t2.lyapunov).all()
 
-    def test_unknown_controller(self, plan, gains):
+    def test_unknown_controller(self, formation, gains):
         with pytest.raises(ValueError):
-            simulate(stacked([equilibrium_state(plan)]), plan, "pid", gains)
+            simulate(stacked([equilibrium_state(formation)]), formation, "pid", gains, STILL,
+                     0.01, 1.0, APF)
 
-    def test_refuses_bad_starts(self, plan, gains):
-        p, v = stacked([perturbed_state(plan, seed=9)])
+    def test_refuses_bad_starts(self, formation, gains):
+        p, v = stacked([perturbed_state(formation, seed=9)])
         for bad, message in (((p, v[:, :-1]), "must both be"), ((p[0], v[0]), "must both be"),
                              ((p[:0], v[:0]), "no run"), ((p[:, :-1], v[:, :-1]), "disagree")):
             with pytest.raises(ValueError, match=message):
-                simulate(bad, plan, "log", gains, 0.01, 0.1)
+                simulate(bad, formation, "log", gains, STILL, 0.01, 0.1, APF)
         p[0, 2, 1] = np.nan
         with pytest.raises(ValueError, match="swarm state must be finite"):
-            simulate((p, v), plan, "log", gains, 0.01, 0.1)
+            simulate((p, v), formation, "log", gains, STILL, 0.01, 0.1, APF)
 
     @pytest.mark.parametrize("dt, horizon", [(1.0, 0.1), (0.01, 1e9), (1e-300, 1e300),
                                              (0.01, 0.0), (-0.01, 1.0)])
-    def test_refuses_step_counts_out_of_bounds(self, plan, gains, dt, horizon):
+    def test_refuses_step_counts_out_of_bounds(self, formation, gains, dt, horizon):
         with pytest.raises(ValueError):
-            simulate(stacked([equilibrium_state(plan)]), plan, "log", gains, dt, horizon)
+            simulate(stacked([equilibrium_state(formation)]), formation, "log", gains, STILL,
+                     dt, horizon, APF)
 
     def test_step_count_edges(self):
         assert step_count(1.0, 0.6) == 1
@@ -203,42 +216,42 @@ class TestSimulate:
             with pytest.raises(ValueError, match="must round to 1 to 100000 steps"):
                 step_count(1.0, horizon)
 
-    def test_start_too_far_out_raises(self, plan, gains):
+    def test_start_too_far_out_raises(self, formation, gains):
         # squared distances overflow, so V, path lengths and velocity
         # errors would reach the report as inf
-        p, v = stacked([perturbed_state(plan, seed=10)])
+        p, v = stacked([perturbed_state(formation, seed=10)])
         with pytest.raises(FloatingPointError):
-            simulate((1e200 * p, v), plan, "log", gains, 0.01, 0.1)
+            simulate((1e200 * p, v), formation, "log", gains, STILL, 0.01, 0.1, APF)
 
-    def test_matches_python_controllers(self, plan, gains):
+    def test_matches_python_controllers(self, formation, gains):
         # one kernel step reproduces the per-step controller + integrator,
         # for a stationary and for a moving target
-        moving = FormationPlan(slots=plan.slots, target_position=[1.0, -2.0, 0.5],
-                               target_velocity=[0.5, 0.3, 0.1])
-        for p in (plan, moving):
-            s = perturbed_state(p, seed=5)
+        moving = slotted(SLOTS, [1.0, -2.0, 0.5]), np.array([0.5, 0.3, 0.1])
+        for f, vt in ((formation, STILL), moving):
+            s = perturbed_state(f, seed=5)
             for name in ("log", "quad", "apf"):
-                traj = simulate(stacked([s]), p, name, gains, 0.01, 0.01)
-                expected = step(s, control(s, p, name, gains), gains.mass, 0.01)
+                traj = simulate(stacked([s]), f, name, gains, vt, 0.01, 0.01, APF)
+                expected = step(s, control(s, f, vt, name, gains), gains.mass, 0.01)
                 assert np.allclose(traj.positions[1], expected.positions, atol=1e-12)
                 assert np.allclose(traj.velocities[1], expected.velocities, atol=1e-12)
-            assert lyapunov_value(s, p, gains) == pytest.approx(traj.lyapunov[0, 0], abs=1e-12)
+            assert lyapunov_value(s, f, vt, gains) == pytest.approx(traj.lyapunov[0, 0],
+                                                                    abs=1e-12)
 
     @pytest.mark.parametrize("ctrl", ["log", "quad", "apf"])
-    def test_rollout_matches_oracle(self, plan, ctrl):
+    def test_rollout_matches_oracle(self, formation, ctrl):
         # an R = 3 batch against the oracle flown run by run
-        starts = [perturbed_state(plan, seed=seed) for seed in (6, 13, 14)]
+        starts = [perturbed_state(formation, seed=seed) for seed in (6, 13, 14)]
         p0 = np.stack([s.positions for s in starts])
         v0 = np.stack([s.velocities for s in starts])
         p0[:, 1] = p0[:, 0] + [0.6, 0.3, 0.0]  # a pair inside d0
         vdes = np.array([0.5, 0.3, 0.1])
         gains = (4.0, 1.5, 10.0, 3.0, 5.0, 2.0)   # k1, k2, kp, ka, kr, d0
         tgt0 = np.array([1.0, -2.0, 0.5])
-        evaluate = kernels.law(ctrl, plan.slots, 1.3, *gains, vdes)
+        evaluate = kernels.law(ctrl, SLOTS, 1.3, *gains, vdes)
         P, V, U, L, path, vel_err, final = kernels.rollout(
             evaluate, p0, v0, 1.3, tgt0, vdes, 0.01, 200)
         for r in range(3):
-            Pr, Vr, Ur, Lr = rollout_loops(p0[r], v0[r], plan.slots, 1.3, ctrl,
+            Pr, Vr, Ur, Lr = rollout_loops(p0[r], v0[r], SLOTS, 1.3, ctrl,
                                            *gains, tgt0, vdes, 0.01, 200)
             if r == 0:
                 for name, a, b in zip("PVU", (P, V, U), (Pr, Vr, Ur)):
@@ -287,60 +300,60 @@ class TestSimulate:
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                         reason="digests recorded with NumPy 2")
     @pytest.mark.parametrize("ctrl", ["log", "quad", "apf"])
-    def test_rollout_bytes_frozen(self, plan, ctrl):
+    def test_rollout_bytes_frozen(self, formation, ctrl):
         # the R = 3 case of test_rollout_matches_oracle, bit for bit
-        starts = [perturbed_state(plan, seed=seed) for seed in (6, 13, 14)]
+        starts = [perturbed_state(formation, seed=seed) for seed in (6, 13, 14)]
         p0 = np.stack([s.positions for s in starts])
         v0 = np.stack([s.velocities for s in starts])
         p0[:, 1] = p0[:, 0] + [0.6, 0.3, 0.0]
         vdes = np.array([0.5, 0.3, 0.1])
-        evaluate = kernels.law(ctrl, plan.slots, 1.3, 4.0, 1.5, 10.0, 3.0, 5.0, 2.0, vdes)
+        evaluate = kernels.law(ctrl, SLOTS, 1.3, 4.0, 1.5, 10.0, 3.0, 5.0, 2.0, vdes)
         out = kernels.rollout(evaluate, p0, v0, 1.3, np.array([1.0, -2.0, 0.5]),
                               vdes, 0.01, 200)
         digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
                         for a in out)
         assert digests == self.ROLLOUT_DIGESTS[ctrl]
 
-    def test_coincident_apf_members_in_one_run_raise(self, plan, gains):
-        starts = [perturbed_state(plan, seed=seed) for seed in range(3)]
+    def test_coincident_apf_members_in_one_run_raise(self, formation, gains):
+        starts = [perturbed_state(formation, seed=seed) for seed in range(3)]
         p = starts[2].positions.copy()
         p[1] = p[0]
         starts[2] = SwarmState(p, starts[2].velocities)
         with pytest.raises(FloatingPointError):
-            simulate(stacked(starts), plan, "apf", gains, 0.01, 0.5)
+            simulate(stacked(starts), formation, "apf", gains, STILL, 0.01, 0.5, APF)
 
 
 def _metric_values(m):
-    return m.avg_distance, m.avg_vel_err, m.max_vel_err, m.avg_final_pos_err
+    """The metric columns as one (R, 4) table, a row per run."""
+    return np.column_stack((m.avg_distance, m.avg_vel_err, m.max_vel_err, m.avg_final_pos_err))
 
 
 @settings(max_examples=25, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
        controller=st.sampled_from(["log", "quad", "apf"]), data=st.data())
 def test_batch_runs_equal_runs_flown_alone(seeds, controller, data):
-    plan = FormationPlan(slots=SLOTS, target_position=[1.0, -2.0, 0.5],
-                         target_velocity=[0.5, 0.3, 0.1])
+    formation, vt = slotted(SLOTS, [1.0, -2.0, 0.5]), np.array([0.5, 0.3, 0.1])
     gains = ControlGains(mass=1.3)
-    starts = [perturbed_state(plan, seed=seed) for seed in seeds]
-    batch = simulate(stacked(starts), plan, controller, gains, 0.01, 0.5)
-    batch_metrics = [_metric_values(m) for m in metrics(batch)]
+    starts = [perturbed_state(formation, seed=seed) for seed in seeds]
+    batch = simulate(stacked(starts), formation, controller, gains, vt, 0.01, 0.5, APF)
+    batch_metrics = _metric_values(metrics(batch))
     for r, start in enumerate(starts):
-        alone = simulate(stacked([start]), plan, controller, gains, 0.01, 0.5)
+        alone = simulate(stacked([start]), formation, controller, gains, vt, 0.01, 0.5, APF)
         if r == 0:
             assert (batch.positions == alone.positions).all()
             assert (batch.velocities == alone.velocities).all()
             assert (batch.controls == alone.controls).all()
         assert (batch.lyapunov[r] == alone.lyapunov[0]).all()
-        assert batch_metrics[r] == _metric_values(metrics(alone)[0])
+        assert (batch_metrics[r] == _metric_values(metrics(alone))[0]).all()
 
     order = data.draw(st.permutations(range(len(starts))))
-    permuted = simulate(stacked([starts[i] for i in order]), plan, controller, gains,
-                        0.01, 0.5)
+    permuted = simulate(stacked([starts[i] for i in order]), formation, controller, gains, vt,
+                        0.01, 0.5, APF)
     assert (permuted.lyapunov == batch.lyapunov[order]).all()
     assert (permuted.path_length == batch.path_length[order]).all()
     assert (permuted.vel_err == batch.vel_err[order]).all()
-    assert (permuted.final_positions == batch.final_positions[order]).all()
-    assert [_metric_values(m) for m in metrics(permuted)] == [batch_metrics[i] for i in order]
+    assert (permuted.final_error == batch.final_error[order]).all()
+    assert (_metric_values(metrics(permuted)) == batch_metrics[order]).all()
 
 
 @settings(max_examples=20, deadline=None)
@@ -350,26 +363,32 @@ def test_lyapunov_never_rises_on_connected_graphs(n, mass, seed):
     the connected graph the library flies, led by member 0) for any swarm
     size, mass, slots and constant-velocity target."""
     rng = np.random.default_rng(seed)
-    plan = FormationPlan(slots=rng.uniform(-10.0, 10.0, (n, 3)),
-                         target_position=rng.uniform(-5.0, 5.0, 3),
-                         target_velocity=rng.uniform(-1.0, 1.0, 3))
-    p0 = plan.target_position + rng.uniform(-15.0, 15.0, (3, n, 3))
+    formation = slotted(rng.uniform(-10.0, 10.0, (n, 3)), rng.uniform(-5.0, 5.0, 3))
+    vt = rng.uniform(-1.0, 1.0, 3)
+    p0 = formation.target + rng.uniform(-15.0, 15.0, (3, n, 3))
     v0 = rng.uniform(-1.0, 1.0, (3, n, 3))
-    traj = simulate((p0, v0), plan, "log", ControlGains(mass=mass), 0.01, 10.0)
+    traj = simulate((p0, v0), formation, "log", ControlGains(mass=mass), vt, 0.01, 10.0, APF)
     assert np.diff(traj.lyapunov, axis=1).max() <= 1e-6
 
 
 class TestMetrics:
-    def test_straight_line_distance(self, plan, gains):
+    def test_straight_line_distance(self, formation, gains):
         # constant-velocity drift of 1 m/s for 10 s with matched slots
-        moving = FormationPlan(slots=plan.slots, target_velocity=np.array([1.0, 0, 0]))
-        start = SwarmState(moving.desired_positions(0.0), np.tile([1.0, 0, 0], (plan.n, 1)))
-        (m,) = metrics(simulate(stacked([start]), moving, "log", gains, 0.01, 10.0))
-        assert m.avg_distance == pytest.approx(10.0)
-        assert m.avg_vel_err == pytest.approx(0.0)
-        assert m.avg_final_pos_err == pytest.approx(0.0, abs=1e-9)
+        vt = np.array([1.0, 0, 0])
+        start = SwarmState(formation.positions, np.tile(vt, (len(formation), 1)))
+        m = metrics(simulate(stacked([start]), formation, "log", gains, vt, 0.01, 10.0, APF))
+        assert m.avg_distance == pytest.approx([10.0])
+        assert m.avg_vel_err == pytest.approx([0.0])
+        assert m.avg_final_pos_err == pytest.approx([0.0], abs=1e-9)
 
-    def test_aggregate_consistency(self, plan, gains):
-        traj = simulate(stacked([perturbed_state(plan, seed=8)]), plan, "log", gains, 0.01, 3.0)
-        (m,) = metrics(traj)
-        assert m.max_vel_err >= m.avg_vel_err >= 0.0
+    def test_aggregate_consistency(self, formation, gains):
+        starts = stacked([perturbed_state(formation, seed=seed) for seed in (8, 9)])
+        m = metrics(simulate(starts, formation, "log", gains, STILL, 0.01, 3.0, APF))
+        assert m.avg_distance.shape == m.max_vel_err.shape == (2,)
+        assert (m.max_vel_err >= m.avg_vel_err).all() and (m.avg_vel_err >= 0.0).all()
+
+    def test_inconsistent_row_rejected(self):
+        # one bad run among good ones is enough
+        ok, bad = np.array([1.0, 1.0]), np.array([2.0, 0.5])
+        with pytest.raises(ValueError, match="inconsistent"):
+            FlightMetrics(avg_distance=ok, avg_vel_err=ok, max_vel_err=bad, avg_final_pos_err=ok)
