@@ -2,13 +2,18 @@
 
 The candidate set is a `Formation`: one row per feasible (placement,
 sensor) pair, built from the grid's geometry alone. The objective is the
-regularized log-determinant of the swarm FIM; it is monotone and
-submodular in the candidate set, so greedy selection with a stopping
-threshold carries the classic (1 - 1/e) guarantee against the
-budget-constrained optimum. Each candidate's marginal gain is discounted
-by a penalty read from the `ResourceModel` row its `lidar` flag picks:
-its communication resource block (bandwidth * duration) and its hardware
-cost. Selection stops when the best net utility drops to the threshold.
+regularized log-determinant of the swarm FIM, which is monotone and
+submodular in the candidate set. Each candidate's marginal gain is
+discounted by a penalty read from the `ResourceModel` row its `lidar` flag
+picks: its communication resource block (bandwidth * duration) and its
+hardware cost. Selection stops when the best net utility drops to the
+threshold.
+
+`greedy_allocate` claims no approximation ratio. One airframe per
+placement plus `max_uavs` is a matroid constraint, under which greedy on a
+monotone submodular function guarantees only 1/2 (Fisher, Nemhauser &
+Wolsey 1978), not 1 - 1/e; and the penalised, threshold-stopped objective
+is not monotone, so not even that bound applies.
 """
 
 from __future__ import annotations

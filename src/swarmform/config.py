@@ -22,7 +22,7 @@ import numpy as np
 
 from .alloc import AllocWeights, GridSpec
 from .flight import CONTROLLERS, ApfParams, ControlGains, step_count
-from .fov import FovSpec
+from .fov import MAX_DIRS, FovSpec
 from .geom import Formation, yaw_facing_target
 from .radio import RadioParams, ResourceModel, dbm_to_watts
 from .sensing import DEFAULT_EPS, CameraIntrinsics, LidarNoise, SensorModels
@@ -134,6 +134,7 @@ def _bounded(read, ok, rule: str):
 _positive = _bounded(_number, lambda x: x > 0, "be positive")
 _fov_angle = _bounded(_number, lambda x: 0.0 < x < 180.0, "lie in (0, 180)")
 _count = _bounded(_integer, lambda x: x >= 1, "be >= 1")
+_probe_count = _bounded(_integer, lambda x: x <= MAX_DIRS, f"be <= {MAX_DIRS}")
 
 
 def _squares(sigmas: np.ndarray) -> tuple[float, ...]:
@@ -164,7 +165,7 @@ _FOV = (
     ("hfov_deg", "gamma", _fov_angle, np.radians),
     ("vfov_deg", "kappa", _fov_angle, np.radians),
     ("d_max_m", "d_max", _number, None),
-    ("n_dirs", "n_dirs", _integer, None),
+    ("n_dirs", "n_dirs", _probe_count, None),
     ("lambda_per_m", "lam", _number, None),
     ("k_sectors", "k_sectors", _integer, None),
     ("eta_min_db", "eta_min_db", _number, None),
@@ -269,8 +270,8 @@ def _sensors(root: _Section) -> tuple[SensorModels, float]:
     return models, eps
 
 
-def parse_scenario_dict(doc: dict, name: str = "") -> Scenario:
-    root = _Section(doc, name)
+def parse_scenario_dict(doc: dict) -> Scenario:
+    root = _Section(doc, "")
     root.take(_same(_string, "description"))
     target = _section(root, "target", TargetSpec, _TARGET)
     grid = _section(root, "grid", GridSpec, _GRID)
@@ -309,15 +310,15 @@ def _load_json_object(path: str | Path) -> dict:
 
 
 def parse_scenario(path: str | Path) -> Scenario:
-    return parse_scenario_dict(_load_json_object(path), name="")
+    return parse_scenario_dict(_load_json_object(path))
 
 
-def parse_formation_dict(doc: dict, name: str = "") -> tuple[Formation, SensorModels, float]:
+def parse_formation_dict(doc: dict) -> tuple[Formation, SensorModels, float]:
     """Parse an explicit pose-list document (the eval-fim input format).
 
     Each pose needs a position and sensor; yaw_deg defaults to facing the
     target. An empty pose list is allowed (its log-det is 3*ln(eps))."""
-    root = _Section(doc, name)
+    root = _Section(doc, "")
     target = root.take(_FORMATION_TARGET).get("target", np.zeros(3))
     sensors, eps = _sensors(root)
     root.require("poses")
@@ -337,4 +338,4 @@ def parse_formation_dict(doc: dict, name: str = "") -> tuple[Formation, SensorMo
 
 
 def parse_formation(path: str | Path) -> tuple[Formation, SensorModels, float]:
-    return parse_formation_dict(_load_json_object(path), name="")
+    return parse_formation_dict(_load_json_object(path))

@@ -26,6 +26,7 @@ from .radio import RadioParams, link_stats, received_power, sinr_db
 
 _ANGLE_TOL = 1e-9          # boundary-inclusive angular tests
 EXHAUSTIVE_LIMIT = 4096    # max flip patterns searched exactly
+MAX_DIRS = 1440            # probe directions; a (4,096 patterns x 1,440) float64 table is 45 MiB
 
 
 @dataclass(frozen=True)
@@ -118,68 +119,62 @@ def flip_candidates(formation: Formation, spec: FovSpec) -> list[int]:
     return np.flatnonzero(np.bincount(sectors)[sectors] >= 2).tolist()
 
 
-def _score(formation: Formation, flips: np.ndarray, spec: FovSpec, radio: RadioParams):
-    """Gamma and the minimum SINR into member 0 of `formation` with each
-    row of the (P, n) 0/1 integer matrix `flips` applied. Members are
-    added one by one, in member order, as in `coverage` and `link_stats`,
-    so each row equals them."""
-    pos = np.stack([formation.positions, flip(formation).positions])  # (state, member, 3)
-    rows = _cover_rows(pos - formation.target, spec)        # (state, member, direction)
-    per_direction = sum(rows[flips[:, i], i] for i in range(len(formation)))
-    # power[h, s, i]: member i in state s at the hub in state h, for only the
-    # pairs some row meets, so a pair no pattern forms raises no error
-    members, hub = np.arange(len(formation)), flips[:, [0]]
-    used = np.zeros((2, 2, len(formation)), dtype=bool)
-    used[hub, flips, members] = True
-    used[:, :, 0] = False
-    power = np.zeros(used.shape)
-    for h, s, i in zip(*np.nonzero(used)):
-        power[h, s, i] = received_power(pos[s, i], pos[h, 0], radio)
-    links = power[hub, flips, members][:, 1:]
-    return _gamma(per_direction, spec.n_dirs)[2], sinr_db(links, radio).min(axis=1)
-
-
 def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams) -> Formation:
     """Maximize Gamma over flips of sector-crowded members, subject to the
     minimum link SINR staying at or above eta_min.
 
     If the input formation already violates eta_min, the constraint
     relaxes to "no worse than the input's minimum SINR", so coverage can
-    still be optimized without degrading an already-stressed network.
-    When the gated pattern space is small the search is exhaustive
-    (hence exactly optimal over this move set), by size, then
-    lexicographically; otherwise steepest-ascent sweeps of the current
-    formation's single flips run to a fixed point. Ties keep the earlier
-    pattern, so the result is deterministic.
+    still be optimized without degrading an already-stressed network. With
+    three or more members a floor of 0 dB or more always relaxes (see `radio`).
+
+    The search state is a 0/1 flip pattern over the input's members. One
+    sweep loop scores `best ^ moves` from each member's two cover rows and
+    link powers, keeping, in row order, each feasible row that beats the
+    best Gamma by more than _ANGLE_TOL, until a sweep keeps nothing. The
+    moves are every nonempty gated pattern, by size, then lexicographically,
+    scored in one sweep (exact over this move set) when there are at most
+    EXHAUSTIVE_LIMIT; otherwise the single flips (steepest ascent). The
+    input itself comes back when nothing flips.
     """
     gated = flip_candidates(formation, spec)   # none for fewer than two members
     if not gated:
         return formation
 
     floor = min(spec.eta_min_db, link_stats(formation, radio)["min_db"])
-    best, best_gamma = formation, coverage(formation, spec).gamma_metric
-
-    def improve(flips: np.ndarray) -> bool:
-        """Move `best` to each feasible row of `flips`, in order, that beats
-        it by more than _ANGLE_TOL; True if any did."""
-        nonlocal best, best_gamma
-        gammas, min_db = _score(best, flips, spec, radio)
-        accepted = None
-        for r in np.flatnonzero(min_db >= floor - _ANGLE_TOL):
-            if gammas[r] > best_gamma + _ANGLE_TOL:
-                accepted, best_gamma = r, gammas[r]
-        if accepted is not None:
-            best = flip(best, flips[accepted])
-        return accepted is not None
+    best_gamma = coverage(formation, spec).gamma_metric
+    members = np.arange(len(formation))
+    pos = np.stack([formation.positions, flip(formation).positions])  # (state, member, 3)
+    rows = _cover_rows(pos - formation.target, spec)        # (state, member, direction)
+    # power[h, s, i]: member i in state s at the hub in state h, for only the
+    # pairs some pattern can form (h <= hub gated, s <= member gated), so a
+    # pair no pattern forms raises no error
+    gate = np.isin(members, gated)
+    can = (np.arange(2)[:, None, None] <= gate[0]) & (np.arange(2)[:, None] <= gate) & (members > 0)
+    power = np.zeros(can.shape)
+    for h, s, i in zip(*np.nonzero(can)):
+        power[h, s, i] = received_power(pos[s, i], pos[h, 0], radio)
 
     single = np.eye(len(formation), dtype=np.intp)[gated]   # row j flips member gated[j]
-    if 2 ** len(gated) <= EXHAUSTIVE_LIMIT:
-        # nonempty subsets by size, then lexicographically (product lists 1s first; sort is stable)
-        improve(np.array(sorted(product((1, 0), repeat=len(gated)), key=sum)[1:]) @ single)
-    else:
-        while improve(single):
-            pass
-    return best
+    exhaustive = 2 ** len(gated) <= EXHAUSTIVE_LIMIT
+    # nonempty subsets by size, then lexicographically (product lists 1s first; sort is stable)
+    moves = (np.array(sorted(product((1, 0), repeat=len(gated)), key=sum)[1:]) @ single
+             if exhaustive else single)
+    best = np.zeros(len(formation), dtype=np.intp)
+    while True:
+        flips = best ^ moves
+        # members added one by one, in member order, as in `coverage` and `link_stats`
+        gammas = _gamma(sum(rows[flips[:, i], i] for i in members), spec.n_dirs)[2]
+        min_db = sinr_db(power[flips[:, [0]], flips, members][:, 1:], radio).min(axis=1)
+        kept = None
+        for r in np.flatnonzero(min_db >= floor - _ANGLE_TOL):
+            if gammas[r] > best_gamma + _ANGLE_TOL:
+                kept, best_gamma = r, gammas[r]
+        if kept is not None:
+            best = flips[kept]
+        if kept is None or exhaustive:
+            break
+    return flip(formation, best) if best.any() else formation
 
 
 def ground_constrain(formation: Formation, target: np.ndarray) -> Formation:

@@ -5,7 +5,11 @@ reads for its penalty terms.
 Received power decays as tx_power * rho0 * d^-alpha. Link statistics
 aggregate over a star topology whose hub is the fusion receiver, member 0
 (the flight leader): the SINR of each other member's link to the hub
-counts every other member as an interferer at the hub.
+counts every other member as an interferer at the hub. So with three or
+more members at most one link can reach 0 dB: SINR_i >= 1 needs p_i > p_j,
+and SINR_j >= 1 the reverse. A minimum-SINR floor of 0 dB or more can
+therefore never hold, and `fov.optimize_formation` always relaxes it to
+the input's minimum.
 """
 
 from __future__ import annotations

@@ -432,20 +432,24 @@ def optimize_formation_loops(formation: Formation, spec: FovSpec,
                     best, best_gamma = cand, g
         return best
 
+    # steepest ascent over the current pattern's single flips, each
+    # pattern applied to the input
+    pattern: set[int] = set()
     improved = True
     while improved:
         improved = False
         step_best = None
         step_gamma = best_gamma
         for i in gated:
-            cand = _apply_pattern(best, (i,))
+            cand_pattern = pattern ^ {i}
+            cand = _apply_pattern(formation, tuple(sorted(cand_pattern)))
             if not feasible(cand):
                 continue
             g = coverage(cand, spec).gamma_metric
             if g > step_gamma + _ANGLE_TOL:
-                step_best, step_gamma = cand, g
+                step_best, step_gamma, step_pattern = cand, g, cand_pattern
         if step_best is not None:
-            best, best_gamma = step_best, step_gamma
+            best, best_gamma, pattern = step_best, step_gamma, step_pattern
             improved = True
     return best
 

@@ -308,6 +308,7 @@ class TestExitCodes:
         ("fov.hfov_deg", 180.0, "lie in (0, 180)"),
         ("fov.vfov_deg", 0.0, "lie in (0, 180)"),
         ("radio.noise_dbm", 5000.0, "convert to a finite number"),
+        ("fov.n_dirs", 10**15, "be <= 1440"),
     ])
     def test_bounded_key_rejected(self, tmp_path, capsys, path, value, rule):
         doc = json.loads((resources.files("swarmform") / "scenarios"

@@ -307,10 +307,10 @@ def test_search_equals_pattern_by_pattern(members, target, eta_min_db, k_sectors
 
 
 def test_steepest_ascent_flips_a_member_twice(monkeypatch):
-    """Steepest ascent flips member 2, then 1 and 3, then 2 again, which
-    leaves it at 2t - (2t - p) with its yaw wrapped twice: not the input's
-    bytes. Each sweep scores the flips of the current formation, so the
-    result still equals the pattern-by-pattern search."""
+    """Steepest ascent flips member 2, then 1 and 3, then 2 again. The
+    search state is a flip pattern over the input, so member 2 ends at the
+    input's position and yaw bytes, not at 2t - (2t - p) with its yaw
+    wrapped twice, and the result equals the pattern-by-pattern search."""
     target = vec3(-2.4, -4.1, -3.7)
     positions = [vec3(-3.1, 3.8, -6.0), vec3(-16.3, -4.6, -11.9), vec3(-5.4, -2.8, -2.9),
                  vec3(-9.8, 5.0, -3.0), vec3(-13.8, -2.6, -15.5)]
@@ -321,9 +321,9 @@ def test_steepest_ascent_flips_a_member_twice(monkeypatch):
     got = optimize_formation(f, spec, radio)
     assert _same_poses(got, optimize_formation_loops(f, spec, radio))
     twice, start = poses_of(got)[2], poses_of(f)[2]
-    assert np.allclose(twice.position, start.position)
-    assert twice.position.tobytes() != start.position.tobytes()
-    assert twice.yaw != start.yaw
+    assert not np.allclose(got.positions[[1, 3]], f.positions[[1, 3]])
+    assert twice.position.tobytes() == start.position.tobytes()
+    assert twice.yaw == start.yaw
 
 
 # a member at a bearing on a sector boundary for k = 1, 2, 3, 4, 8 or 12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import vec3
@@ -121,6 +121,29 @@ def test_link_stats_equals_scalar_sinr(xyz, alpha, noise_dbm, data):
     stats = link_stats(f, rp)
     assert stats["avg_db"] == float(np.mean(vals))
     assert stats["min_db"] == float(np.min(vals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(-np.pi, np.pi),
+                                  st.floats(-np.pi / 2, np.pi / 2)), min_size=3, max_size=12))
+@example(members=[(1.0, 0.0, 0.0), (1.0, 1e-4, 0.0), (1.0, -1e-4, 0.0)])
+def test_floor_of_zero_db_never_binds(members):
+    """With three or more members at most one link into member 0 reaches
+    0 dB: SINR_i >= 1 needs p_i > p_j, and SINR_j >= 1 the reverse. So the
+    minimum is below 0 dB, and `fov.optimize_formation` relaxes any floor of
+    0 dB or more to the input's minimum. Members 1-100 m from the target,
+    each given by (range, bearing, elevation)."""
+    pts = np.array([[r * np.cos(el) * np.cos(b), r * np.cos(el) * np.sin(b), r * np.sin(el)]
+                    for r, b, el in members])
+    assume(np.linalg.norm(pts[1:] - pts[0], axis=1).min() >= 1e-9)
+    n = len(pts)
+    min_db = link_stats(Formation(pts, np.zeros(n), np.zeros(n, bool), np.zeros(3)),
+                        RadioParams())["min_db"]
+    # in floats the minimum reads exactly 0 dB only when two links, and no
+    # third, have equal powers so far above the noise that adding it rounds
+    # away (the example: both 0.1 mm from member 0); a floor of 0 dB still
+    # relaxes to it
+    assert min_db < 0.0 or (min_db == 0.0 and n == 3)
 
 
 @settings(max_examples=100, deadline=None)
