@@ -21,7 +21,10 @@ class DegenerateGeometryError(ValueError):
 def wrap_pi(angle):
     """Normalize an angle, or an array of angles, to (-pi, pi]. A Python
     float gives a Python float."""
-    return np.pi - (-angle + np.pi) % (2.0 * np.pi)
+    r = (-angle + np.pi) % (2.0 * np.pi)
+    # just above pi, the tiny negative remainder rounds up to 2 pi, which
+    # would give -pi; count it as 0 so the result is pi
+    return np.pi - (r - 2.0 * np.pi * (r == 2.0 * np.pi))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,15 @@ class TestAngleWrapping:
         assert wrap_pi(-np.pi) == pytest.approx(np.pi)
         assert wrap_pi(3 * np.pi) == pytest.approx(np.pi)
 
+    def test_wrap_pi_just_above_pi(self):
+        # (pi - a) % 2 pi rounds up to 2 pi here; the result must still be
+        # pi, never -pi, and wrapping it again must not move it
+        a = np.nextafter(np.pi, 4.0)
+        assert wrap_pi(a) == np.pi and isinstance(wrap_pi(float(a)), float)
+        w = wrap_pi(np.array([a, 0.5, -a]))
+        assert w[0] == np.pi and w[1] == 0.5
+        assert (wrap_pi(w) == w).all()
+
     def test_wrap_2pi(self):
         assert wrap_2pi(-0.1) == pytest.approx(2 * np.pi - 0.1)
         assert wrap_2pi(2 * np.pi) == 0.0
