@@ -6,12 +6,12 @@ formation reconfiguration that spreads field-of-view coverage without
 touching the FIM, and Lyapunov-stable formation flight simulation.
 """
 
-from .alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
+from .alloc import AllocWeights, GridSpec, ResourceModel, build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
 from .flight import ApfParams, ControlGains, metrics, simulate
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation
-from .radio import RadioParams, ResourceModel, link_stats
+from .radio import RadioParams, link_stats
 from .sensing import CameraIntrinsics, LidarNoise, SensorModels, logdet_reg, total_fim
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ The candidate set is a `Formation`: one row per feasible (placement,
 sensor) pair, built from the grid's geometry alone. The objective is the
 regularized log-determinant of the swarm FIM, which is monotone and
 submodular in the candidate set. Each candidate's marginal gain is
-discounted by a penalty read from the `ResourceModel` row its `lidar` flag
-picks: its communication resource block (bandwidth * duration) and its
+discounted by a penalty read from the `ResourceModel` fields its `lidar`
+flag picks: its communication resource block (bandwidth * duration) and its
 hardware cost. Selection stops when the best net utility drops to the
 threshold.
 
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import _DEGENERATE_XY, Formation
-from .radio import ResourceModel
-from .sensing import DEFAULT_EPS, SensorModels, fims, logdet_reg
+from .sensing import SensorModels, fims, logdet_reg
 
 _SAME_PLACEMENT = 1e-9
 MAX_PLACEMENTS = 1_000_000   # grid points; the 0.25-degree grid has 923,040
@@ -86,6 +85,28 @@ class AllocWeights:
             raise ValueError("max_uavs must be >= 1")
 
 
+@dataclass(frozen=True)
+class ResourceModel:
+    """Time-frequency resource blocks (bandwidth * duration) and hardware
+    cost per sensor modality, one field per modality; a candidate's
+    `lidar` flag picks which. LiDAR strictly exceeds camera on both."""
+
+    bandwidth_cam: float = 1.0
+    duration_cam: float = 1.0
+    bandwidth_lidar: float = 3.0
+    duration_lidar: float = 1.0
+    # Costs calibrated so that with the default `AllocWeights` the greedy
+    # allocation lands on the published 2-LiDAR / 4-camera, 6-UAV mix.
+    cost_cam: float = 0.1
+    cost_lidar: float = 1.0
+
+    def __post_init__(self):
+        if self.bandwidth_lidar * self.duration_lidar <= self.bandwidth_cam * self.duration_cam:
+            raise ValueError("LiDAR resource block must exceed the camera's")
+        if self.cost_lidar <= self.cost_cam:
+            raise ValueError("LiDAR hardware cost must exceed the camera's")
+
+
 @dataclass
 class AllocationResult:
     formation: Formation
@@ -94,11 +115,8 @@ class AllocationResult:
     utilities: list[float] = field(default_factory=list)   # gains net of penalty
 
 
-def build_candidates(
-    target: np.ndarray,
-    grid: GridSpec,
-    max_boresight_pitch: float = np.radians(20.0),
-) -> Formation:
+def build_candidates(target: np.ndarray, grid: GridSpec,
+                     max_boresight_pitch: float) -> Formation:
     """The feasible (placement, sensor) candidates as the rows of a
     `Formation`, in grid order: pitch outer, azimuth inner, camera before
     LiDAR (greedy breaks ties on this order). Each row faces the target.
@@ -106,8 +124,8 @@ def build_candidates(
     A placement is feasible when the target-facing yaw is defined (no
     vertical alignment) and the line of sight pitches no more than
     ``max_boresight_pitch`` off the horizontal boresight, i.e. the target
-    stays inside the sensors' vertical field of view (half of the default
-    40-degree VFOV).
+    stays inside the sensors' vertical field of view (half the VFOV,
+    `FovSpec.kappa / 2`).
 
     Pitch delta is elevation-like, z = d*sin(delta); delta > pi/2 flips the
     horizontal direction (cos(delta) < 0), the convention under which
@@ -131,16 +149,11 @@ def build_candidates(
                      np.tile([False, True], int(np.count_nonzero(keep))), target)
 
 
-def greedy_allocate(
-    candidates: Formation,
-    weights: AllocWeights,
-    resources: ResourceModel,
-    models: SensorModels,
-    eps: float = DEFAULT_EPS,
-) -> AllocationResult:
+def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: ResourceModel,
+                    models: SensorModels) -> AllocationResult:
     """Penalty-discounted greedy selection with threshold stopping over the
-    rows of `candidates`; the result's formation is the rows picked, in
-    the order picked.
+    rows of `candidates`, scored with `models` and its regularizer eps; the
+    result's formation is the rows picked, in the order picked.
 
     Ties break on candidate order (deterministic). Selecting a candidate
     removes every candidate at the same placement: one airframe per
@@ -159,13 +172,13 @@ def greedy_allocate(
     active = np.ones(len(candidates), dtype=bool)
 
     total = np.zeros((3, 3))
-    current = logdet_reg(total, eps)
+    current = logdet_reg(total, models.eps)
     chosen: list[int] = []
     gains: list[float] = []
     utilities: list[float] = []
 
     while len(chosen) < weights.max_uavs and active.any():
-        with_each = np.linalg.slogdet(total + row_fims + eps * np.eye(3))[1]
+        with_each = np.linalg.slogdet(total + row_fims + models.eps * np.eye(3))[1]
         util = with_each - current - penalties
         util[~active] = -np.inf
         best = int(np.argmax(util))

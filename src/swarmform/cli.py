@@ -83,7 +83,7 @@ def _formation_stats(f: Formation, scenario: Scenario) -> dict:
     cov = coverage(f, scenario.fov)
     sinr = link_stats(f, scenario.radio)
     return {
-        "log-det FIM": logdet_reg(total_fim(f, scenario.sensors), scenario.eps),
+        "log-det FIM": logdet_reg(total_fim(f, scenario.sensors), scenario.sensors.eps),
         "Gamma": cov.gamma_metric,
         "xi": cov.xi,
         "Uncovered directions": cov.uncovered,
@@ -97,8 +97,7 @@ def _stage_allocate(scenario: Scenario) -> tuple[Formation, dict]:
                                   max_boresight_pitch=scenario.fov.kappa / 2.0)
     if not candidates:
         raise DegenerateGeometryError("candidate grid is empty after FOV filtering")
-    result = greedy_allocate(candidates, scenario.weights, scenario.resources,
-                             scenario.sensors, scenario.eps)
+    result = greedy_allocate(candidates, scenario.weights, scenario.resources, scenario.sensors)
     lidar = int(np.count_nonzero(result.formation.lidar))
     doc = {
         "Members": _member_docs(result.formation),
@@ -116,7 +115,7 @@ def _stage_formation(scenario: Scenario, allocated: Formation) -> tuple[Formatio
     before = _formation_stats(allocated, scenario)
     optimized = optimize_formation(allocated, scenario.fov, scenario.radio)
     if scenario.target.ground:
-        optimized = ground_constrain(optimized, allocated.target)
+        optimized = ground_constrain(optimized)
     after = _formation_stats(optimized, scenario)
     doc = {
         "Before": before,
@@ -133,8 +132,6 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
     controller = controller or fl.controller
     seed = fl.seed if seed is None else seed
     n = len(formation)
-    if n < 2:
-        raise DegenerateGeometryError("flight stage needs at least 2 UAVs")
     half = fl.init_cube_half_width_m
     try:   # run r starts at rest, uniform in the cube around the target
         offsets = np.stack([np.random.default_rng([seed, run]).uniform(-half, half, (n, 3))
@@ -214,12 +211,17 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:   # named for argparse's "invalid seed value" message
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return int(text)
+
     def common(p, scenario_required=True):
         p.add_argument("--scenario", required=scenario_required,
                        help="path to a scenario JSON document")
         p.add_argument("--out-dir", default=None, help="directory for report.json / CSV traces")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the scenario's flight seed")
+        p.add_argument("--seed-override", type=seed, default=None,
+                       help="replace the scenario's flight seed (>= 0)")
         p.add_argument("--controller", choices=list(CONTROLLERS), default=None,
                        help="replace the scenario's flight controller")
 
@@ -246,8 +248,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "eval-fim":
-            formation, sensors, eps = parse_formation(args.formation)
-            print(f"{logdet_reg(total_fim(formation, sensors), eps):.6f}")
+            formation, sensors = parse_formation(args.formation)
+            print(f"{logdet_reg(total_fim(formation, sensors), sensors.eps):.6f}")
             return 0
         scenario = parse_scenario(args.scenario)
         last_stage = args.stage if args.command == "pipeline" else args.command

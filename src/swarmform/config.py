@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .alloc import AllocWeights, GridSpec
+from .alloc import AllocWeights, GridSpec, ResourceModel
 from .flight import CONTROLLERS, ApfParams, ControlGains, step_count
 from .fov import MAX_DIRS, FovSpec
 from .geom import Formation, yaw_facing_target
-from .radio import RadioParams, ResourceModel, dbm_to_watts
-from .sensing import DEFAULT_EPS, CameraIntrinsics, LidarNoise, SensorModels
+from .radio import RadioParams, dbm_to_watts
+from .sensing import CameraIntrinsics, LidarNoise, SensorModels
 
 
 class ScenarioError(ValueError):
@@ -64,7 +64,6 @@ class Scenario:
     radio: RadioParams
     resources: ResourceModel
     flight: FlightConfig
-    eps: float = DEFAULT_EPS
     raw: dict = field(default_factory=dict, repr=False)
 
 
@@ -134,7 +133,8 @@ def _bounded(read, ok, rule: str):
 _positive = _bounded(_number, lambda x: x > 0, "be positive")
 _fov_angle = _bounded(_number, lambda x: 0.0 < x < 180.0, "lie in (0, 180)")
 _count = _bounded(_integer, lambda x: x >= 1, "be >= 1")
-_probe_count = _bounded(_integer, lambda x: x <= MAX_DIRS, f"be <= {MAX_DIRS}")
+_seed = _bounded(_integer, lambda x: x >= 0, "be >= 0")
+_dir_count = _bounded(_integer, lambda x: x <= MAX_DIRS, f"be <= {MAX_DIRS}")
 
 
 def _squares(sigmas: np.ndarray) -> tuple[float, ...]:
@@ -165,9 +165,9 @@ _FOV = (
     ("hfov_deg", "gamma", _fov_angle, np.radians),
     ("vfov_deg", "kappa", _fov_angle, np.radians),
     ("d_max_m", "d_max", _number, None),
-    ("n_dirs", "n_dirs", _probe_count, None),
+    ("n_dirs", "n_dirs", _dir_count, None),
     ("lambda_per_m", "lam", _number, None),
-    ("k_sectors", "k_sectors", _integer, None),
+    ("k_sectors", "k_sectors", _dir_count, None),
     ("eta_min_db", "eta_min_db", _number, None),
 )
 _RADIO = (
@@ -182,7 +182,7 @@ _APF = (*_same(_positive, "ka", "kr"), ("d0_m", "d0", _positive, None))
 _FLIGHT = (
     *_same(_positive, "dt_s", "horizon_s"),
     *_same(_choice(*CONTROLLERS), "controller"),
-    *_same(_integer, "seed"),
+    *_same(_seed, "seed"),
     *_same(_count, "runs"),
     *_same(_positive, "init_cube_half_width_m"),
 )
@@ -259,15 +259,14 @@ def _section(root: _Section, key: str, cls, rows):
     return out
 
 
-def _sensors(root: _Section) -> tuple[SensorModels, float]:
-    """The `sensors` section of a scenario or formation document: the
-    sensor models and the log-det regularizer eps."""
+def _sensors(root: _Section) -> SensorModels:
+    """The `sensors` section of a scenario or formation document as one
+    record: the camera and LiDAR models and the log-det regularizer eps."""
     s = root.child("sensors")
-    models = SensorModels(camera=_build(CameraIntrinsics, s, _CAMERA),
-                          lidar=_build(LidarNoise, s, _LIDAR))
-    eps = s.take(_EPS).get("eps", DEFAULT_EPS)
+    models = _build(SensorModels, s, _EPS, camera=_build(CameraIntrinsics, s, _CAMERA),
+                    lidar=_build(LidarNoise, s, _LIDAR))
     s.reject_unknown()
-    return models, eps
+    return models
 
 
 def parse_scenario_dict(doc: dict) -> Scenario:
@@ -276,7 +275,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     target = _section(root, "target", TargetSpec, _TARGET)
     grid = _section(root, "grid", GridSpec, _GRID)
     weights = _section(root, "weights", AllocWeights, _WEIGHTS)
-    sensors, eps = _sensors(root)
+    sensors = _sensors(root)
     fov = _section(root, "fov", FovSpec, _FOV)
     if grid.distance > fov.d_max:   # coverage assumes every UAV sees the target
         raise ScenarioError(f"{root.at('grid.distance_m')}: must not exceed fov.d_max_m "
@@ -292,8 +291,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     fl.reject_unknown()
     root.reject_unknown()
     return Scenario(target=target, grid=grid, weights=weights, sensors=sensors,
-                    fov=fov, radio=radio, resources=resources, flight=flight,
-                    eps=eps, raw=doc)
+                    fov=fov, radio=radio, resources=resources, flight=flight, raw=doc)
 
 
 def _load_json_object(path: str | Path) -> dict:
@@ -313,14 +311,14 @@ def parse_scenario(path: str | Path) -> Scenario:
     return parse_scenario_dict(_load_json_object(path))
 
 
-def parse_formation_dict(doc: dict) -> tuple[Formation, SensorModels, float]:
+def parse_formation_dict(doc: dict) -> tuple[Formation, SensorModels]:
     """Parse an explicit pose-list document (the eval-fim input format).
 
     Each pose needs a position and sensor; yaw_deg defaults to facing the
     target. An empty pose list is allowed (its log-det is 3*ln(eps))."""
     root = _Section(doc, "")
     target = root.take(_FORMATION_TARGET).get("target", np.zeros(3))
-    sensors, eps = _sensors(root)
+    sensors = _sensors(root)
     root.require("poses")
     positions, yaws, lidar = [], [], []
     for idx, entry in enumerate(root.take(_POSES)["poses"]):
@@ -334,8 +332,8 @@ def parse_formation_dict(doc: dict) -> tuple[Formation, SensorModels, float]:
             lambda: yaw_facing_target(pose["position"], target), sec.path))
         lidar.append(pose["lidar"])
     root.reject_unknown()
-    return Formation(np.reshape(positions, (-1, 3)), yaws, lidar, target), sensors, eps
+    return Formation(np.reshape(positions, (-1, 3)), yaws, lidar, target), sensors
 
 
-def parse_formation(path: str | Path) -> tuple[Formation, SensorModels, float]:
+def parse_formation(path: str | Path) -> tuple[Formation, SensorModels]:
     return parse_formation_dict(_load_json_object(path))

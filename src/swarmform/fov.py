@@ -16,7 +16,7 @@ whole matrix of patterns from each member's two cover rows and link powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -42,10 +42,10 @@ class FovSpec:
     def __post_init__(self):
         if not (0.0 < self.gamma < np.pi and 0.0 < self.kappa < np.pi):
             raise ValueError("FOV angles must lie in (0, pi)")
-        if self.n_dirs < 4:
-            raise ValueError("need at least 4 probe directions")
-        if self.k_sectors < 1:
-            raise ValueError("sector count must be >= 1")
+        if not 4 <= self.n_dirs <= MAX_DIRS:
+            raise ValueError(f"need 4 to {MAX_DIRS} probe directions, got {self.n_dirs}")
+        if not 1 <= self.k_sectors <= MAX_DIRS:
+            raise ValueError(f"sector count must lie in 1 to {MAX_DIRS}, got {self.k_sectors}")
         if self.lam < 0:
             raise ValueError("distance weight must be non-negative")
         if self.d_max <= 0:
@@ -57,7 +57,6 @@ class CoverageReport:
     gamma_metric: float
     xi: float
     uncovered: int
-    per_direction: list[float] = field(default_factory=list)
 
 
 def _cover_rows(rel: np.ndarray, spec: FovSpec) -> np.ndarray:
@@ -87,8 +86,7 @@ def coverage(formation: Formation, spec: FovSpec) -> CoverageReport:
     # summed member by member, in member order, as a scalar loop adds them
     per_direction = _cover_rows(formation.positions - formation.target, spec).sum(axis=0)
     uncovered, xi, gamma = _gamma(per_direction, spec.n_dirs)
-    return CoverageReport(gamma_metric=float(gamma), xi=float(xi), uncovered=int(uncovered),
-                          per_direction=per_direction.tolist())
+    return CoverageReport(gamma_metric=float(gamma), xi=float(xi), uncovered=int(uncovered))
 
 
 def flip(formation: Formation, flips=True) -> Formation:
@@ -177,10 +175,10 @@ def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams) 
     return flip(formation, best) if best.any() else formation
 
 
-def ground_constrain(formation: Formation, target: np.ndarray) -> Formation:
-    """Reflect any member below the target's horizontal plane back above
-    it (z-mirror about the plane; x, y, yaw untouched)."""
-    target = np.asarray(target, dtype=float)
-    p, dz = formation.positions, formation.positions[:, 2] - target[2]
-    lifted = np.column_stack([p[:, :2], np.where(dz < 0.0, target[2] - dz, p[:, 2])])
-    return Formation(lifted, formation.yaws, formation.lidar, target)
+def ground_constrain(formation: Formation) -> Formation:
+    """Reflect any member below the horizontal plane of `formation.target`
+    back above it (z-mirror about the plane; x, y, yaw untouched)."""
+    p, z = formation.positions, formation.target[2]
+    dz = p[:, 2] - z
+    lifted = np.column_stack([p[:, :2], np.where(dz < 0.0, z - dz, p[:, 2])])
+    return Formation(lifted, formation.yaws, formation.lidar, formation.target)

@@ -16,9 +16,10 @@ run's numbers do not depend on the other runs in its batch.
 
 `rollout` integrates all R runs with fixed-step semi-implicit Euler in
 one loop and is deterministic for fixed inputs. It keeps the full state
-history of run 0 only; for every run it keeps what the flight metrics
-need, accumulated step by step. `swarmform.flight.simulate` is the
-supported interface.
+history of run 0 only. For every run it keeps the path lengths,
+accumulated step by step, the final state, and per-step traces of the
+Lyapunov value (R, steps+1) and of each member's velocity-error norm
+(R, steps+1, n). `swarmform.flight.simulate` is the supported interface.
 
 Controllers: "log" (logarithmic), "quad" (quadratic), "apf".
 """

@@ -1,6 +1,4 @@
-"""Path-loss/SINR evaluation over a formation, and the resource/cost
-ledger (`ResourceModel`) whose camera and LiDAR fields `alloc.greedy_allocate`
-reads for its penalty terms.
+"""Path-loss/SINR evaluation over a formation.
 
 Received power decays as tx_power * rho0 * d^-alpha. Link statistics
 aggregate over a star topology whose hub is the fusion receiver, member 0
@@ -43,28 +41,6 @@ class RadioParams:
             raise ValueError("rho0, tx_power and noise_power must be positive")
         if self.alpha < 1:
             raise ValueError(f"path-loss exponent must be >= 1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class ResourceModel:
-    """Time-frequency resource blocks (bandwidth * duration) and hardware
-    cost per sensor modality, one field per modality; a candidate's
-    `lidar` flag picks which. LiDAR strictly exceeds camera on both."""
-
-    bandwidth_cam: float = 1.0
-    duration_cam: float = 1.0
-    bandwidth_lidar: float = 3.0
-    duration_lidar: float = 1.0
-    # Costs calibrated so that with penalty weights (0.18, 0.2) the greedy
-    # allocation lands on the published 2-LiDAR / 4-camera, 6-UAV mix.
-    cost_cam: float = 0.1
-    cost_lidar: float = 1.0
-
-    def __post_init__(self):
-        if self.bandwidth_lidar * self.duration_lidar <= self.bandwidth_cam * self.duration_cam:
-            raise ValueError("LiDAR resource block must exceed the camera's")
-        if self.cost_lidar <= self.cost_cam:
-            raise ValueError("LiDAR hardware cost must exceed the camera's")
 
 
 def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:

@@ -10,8 +10,9 @@ members or the allocation candidates, whose `lidar` mask picks each row's
 model. A pose so far out that its squared range or camera depth
 overflows, or whose information matrix overflows, is refused with
 `FloatingPointError`, not given a Jacobian that silently lost those terms
-or an infinite matrix. The per-pose measurement functions the
-Jacobians differentiate are kept as test oracles.
+or an infinite matrix. `SensorModels` holds both models and the log-det
+regularizer eps. The per-pose measurement functions the Jacobians
+differentiate, and the per-pose FIM, live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class LidarNoise:
 class SensorModels:
     camera: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     lidar: LidarNoise = field(default_factory=LidarNoise)
+    #: the log-det regularizer: `logdet_reg`'s eps wherever these models are scored
+    eps: float = DEFAULT_EPS
 
 
 def fims(rows: Formation, models: SensorModels) -> np.ndarray:

@@ -253,8 +253,7 @@ def total_fim_loops(formation, models) -> np.ndarray:
     return out
 
 
-def build_candidates_loops(target, grid, weights, resources, models,
-                           max_boresight_pitch=np.radians(20.0)):
+def build_candidates_loops(target, grid, weights, resources, models, max_boresight_pitch):
     """`alloc.build_candidates` placement by placement: one
     `SphericalPlacement`, `Pose` and `scalar_fim` per candidate. Returns
     the rows as a `Formation`, their FIMs (N, 3, 3) and their allocation
@@ -318,8 +317,9 @@ def direction_covered(k, pose, target, spec) -> bool:
     return offset <= spec.gamma / 2.0 + _ANGLE_TOL
 
 
-def coverage_loops(formation, spec) -> CoverageReport:
-    """`fov.coverage` as a double loop over directions and members."""
+def coverage_loops(formation, spec) -> tuple[CoverageReport, list[float]]:
+    """`fov.coverage` as a double loop over directions and members, and
+    the intensity in each probe direction."""
     weights = []
     bearings = []
     for pose in poses_of(formation):
@@ -341,12 +341,9 @@ def coverage_loops(formation, spec) -> CoverageReport:
         if phi_k == 0.0:
             uncovered += 1
     xi = 1.0 - uncovered / spec.n_dirs
-    return CoverageReport(
-        gamma_metric=xi * float(np.sum(per_direction)),
-        xi=xi,
-        uncovered=uncovered,
-        per_direction=per_direction,
-    )
+    report = CoverageReport(gamma_metric=xi * float(np.sum(per_direction)), xi=xi,
+                            uncovered=uncovered)
+    return report, per_direction
 
 
 def _power(tx, rx, rp) -> float:

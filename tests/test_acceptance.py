@@ -29,7 +29,13 @@ from oracles import (
     subset_logdet,
 )
 from swarmform import cli
-from swarmform.alloc import AllocWeights, GridSpec, build_candidates, greedy_allocate
+from swarmform.alloc import (
+    AllocWeights,
+    GridSpec,
+    ResourceModel,
+    build_candidates,
+    greedy_allocate,
+)
 from swarmform.cli import main
 from swarmform.config import parse_scenario
 from swarmform.flight import ApfParams, ControlGains, metrics, simulate
@@ -40,7 +46,7 @@ from swarmform.fov import (
     ground_constrain,
     optimize_formation,
 )
-from swarmform.radio import RadioParams, ResourceModel, link_stats
+from swarmform.radio import RadioParams, link_stats
 from swarmform.sensing import SensorModels, fims, logdet_reg, total_fim
 
 
@@ -119,7 +125,7 @@ def test_criterion_03_reference_formation_logdet(capsys):
 
 def test_criterion_04_greedy_structure(models):
     start = time.time()
-    candidates = build_candidates(np.zeros(3), GridSpec())
+    candidates = build_candidates(np.zeros(3), GridSpec(), FovSpec().kappa / 2.0)
     result = greedy_allocate(candidates, AllocWeights(), ResourceModel(), models)
     elapsed = time.time() - start
     assert len(result.formation) == 6
@@ -202,7 +208,7 @@ def test_criterion_08_ground_constraint(models):
     start = time.time()
     f = build_reference_formation()
     opt = optimize_formation(f, FovSpec(), RadioParams())
-    g = ground_constrain(opt, f.target)
+    g = ground_constrain(opt)
     assert (g.positions[:, 2] >= f.target[2]).all()
     ld_air = logdet_reg(total_fim(opt, models))
     ld_ground = logdet_reg(total_fim(g, models))

@@ -15,11 +15,14 @@ from swarmform.alloc import (
     MAX_PLACEMENTS,
     AllocWeights,
     GridSpec,
+    ResourceModel,
     build_candidates,
     greedy_allocate,
 )
-from swarmform.radio import ResourceModel
+from swarmform.fov import FovSpec
 from swarmform.sensing import SensorModels, fims, logdet_reg
+
+PITCH = FovSpec().kappa / 2.0   # the candidates' largest line-of-sight pitch, as the CLI passes
 
 
 @pytest.fixture
@@ -34,7 +37,7 @@ def weights():
 
 @pytest.fixture
 def candidates(grid):
-    return build_candidates(np.zeros(3), grid)
+    return build_candidates(np.zeros(3), grid, PITCH)
 
 
 def allocate(candidates, weights, models=SensorModels()):
@@ -74,6 +77,14 @@ class TestGrid:
         whole = GridSpec(beta_step=np.radians(1.0), delta_min=0.0, delta_max=np.pi,
                          delta_step=np.radians(1.0))
         assert len(whole.betas()) * len(whole.deltas()) == 65160 <= MAX_PLACEMENTS
+
+
+class TestResources:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ResourceModel(bandwidth_lidar=0.5)
+        with pytest.raises(ValueError):
+            ResourceModel(cost_lidar=0.05)
 
 
 class TestGreedyStructure:
@@ -154,9 +165,9 @@ def assert_same_candidates(target, grid, models):
     position bytes, same yaw), and its round's net utility is its gain
     less the oracle's penalty for that row. Returns the candidates and
     the greedy result."""
-    built = build_candidates(target, grid)
+    built = build_candidates(target, grid, PITCH)
     rows, row_fims, penalties = build_candidates_loops(target, grid, AllocWeights(),
-                                                       ResourceModel(), models)
+                                                       ResourceModel(), models, PITCH)
     assert len(built) == len(rows)
     for name in ("positions", "yaws", "lidar", "target"):
         assert np.array_equal(getattr(built, name), getattr(rows, name)), name
@@ -227,6 +238,6 @@ def test_greedy_gains_non_negative_utilities_non_increasing(
     grid = GridSpec(distance=distance, beta_step=np.radians(step),
                     delta_step=np.radians(step))
     weights = AllocWeights(alpha_resource, alpha_cost, min_gain, max_uavs)
-    result = allocate(build_candidates(np.array(target), grid), weights)
+    result = allocate(build_candidates(np.array(target), grid, PITCH), weights)
     assert min(result.gains, default=0.0) >= 0.0
     assert np.all(np.diff(result.utilities) <= 1e-9)

@@ -81,6 +81,26 @@ class TestFly:
         assert report["Flight"]["Controller"] == "quad"
         assert report["Flight"]["Seed"] == 7
 
+    def test_negative_seed_override_is_a_usage_error(self, tmp_path, capsys):
+        # refused before any stage runs, as a negative flight.seed is
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", scenario("paper_default.json"),
+                     "--seed-override", "-5", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("swarmform: error: argument --seed-override: "
+                                "must be >= 0, got -5\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_one_uav_stops_before_flight(self, tmp_path, capsys):
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["weights"]["max_uavs"] = 1
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(doc))
+        assert main(["fly", "--scenario", str(p)]) == 2
+        assert capsys.readouterr().err == ("swarmform: error: [stage formation] "
+                                           "link statistics need at least two members\n")
+
 
 def far_out_scenario(tmp_path, distance):
     doc = json.loads((resources.files("swarmform") / "scenarios"
@@ -303,12 +323,15 @@ class TestExitCodes:
           for key in ("k1", "k2", "kp", "mass_kg", "dt_s", "horizon_s",
                       "init_cube_half_width_m")],
         ("flight.runs", 0, "be >= 1"),
+        ("flight.seed", -1, "be >= 0"),
         *[(f"flight.apf.{key}", -1.0, "be positive") for key in ("ka", "kr", "d0_m")],
         ("sensors.eps", 0.0, "be positive"),
         ("fov.hfov_deg", 180.0, "lie in (0, 180)"),
         ("fov.vfov_deg", 0.0, "lie in (0, 180)"),
         ("radio.noise_dbm", 5000.0, "convert to a finite number"),
         ("fov.n_dirs", 10**15, "be <= 1440"),
+        ("fov.k_sectors", 10**12, "be <= 1440"),
+        ("fov.k_sectors", 10**30, "be <= 1440"),
     ])
     def test_bounded_key_rejected(self, tmp_path, capsys, path, value, rule):
         doc = json.loads((resources.files("swarmform") / "scenarios"

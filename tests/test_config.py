@@ -119,17 +119,24 @@ class TestScenarioParsing:
 
 class TestFormationParsing:
     def test_bundled_reference(self):
-        f, _, eps = parse_formation(scenario_path("reference_formation.json"))
+        f, models = parse_formation(scenario_path("reference_formation.json"))
         assert len(f) == 6
-        assert eps == 1e-6
+        assert models.eps == 1e-6
         assert np.count_nonzero(f.lidar) == 2
 
     def test_empty_poses_allowed(self):
-        f, _, _ = parse_formation_dict({"poses": []})
+        f, _ = parse_formation_dict({"poses": []})
         assert len(f) == 0
 
+    def test_eps_reaches_the_log_det(self, tmp_path, capsys):
+        # sensors.eps travels on the models alone, so eval-fim must read it there
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"sensors": {"eps": 0.5}, "poses": []}))
+        assert main(["eval-fim", "--formation", str(p)]) == 0
+        assert capsys.readouterr().out == f"{3 * np.log(0.5):.6f}\n"
+
     def test_default_yaw_faces_target(self):
-        f, _, _ = parse_formation_dict(
+        f, _ = parse_formation_dict(
             {"poses": [{"position": [10.0, 0.0, 0.0], "sensor": "camera"}]}
         )
         assert f.yaws[0] == pytest.approx(np.pi)

@@ -96,7 +96,7 @@ class TestCoverage:
         spec = FovSpec(lam=0.0)
         f = formation_of([Pose(vec3(10, 0, 0), np.pi, Sensor.CAMERA)], np.zeros(3))
         rep = coverage(f, spec)
-        assert sum(rep.per_direction) == pytest.approx(11.0)
+        assert fov._cover_rows(f.positions - f.target, spec).sum() == pytest.approx(11.0)
         assert rep.xi == pytest.approx(11 / 72)
         assert rep.gamma_metric == pytest.approx(121 / 72)
 
@@ -128,6 +128,15 @@ class TestCoverage:
     def test_empty_rejected(self, spec):
         with pytest.raises(ValueError):
             coverage(formation_of([], np.zeros(3)), spec)
+
+    @pytest.mark.parametrize("field", ["n_dirs", "k_sectors"])
+    def test_counts_bounded_by_max_dirs(self, field):
+        # the bound holds for library callers too, not only in config, so a
+        # huge count fails here, not in `coverage` with a MemoryError
+        assert getattr(FovSpec(**{field: fov.MAX_DIRS}), field) == fov.MAX_DIRS
+        for count in (fov.MAX_DIRS + 1, 10**15):
+            with pytest.raises(ValueError, match=str(fov.MAX_DIRS)):
+                FovSpec(**{field: count})
 
     def test_member_above_target_covers_nothing(self, spec):
         f = formation_of([Pose(vec3(1, 2, 10), 0.0, Sensor.CAMERA)], vec3(1, 2, 0))
@@ -161,11 +170,12 @@ def test_coverage_equals_scalar_loops(members, target, n_dirs, gamma_deg, lam):
              for r, b, z in members]
     f = formation_of(poses, target)
     spec = FovSpec(gamma=np.radians(gamma_deg), n_dirs=n_dirs, lam=lam)
-    got, want = coverage(f, spec), coverage_loops(f, spec)
+    got, (want, per_direction) = coverage(f, spec), coverage_loops(f, spec)
     assert got.gamma_metric == want.gamma_metric
     assert got.xi == want.xi
     assert got.uncovered == want.uncovered
-    assert got.per_direction == want.per_direction
+    # summed member by member, in member order, as `coverage` sums them
+    assert fov._cover_rows(f.positions - f.target, spec).sum(axis=0).tolist() == per_direction
 
 
 class TestFlip:
@@ -391,17 +401,17 @@ def test_steepest_ascent_gap_to_exhaustive(monkeypatch, spec, radio):
 class TestGroundConstraint:
     def test_reflects_below_plane(self):
         f = formation_of([Pose(vec3(1, 2, -3.4), 0.5, Sensor.LIDAR)], np.zeros(3))
-        g = ground_constrain(f, np.zeros(3))
+        g = ground_constrain(f)
         assert g.positions[0] == pytest.approx([1, 2, 3.4])
         assert g.yaws[0] == pytest.approx(0.5)
 
     def test_identity_on_feasible(self, reference_formation):
-        g = ground_constrain(reference_formation, reference_formation.target)
+        g = ground_constrain(reference_formation)
         assert np.allclose(g.positions, reference_formation.positions)
 
     def test_logdet_degrades_slightly(self, spec, radio, models, reference_formation):
         opt = optimize_formation(reference_formation, spec, radio)
-        g = ground_constrain(opt, reference_formation.target)
+        g = ground_constrain(opt)
         assert g.positions[:, 2].min() >= 0.0
         ld_air = logdet_reg(total_fim(opt, models))
         ld_ground = logdet_reg(total_fim(g, models))

@@ -9,7 +9,6 @@ from swarmform import radio
 from swarmform.geom import DegenerateGeometryError, Formation
 from swarmform.radio import (
     RadioParams,
-    ResourceModel,
     dbm_to_watts,
     link_stats,
     received_power,
@@ -170,11 +169,3 @@ def test_link_stats_invariant_under_rigid_motion(xyz, shift, alpha, seed, data):
     after = link_stats(moved, rp)
     assert abs(after["avg_db"] - before["avg_db"]) <= 1e-9
     assert abs(after["min_db"] - before["min_db"]) <= 1e-9
-
-
-class TestResources:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResourceModel(bandwidth_lidar=0.5)
-        with pytest.raises(ValueError):
-            ResourceModel(cost_lidar=0.05)
