@@ -12,14 +12,13 @@ from .flight import ApfParams, ControlGains, metrics, simulate
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation
 from .radio import RadioParams, link_stats
-from .sensing import CameraIntrinsics, LidarNoise, SensorModels, logdet_reg, total_fim
+from .sensing import SensorModels, logdet_reg, total_fim
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocWeights", "ApfParams", "CameraIntrinsics", "ControlGains",
-    "DegenerateGeometryError", "Formation", "FovSpec",
-    "GridSpec", "LidarNoise", "RadioParams", "ResourceModel",
+    "AllocWeights", "ApfParams", "ControlGains", "DegenerateGeometryError",
+    "Formation", "FovSpec", "GridSpec", "RadioParams", "ResourceModel",
     "Scenario", "ScenarioError", "SensorModels",
     "build_candidates", "coverage", "flip", "greedy_allocate",
     "ground_constrain", "link_stats", "logdet_reg", "metrics",

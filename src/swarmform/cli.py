@@ -216,9 +216,8 @@ def _build_parser() -> _Parser:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
         return int(text)
 
-    def common(p, scenario_required=True):
-        p.add_argument("--scenario", required=scenario_required,
-                       help="path to a scenario JSON document")
+    def common(p):
+        p.add_argument("--scenario", required=True, help="path to a scenario JSON document")
         p.add_argument("--out-dir", default=None, help="directory for report.json / CSV traces")
         p.add_argument("--seed-override", type=seed, default=None,
                        help="replace the scenario's flight seed (>= 0)")

@@ -25,7 +25,7 @@ from .flight import CONTROLLERS, ApfParams, ControlGains, step_count
 from .fov import MAX_DIRS, FovSpec
 from .geom import Formation, yaw_facing_target
 from .radio import RadioParams, dbm_to_watts
-from .sensing import CameraIntrinsics, LidarNoise, SensorModels
+from .sensing import SensorModels
 
 
 class ScenarioError(ValueError):
@@ -157,10 +157,12 @@ _GRID = (
 )
 _WEIGHTS = (*_same(_number, "alpha_resource", "alpha_cost", "min_gain"),
             *_same(_integer, "max_uavs"))
-_CAMERA = (*_same(_number, "fx", "fy", "cx", "cy"),
-           ("camera_sigma_px", "noise_cov", _vector(2), _squares))
-_LIDAR = (("lidar_sigma", "noise_cov", _vector(3), _squares),)
-_EPS = _same(_positive, "eps")
+_SENSORS = (
+    *_same(_number, "fx", "fy", "cx", "cy"),
+    ("camera_sigma_px", "camera_cov", _vector(2), _squares),
+    ("lidar_sigma", "lidar_cov", _vector(3), _squares),
+    *_same(_positive, "eps"),
+)
 _FOV = (
     ("hfov_deg", "gamma", _fov_angle, np.radians),
     ("vfov_deg", "kappa", _fov_angle, np.radians),
@@ -259,23 +261,13 @@ def _section(root: _Section, key: str, cls, rows):
     return out
 
 
-def _sensors(root: _Section) -> SensorModels:
-    """The `sensors` section of a scenario or formation document as one
-    record: the camera and LiDAR models and the log-det regularizer eps."""
-    s = root.child("sensors")
-    models = _build(SensorModels, s, _EPS, camera=_build(CameraIntrinsics, s, _CAMERA),
-                    lidar=_build(LidarNoise, s, _LIDAR))
-    s.reject_unknown()
-    return models
-
-
 def parse_scenario_dict(doc: dict) -> Scenario:
     root = _Section(doc, "")
     root.take(_same(_string, "description"))
     target = _section(root, "target", TargetSpec, _TARGET)
     grid = _section(root, "grid", GridSpec, _GRID)
     weights = _section(root, "weights", AllocWeights, _WEIGHTS)
-    sensors = _sensors(root)
+    sensors = _section(root, "sensors", SensorModels, _SENSORS)
     fov = _section(root, "fov", FovSpec, _FOV)
     if grid.distance > fov.d_max:   # coverage assumes every UAV sees the target
         raise ScenarioError(f"{root.at('grid.distance_m')}: must not exceed fov.d_max_m "
@@ -318,7 +310,7 @@ def parse_formation_dict(doc: dict) -> tuple[Formation, SensorModels]:
     target. An empty pose list is allowed (its log-det is 3*ln(eps))."""
     root = _Section(doc, "")
     target = root.take(_FORMATION_TARGET).get("target", np.zeros(3))
-    sensors = _sensors(root)
+    sensors = _section(root, "sensors", SensorModels, _SENSORS)
     root.require("poses")
     positions, yaws, lidar = [], [], []
     for idx, entry in enumerate(root.take(_POSES)["poses"]):

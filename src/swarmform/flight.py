@@ -23,7 +23,9 @@ the k1/2 and kp/2 coefficients are exactly the ones that make the cross
 terms cancel.
 
 The equations live once, in `swarmform.kernels`, and `simulate` rolls
-them out. It flies the designed `Formation`: each member's slot is its
+them out with one `kernels.rollout` call, which takes the
+`ControlGains` (the mass included) and `ApfParams` records whole and
+binds the law itself. It flies the designed `Formation`: each member's slot is its
 offset from the formation's target, which moves at a constant velocity.
 A start is a pair (positions, velocities) of (R, n, 3) arrays: R runs,
 all flown from t = 0 in one batched rollout. The `Trajectory` it returns
@@ -146,11 +148,9 @@ def simulate(
     steps = step_count(dt, horizon)
     velocity = np.asarray(velocity, dtype=float)
     slots = formation.positions - formation.target
-    evaluate = kernels.law(controller, slots, gains.mass, gains.k1, gains.k2, gains.kp,
-                           apf.ka, apf.kr, apf.d0, velocity)
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
-        evaluate, positions, velocities, gains.mass, formation.target + 0.0 * velocity,
-        velocity, dt, steps)
+        controller, slots, gains, apf, velocity, positions, velocities,
+        formation.target + 0.0 * velocity, dt, steps)
     if not all(np.isfinite(a).all() for a in (final, lyap, path, vel_err)):
         raise FloatingPointError("flight went non-finite during rollout, e.g. from "
                                  "coincident UAVs under APF or a start too far out")

@@ -2,24 +2,24 @@
 both over a batch of runs.
 
 A state is positions p and velocities v of shape (R, n, 3): R runs of
-an n-member swarm that share one plan, mass, gains and target. The swarm
-is the one `swarmform.flight` flies: every pair of members is an edge
-(the complete graph), member 0 leads, and every member has the same
-mass. `law` binds the slots, the mass, gains and the target's constant
-velocity vt once and returns one function of (p, v, target position tgt)
-that gives both the (R, n, 3) control input of the chosen controller and
-the (R,) logarithmic Lyapunov candidate. Every controller damps the
-velocity error v - vt, i.e. in the target's frame, so a target moving at
-constant velocity is tracked with no steady drag. Each run is computed
-with the same reductions, in the same order, as a batch of one, so a
-run's numbers do not depend on the other runs in its batch.
+the one swarm `swarmform.flight` describes (its shape, controllers and
+Lyapunov candidate), sharing its slots, gains and target. `law` binds
+the slots, the gains, the APF parameters and the target's constant
+velocity vt once and returns one function of (p, v, target position
+tgt) that gives both the (R, n, 3) control input of the chosen
+controller and the (R,) logarithmic Lyapunov candidate. It reads the
+fields of `flight.ControlGains` and `flight.ApfParams` by name, so this
+module does not import `flight`. Each run is computed with the same
+reductions, in the same order, as a batch of one, so a run's numbers do
+not depend on the other runs in its batch.
 
-`rollout` integrates all R runs with fixed-step semi-implicit Euler in
-one loop and is deterministic for fixed inputs. It keeps the full state
-history of run 0 only. For every run it keeps the path lengths,
-accumulated step by step, the final state, and per-step traces of the
-Lyapunov value (R, steps+1) and of each member's velocity-error norm
-(R, steps+1, n). `swarmform.flight.simulate` is the supported interface.
+`rollout` binds its law once from the same arguments and integrates all
+R runs with fixed-step semi-implicit Euler in one loop; it is
+deterministic for fixed inputs. It keeps the full state history of run
+0 only. For every run it keeps the path lengths, accumulated step by
+step, the final state, and per-step traces of the Lyapunov value
+(R, steps+1) and of each member's velocity-error norm (R, steps+1, n).
+`swarmform.flight.simulate` is the supported interface.
 
 Controllers: "log" (logarithmic), "quad" (quadratic), "apf".
 """
@@ -34,16 +34,19 @@ _TINY = 1e-12
 NUMBA_ENABLED = False
 
 
-def law(ctrl, slots, mass, k1, k2, kp, ka, kr, d0, vt):
+def law(ctrl, slots, gains, apf, vt):
     """The flight law of one swarm whose target moves at vt: a function
     (p, v, tgt) -> (u, V) of a batch of states, p and v (R, n, 3), giving
     the control input u (R, n, 3) of controller `ctrl` and the logarithmic
     Lyapunov candidate V (R,). Both come from one evaluation because they
-    share the pairwise offsets. Damping is -k2 * (v - vt), and the kinetic
+    share the pairwise offsets. `gains` gives mass, k1, k2 and kp, and
+    `apf` gives ka, kr and d0. Damping is -k2 * (v - vt), and the kinetic
     term of V is mass * sum_i |v_i - vt|^2 / 2.
 
     APF forces of members that coincide with another member are +inf on x.
     """
+    mass, k1, k2, kp = gains.mass, gains.k1, gains.k2, gains.kp
+    ka, kr, d0 = apf.ka, apf.kr, apf.d0
     n = len(slots)
     slot_diff = slots[:, None, :] - slots[None, :, :]
     # edges i < j as flat indices; np.take keeps each run's row contiguous,
@@ -86,9 +89,10 @@ def law(ctrl, slots, mass, k1, k2, kp, ka, kr, d0, vt):
     return evaluate
 
 
-def rollout(evaluate, p0, v0, mass, tgt0, vdes, dt, steps):
-    """Fly R runs of `evaluate`, a `law` for this mass, for `steps` steps
-    of `dt` from (p0, v0), both (R, n, 3), the target moving from tgt0 at vdes.
+def rollout(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
+    """Fly R runs of `law(ctrl, slots, gains, apf, vt)` with every member's
+    mass `gains.mass`, for `steps` steps of `dt` from (p0, v0), both
+    (R, n, 3), the target moving from tgt0 at vt.
 
     Returns, as a tuple of arrays:
     - P, V (steps+1, n, 3) and U (steps, n, 3): positions, velocities and
@@ -96,12 +100,14 @@ def rollout(evaluate, p0, v0, mass, tgt0, vdes, dt, steps):
     - lyap (R, steps+1): the Lyapunov trace of every run;
     - path (R, n): each member's path length, the per-step distances
       summed in step order;
-    - vel_err (R, steps+1, n): each member's |v - vdes| at every step;
+    - vel_err (R, steps+1, n): each member's |v - vt| at every step;
     - p_final (R, n, 3): the final positions.
 
     A non-finite force in any run leaves that run's state non-finite for
     the rest of the rollout, so it shows in p_final.
     """
+    evaluate = law(ctrl, slots, gains, apf, vt)
+    mass = gains.mass
     runs, n = p0.shape[:2]
     P = np.empty((steps + 1, n, 3))
     V = np.empty((steps + 1, n, 3))
@@ -119,17 +125,17 @@ def rollout(evaluate, p0, v0, mass, tgt0, vdes, dt, steps):
     # the caller from p_final, not warned about step by step
     with np.errstate(invalid="ignore", over="ignore"):
         u, lyap[:, 0] = evaluate(p, v, tgt)
-        vel_err[:, 0] = np.linalg.norm(v - vdes, axis=2)
+        vel_err[:, 0] = np.linalg.norm(v - vt, axis=2)
         for s in range(steps):
             U[s] = u[0]
             v = v + u / mass * dt
             p_next = p + v * dt
             path += np.linalg.norm(p_next - p, axis=2)
             p = p_next
-            tgt = tgt + vdes * dt
+            tgt = tgt + vt * dt
             P[s + 1] = p[0]
             V[s + 1] = v[0]
-            vel_err[:, s + 1] = np.linalg.norm(v - vdes, axis=2)
+            vel_err[:, s + 1] = np.linalg.norm(v - vt, axis=2)
             # the forces of the next step and V at this state
             u, lyap[:, s + 1] = evaluate(p, v, tgt)
     return P, V, U, lyap, path, vel_err, p

@@ -52,7 +52,11 @@ def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:
     d = float(np.linalg.norm(np.asarray(tx, float) - np.asarray(rx, float)))
     if d < _MIN_DISTANCE:
         raise DegenerateGeometryError("coincident transmitter and receiver")
-    return rp.tx_power * rp.rho0 * d ** (-rp.alpha)
+    try:
+        return rp.tx_power * rp.rho0 * d ** (-rp.alpha)
+    except OverflowError:   # Python's float ** raises where NumPy's gives inf
+        raise FloatingPointError(f"received power overflows at {d} m with path-loss "
+                                 f"exponent {rp.alpha}") from None
 
 
 def link_stats(formation: Formation, rp: RadioParams) -> dict[str, float]:

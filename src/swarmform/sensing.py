@@ -10,14 +10,17 @@ members or the allocation candidates, whose `lidar` mask picks each row's
 model. A pose so far out that its squared range or camera depth
 overflows, or whose information matrix overflows, is refused with
 `FloatingPointError`, not given a Jacobian that silently lost those terms
-or an infinite matrix. `SensorModels` holds both models and the log-det
-regularizer eps. The per-pose measurement functions the Jacobians
-differentiate, and the per-pose FIM, live in `tests/oracles.py`.
+or an infinite matrix. `SensorModels` is one flat record of every
+parameter the `sensors` section sets: the camera intrinsics, each
+sensor's noise-covariance diagonal and the log-det regularizer eps,
+which `logdet_reg` takes from the caller. The per-pose measurement
+functions the Jacobians differentiate, and the per-pose FIM, live in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,37 +39,25 @@ DEFAULT_LIDAR_SIGMAS = (0.1, 0.02, 0.015)
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class SensorModels:
     fx: float = 381.0
     fy: float = 381.0
     cx: float = 320.0
     cy: float = 240.0
     #: diagonal of the 2x2 pixel-noise covariance, px^2
-    noise_cov: tuple[float, float] = tuple(s * s for s in DEFAULT_CAMERA_SIGMAS)
+    camera_cov: tuple[float, float] = tuple(s * s for s in DEFAULT_CAMERA_SIGMAS)
+    #: diagonal of the 3x3 LiDAR covariance: range m^2, azimuth rad^2, pitch rad^2
+    lidar_cov: tuple[float, float, float] = tuple(s * s for s in DEFAULT_LIDAR_SIGMAS)
+    #: the log-det regularizer: `logdet_reg`'s eps wherever these models are scored
+    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
-        if any(v <= 0 for v in self.noise_cov):
+        if any(v <= 0 for v in self.camera_cov):
             raise ValueError("camera noise variances must be positive")
-
-
-@dataclass(frozen=True)
-class LidarNoise:
-    #: diagonal of the 3x3 covariance: range m^2, azimuth rad^2, pitch rad^2
-    noise_cov: tuple[float, float, float] = tuple(s * s for s in DEFAULT_LIDAR_SIGMAS)
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.noise_cov):
+        if any(v <= 0 for v in self.lidar_cov):
             raise ValueError("lidar noise variances must be positive")
-
-
-@dataclass(frozen=True)
-class SensorModels:
-    camera: CameraIntrinsics = field(default_factory=CameraIntrinsics)
-    lidar: LidarNoise = field(default_factory=LidarNoise)
-    #: the log-det regularizer: `logdet_reg`'s eps wherever these models are scored
-    eps: float = DEFAULT_EPS
 
 
 def fims(rows: Formation, models: SensorModels) -> np.ndarray:
@@ -109,11 +100,11 @@ def fims(rows: Formation, models: SensorModels) -> np.ndarray:
             raise FloatingPointError("a squared LiDAR range or camera depth overflows: "
                                      "a pose is too far from the target")
 
-        intr = models.camera
+        fx, fy = models.fx, models.fy
         zero = np.zeros_like(z)
         cam_jac = np.stack([
-            np.stack([-intr.fx * dy / z2, intr.fx * dx / z2, zero], axis=-1),
-            np.stack([-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z], axis=-1),
+            np.stack([-fx * dy / z2, fx * dx / z2, zero], axis=-1),
+            np.stack([-fy * c * dz / z2, -fy * s * dz / z2, fy / z], axis=-1),
         ], axis=1)
         beta = np.arctan2(ly, lx)
         sb, cb = np.sin(beta), np.cos(beta)
@@ -124,8 +115,8 @@ def fims(rows: Formation, models: SensorModels) -> np.ndarray:
         ], axis=1)
 
         out = np.empty((len(rows), 3, 3))
-        for mask, jac, cov in ((cam, cam_jac, intr.noise_cov),
-                               (lidar, lidar_jac, models.lidar.noise_cov)):
+        for mask, jac, cov in ((cam, cam_jac, models.camera_cov),
+                               (lidar, lidar_jac, models.lidar_cov)):
             out[mask] = (jac.transpose(0, 2, 1) * (1.0 / np.asarray(cov))) @ jac
     if not np.isfinite(out).all():
         raise FloatingPointError("an information matrix overflows: a pose lies too far "
@@ -144,7 +135,7 @@ def total_fim(formation: Formation, models: SensorModels) -> np.ndarray:
     return total
 
 
-def logdet_reg(fim: np.ndarray, eps: float = DEFAULT_EPS) -> float:
+def logdet_reg(fim: np.ndarray, eps: float) -> float:
     """log det(F + eps*I), via a symmetric (Cholesky-backed) factorization.
 
     The regularizer keeps single-sensor subsets finite: a lone camera

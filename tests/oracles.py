@@ -180,27 +180,27 @@ def _camera_depth(pose, target) -> float:
     return float(z)
 
 
-def camera_project(pose, target, intr) -> tuple[float, float]:
+def camera_project(pose, target, models) -> tuple[float, float]:
     """Noiseless pixel coordinates (u, v) of the target."""
     if pose.sensor is not Sensor.CAMERA:
         raise ValueError("camera_project requires a camera pose")
     dx, dy, dz = pose.position - np.asarray(target, dtype=float)
     c, s = np.cos(pose.yaw), np.sin(pose.yaw)
     z = _camera_depth(pose, target)
-    u = -intr.fx * (c * dy - s * dx) / z + intr.cx
-    v = -intr.fy * dz / z + intr.cy
+    u = -models.fx * (c * dy - s * dx) / z + models.cx
+    v = -models.fy * dz / z + models.cy
     return float(u), float(v)
 
 
-def camera_jacobian(pose, target, intr) -> np.ndarray:
+def camera_jacobian(pose, target, models) -> np.ndarray:
     """2x3 Jacobian of (u, v) with respect to the target position."""
     dx, dy, dz = pose.position - np.asarray(target, dtype=float)
     c, s = np.cos(pose.yaw), np.sin(pose.yaw)
     z = _camera_depth(pose, target)
     z2 = z * z
     return np.array([
-        [-intr.fx * dy / z2, intr.fx * dx / z2, 0.0],
-        [-intr.fy * c * dz / z2, -intr.fy * s * dz / z2, intr.fy / z],
+        [-models.fx * dy / z2, models.fx * dx / z2, 0.0],
+        [-models.fy * c * dz / z2, -models.fy * s * dz / z2, models.fy / z],
     ])
 
 
@@ -237,11 +237,11 @@ def lidar_jacobian(pose, target) -> np.ndarray:
 def scalar_fim(pose, target, models) -> np.ndarray:
     """One UAV's FIM, (J^T Q^-1) J, from the per-pose Jacobian."""
     if pose.sensor is Sensor.CAMERA:
-        jac = camera_jacobian(pose, target, models.camera)
-        inv_var = 1.0 / np.asarray(models.camera.noise_cov)
+        jac = camera_jacobian(pose, target, models)
+        inv_var = 1.0 / np.asarray(models.camera_cov)
     else:
         jac = lidar_jacobian(pose, target)
-        inv_var = 1.0 / np.asarray(models.lidar.noise_cov)
+        inv_var = 1.0 / np.asarray(models.lidar_cov)
     return (jac.T * inv_var) @ jac
 
 
@@ -545,8 +545,8 @@ def _law_at(state: SwarmState, formation: Formation, velocity: np.ndarray, contr
     `state` as a batch of one."""
     apf = apf or ApfParams()
     velocity = np.asarray(velocity, dtype=float)
-    evaluate = kernels.law(controller, formation.positions - formation.target, gains.mass,
-                           gains.k1, gains.k2, gains.kp, apf.ka, apf.kr, apf.d0, velocity)
+    evaluate = kernels.law(controller, formation.positions - formation.target, gains, apf,
+                           velocity)
     u, lyap = evaluate(state.positions[None], state.velocities[None],
                        formation.target + state.time * velocity)
     return u[0], float(lyap[0])

@@ -6,9 +6,10 @@ in `swarmform.kernels`, so tests can compare `kernels.rollout` against it.
 The swarm is the kernels': every pair of members is an edge, member 0
 leads, and all members share one mass. Every controller damps the
 velocity error against the target, v - vdes. It flies one run from p0
-and v0 (n, 3), taking the arguments of `kernels.law` (slots through d0)
-and of `kernels.rollout` (tgt0 through steps) one by one, and it returns
-that run's full positions, velocities, controls and Lyapunov trace.
+and v0 (n, 3), taking the slots, the mass, every gain and APF parameter
+and the target's start and velocity as plain numbers and arrays, and it
+returns that run's full positions, velocities, controls and Lyapunov
+trace.
 """
 
 import numpy as np

@@ -70,8 +70,8 @@ def test_criterion_01_jacobians_match_finite_differences(models):
     worst = 0.0
     for _ in range(500):
         pose = random_pose(rng, Sensor.CAMERA)
-        jac = camera_jacobian(pose, np.zeros(3), models.camera)
-        num = _fd(lambda t: camera_project(pose, t, models.camera), np.zeros(3))
+        jac = camera_jacobian(pose, np.zeros(3), models)
+        num = _fd(lambda t: camera_project(pose, t, models), np.zeros(3))
         worst = max(worst, np.abs(jac - num).max() / max(np.abs(num).max(), 1.0))
     for _ in range(500):
         pose = random_pose(rng, Sensor.LIDAR)
@@ -96,7 +96,8 @@ def test_criterion_02_flip_preserves_fim(models):
     # consequently the total log-det survives any accepted move set
     f = build_reference_formation()
     opt = optimize_formation(f, FovSpec(), RadioParams())
-    drift = abs(logdet_reg(total_fim(opt, models)) - logdet_reg(total_fim(f, models)))
+    drift = abs(logdet_reg(total_fim(opt, models), models.eps)
+                - logdet_reg(total_fim(f, models), models.eps))
     elapsed = time.time() - start
     assert worst < 1e-9
     assert drift < 1e-6
@@ -141,7 +142,7 @@ def test_criterion_04_greedy_structure(models):
 def test_criterion_05_greedy_approximation_bound(models):
     start = time.time()
     rng = np.random.default_rng(44)
-    f0 = logdet_reg(np.zeros((3, 3)))
+    f0 = logdet_reg(np.zeros((3, 3)), models.eps)
     checked = 0
     for _ in range(50):
         n = int(rng.integers(6, 17))
@@ -184,13 +185,13 @@ def test_criterion_07_formation_optimization(models):
     f = build_reference_formation()
     g0 = coverage(f, spec).gamma_metric
     s0 = link_stats(f, radio)["min_db"]
-    ld0 = logdet_reg(total_fim(f, models))
+    ld0 = logdet_reg(total_fim(f, models), models.eps)
     opt = optimize_formation(f, spec, radio)
     g1 = coverage(opt, spec).gamma_metric
     s1 = link_stats(opt, radio)["min_db"]
     assert g1 > g0, "coverage must strictly increase"
     assert s1 > s0, "minimum link SINR must rise"
-    assert logdet_reg(total_fim(opt, models)) == pytest.approx(ld0, abs=1e-6)
+    assert logdet_reg(total_fim(opt, models), models.eps) == pytest.approx(ld0, abs=1e-6)
     assert g1 == pytest.approx(exhaustive_flip_best(f, spec, radio))
     # a second, independent <= 12-UAV instance against the oracle
     rng = np.random.default_rng(46)
@@ -210,8 +211,8 @@ def test_criterion_08_ground_constraint(models):
     opt = optimize_formation(f, FovSpec(), RadioParams())
     g = ground_constrain(opt)
     assert (g.positions[:, 2] >= f.target[2]).all()
-    ld_air = logdet_reg(total_fim(opt, models))
-    ld_ground = logdet_reg(total_fim(g, models))
+    ld_air = logdet_reg(total_fim(opt, models), models.eps)
+    ld_ground = logdet_reg(total_fim(g, models), models.eps)
     degradation = ld_air - ld_ground
     elapsed = time.time() - start
     assert 0.0 <= degradation < 0.5

@@ -150,7 +150,7 @@ class TestOracle:
 
     def test_greedy_bound_small_instances(self, models):
         rng = np.random.default_rng(14)
-        f0 = logdet_reg(np.zeros((3, 3)))
+        f0 = logdet_reg(np.zeros((3, 3)), models.eps)
         for _ in range(10):
             cands = random_fims(rng, rng.integers(5, 10), models)
             k = int(rng.integers(2, 4))

@@ -376,12 +376,17 @@ class TestExitCodes:
 
     # the SINR ratio underflows to 0 against the noise power (-inf dB), or
     # the received powers overflow to inf (inf / inf is NaN): each reached
-    # report.json as -Infinity or NaN, after a NumPy warning, with exit 0
-    @pytest.mark.parametrize("radio", [{"noise_dbm": 3000, "tx_power_w": 1e-30},
-                                       {"tx_power_w": 1e300, "rho0": 1e10}])
-    def test_non_finite_sinr_is_a_numeric_error(self, tmp_path, radio):
+    # report.json as -Infinity or NaN, after a NumPy warning, with exit 0;
+    # a path loss d ** -alpha past the float range raised OverflowError,
+    # a traceback with exit 1
+    @pytest.mark.parametrize("sections", [
+        {"radio": {"noise_dbm": 3000, "tx_power_w": 1e-30}},
+        {"radio": {"tx_power_w": 1e300, "rho0": 1e10}},
+        {"radio": {"alpha": 500}, "grid": {"distance_m": 0.5}},
+    ])
+    def test_non_finite_sinr_is_a_numeric_error(self, tmp_path, sections):
         p = tmp_path / "radio.json"
-        p.write_text(json.dumps({"flight": {"seed": 0}, "radio": radio}))
+        p.write_text(json.dumps({"flight": {"seed": 0}, **sections}))
         out = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
         done = subprocess.run(

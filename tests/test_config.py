@@ -31,9 +31,9 @@ def minimal_doc(**overrides):
 class TestScenarioParsing:
     def test_bundled_default_matches_documented_parameters(self):
         s = parse_scenario(scenario_path("paper_default.json"))
-        assert s.sensors.camera.fx == 381.0
-        assert s.sensors.camera.noise_cov == (36.0, 36.0)
-        assert s.sensors.lidar.noise_cov == pytest.approx((0.01, 0.0004, 0.000225))
+        assert s.sensors.fx == 381.0
+        assert s.sensors.camera_cov == (36.0, 36.0)
+        assert s.sensors.lidar_cov == pytest.approx((0.01, 0.0004, 0.000225))
         assert s.fov.gamma == pytest.approx(np.radians(50.0))
         assert s.fov.kappa == pytest.approx(np.radians(40.0))
         assert s.radio.alpha == 2.0
@@ -82,6 +82,12 @@ class TestScenarioParsing:
             parse_scenario_dict(minimal_doc(grid={"distance_m": -1.0}))
         with pytest.raises(ScenarioError, match="flight.dt_s"):
             parse_scenario_dict(minimal_doc(flight={"seed": 0, "dt_s": 0.0}))
+        for sensors, message in (
+                ({"fx": 0}, "focal lengths must be positive"),
+                ({"camera_sigma_px": [6, 0]}, "camera noise variances must be positive"),
+                ({"lidar_sigma": [0, 0.02, 0.015]}, "lidar noise variances must be positive")):
+            with pytest.raises(ScenarioError, match=f"^sensors: {message}$"):
+                parse_scenario_dict(minimal_doc(sensors=sensors))
 
     def test_grid_size_bounded(self):
         # 3.6e8 azimuths per pitch ring: refused from the steps, before the

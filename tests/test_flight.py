@@ -25,6 +25,9 @@ SLOTS = np.array([
 ])
 STILL = np.zeros(3)   # a stationary target's velocity
 APF = ApfParams()
+# the parameters of the direct `kernels.rollout` tests
+ROLLOUT_GAINS = ControlGains(k1=4.0, k2=1.5, kp=10.0, mass=1.3)
+ROLLOUT_APF = ApfParams(ka=3.0, kr=5.0, d0=2.0)
 
 
 @pytest.fixture
@@ -245,14 +248,13 @@ class TestSimulate:
         v0 = np.stack([s.velocities for s in starts])
         p0[:, 1] = p0[:, 0] + [0.6, 0.3, 0.0]  # a pair inside d0
         vdes = np.array([0.5, 0.3, 0.1])
-        gains = (4.0, 1.5, 10.0, 3.0, 5.0, 2.0)   # k1, k2, kp, ka, kr, d0
         tgt0 = np.array([1.0, -2.0, 0.5])
-        evaluate = kernels.law(ctrl, SLOTS, 1.3, *gains, vdes)
         P, V, U, L, path, vel_err, final = kernels.rollout(
-            evaluate, p0, v0, 1.3, tgt0, vdes, 0.01, 200)
+            ctrl, SLOTS, ROLLOUT_GAINS, ROLLOUT_APF, vdes, p0, v0, tgt0, 0.01, 200)
         for r in range(3):
+            # mass, then k1, k2, kp, ka, kr, d0
             Pr, Vr, Ur, Lr = rollout_loops(p0[r], v0[r], SLOTS, 1.3, ctrl,
-                                           *gains, tgt0, vdes, 0.01, 200)
+                                           4.0, 1.5, 10.0, 3.0, 5.0, 2.0, tgt0, vdes, 0.01, 200)
             if r == 0:
                 for name, a, b in zip("PVU", (P, V, U), (Pr, Vr, Ur)):
                     assert np.allclose(a, b, atol=1e-10), name
@@ -307,9 +309,8 @@ class TestSimulate:
         v0 = np.stack([s.velocities for s in starts])
         p0[:, 1] = p0[:, 0] + [0.6, 0.3, 0.0]
         vdes = np.array([0.5, 0.3, 0.1])
-        evaluate = kernels.law(ctrl, SLOTS, 1.3, 4.0, 1.5, 10.0, 3.0, 5.0, 2.0, vdes)
-        out = kernels.rollout(evaluate, p0, v0, 1.3, np.array([1.0, -2.0, 0.5]),
-                              vdes, 0.01, 200)
+        out = kernels.rollout(ctrl, SLOTS, ROLLOUT_GAINS, ROLLOUT_APF, vdes, p0, v0,
+                              np.array([1.0, -2.0, 0.5]), 0.01, 200)
         digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
                         for a in out)
         assert digests == self.ROLLOUT_DIGESTS[ctrl]

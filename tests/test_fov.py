@@ -234,11 +234,12 @@ class TestOptimize:
     def test_improves_reference_formation(self, spec, radio, models, reference_formation):
         before_cov = coverage(reference_formation, spec).gamma_metric
         before_sinr = link_stats(reference_formation, radio)["min_db"]
-        before_ld = logdet_reg(total_fim(reference_formation, models))
+        before_ld = logdet_reg(total_fim(reference_formation, models), models.eps)
         opt = optimize_formation(reference_formation, spec, radio)
         assert coverage(opt, spec).gamma_metric > before_cov
         assert link_stats(opt, radio)["min_db"] > before_sinr
-        assert logdet_reg(total_fim(opt, models)) == pytest.approx(before_ld, abs=1e-6)
+        after_ld = logdet_reg(total_fim(opt, models), models.eps)
+        assert after_ld == pytest.approx(before_ld, abs=1e-6)
 
     def test_fixed_point(self, spec, radio, reference_formation):
         opt = optimize_formation(reference_formation, spec, radio)
@@ -413,7 +414,7 @@ class TestGroundConstraint:
         opt = optimize_formation(reference_formation, spec, radio)
         g = ground_constrain(opt)
         assert g.positions[:, 2].min() >= 0.0
-        ld_air = logdet_reg(total_fim(opt, models))
-        ld_ground = logdet_reg(total_fim(g, models))
+        ld_air = logdet_reg(total_fim(opt, models), models.eps)
+        ld_ground = logdet_reg(total_fim(g, models), models.eps)
         assert ld_ground == pytest.approx(16.4142, abs=1e-3)
         assert abs(ld_air - ld_ground) < 0.5

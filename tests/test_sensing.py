@@ -20,13 +20,7 @@ from oracles import (
     total_fim_loops,
 )
 from swarmform.geom import DegenerateGeometryError, Formation
-from swarmform.sensing import (
-    CameraIntrinsics,
-    SensorModels,
-    fims,
-    logdet_reg,
-    total_fim,
-)
+from swarmform.sensing import SensorModels, fims, logdet_reg, total_fim
 
 
 def fd_jacobian(fn, target, h=1e-6):
@@ -45,28 +39,28 @@ def fd_jacobian(fn, target, h=1e-6):
 class TestCamera:
     def test_on_boresight_projects_to_center(self, models):
         pose = Pose(vec3(10, 0, 0), np.pi, Sensor.CAMERA)
-        u, v = camera_project(pose, np.zeros(3), models.camera)
-        assert u == pytest.approx(models.camera.cx)
-        assert v == pytest.approx(models.camera.cy)
+        u, v = camera_project(pose, np.zeros(3), models)
+        assert u == pytest.approx(models.cx)
+        assert v == pytest.approx(models.cy)
 
     def test_jacobian_matches_finite_differences(self, models):
         rng = np.random.default_rng(1)
         for _ in range(50):
             pose = random_pose(rng, Sensor.CAMERA)
-            jac = camera_jacobian(pose, np.zeros(3), models.camera)
-            num = fd_jacobian(lambda t: camera_project(pose, t, models.camera), np.zeros(3))
+            jac = camera_jacobian(pose, np.zeros(3), models)
+            num = fd_jacobian(lambda t: camera_project(pose, t, models), np.zeros(3))
             assert np.allclose(jac, num, rtol=1e-5, atol=1e-6)
 
     def test_focal_plane_degenerate(self, models):
         pose = Pose(vec3(0, 10, 0), 0.0, Sensor.CAMERA)  # target sideways
         with pytest.raises(DegenerateGeometryError):
-            camera_project(pose, np.zeros(3), models.camera)
+            camera_project(pose, np.zeros(3), models)
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
-            CameraIntrinsics(fx=-1.0)
+            SensorModels(fx=-1.0)
         with pytest.raises(ValueError):
-            CameraIntrinsics(noise_cov=(0.0, 1.0))
+            SensorModels(camera_cov=(0.0, 1.0))
 
 
 class TestLidar:
@@ -112,25 +106,25 @@ class TestFim:
                     for p in poses_of(reference_formation))
         assert np.allclose(total, parts)
 
-    def test_logdet_reg_empty(self):
-        assert logdet_reg(np.zeros((3, 3))) == pytest.approx(3 * np.log(1e-6))
+    def test_logdet_reg_empty(self, models):
+        assert logdet_reg(np.zeros((3, 3)), models.eps) == pytest.approx(3 * np.log(1e-6))
 
-    def test_logdet_reg_validation(self):
+    def test_logdet_reg_validation(self, models):
         with pytest.raises(ValueError):
             logdet_reg(np.eye(3), eps=0.0)
         with pytest.raises(FloatingPointError):
-            logdet_reg(-np.eye(3))
+            logdet_reg(-np.eye(3), models.eps)
 
     def test_reference_formation_logdet(self, reference_formation, models):
         # the six-UAV reference value the noise-covariance convention
         # (sigmas squared) is calibrated against
-        val = logdet_reg(total_fim(reference_formation, models))
+        val = logdet_reg(total_fim(reference_formation, models), models.eps)
         assert val == pytest.approx(16.4820, abs=1e-3)
 
     def test_far_lidar_keeps_its_range_row(self, models):
         # at 1e150 m the squared range, 1e300, is still finite
         f = Formation(np.array([[1e150, 0.0, 0.0]]), [np.pi], [True], np.zeros(3))
-        assert fims(f, models)[0, 0, 0] == pytest.approx(1.0 / models.lidar.noise_cov[0])
+        assert fims(f, models)[0, 0, 0] == pytest.approx(1.0 / models.lidar_cov[0])
 
     @pytest.mark.parametrize("lidar", [True, False])
     def test_overflowing_square_refused(self, models, lidar):
@@ -141,8 +135,8 @@ class TestFim:
             fims(f, models)
 
     def test_noise_defaults_are_squared_sigmas(self, models):
-        assert models.camera.noise_cov == pytest.approx((36.0, 36.0))
-        assert models.lidar.noise_cov == pytest.approx((0.01, 0.0004, 0.000225))
+        assert models.camera_cov == pytest.approx((36.0, 36.0))
+        assert models.lidar_cov == pytest.approx((0.01, 0.0004, 0.000225))
 
 
 _offset = st.tuples(*[st.floats(-30.0, 30.0)] * 3)
