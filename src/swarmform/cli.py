@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -156,6 +157,28 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
     return {"Controller": controller, "Seed": seed, "Runs": runs, "Mean": mean}
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _write_rows(fh, traj, starts: range) -> None:
+    """Write run 0's rows to `fh`, `_TRACE_BLOCK` rows from each of `starts`."""
+    n = traj.positions.shape[1]
+    for lo in starts:
+        block = slice(lo, lo + _TRACE_BLOCK)
+        state = np.concatenate((traj.positions[block], traj.velocities[block]), axis=2)
+        state = state.reshape(-1, 6 * n)
+        u = traj.controls[block].reshape(-1, 3 * n)
+        if len(u) < len(state):  # no control after the last step
+            u = np.vstack((u, np.zeros((1, 3 * n))))
+        table = np.column_stack((traj.times[block], state, u, traj.lyapunov[0, block]))
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist()))
+
+
 def _write_trace(path: Path, traj) -> None:
     """Run 0's time series as CSV, one row per step from t = 0 on.
 
@@ -165,6 +188,15 @@ def _write_trace(path: Path, traj) -> None:
     as its Python `repr` and each line ends in `\r\n`. Rows are formatted
     and written in blocks of `_TRACE_BLOCK`, so memory does not grow with
     the horizon.
+
+    The blocks are split into one contiguous range per CPU this process may
+    run on, never more ranges than blocks. Where `os.fork` exists (POSIX),
+    a forked writer formats each range after the first into its own unnamed
+    temporary file, while this process writes the header and the first
+    range; the parts are then appended in order. Where it does not, one
+    writer formats every range. The bytes do not depend on the number of
+    writers. A writer that fails fails the whole write (`OSError`), and no
+    writer process or part file outlives this call.
     """
     rows, n = traj.positions.shape[:2]
     header = ["t"]
@@ -173,17 +205,44 @@ def _write_trace(path: Path, traj) -> None:
     for i in range(n):
         header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
     header.append("V")
+    starts = range(0, rows, _TRACE_BLOCK)
+    writers = min(_cpus() if hasattr(os, "fork") else 1, len(starts))
+    ranges = [starts[len(starts) * k // writers:len(starts) * (k + 1) // writers]
+              for k in range(writers)]
+    parts, pids = [], []   # parts[k] and pids[k] belong to ranges[k + 1]
     with _write_atomic(path, newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, rows, _TRACE_BLOCK):
-            block = slice(lo, lo + _TRACE_BLOCK)
-            state = np.concatenate((traj.positions[block], traj.velocities[block]), axis=2)
-            state = state.reshape(-1, 6 * n)
-            u = traj.controls[block].reshape(-1, 3 * n)
-            if len(u) < len(state):  # no control after the last step
-                u = np.vstack((u, np.zeros((1, 3 * n))))
-            table = np.column_stack((traj.times[block], state, u, traj.lyapunov[0, block]))
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist()))
+        try:
+            for part_rows in ranges[1:]:
+                parts.append(tempfile.TemporaryFile("w+", newline="", dir=path.parent))
+                # Safe although a BLAS thread may be running here (Python 3.12+
+                # warns of forking a threaded process): the child calls no
+                # BLAS routine, it only slices the trajectory, formats rows
+                # and writes them to its own part.
+                pid = os.fork()
+                if pid == 0:
+                    try:   # never return into the caller, nor flush its buffers
+                        _write_rows(parts[-1], traj, part_rows)
+                        parts[-1].flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+            fh.write(",".join(header) + "\r\n")
+            _write_rows(fh, traj, ranges[0])
+            for k, part in enumerate(parts):
+                status = os.waitpid(pids[k], 0)[1]
+                pids[k] = None
+                if status != 0:
+                    raise OSError("a trace writer process failed with exit status "
+                                  f"{os.waitstatus_to_exitcode(status)}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+        finally:
+            for pid in pids:
+                if pid is not None:
+                    os.waitpid(pid, 0)
+            for part in parts:
+                part.close()
 
 
 def _run(scenario: Scenario, last_stage: str, out_dir: Path | None,

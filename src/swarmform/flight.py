@@ -68,10 +68,12 @@ class ControlGains:
     mass: float = 1.0   # kg, every member's
 
     def __post_init__(self):
-        if min(self.k1, self.k2, self.kp) <= 0:
+        if not all(g > 0 for g in (self.k1, self.k2, self.kp)):   # NaN is not positive
             raise ValueError("gains must be positive")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
+        if not np.isfinite([self.k1, self.k2, self.kp, self.mass]).all():
+            raise ValueError("gains and mass must be finite")
 
 
 @dataclass
@@ -81,8 +83,10 @@ class ApfParams:
     d0: float = 2.0     # repulsion activation distance, m
 
     def __post_init__(self):
-        if min(self.ka, self.kr, self.d0) <= 0:
+        if not all(x > 0 for x in (self.ka, self.kr, self.d0)):   # NaN is not positive
             raise ValueError("APF parameters must be positive")
+        if not np.isfinite([self.ka, self.kr, self.d0]).all():
+            raise ValueError("APF parameters must be finite")
 
 
 @dataclass

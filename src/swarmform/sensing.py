@@ -13,7 +13,8 @@ overflows, or whose information matrix overflows, is refused with
 or an infinite matrix. `SensorModels` is one flat record of every
 parameter the `sensors` section sets: the camera intrinsics, each
 sensor's noise-covariance diagonal and the log-det regularizer eps,
-which `logdet_reg` takes from the caller. The per-pose measurement
+which `logdet_reg` takes from the caller; it refuses values that are not
+finite and diagonals of the wrong length. The per-pose measurement
 functions the Jacobians differentiate, and the per-pose FIM, live in
 `tests/oracles.py`.
 """
@@ -52,12 +53,17 @@ class SensorModels:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if len(self.camera_cov) != 2 or len(self.lidar_cov) != 3:
+            raise ValueError("camera_cov takes 2 variances and lidar_cov 3")
+        if not (self.fx > 0 and self.fy > 0):   # NaN is not positive either
             raise ValueError("focal lengths must be positive")
-        if any(v <= 0 for v in self.camera_cov):
+        if not all(v > 0 for v in self.camera_cov):
             raise ValueError("camera noise variances must be positive")
-        if any(v <= 0 for v in self.lidar_cov):
+        if not all(v > 0 for v in self.lidar_cov):
             raise ValueError("lidar noise variances must be positive")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *self.camera_cov,
+                            *self.lidar_cov, self.eps]).all():
+            raise ValueError("sensor models must be finite")
 
 
 def fims(rows: Formation, models: SensorModels) -> np.ndarray:

@@ -216,6 +216,24 @@ def test_output_bytes_pinned(tmp_path, command, name):
     assert digests == PINNED_OUTPUTS[command, name]
 
 
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="digests recorded with NumPy 2")
+@pytest.mark.parametrize("command, name", sorted(key for key, files in PINNED_OUTPUTS.items()
+                                                 if "fly_trace.csv" in files))
+def test_trace_bytes_pinned_for_every_writer_count(tmp_path, monkeypatch, command, name):
+    subcommand, _, controller = command.partition("-")
+    flown = []
+    write_trace = cli._write_trace
+    monkeypatch.setattr(cli, "_write_trace", lambda path, traj: flown.append(traj))
+    assert main([subcommand, "--scenario", scenario(name), "--controller", controller or "log",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+        write_trace(tmp_path / "trace.csv", flown[0])
+        digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_OUTPUTS[command, name]["fly_trace.csv"], cpus
+
+
 class TestPipelineDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         main(["pipeline", "--scenario", scenario("paper_default.json"),
@@ -525,6 +543,31 @@ class TestAtomicWrites:
         assert "No space left on device" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="one writer where os.fork is missing")
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_trace_writer_leaves_no_file_or_process(self, tmp_path, monkeypatch, capsys,
+                                                           failing):
+        parent = os.getpid()
+        write_rows = cli._write_rows
+
+        def write_rows_failing(fh, traj, starts):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise OSError(28, "No space left on device")
+            write_rows(fh, traj, starts)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_write_rows", write_rows_failing)
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", scenario("paper_default.json"),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("swarmform: error: [stage fly] ")
+        assert ("a trace writer process failed with exit status 1" if failing == "child"
+                else "No space left on device") in err
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):   # every writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+
 
 def _flown(n, steps, controller="log"):
     """A seeded n-member flight of `steps` steps toward slots on a 10 m circle."""
@@ -567,6 +610,22 @@ class TestTraceWriter:
         traj = _flown(6, steps)
         assert len(traj.times) == steps + 1
         self.assert_same_bytes(tmp_path, traj)
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 2000])
+    def test_bytes_independent_of_writer_count(self, tmp_path, monkeypatch, steps):
+        traj = _flown(6, steps)   # 1 to 32 blocks: some runs have fewer blocks than CPUs
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+            cli._write_trace(tmp_path / f"{cpus}.csv", traj)
+        monkeypatch.delattr(os, "fork")   # one writer, whatever the CPU count
+        cli._write_trace(tmp_path / "no_fork.csv", traj)
+        one = (tmp_path / "1.csv").read_bytes()
+        for name in ("2.csv", "3.csv", "4.csv", "no_fork.csv"):
+            assert (tmp_path / name).read_bytes() == one, name
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["1.csv", "2.csv", "3.csv", "4.csv", "no_fork.csv"]
+        with pytest.raises(ChildProcessError):   # every writer was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_two_members(self, tmp_path):
         self.assert_same_bytes(tmp_path, _flown(2, 70, "apf"))

@@ -120,6 +120,20 @@ class TestControllers:
             with pytest.raises(ValueError, match="mass must be positive"):
                 ControlGains(mass=mass)
 
+    @pytest.mark.parametrize("record, field, value, message", [
+        (ControlGains, "k1", np.nan, "gains must be positive"),
+        (ControlGains, "k1", np.inf, "gains and mass must be finite"),
+        (ControlGains, "k2", np.nan, "gains must be positive"),
+        (ControlGains, "kp", np.nan, "gains must be positive"),
+        (ControlGains, "mass", np.inf, "gains and mass must be finite"),
+        (ApfParams, "d0", np.nan, "APF parameters must be positive"),
+        (ApfParams, "ka", np.inf, "APF parameters must be finite"),
+        (ApfParams, "kr", np.nan, "APF parameters must be positive"),
+    ])
+    def test_non_finite_parameters_refused(self, record, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            record(**{field: value})
+
 
 class TestStep:
     def test_drift(self):

@@ -62,6 +62,22 @@ class TestCamera:
         with pytest.raises(ValueError):
             SensorModels(camera_cov=(0.0, 1.0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("fx", np.nan, "focal lengths must be positive"),
+        ("fy", np.inf, "sensor models must be finite"),
+        ("cx", np.nan, "sensor models must be finite"),
+        ("cy", -np.inf, "sensor models must be finite"),
+        ("camera_cov", (36.0, np.nan), "camera noise variances must be positive"),
+        ("camera_cov", (36.0, np.inf), "sensor models must be finite"),
+        ("lidar_cov", (np.inf, 1.0, 1.0), "sensor models must be finite"),
+        ("eps", np.nan, "sensor models must be finite"),
+        ("camera_cov", (36.0,), "camera_cov takes 2 variances and lidar_cov 3"),
+        ("lidar_cov", (1.0, 1.0, 1.0, 1.0), "camera_cov takes 2 variances and lidar_cov 3"),
+    ])
+    def test_non_finite_and_wrong_length_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SensorModels(**{field: value})
+
 
 class TestLidar:
     def test_measure_matches_placement_geometry(self):
