@@ -25,10 +25,14 @@ terms cancel.
 The equations live once, in `swarmform.kernels`, and `simulate` rolls
 them out with one `kernels.rollout` call, which takes the
 `ControlGains` (the mass included) and `ApfParams` records whole and
-binds the law itself. It flies the designed `Formation`: each member's slot is its
-offset from the formation's target, which moves at a constant velocity.
-A start is a pair (positions, velocities) of (R, n, 3) arrays: R runs,
-all flown from t = 0 in one batched rollout. The `Trajectory` it returns
+binds the force law itself. Its step loop carries only the dynamics;
+the Lyapunov trace, the velocity errors, the path lengths and the first
+run's history are reduced once per block of `kernels._BLOCK` steps, in
+step order, with the bits a per-step loop gives. It flies the designed
+`Formation`: each member's slot is its offset from the formation's
+target, which moves at a constant velocity. A start is a pair
+(positions, velocities) of (R, n, 3) arrays: R runs, all flown from
+t = 0 in one batched rollout. The `Trajectory` it returns
 holds outputs only: the full state history of the first run, and for
 every run the Lyapunov trace and what `metrics` reduces to one row per
 run; each run's numbers are bit for bit those of the same start flown
@@ -129,7 +133,8 @@ def simulate(
 ) -> Trajectory:
     """Fixed-step rollout from t = 0 of `start` = (positions, velocities),
     two (R, n, 3) arrays, one run per leading row, toward `formation`
-    whose target moves at `velocity`; deterministic for fixed inputs.
+    whose target moves at `velocity`, a finite 3-vector; deterministic
+    for fixed inputs.
 
     All runs are flown in one batched rollout, and run r of the result is
     bit for bit the same start flown alone. The recorded Lyapunov trace
@@ -149,8 +154,10 @@ def simulate(
         raise ValueError("start and formation disagree on swarm size")
     if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
         raise ValueError("swarm state must be finite")
-    steps = step_count(dt, horizon)
     velocity = np.asarray(velocity, dtype=float)
+    if velocity.shape != (3,) or not np.isfinite(velocity).all():
+        raise ValueError(f"velocity must be a finite 3-vector, got {velocity}")
+    steps = step_count(dt, horizon)
     slots = formation.positions - formation.target
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
         controller, slots, gains, apf, velocity, positions, velocities,

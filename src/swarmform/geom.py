@@ -32,8 +32,8 @@ class Formation:
     """A formation's members, or the allocation candidates, as rows:
     positions (n, 3), yaws (n,) wrapped to (-pi, pi], and a mask (n,) of
     the LiDAR members (the others carry cameras); plus the target
-    estimate. Pitch and roll are zero, so member i heads along
-    [cos(yaws[i]), sin(yaws[i]), 0]."""
+    estimate, a finite 3-vector. Pitch and roll are zero, so member i
+    heads along [cos(yaws[i]), sin(yaws[i]), 0]."""
 
     positions: np.ndarray
     yaws: np.ndarray
@@ -47,8 +47,11 @@ class Formation:
                 and yaws.shape == lidar.shape == (len(p),)):
             raise ValueError("need finite positions (n, 3), yaws (n,) and sensor flags (n,), "
                              f"got shapes {p.shape}, {yaws.shape} and {lidar.shape}")
+        target = np.asarray(self.target, dtype=float)
+        if target.shape != (3,) or not np.isfinite(target).all():
+            raise ValueError(f"target must be a finite 3-vector, got {target}")
         for name, value in (("positions", p), ("yaws", wrap_pi(yaws)), ("lidar", lidar),
-                            ("target", np.asarray(self.target, dtype=float))):
+                            ("target", target)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:

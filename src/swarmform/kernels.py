@@ -1,24 +1,28 @@
-"""The flight equations: one force law per controller and one rollout,
-both over a batch of runs.
+"""The flight equations: one force law per controller, the Lyapunov
+candidate and one rollout, all over a batch of runs.
 
 A state is positions p and velocities v of shape (R, n, 3): R runs of
 the one swarm `swarmform.flight` describes (its shape, controllers and
-Lyapunov candidate), sharing its slots, gains and target. `law` binds
-the slots, the gains, the APF parameters and the target's constant
-velocity vt once and returns one function of (p, v, target position
-tgt) that gives both the (R, n, 3) control input of the chosen
-controller and the (R,) logarithmic Lyapunov candidate. It reads the
-fields of `flight.ControlGains` and `flight.ApfParams` by name, so this
-module does not import `flight`. Each run is computed with the same
+Lyapunov candidate), sharing its slots, gains and target. `forces`
+binds the slots, the gains, the APF parameters and the target's
+constant velocity vt once and returns one function of (p, v, target
+position tgt) that gives the (R, n, 3) control input of the chosen
+controller and the squared formation errors (R, n, n) it computed on
+the way. `lyapunov` gives the logarithmic Lyapunov candidate of states
+of any leading shape from those errors over the edges, the velocity
+errors and the leader's error. Both read the fields of
+`flight.ControlGains` and `flight.ApfParams` by name, so this module
+does not import `flight`. Each run is computed with the same
 reductions, in the same order, as a batch of one, so a run's numbers do
 not depend on the other runs in its batch.
 
-`rollout` binds its law once from the same arguments and integrates all
-R runs with fixed-step semi-implicit Euler in one loop; it is
-deterministic for fixed inputs. It keeps the full state history of run
-0 only. For every run it keeps the path lengths, accumulated step by
-step, the final state, and per-step traces of the Lyapunov value
-(R, steps+1) and of each member's velocity-error norm (R, steps+1, n).
+`rollout` integrates all R runs with fixed-step semi-implicit Euler in
+one loop; it is deterministic for fixed inputs. The step loop carries
+only the dynamics: the forces, the Euler update and the edge errors V
+needs. Everything else is reduced after every block of `_BLOCK` steps,
+over all of that block's states at once and in step order: the
+Lyapunov value (R, steps+1), each member's velocity-error norm
+(R, steps+1, n), the path lengths and the full state history of run 0.
 `swarmform.flight.simulate` is the supported interface.
 
 Controllers: "log" (logarithmic), "quad" (quadratic), "apf".
@@ -29,29 +33,27 @@ from __future__ import annotations
 import numpy as np
 
 _TINY = 1e-12
+# the steps integrated between two block reductions
+_BLOCK = 64
 
 # There is no compiled backend; kept because the benchmark's fingerprint reads it.
 NUMBA_ENABLED = False
 
 
-def law(ctrl, slots, gains, apf, vt):
-    """The flight law of one swarm whose target moves at vt: a function
-    (p, v, tgt) -> (u, V) of a batch of states, p and v (R, n, 3), giving
-    the control input u (R, n, 3) of controller `ctrl` and the logarithmic
-    Lyapunov candidate V (R,). Both come from one evaluation because they
-    share the pairwise offsets. `gains` gives mass, k1, k2 and kp, and
-    `apf` gives ka, kr and d0. Damping is -k2 * (v - vt), and the kinetic
-    term of V is mass * sum_i |v_i - vt|^2 / 2.
+def forces(ctrl, slots, gains, apf, vt):
+    """The force law of one swarm whose target moves at vt: a function
+    (p, v, tgt) -> (u, sq) of a batch of states, p and v (R, n, 3), giving
+    the control input u (R, n, 3) of controller `ctrl` and every pair's
+    squared formation error sq (R, n, n), |e_ij|^2 with
+    e_ij = p_i - p_j - (slot_i - slot_j). `gains` gives k1, k2 and kp,
+    and `apf` gives ka, kr and d0. Damping is -k2 * (v - vt).
 
     APF forces of members that coincide with another member are +inf on x.
     """
-    mass, k1, k2, kp = gains.mass, gains.k1, gains.k2, gains.kp
+    k1, k2, kp = gains.k1, gains.k2, gains.kp
     ka, kr, d0 = apf.ka, apf.kr, apf.d0
     n = len(slots)
     slot_diff = slots[:, None, :] - slots[None, :, :]
-    # edges i < j as flat indices; np.take keeps each run's row contiguous,
-    # so its sum below reduces in the same pairwise order as for one run
-    edges = np.flatnonzero(np.triu(np.ones((n, n)), 1))
     diag = np.arange(n)
 
     def evaluate(p, v, tgt):
@@ -63,11 +65,6 @@ def law(ctrl, slots, gains, apf, vt):
         e = d - slot_diff
         sq = np.einsum("rijk,rijk->rij", e, e)
         dv = v - vt
-        err_l = p[:, 0] - (tgt + slots[0])
-        lyap = (0.5 * k1 * np.log1p(np.take(sq.reshape(runs, -1), edges, axis=1)).sum(axis=1)
-                + 0.5 * (mass * dv * dv).sum(axis=(1, 2))
-                # a row-by-column matmul per run: the same dot product as err_l @ err_l
-                + 0.5 * kp * np.matmul(err_l[:, None, :], err_l[:, :, None])[:, 0, 0])
         if ctrl == "apf":
             u = -ka * (p - (tgt + slots)) - k2 * dv
             dn = np.sqrt(np.einsum("rijk,rijk->rij", d, d))
@@ -83,16 +80,31 @@ def law(ctrl, slots, gains, apf, vt):
             # a member's own term weighs e_ii = +0.0, so it adds nothing
             w = 1.0 / (1.0 + sq) if ctrl == "log" else np.ones_like(sq)
             u = -k1 * np.einsum("rij,rijk->rik", w, e) - k2 * dv
-            u[:, 0] -= kp * err_l
-        return u, lyap
+            u[:, 0] -= kp * (p[:, 0] - (tgt + slots[0]))
+        return u, sq
 
     return evaluate
 
 
+def lyapunov(edge_sq, dv, err_l, gains):
+    """The logarithmic Lyapunov candidate of states of any leading shape S,
+    from each edge's squared formation error edge_sq (*S, E), each
+    member's velocity error dv = v - vt (*S, n, 3) and the leader's
+    position error err_l = p_0 - (tgt + slot_0) (*S, 3):
+
+        V = (k1/2) sum_edges ln(1 + |e_ij|^2) + (m/2) sum_i |v_i - vt|^2
+            + (kp/2) |err_l|^2.
+    """
+    return (0.5 * gains.k1 * np.log1p(edge_sq).sum(axis=-1)
+            + 0.5 * (gains.mass * dv * dv).sum(axis=(-2, -1))
+            # a row-by-column matmul per state: the same dot product as err_l @ err_l
+            + 0.5 * gains.kp * np.matmul(err_l[..., None, :], err_l[..., :, None])[..., 0, 0])
+
+
 def rollout(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
-    """Fly R runs of `law(ctrl, slots, gains, apf, vt)` with every member's
-    mass `gains.mass`, for `steps` steps of `dt` from (p0, v0), both
-    (R, n, 3), the target moving from tgt0 at vt.
+    """Fly R runs of `forces(ctrl, slots, gains, apf, vt)` with every
+    member's mass `gains.mass`, for `steps` steps of `dt` from (p0, v0),
+    both (R, n, 3), the target moving from tgt0 at vt.
 
     Returns, as a tuple of arrays:
     - P, V (steps+1, n, 3) and U (steps, n, 3): positions, velocities and
@@ -103,39 +115,64 @@ def rollout(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
     - vel_err (R, steps+1, n): each member's |v - vt| at every step;
     - p_final (R, n, 3): the final positions.
 
-    A non-finite force in any run leaves that run's state non-finite for
-    the rest of the rollout, so it shows in p_final.
+    The step loop writes each block of `_BLOCK` steps' states and edge
+    errors into buffers; the rest is computed from those buffers once per
+    block, with the same operations on the same numbers as per step, so
+    every output has the bits a per-step loop gives. A non-finite force
+    in any run leaves that run's state non-finite for the rest of the
+    rollout, so it shows in p_final.
     """
-    evaluate = law(ctrl, slots, gains, apf, vt)
+    evaluate = forces(ctrl, slots, gains, apf, vt)
     mass = gains.mass
     runs, n = p0.shape[:2]
+    # edges i < j as flat indices; np.take keeps each run's row contiguous,
+    # so V sums it in the same pairwise order as for one run
+    pairs = np.flatnonzero(np.triu(np.ones((n, n)), 1))
     P = np.empty((steps + 1, n, 3))
     V = np.empty((steps + 1, n, 3))
     U = np.empty((steps, n, 3))
     lyap = np.empty((runs, steps + 1))
     path = np.zeros((runs, n))
     vel_err = np.empty((runs, steps + 1, n))
-
-    p = p0.copy()
-    v = v0.copy()
-    tgt = tgt0.copy()
-    P[0] = p[0]
-    V[0] = v[0]
+    # the target at every step: a cumsum adds vt * dt in step order, as
+    # stepping the target one step at a time does
+    tgt = np.cumsum(np.vstack((tgt0, np.broadcast_to(vt * dt, (steps, 3)))), axis=0)
+    # row k of a block holds the state k steps after the block's first,
+    # which row 0 carries over from the block before
+    pb = np.empty((_BLOCK + 1, runs, n, 3))
+    vb = np.empty((_BLOCK + 1, runs, n, 3))
+    eb = np.empty((_BLOCK + 1, runs, len(pairs)))
+    pb[0] = p0
+    vb[0] = v0
     # a non-finite run turns inf into NaN (inf - inf); that is reported by
     # the caller from p_final, not warned about step by step
     with np.errstate(invalid="ignore", over="ignore"):
-        u, lyap[:, 0] = evaluate(p, v, tgt)
-        vel_err[:, 0] = np.linalg.norm(v - vt, axis=2)
-        for s in range(steps):
-            U[s] = u[0]
-            v = v + u / mass * dt
-            p_next = p + v * dt
-            path += np.linalg.norm(p_next - p, axis=2)
-            p = p_next
-            tgt = tgt + vt * dt
-            P[s + 1] = p[0]
-            V[s + 1] = v[0]
-            vel_err[:, s + 1] = np.linalg.norm(v - vt, axis=2)
-            # the forces of the next step and V at this state
-            u, lyap[:, s + 1] = evaluate(p, v, tgt)
-    return P, V, U, lyap, path, vel_err, p
+        u, sq = evaluate(pb[0], vb[0], tgt[0])
+        np.take(sq.reshape(runs, -1), pairs, axis=1, out=eb[0], mode="clip")
+        # one block even for no step, so that the start is recorded
+        for lo in range(0, max(steps, 1), _BLOCK):
+            hi = min(lo + _BLOCK, steps)
+            for s in range(lo, hi):
+                k = s - lo
+                U[s] = u[0]
+                np.add(vb[k], u / mass * dt, out=vb[k + 1])
+                np.add(pb[k], vb[k + 1] * dt, out=pb[k + 1])
+                # the forces of the next step and the edge errors of its state
+                u, sq = evaluate(pb[k + 1], vb[k + 1], tgt[s + 1])
+                np.take(sq.reshape(runs, -1), pairs, axis=1, out=eb[k + 1], mode="clip")
+            m = hi - lo
+            # the block's new states; the start is recorded with the first block
+            first = 1 if lo else 0
+            rows, states = slice(first, m + 1), slice(lo + first, hi + 1)
+            dv = vb[rows] - vt
+            err_l = pb[rows, :, 0] - (tgt[states, None] + slots[0])
+            lyap[:, states] = lyapunov(eb[rows], dv, err_l, gains).T
+            vel_err[:, states] = np.linalg.norm(dv, axis=-1).swapaxes(0, 1)
+            P[states] = pb[rows, 0]
+            V[states] = vb[rows, 0]
+            # accumulate, not reduce, so that the adds are sequential for every
+            # shape: NumPy sums a (m + 1, 1, 1) reduction pairwise
+            step_len = np.linalg.norm(pb[1:m + 1] - pb[:m], axis=-1)
+            path = np.add.accumulate(np.concatenate((path[None], step_len)), axis=0)[-1]
+            pb[0], vb[0], eb[0] = pb[m], vb[m], eb[m]
+    return P, V, U, lyap, path, vel_err, pb[0].copy()

@@ -2,11 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import slotted
-from oracles import SwarmState, control, lyapunov_value, stacked, step
+from oracles import SwarmState, control, lyapunov_value, rollout_per_step, stacked, step
 from rollout_oracle import rollout_loops
 from swarmform import kernels
 from swarmform.flight import (
@@ -28,6 +28,12 @@ APF = ApfParams()
 # the parameters of the direct `kernels.rollout` tests
 ROLLOUT_GAINS = ControlGains(k1=4.0, k2=1.5, kp=10.0, mass=1.3)
 ROLLOUT_APF = ApfParams(ka=3.0, kr=5.0, d0=2.0)
+# the names of the arrays `kernels.rollout` returns, in order
+ROLLOUT_OUTPUTS = ("P", "V", "U", "lyap", "path", "vel_err", "p_final")
+
+
+def _equal_or_both_nan(a, b):
+    return a.shape == b.shape and ((a == b) | (np.isnan(a) & np.isnan(b))).all()
 
 
 @pytest.fixture
@@ -218,6 +224,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="swarm state must be finite"):
             simulate((p, v), formation, "log", gains, STILL, 0.01, 0.1, APF)
 
+    @pytest.mark.parametrize("velocity", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                                          [0.5, 0.3], [[0.5, 0.3, 0.1]], 0.5])
+    def test_refuses_bad_target_velocity(self, formation, gains, velocity):
+        # refused by name, before the rollout could blame coincident UAVs
+        with pytest.raises(ValueError, match="velocity must be a finite 3-vector"):
+            simulate(stacked([equilibrium_state(formation)]), formation, "log", gains,
+                     velocity, 0.01, 0.1, APF)
+
     @pytest.mark.parametrize("dt, horizon", [(1.0, 0.1), (0.01, 1e9), (1e-300, 1e300),
                                              (0.01, 0.0), (-0.01, 1.0)])
     def test_refuses_step_counts_out_of_bounds(self, formation, gains, dt, horizon):
@@ -329,6 +343,24 @@ class TestSimulate:
                         for a in out)
         assert digests == self.ROLLOUT_DIGESTS[ctrl]
 
+    @pytest.mark.parametrize("run", [0, 2])
+    def test_non_finite_run_crosses_blocks_as_per_step(self, formation, run):
+        # coincident APF members make one run non-finite from the first
+        # step; its infs and NaNs are carried from block to block exactly
+        # as the per-step loop carries them, and the other runs stay finite
+        starts = [perturbed_state(formation, seed=seed) for seed in (6, 13, 14)]
+        p0 = np.stack([s.positions for s in starts])
+        v0 = np.stack([s.velocities for s in starts])
+        p0[run, 3] = p0[run, 1]
+        args = ("apf", SLOTS, ROLLOUT_GAINS, ROLLOUT_APF, np.array([0.5, 0.3, 0.1]), p0, v0,
+                np.array([1.0, -2.0, 0.5]), 0.01, 2 * kernels._BLOCK + 1)
+        out = kernels.rollout(*args)
+        for name, a, b in zip(ROLLOUT_OUTPUTS, out, rollout_per_step(*args)):
+            assert _equal_or_both_nan(a, b), name
+        lyap = out[3]
+        assert np.isnan(lyap[run, kernels._BLOCK + 1:]).all()
+        assert np.isfinite(np.delete(lyap, run, axis=0)).all()
+
     def test_coincident_apf_members_in_one_run_raise(self, formation, gains):
         starts = [perturbed_state(formation, seed=seed) for seed in range(3)]
         p = starts[2].positions.copy()
@@ -336,6 +368,27 @@ class TestSimulate:
         starts[2] = SwarmState(p, starts[2].velocities)
         with pytest.raises(FloatingPointError):
             simulate(stacked(starts), formation, "apf", gains, STILL, 0.01, 0.5, APF)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), runs=st.integers(1, 4),
+       steps=st.sampled_from([1, kernels._BLOCK - 1, kernels._BLOCK, kernels._BLOCK + 1,
+                              2 * kernels._BLOCK + 1, 2000]),
+       ctrl=st.sampled_from(["log", "quad", "apf"]), moving=st.booleans(),
+       mass=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+# one run of one member: NumPy would sum its (steps, 1, 1) path terms pairwise
+@example(n=1, runs=1, steps=kernels._BLOCK - 1, ctrl="log", moving=True, mass=1.0, seed=0)
+def test_rollout_equals_per_step_loop(n, runs, steps, ctrl, moving, mass, seed):
+    """The block-reduced rollout gives every output bit for bit as the
+    per-step loop does, at and around the block boundaries."""
+    rng = np.random.default_rng(seed)
+    slots = rng.uniform(-10.0, 10.0, (n, 3))
+    vt = rng.uniform(-1.0, 1.0, 3) if moving else STILL
+    args = (ctrl, slots, ControlGains(mass=mass), ROLLOUT_APF, vt,
+            rng.uniform(-15.0, 15.0, (runs, n, 3)), rng.uniform(-1.0, 1.0, (runs, n, 3)),
+            rng.uniform(-5.0, 5.0, 3), 0.01, steps)
+    for name, a, b in zip(ROLLOUT_OUTPUTS, kernels.rollout(*args), rollout_per_step(*args)):
+        assert _equal_or_both_nan(a, b), name
 
 
 def _metric_values(m):

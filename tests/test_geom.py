@@ -110,6 +110,12 @@ class TestFormation:
         with pytest.raises(ValueError):
             Formation([np.zeros(2)], [0.0], [True], np.zeros(3))
 
+    @pytest.mark.parametrize("target", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 2.0],
+                                        np.zeros((1, 3))])
+    def test_target_validation(self, target):
+        with pytest.raises(ValueError, match="target must be a finite 3-vector"):
+            Formation([vec3(1, 0, 0)], [0.0], [True], target)
+
     def test_unequal_lengths_rejected(self):
         positions = [vec3(1, 0, 0), vec3(0, 1, 0)]
         with pytest.raises(ValueError):
