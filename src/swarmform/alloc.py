@@ -3,7 +3,11 @@
 The candidate set is a `Formation`: one row per feasible (placement,
 sensor) pair, built from the grid's geometry alone. The objective is the
 regularized log-determinant of the swarm FIM, which is monotone and
-submodular in the candidate set. Each candidate's marginal gain is
+submodular in the candidate set. `sensing.logdet_reg` alone scores it:
+each round ranks every candidate by one `logdet_reg` call on the stack
+of running total + candidate FIM, so a round in which any of those is not
+positive definite once regularized raises `FloatingPointError` rather
+than being ranked. Each candidate's marginal gain is
 discounted by a penalty read from the `ResourceModel` fields its `lidar`
 flag picks: its communication resource block (bandwidth * duration) and its
 hardware cost. Selection stops when the best net utility drops to the
@@ -152,8 +156,10 @@ def build_candidates(target: np.ndarray, grid: GridSpec,
 def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: ResourceModel,
                     models: SensorModels) -> AllocationResult:
     """Penalty-discounted greedy selection with threshold stopping over the
-    rows of `candidates`, scored with `models` and its regularizer eps; the
-    result's formation is the rows picked, in the order picked.
+    rows of `candidates`, scored with `models` through `logdet_reg` and the
+    models' eps; the result's formation is the rows picked, in the order
+    picked. `FloatingPointError` if a round's regularized FIMs are not all
+    positive definite.
 
     Ties break on candidate order (deterministic). Selecting a candidate
     removes every candidate at the same placement: one airframe per
@@ -178,7 +184,7 @@ def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: Res
     utilities: list[float] = []
 
     while len(chosen) < weights.max_uavs and active.any():
-        with_each = np.linalg.slogdet(total + row_fims + models.eps * np.eye(3))[1]
+        with_each = logdet_reg(total + row_fims, models.eps)
         util = with_each - current - penalties
         util[~active] = -np.inf
         best = int(np.argmax(util))

@@ -14,7 +14,10 @@ or an infinite matrix. `SensorModels` is one flat record of every
 parameter the `sensors` section sets: the camera intrinsics, each
 sensor's noise-covariance diagonal and the log-det regularizer eps,
 which `logdet_reg` takes from the caller; it refuses values that are not
-finite and diagonals of the wrong length. The per-pose measurement
+finite and diagonals of the wrong length. `logdet_reg` is the one
+objective: it scores one FIM or a stack of them, greedy allocation ranks
+every round through it, and it refuses any F + eps*I that is not
+positive definite with a finite log-det. The per-pose measurement
 functions the Jacobians differentiate, and the per-pose FIM, live in
 `tests/oracles.py`.
 """
@@ -141,15 +144,25 @@ def total_fim(formation: Formation, models: SensorModels) -> np.ndarray:
     return total
 
 
-def logdet_reg(fim: np.ndarray, eps: float) -> float:
-    """log det(F + eps*I), via a symmetric (Cholesky-backed) factorization.
+def logdet_reg(fim: np.ndarray, eps: float) -> np.ndarray:
+    """log det(F + eps*I) of one (3, 3) FIM, or of each FIM of a
+    (..., 3, 3) stack, from one batched LU factorization (slogdet): a
+    float64 for one matrix and an array of shape (...) for a stack, each
+    value bit for bit the one its matrix gives alone. This is the allocation objective's only
+    implementation: greedy ranks each round's candidates through it, and
+    the CLI reports a formation's log-det with it.
 
     The regularizer keeps single-sensor subsets finite: a lone camera
-    contributes a rank-2 FIM whose raw determinant is zero.
+    contributes a rank-2 FIM whose raw determinant is zero. Raises
+    `FloatingPointError` unless every F + eps*I is positive definite with
+    a finite log-det, so a NaN or infinite F is refused too, as is one
+    whose rounding exceeds eps (e.g. a very large F).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    sign, val = np.linalg.slogdet(fim + eps * np.eye(3))
-    if sign <= 0:
-        raise FloatingPointError("regularized FIM is not positive definite")
-    return float(val)
+    with np.errstate(invalid="ignore"):   # a NaN matrix is refused below, without a warning
+        sign, val = np.linalg.slogdet(fim + eps * np.eye(3))
+    # slogdet gives a NaN matrix sign +1 and a NaN log-det
+    if not np.all((sign > 0) & np.isfinite(val)):
+        raise FloatingPointError(f"regularized FIM is not positive definite at eps = {eps}")
+    return val

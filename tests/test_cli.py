@@ -54,6 +54,8 @@ class TestFormation:
         assert after["Gamma"] > before["Gamma"]
         assert after["Min. SINR (dB)"] > before["Min. SINR (dB)"]
         assert after["log-det FIM"] == pytest.approx(before["log-det FIM"], abs=1e-6)
+        # greedy and the report score with one function
+        assert report["Allocation"]["log-det FIM"] == before["log-det FIM"]
 
     def test_ground_scenario_upper_half_space(self, tmp_path):
         code, report = run(tmp_path, "formation", "--scenario", scenario("paper_ground.json"))
@@ -90,6 +92,21 @@ class TestFly:
         assert captured.err == ("swarmform: error: argument --seed-override: "
                                 "must be >= 0, got -5\n")
         assert captured.out == "" and not out.exists()
+
+    def test_mean_rounded_above_max_is_consistent(self, tmp_path):
+        # one step of 1e-20 s: all 12 velocity errors are 0.1, and their
+        # float mean rounds to 0.10000000000000002 (NumPy 2.4), above the max
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["target"]["velocity"] = [0.1, 0.0, 0.0]
+        doc["flight"].update(dt_s=1e-20, horizon_s=1e-20)
+        p = tmp_path / "one_step.json"
+        p.write_text(json.dumps(doc))
+        code, report = run(tmp_path, "fly", "--scenario", str(p))
+        assert code == 0
+        mean = report["Flight"]["Mean"]
+        assert mean["Max. Velocity Err."] == 0.1
+        assert mean["Avg. Velocity Err."] == pytest.approx(0.1, rel=1e-15)
 
     def test_one_uav_stops_before_flight(self, tmp_path, capsys):
         doc = json.loads((resources.files("swarmform") / "scenarios"
@@ -284,14 +301,24 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["allocate", "--scenario", "/nonexistent.json"]) == 1
 
-    def test_numeric_error(self, tmp_path, capsys):
-        # a grid entirely outside the vertical FOV leaves no candidates
-        doc = {"flight": {"seed": 0},
-               "grid": {"delta_min_deg": 80.0, "delta_max_deg": 100.0}}
+    # a grid entirely outside the vertical FOV leaves no candidates; a
+    # 1e10 px focal length, or a 0.1 mm grid, gives candidate FIMs whose
+    # rounding exceeds eps, so greedy's first round meets an F + eps*I
+    # that is not positive definite, which it used to rank by |det|
+    @pytest.mark.parametrize("section,values", [
+        ("grid", {"delta_min_deg": 80.0, "delta_max_deg": 100.0}),
+        ("sensors", {"fx": 1e10, "fy": 1e10}),
+        ("grid", {"distance_m": 1e-4}),
+    ], ids=["empty-grid", "sensors.fx-fy-1e10", "grid.distance_m-1e-4"])
+    def test_numeric_error(self, tmp_path, capsys, section, values):
         p = tmp_path / "degenerate.json"
-        p.write_text(json.dumps(doc))
-        assert main(["allocate", "--scenario", str(p)]) == 2
-        assert "stage allocate" in capsys.readouterr().err
+        p.write_text(json.dumps({"flight": {"seed": 0}, section: values}))
+        out = tmp_path / "out"
+        assert main(["allocate", "--scenario", str(p), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("swarmform: numeric error: [stage allocate] ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
 
     # JSON admits NaN, Infinity and integers no float holds; each used to
     # run on (a NaN SINR floor flips nothing, a NaN eps reports a NaN

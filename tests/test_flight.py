@@ -10,6 +10,7 @@ from oracles import SwarmState, control, lyapunov_value, rollout_per_step, stack
 from rollout_oracle import rollout_loops
 from swarmform import kernels
 from swarmform.flight import (
+    CONTROLLERS,
     MAX_STEPS,
     ApfParams,
     ControlGains,
@@ -223,6 +224,10 @@ class TestSimulate:
         p[0, 2, 1] = np.nan
         with pytest.raises(ValueError, match="swarm state must be finite"):
             simulate((p, v), formation, "log", gains, STILL, 0.01, 0.1, APF)
+        for controller in CONTROLLERS:   # refused by name, not an IndexError in the rollout
+            with pytest.raises(ValueError, match="empty swarm"):
+                simulate((p[:, :0], v[:, :0]), slotted(np.zeros((0, 3))), controller, gains,
+                         STILL, 0.01, 0.1, APF)
 
     @pytest.mark.parametrize("velocity", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
                                           [0.5, 0.3], [[0.5, 0.3, 0.1]], 0.5])

@@ -125,11 +125,20 @@ class TestFim:
     def test_logdet_reg_empty(self, models):
         assert logdet_reg(np.zeros((3, 3)), models.eps) == pytest.approx(3 * np.log(1e-6))
 
-    def test_logdet_reg_validation(self, models):
+    def test_logdet_reg_validation(self, models, reference_formation):
         with pytest.raises(ValueError):
             logdet_reg(np.eye(3), eps=0.0)
         with pytest.raises(FloatingPointError):
             logdet_reg(-np.eye(3), models.eps)
+        # a stack scores each matrix bit for bit as it scores alone, and
+        # one matrix that is not positive definite refuses the whole stack
+        stack = np.cumsum(fims(reference_formation, models), axis=0)
+        values = logdet_reg(stack, models.eps)
+        assert values.shape == (len(stack),)
+        assert values.tolist() == [logdet_reg(f, models.eps) for f in stack]
+        for bad in (-np.eye(3), np.full((3, 3), np.nan)):
+            with pytest.raises(FloatingPointError, match="eps = 1e-06"):
+                logdet_reg(np.concatenate([stack, bad[None]]), models.eps)
 
     def test_reference_formation_logdet(self, reference_formation, models):
         # the six-UAV reference value the noise-covariance convention
