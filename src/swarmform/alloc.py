@@ -3,11 +3,9 @@
 The candidate set is a `Formation`: one row per feasible (placement,
 sensor) pair, built from the grid's geometry alone. The objective is the
 regularized log-determinant of the swarm FIM, which is monotone and
-submodular in the candidate set. `sensing.logdet_reg` alone scores it:
-each round ranks every candidate by one `logdet_reg` call on the stack
-of running total + candidate FIM, so a round in which any of those is not
-positive definite once regularized raises `FloatingPointError` rather
-than being ranked. Each candidate's marginal gain is
+submodular in the candidate set. `sensing.logdet_reg` alone scores it,
+one call per round over the stack of every candidate's FIM added to the
+running total. Each candidate's marginal gain is
 discounted by a penalty read from the `ResourceModel` fields its `lidar`
 flag picks: its communication resource block (bandwidth * duration) and its
 hardware cost. Selection stops when the best net utility drops to the
