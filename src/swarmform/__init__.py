@@ -8,7 +8,7 @@ touching the FIM, and Lyapunov-stable formation flight simulation.
 
 from .alloc import AllocWeights, GridSpec, ResourceModel, build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
-from .flight import ApfParams, ControlGains, metrics, simulate
+from .flight import ControlGains, metrics, simulate
 from .fov import FovSpec, coverage, flip, ground_constrain, optimize_formation
 from .geom import DegenerateGeometryError, Formation
 from .radio import RadioParams, link_stats
@@ -17,7 +17,7 @@ from .sensing import SensorModels, logdet_reg, total_fim
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocWeights", "ApfParams", "ControlGains", "DegenerateGeometryError",
+    "AllocWeights", "ControlGains", "DegenerateGeometryError",
     "Formation", "FovSpec", "GridSpec", "RadioParams", "ResourceModel",
     "Scenario", "ScenarioError", "SensorModels",
     "build_candidates", "coverage", "flip", "greedy_allocate",

@@ -48,6 +48,8 @@ class GridSpec:
             raise ValueError("grid steps must be positive")
         if not (0.0 <= self.delta_min <= self.delta_max <= np.pi):
             raise ValueError("pitch range must satisfy 0 <= min <= max <= pi")
+        if not np.isfinite([self.distance, self.beta_step, self.delta_step]).all():
+            raise ValueError("grid distance and steps must be finite")
         # counted before any array is made; deltas() is made even with no azimuth
         azimuths, rings = self._sizes()
         if not max(azimuths, 1.0) * rings <= MAX_PLACEMENTS:
@@ -81,10 +83,14 @@ class AllocWeights:
     max_uavs: int = 10
 
     def __post_init__(self):
+        if isinstance(self.max_uavs, bool) or not isinstance(self.max_uavs, int):
+            raise ValueError(f"max_uavs must be an integer, got {self.max_uavs!r}")
         if self.alpha_resource < 0 or self.alpha_cost < 0:
             raise ValueError("penalty weights must be non-negative")
         if self.max_uavs < 1:
             raise ValueError("max_uavs must be >= 1")
+        if not np.isfinite([self.alpha_resource, self.alpha_cost, self.min_gain]).all():
+            raise ValueError("penalty weights and min_gain must be finite")
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,9 @@ class ResourceModel:
             raise ValueError("LiDAR resource block must exceed the camera's")
         if self.cost_lidar <= self.cost_cam:
             raise ValueError("LiDAR hardware cost must exceed the camera's")
+        if not np.isfinite([self.bandwidth_cam, self.duration_cam, self.bandwidth_lidar,
+                            self.duration_lidar, self.cost_cam, self.cost_lidar]).all():
+            raise ValueError("resource blocks and costs must be finite")
 
 
 @dataclass

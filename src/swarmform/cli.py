@@ -142,7 +142,7 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
                                  "the cube's width overflows") from None
     p0 = scenario.target.position + offsets
     traj = simulate((p0, np.zeros_like(p0)), formation, controller, fl.gains,
-                    scenario.target.velocity, fl.dt_s, fl.horizon_s, fl.apf)
+                    scenario.target.velocity, fl.dt_s, fl.horizon_s)
     m = metrics(traj)
     columns = {
         "Avg. Distance (m)": m.avg_distance,

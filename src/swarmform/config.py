@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .alloc import AllocWeights, GridSpec, ResourceModel
-from .flight import CONTROLLERS, ApfParams, ControlGains, step_count
+from .flight import CONTROLLERS, ControlGains, step_count
 from .fov import MAX_DIRS, FovSpec
 from .geom import Formation, yaw_facing_target
 from .radio import RadioParams, dbm_to_watts
@@ -42,7 +42,6 @@ class TargetSpec:
 @dataclass
 class FlightConfig:
     gains: ControlGains = field(default_factory=ControlGains)
-    apf: ApfParams = field(default_factory=ApfParams)
     dt_s: float = 0.01
     horizon_s: float = 60.0
     controller: str = "log"
@@ -277,8 +276,9 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     fl = root.child("flight")
     fl.require("seed")
     apf = fl.child("apf")
-    flight = _build(FlightConfig, fl, _FLIGHT, gains=_build(ControlGains, fl, _GAINS),
-                    apf=_build(ApfParams, apf, _APF))
+    # one record of the flight law from both sections, the flight keys read first
+    gains = _invariant(lambda: ControlGains(**fl.take(_GAINS), **apf.take(_APF)), fl.path)
+    flight = _build(FlightConfig, fl, _FLIGHT, gains=gains)
     apf.reject_unknown()
     fl.reject_unknown()
     root.reject_unknown()

@@ -6,7 +6,8 @@ carries the absolute position term toward its desired slot, so the
 swarm tracks the target through the leader. Member 0 is also the fusion
 receiver of `fov` and `radio`. The APF controller attracts every member
 to its own absolute slot and adds short-range pairwise repulsion. Every
-member has the same mass m.
+member has the same mass m. One `ControlGains` holds the seven constants
+of all three laws: k1, k2, kp, m, and the APF law's ka, kr and d0.
 
 The logarithmic law saturates: each edge contributes at most k1/2 of
 force regardless of the formation error, which is what bounds control
@@ -62,31 +63,22 @@ def step_count(dt: float, horizon: float) -> int:
 
 @dataclass
 class ControlGains:
-    k1: float = 4.0
-    k2: float = 1.5
-    kp: float = 10.0
+    """The seven constants of the flight law, each positive and finite."""
+
+    k1: float = 4.0     # edge gain of the log and quad laws
+    k2: float = 1.5     # damping of the velocity error, all three laws
+    kp: float = 10.0    # the leader's pull toward its slot, log and quad
     mass: float = 1.0   # kg, every member's
+    ka: float = 10.0    # APF slot attraction
+    kr: float = 5.0     # APF repulsion strength
+    d0: float = 2.0     # APF repulsion activation distance, m
 
     def __post_init__(self):
-        if not all(g > 0 for g in (self.k1, self.k2, self.kp)):   # NaN is not positive
+        constants = list(vars(self).values())
+        if not all(g > 0 for g in constants):   # NaN is not positive
             raise ValueError("gains must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if not np.isfinite([self.k1, self.k2, self.kp, self.mass]).all():
+        if not np.isfinite(constants).all():
             raise ValueError("gains and mass must be finite")
-
-
-@dataclass
-class ApfParams:
-    ka: float = 10.0    # slot attraction
-    kr: float = 5.0     # repulsion strength
-    d0: float = 2.0     # repulsion activation distance, m
-
-    def __post_init__(self):
-        if not all(x > 0 for x in (self.ka, self.kr, self.d0)):   # NaN is not positive
-            raise ValueError("APF parameters must be positive")
-        if not np.isfinite([self.ka, self.kr, self.d0]).all():
-            raise ValueError("APF parameters must be finite")
 
 
 @dataclass
@@ -129,7 +121,6 @@ def simulate(
     velocity: np.ndarray,
     dt: float,
     horizon: float,
-    apf: ApfParams,
 ) -> Trajectory:
     """Fixed-step rollout from t = 0 of `start` = (positions, velocities),
     two (R, n, 3) arrays, one run per leading row, toward `formation`
@@ -162,7 +153,7 @@ def simulate(
     steps = step_count(dt, horizon)
     slots = formation.positions - formation.target
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
-        controller, slots, gains, apf, velocity, positions, velocities,
+        controller, slots, gains, velocity, positions, velocities,
         formation.target + 0.0 * velocity, dt, steps)
     if not all(np.isfinite(a).all() for a in (final, lyap, path, vel_err)):
         raise FloatingPointError("flight went non-finite during rollout, e.g. from "

@@ -42,6 +42,10 @@ class FovSpec:
     def __post_init__(self):
         if not (0.0 < self.gamma < np.pi and 0.0 < self.kappa < np.pi):
             raise ValueError("FOV angles must lie in (0, pi)")
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (self.n_dirs, self.k_sectors)):
+            raise ValueError("n_dirs and k_sectors must be integers, "
+                             f"got {self.n_dirs!r} and {self.k_sectors!r}")
         if not 4 <= self.n_dirs <= MAX_DIRS:
             raise ValueError(f"need 4 to {MAX_DIRS} probe directions, got {self.n_dirs}")
         if not 1 <= self.k_sectors <= MAX_DIRS:
@@ -50,6 +54,8 @@ class FovSpec:
             raise ValueError("distance weight must be non-negative")
         if self.d_max <= 0:
             raise ValueError("max perception range must be positive")
+        if not np.isfinite([self.d_max, self.lam, self.eta_min_db]).all():
+            raise ValueError("FOV range, distance weight and SINR floor must be finite")
 
 
 @dataclass

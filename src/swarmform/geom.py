@@ -47,6 +47,8 @@ class Formation:
                 and yaws.shape == lidar.shape == (len(p),)):
             raise ValueError("need finite positions (n, 3), yaws (n,) and sensor flags (n,), "
                              f"got shapes {p.shape}, {yaws.shape} and {lidar.shape}")
+        if not np.isfinite(yaws).all():
+            raise ValueError(f"yaws must be finite, got {yaws}")
         target = np.asarray(self.target, dtype=float)
         if target.shape != (3,) or not np.isfinite(target).all():
             raise ValueError(f"target must be a finite 3-vector, got {target}")

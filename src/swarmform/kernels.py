@@ -4,15 +4,15 @@ candidate and one rollout, all over a batch of runs.
 A state is positions p and velocities v of shape (R, n, 3): R runs of
 the one swarm `swarmform.flight` describes (its shape, controllers and
 Lyapunov candidate), sharing its slots, gains and target. `forces`
-binds the slots, the gains, the APF parameters and the target's
-constant velocity vt once and returns one function of (p, v, target
-position tgt) that gives the (R, n, 3) control input of the chosen
-controller and the squared formation errors (R, n, n) it computed on
-the way. `lyapunov` gives the logarithmic Lyapunov candidate of states
-of any leading shape from those errors over the edges, the velocity
-errors and the leader's error. Both read the fields of
-`flight.ControlGains` and `flight.ApfParams` by name, so this module
-does not import `flight`. Each run is computed with the same
+binds the slots, the gains and the target's constant velocity vt once
+and returns one function of (p, v, target position tgt) that gives the
+(R, n, 3) control input of the chosen controller and the squared
+formation errors (R, n, n) it computed on the way. `lyapunov` gives the
+logarithmic Lyapunov candidate of states of any leading shape from
+those errors over the edges, the velocity errors and the leader's
+error. The law's seven constants (k1, k2, kp, mass, ka, kr, d0) come in
+one `flight.ControlGains`, whose fields both read by name, so this
+module does not import `flight`. Each run is computed with the same
 reductions, in the same order, as a batch of one, so a run's numbers do
 not depend on the other runs in its batch.
 
@@ -40,18 +40,18 @@ _BLOCK = 64
 NUMBA_ENABLED = False
 
 
-def forces(ctrl, slots, gains, apf, vt):
+def forces(ctrl, slots, gains, vt):
     """The force law of one swarm whose target moves at vt: a function
     (p, v, tgt) -> (u, sq) of a batch of states, p and v (R, n, 3), giving
     the control input u (R, n, 3) of controller `ctrl` and every pair's
     squared formation error sq (R, n, n), |e_ij|^2 with
     e_ij = p_i - p_j - (slot_i - slot_j). `gains` gives k1, k2 and kp,
-    and `apf` gives ka, kr and d0. Damping is -k2 * (v - vt).
+    and ka, kr and d0 for APF. Damping is -k2 * (v - vt).
 
     APF forces of members that coincide with another member are +inf on x.
     """
     k1, k2, kp = gains.k1, gains.k2, gains.kp
-    ka, kr, d0 = apf.ka, apf.kr, apf.d0
+    ka, kr, d0 = gains.ka, gains.kr, gains.d0
     n = len(slots)
     slot_diff = slots[:, None, :] - slots[None, :, :]
     diag = np.arange(n)
@@ -101,8 +101,8 @@ def lyapunov(edge_sq, dv, err_l, gains):
             + 0.5 * gains.kp * np.matmul(err_l[..., None, :], err_l[..., :, None])[..., 0, 0])
 
 
-def rollout(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
-    """Fly R runs of `forces(ctrl, slots, gains, apf, vt)` with every
+def rollout(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps):
+    """Fly R runs of `forces(ctrl, slots, gains, vt)` with every
     member's mass `gains.mass`, for `steps` steps of `dt` from (p0, v0),
     both (R, n, 3), the target moving from tgt0 at vt.
 
@@ -122,7 +122,7 @@ def rollout(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
     in any run leaves that run's state non-finite for the rest of the
     rollout, so it shows in p_final.
     """
-    evaluate = forces(ctrl, slots, gains, apf, vt)
+    evaluate = forces(ctrl, slots, gains, vt)
     mass = gains.mass
     runs, n = p0.shape[:2]
     # edges i < j as flat indices; np.take keeps each run's row contiguous,

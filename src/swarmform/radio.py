@@ -41,6 +41,8 @@ class RadioParams:
             raise ValueError("rho0, tx_power and noise_power must be positive")
         if self.alpha < 1:
             raise ValueError(f"path-loss exponent must be >= 1, got {self.alpha}")
+        if not np.isfinite([self.rho0, self.alpha, self.tx_power, self.noise_power]).all():
+            raise ValueError("radio parameters must be finite")
 
 
 def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:

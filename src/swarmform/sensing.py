@@ -67,6 +67,8 @@ class SensorModels:
         if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *self.camera_cov,
                             *self.lidar_cov, self.eps]).all():
             raise ValueError("sensor models must be finite")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
 
 
 def fims(rows: Formation, models: SensorModels) -> np.ndarray:

@@ -48,7 +48,7 @@ from itertools import combinations
 import numpy as np
 
 from swarmform import fov, kernels
-from swarmform.flight import ApfParams, ControlGains
+from swarmform.flight import ControlGains
 from swarmform.fov import (
     _ANGLE_TOL,
     _DEGENERATE_XY,
@@ -540,7 +540,7 @@ def stacked(states) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s.positions for s in states]), np.stack([s.velocities for s in states])
 
 
-def law(ctrl, slots, gains, apf, vt):
+def law(ctrl, slots, gains, vt):
     """The force law and the Lyapunov candidate from one evaluation per
     state, the form `rollout_per_step` steps with; `control` and
     `lyapunov_value` read it too.
@@ -550,13 +550,13 @@ def law(ctrl, slots, gains, apf, vt):
     the control input u (R, n, 3) of controller `ctrl` and the logarithmic
     Lyapunov candidate V (R,). Both come from one evaluation because they
     share the pairwise offsets. `gains` gives mass, k1, k2 and kp, and
-    `apf` gives ka, kr and d0. Damping is -k2 * (v - vt), and the kinetic
+    ka, kr and d0 for APF. Damping is -k2 * (v - vt), and the kinetic
     term of V is mass * sum_i |v_i - vt|^2 / 2.
 
     APF forces of members that coincide with another member are +inf on x.
     """
     mass, k1, k2, kp = gains.mass, gains.k1, gains.k2, gains.kp
-    ka, kr, d0 = apf.ka, apf.kr, apf.d0
+    ka, kr, d0 = gains.ka, gains.kr, gains.d0
     n = len(slots)
     slot_diff = slots[:, None, :] - slots[None, :, :]
     # edges i < j as flat indices; np.take keeps each run's row contiguous,
@@ -599,12 +599,12 @@ def law(ctrl, slots, gains, apf, vt):
     return evaluate
 
 
-def rollout_per_step(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
+def rollout_per_step(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps):
     """`kernels.rollout` as a loop that records every output at every
     step, with the arguments and the return of `kernels.rollout`; the
     block-reduced rollout must equal it bit for bit.
 
-    Fly R runs of `law(ctrl, slots, gains, apf, vt)` with every member's
+    Fly R runs of `law(ctrl, slots, gains, vt)` with every member's
     mass `gains.mass`, for `steps` steps of `dt` from (p0, v0), both
     (R, n, 3), the target moving from tgt0 at vt.
 
@@ -620,7 +620,7 @@ def rollout_per_step(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
     A non-finite force in any run leaves that run's state non-finite for
     the rest of the rollout, so it shows in p_final.
     """
-    evaluate = law(ctrl, slots, gains, apf, vt)
+    evaluate = law(ctrl, slots, gains, vt)
     mass = gains.mass
     runs, n = p0.shape[:2]
     P = np.empty((steps + 1, n, 3))
@@ -656,31 +656,29 @@ def rollout_per_step(ctrl, slots, gains, apf, vt, p0, v0, tgt0, dt, steps):
 
 
 def _law_at(state: SwarmState, formation: Formation, velocity: np.ndarray, controller: str,
-            gains: ControlGains, apf: ApfParams | None):
+            gains: ControlGains):
     """(control input (n, 3), Lyapunov candidate) of `law` bound as
     `flight.simulate` binds it toward `formation`, whose target moves at
     `velocity`, on the complete graph led by member 0, evaluated at
     `state` as a batch of one."""
-    apf = apf or ApfParams()
     velocity = np.asarray(velocity, dtype=float)
-    evaluate = law(controller, formation.positions - formation.target, gains, apf,
-                           velocity)
+    evaluate = law(controller, formation.positions - formation.target, gains, velocity)
     u, lyap = evaluate(state.positions[None], state.velocities[None],
                        formation.target + state.time * velocity)
     return u[0], float(lyap[0])
 
 
 def control(state: SwarmState, formation: Formation, velocity: np.ndarray, controller: str,
-            gains: ControlGains, apf: ApfParams | None = None) -> np.ndarray:
+            gains: ControlGains) -> np.ndarray:
     """Control input of `controller` at `state`, as `simulate` applies it.
 
     log: saturating per-edge force k1*e/(1+|e|^2); quad: linear per-edge
     force k1*e; both pull the leader toward its slot with kp. apf: every
-    member attracted to its own slot with apf.ka, plus pairwise repulsion
-    within apf.d0. All three damp the velocity error against the target,
+    member attracted to its own slot with gains.ka, plus pairwise repulsion
+    within gains.d0. All three damp the velocity error against the target,
     -gains.k2 * (v - velocity).
     """
-    u, _ = _law_at(state, formation, velocity, controller, gains, apf)
+    u, _ = _law_at(state, formation, velocity, controller, gains)
     if not np.isfinite(u).all():
         raise FloatingPointError("non-finite control force, e.g. from coincident UAVs under APF")
     return u
@@ -689,7 +687,7 @@ def control(state: SwarmState, formation: Formation, velocity: np.ndarray, contr
 def lyapunov_value(state: SwarmState, formation: Formation, velocity: np.ndarray,
                    gains: ControlGains) -> float:
     """Lyapunov candidate of the logarithmic controller at `state`."""
-    return _law_at(state, formation, velocity, "log", gains, None)[1]
+    return _law_at(state, formation, velocity, "log", gains)[1]
 
 
 def step(state: SwarmState, forces: np.ndarray, mass: float, dt: float) -> SwarmState:

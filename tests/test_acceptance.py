@@ -38,7 +38,7 @@ from swarmform.alloc import (
 )
 from swarmform.cli import main
 from swarmform.config import parse_scenario
-from swarmform.flight import ApfParams, ControlGains, metrics, simulate
+from swarmform.flight import ControlGains, metrics, simulate
 from swarmform.fov import (
     FovSpec,
     coverage,
@@ -227,8 +227,7 @@ def test_criterion_09_lyapunov_decrease_and_convergence():
     gains = ControlGains(k1=4.0, k2=1.5, kp=10.0)
     p0 = np.stack([np.random.default_rng(seed).uniform(-15.0, 15.0, (6, 3))
                    for seed in range(20)])
-    traj = simulate((p0, np.zeros_like(p0)), f, "log", gains, np.zeros(3), 0.01, 60.0,
-                    ApfParams())
+    traj = simulate((p0, np.zeros_like(p0)), f, "log", gains, np.zeros(3), 0.01, 60.0)
     worst_step = float(np.diff(traj.lyapunov, axis=1).max())
     errs = metrics(traj).avg_final_pos_err
     elapsed = time.time() - start
@@ -260,7 +259,7 @@ def _benchmark_means():
     fl, f, vt, starts = _benchmark()
     out = {}
     for ctrl in ("log", "quad", "apf"):
-        m = metrics(simulate(starts, f, ctrl, fl.gains, vt, fl.dt_s, fl.horizon_s, fl.apf))
+        m = metrics(simulate(starts, f, ctrl, fl.gains, vt, fl.dt_s, fl.horizon_s))
         out[ctrl] = {
             "dist": float(np.mean(m.avg_distance)),
             "ferr": float(np.mean(m.avg_final_pos_err)),
@@ -304,7 +303,7 @@ def test_criterion_10b_controller_ranking_final_pos_err():
     assert e["quad"] < e["apf"], f"quadratic < APF leg violated: {e}"
     start = time.time()
     fl, f, vt, starts = _benchmark()
-    traj = simulate(starts, f, "log", fl.gains, vt, fl.dt_s, 60.0, fl.apf)
+    traj = simulate(starts, f, "log", fl.gains, vt, fl.dt_s, 60.0)
     worst_step = float(np.diff(traj.lyapunov, axis=1).max())
     errs = metrics(traj).avg_final_pos_err
     elapsed = time.time() - start
@@ -333,9 +332,22 @@ def test_criterion_11_paper_headline_ledger():
     - Energy: the relative change of flight energy. Paper: -47.2%. No
       energy metric exists yet, so this row is not measured.
 
+    Two more SINR readings print beside the ledger, each taken from the
+    formation report's "Before" and "After" sections; the paper gives
+    neither:
+
+    - minimum SINR: the lowest SINR in dB over the same links, the
+      report's "Min. SINR (dB)";
+    - mean SINR in dB: the mean over the same links of each link's SINR
+      in dB, the report's "Avg. SINR (dB)". Averaging in dB weighs every
+      link alike, so one strong link cannot carry it as it carries the
+      mean linear SINR.
+
     Only the coverage row is asserted. The other two print as known gaps:
     the SINR row does not reproduce (flips move members away from the hub),
-    and the energy row waits for an energy metric.
+    and the energy row waits for an energy metric. No SINR reading is
+    asserted: the two extra readings were chosen after their numbers were
+    seen.
     """
     scenario = parse_scenario(resources.files("swarmform") / "scenarios"
                               / "paper_default.json")
@@ -356,6 +368,10 @@ def test_criterion_11_paper_headline_ledger():
     print()
     for claim, paper, measured, status in rows:
         print(f"[criterion 11] {claim}: paper {paper}, measured {measured}: {status}")
+    for reading, key in (("minimum SINR", "Min. SINR (dB)"),
+                         ("mean SINR in dB", "Avg. SINR (dB)")):
+        print(f"[criterion 11] {reading}: {doc['Before'][key]:.2f} -> {doc['After'][key]:.2f} dB "
+              "(not in the paper; not asserted)")
     assert f"{g1 / g0 - 1:+.1%}" == "+25.0%"
     assert (round(g0, 3), round(g1, 3)) == (22.684, 28.355)
     _report(11, f"coverage gain {g1 / g0 - 1:+.1%} matches the paper's +25.0%; "

@@ -15,7 +15,7 @@ from conftest import slotted
 from oracles import write_trace_csv
 from swarmform import cli
 from swarmform.cli import main
-from swarmform.flight import ApfParams, ControlGains, simulate
+from swarmform.flight import ControlGains, simulate
 
 
 def scenario(name):
@@ -107,6 +107,33 @@ class TestFly:
         mean = report["Flight"]["Mean"]
         assert mean["Max. Velocity Err."] == 0.1
         assert mean["Avg. Velocity Err."] == pytest.approx(0.1, rel=1e-15)
+
+    def test_apf_constants_reach_the_law(self, tmp_path, monkeypatch):
+        # flight.apf is read into the one ControlGains the rollout flies with
+        real_simulate = cli.simulate
+        flown = []
+
+        def recording(start, formation, controller, gains, *args):
+            flown.append(gains)
+            return real_simulate(start, formation, controller, gains, *args)
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["flight"]["horizon_s"] = 2.0
+        flights = {}
+        for name, apf in (("default", {}), ("custom", {"ka": 2.5, "kr": 7.0, "d0_m": 3.0})):
+            doc["flight"]["apf"] = apf
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(doc))
+            code, report = run(tmp_path / name, "fly", "--scenario", str(p),
+                               "--controller", "apf")
+            assert code == 0
+            flights[name] = report["Flight"]
+        default, custom = flown
+        assert (default.ka, default.kr, default.d0) == (10.0, 5.0, 2.0)
+        assert (custom.ka, custom.kr, custom.d0) == (2.5, 7.0, 3.0)
+        assert flights["custom"] != flights["default"]
 
     def test_one_uav_stops_before_flight(self, tmp_path, capsys):
         doc = json.loads((resources.files("swarmform") / "scenarios"
@@ -605,7 +632,7 @@ def _flown(n, steps, controller="log"):
     p0 = formation.positions + rng.uniform(-5.0, 5.0, (n, 3))
     v0 = rng.uniform(-1.0, 1.0, (n, 3))
     return simulate((p0[None], v0[None]), formation, controller, ControlGains(), np.zeros(3),
-                    0.01, steps * 0.01, ApfParams())
+                    0.01, steps * 0.01)
 
 
 class TestTraceWriter:

@@ -51,7 +51,7 @@ class TestScenarioParsing:
         s = parse_scenario(scenario_path("flight_benchmark.json"))
         assert s.target.velocity == pytest.approx([0.5, 0.3, 0.0])
         assert s.flight.runs == 20
-        assert s.flight.apf.ka == 1.0
+        assert (s.flight.gains.ka, s.flight.gains.kr, s.flight.gains.d0) == (1.0, 5.0, 2.0)
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ScenarioError, match="radio.bogus"):

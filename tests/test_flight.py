@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,28 +10,35 @@ from conftest import slotted
 from oracles import SwarmState, control, lyapunov_value, rollout_per_step, stacked, step
 from rollout_oracle import rollout_loops
 from swarmform import kernels
+from swarmform.alloc import AllocWeights, GridSpec, ResourceModel
 from swarmform.flight import (
     CONTROLLERS,
     MAX_STEPS,
-    ApfParams,
     ControlGains,
     FlightMetrics,
     metrics,
     simulate,
     step_count,
 )
+from swarmform.fov import FovSpec
+from swarmform.geom import Formation
+from swarmform.radio import RadioParams
+from swarmform.sensing import SensorModels
 
 SLOTS = np.array([
     [9.4, 0.0, 3.4], [0.0, 9.4, 3.4], [7.2, 6.0, 3.4],
     [-4.7, 8.1, 3.4], [9.3, -1.6, 3.4], [-1.6, -9.3, 3.4],
 ])
 STILL = np.zeros(3)   # a stationary target's velocity
-APF = ApfParams()
-# the parameters of the direct `kernels.rollout` tests
-ROLLOUT_GAINS = ControlGains(k1=4.0, k2=1.5, kp=10.0, mass=1.3)
-ROLLOUT_APF = ApfParams(ka=3.0, kr=5.0, d0=2.0)
+# the gains of the direct `kernels.rollout` tests
+ROLLOUT_GAINS = ControlGains(k1=4.0, k2=1.5, kp=10.0, mass=1.3, ka=3.0, kr=5.0, d0=2.0)
 # the names of the arrays `kernels.rollout` returns, in order
 ROLLOUT_OUTPUTS = ("P", "V", "U", "lyap", "path", "vel_err", "p_final")
+
+
+def two_cameras(yaws):
+    """A two-camera `Formation` with these yaws."""
+    return Formation(np.eye(2, 3), yaws, [False, False], np.zeros(3))
 
 
 def _equal_or_both_nan(a, b):
@@ -66,7 +74,7 @@ class TestControllers:
         assert np.allclose(control(state, formation, STILL, "quad", gains), 0.0)
         # two slots sit 1.6 m apart, so keep d0 below that for the
         # repulsion-free equilibrium check
-        assert np.allclose(control(state, formation, STILL, "apf", gains, ApfParams(d0=1.5)),
+        assert np.allclose(control(state, formation, STILL, "apf", ControlGains(d0=1.5)),
                            0.0)
 
     def test_log_follower_saturates(self, gains):
@@ -98,21 +106,21 @@ class TestControllers:
                 >= np.linalg.norm(u_log[followers], axis=1) - 1e-9).all()
 
     def test_apf_repulsion_magnitude(self):
-        apf = ApfParams(ka=1.0, kr=5.0, d0=2.0)
+        gains = ControlGains(ka=1.0, kr=5.0, d0=2.0)
         pair = slotted([[0.0, 0, 0], [1.0, 0, 0]])
         # both on their slots, separated by d0/2: only repulsion remains
         p = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        u = control(SwarmState(p, np.zeros((2, 3))), pair, STILL, "apf", ControlGains(), apf)
-        expected = apf.kr * (1 / 1.0 - 1 / apf.d0) / 1.0 ** 2
+        u = control(SwarmState(p, np.zeros((2, 3))), pair, STILL, "apf", gains)
+        expected = gains.kr * (1 / 1.0 - 1 / gains.d0) / 1.0 ** 2
         assert u[1] == pytest.approx([expected, 0, 0])
         assert u[0] == pytest.approx([-expected, 0, 0])
 
     def test_apf_inactive_beyond_d0(self):
-        apf = ApfParams(ka=2.0, kr=5.0, d0=2.0)
+        gains = ControlGains(ka=2.0, kr=5.0, d0=2.0)
         pair = slotted([[0.0, 0, 0], [5.0, 0, 0]])
         p = np.array([[1.0, 0, 0], [4.0, 0, 0]])
-        u = control(SwarmState(p, np.zeros((2, 3))), pair, STILL, "apf", ControlGains(), apf)
-        assert u[0] == pytest.approx([-apf.ka * 1.0, 0, 0])
+        u = control(SwarmState(p, np.zeros((2, 3))), pair, STILL, "apf", gains)
+        assert u[0] == pytest.approx([-gains.ka * 1.0, 0, 0])
 
     def test_apf_coincident_rejected(self):
         pair = slotted([[0.0, 0, 0], [1.0, 0, 0]])
@@ -124,8 +132,11 @@ class TestControllers:
         with pytest.raises(ValueError):
             ControlGains(k1=0.0)
         for mass in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="mass must be positive"):
+            with pytest.raises(ValueError, match="gains must be positive"):
                 ControlGains(mass=mass)
+        for field in ("ka", "kr", "d0"):
+            with pytest.raises(ValueError, match="gains must be positive"):
+                ControlGains(**{field: 0.0})
 
     @pytest.mark.parametrize("record, field, value, message", [
         (ControlGains, "k1", np.nan, "gains must be positive"),
@@ -133,9 +144,25 @@ class TestControllers:
         (ControlGains, "k2", np.nan, "gains must be positive"),
         (ControlGains, "kp", np.nan, "gains must be positive"),
         (ControlGains, "mass", np.inf, "gains and mass must be finite"),
-        (ApfParams, "d0", np.nan, "APF parameters must be positive"),
-        (ApfParams, "ka", np.inf, "APF parameters must be finite"),
-        (ApfParams, "kr", np.nan, "APF parameters must be positive"),
+        (ControlGains, "d0", np.nan, "gains must be positive"),
+        (ControlGains, "ka", np.inf, "gains and mass must be finite"),
+        (ControlGains, "kr", np.nan, "gains must be positive"),
+        (ResourceModel, "cost_lidar", np.nan, "resource blocks and costs must be finite"),
+        (AllocWeights, "alpha_cost", np.nan, "penalty weights and min_gain must be finite"),
+        (AllocWeights, "min_gain", np.nan, "penalty weights and min_gain must be finite"),
+        (AllocWeights, "max_uavs", 2.5, r"max_uavs must be an integer, got 2\.5"),
+        (AllocWeights, "max_uavs", True, "max_uavs must be an integer, got True"),
+        (FovSpec, "lam", np.nan, "FOV range, distance weight and SINR floor must be finite"),
+        (FovSpec, "eta_min_db", np.nan,
+         "FOV range, distance weight and SINR floor must be finite"),
+        (FovSpec, "n_dirs", 72.5, "n_dirs and k_sectors must be integers, got 72.5 and 8"),
+        (FovSpec, "k_sectors", 8.5, "n_dirs and k_sectors must be integers, got 72 and 8.5"),
+        (GridSpec, "distance", np.inf, "grid distance and steps must be finite"),
+        (two_cameras, "yaws", [np.nan, 0.0], r"yaws must be finite, got \[nan  0\.\]"),
+        (two_cameras, "yaws", [np.inf, 0.0], r"yaws must be finite, got \[inf  0\.\]"),
+        (SensorModels, "eps", 0.0, "eps must be positive"),
+        (SensorModels, "eps", -1.0, "eps must be positive"),
+        (RadioParams, "alpha", np.inf, "radio parameters must be finite"),
     ])
     def test_non_finite_parameters_refused(self, record, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -178,7 +205,7 @@ class TestLyapunov:
     def test_monotone_under_log_control(self, formation, gains):
         state = perturbed_state(formation, seed=3, amp=10.0)
         state = SwarmState(state.positions, np.zeros((len(formation), 3)))
-        traj = simulate(stacked([state]), formation, "log", gains, STILL, 0.01, 10.0, APF)
+        traj = simulate(stacked([state]), formation, "log", gains, STILL, 0.01, 10.0)
         assert np.diff(traj.lyapunov).max() <= 1e-6
         assert traj.lyapunov[0, 0] == pytest.approx(lyapunov_value(state, formation, STILL,
                                                                     gains))
@@ -192,42 +219,42 @@ class TestLyapunov:
         starts = [SwarmState(rng.uniform(-15.0, 15.0, (n, 3)), np.zeros((n, 3)))
                   for _ in range(5)]
         traj = simulate(stacked(starts), formation, "log", ControlGains(mass=mass), STILL,
-                        0.01, 20.0, APF)
+                        0.01, 20.0)
         assert np.diff(traj.lyapunov).max() <= 1e-6
 
 
 class TestSimulate:
     def test_converged_start_stays(self, formation, gains):
         traj = simulate(stacked([equilibrium_state(formation)]), formation, "log", gains, STILL,
-                        0.01, 1.0, APF)
+                        0.01, 1.0)
         drift = np.abs(np.diff(traj.positions, axis=0)).max()
         assert drift < 1e-9
 
     def test_bitwise_deterministic(self, formation, gains):
         s = stacked([perturbed_state(formation, seed=4)])
-        t1 = simulate(s, formation, "quad", gains, STILL, 0.01, 2.0, APF)
-        t2 = simulate(s, formation, "quad", gains, STILL, 0.01, 2.0, APF)
+        t1 = simulate(s, formation, "quad", gains, STILL, 0.01, 2.0)
+        t2 = simulate(s, formation, "quad", gains, STILL, 0.01, 2.0)
         assert (t1.positions == t2.positions).all()
         assert (t1.lyapunov == t2.lyapunov).all()
 
     def test_unknown_controller(self, formation, gains):
         with pytest.raises(ValueError):
             simulate(stacked([equilibrium_state(formation)]), formation, "pid", gains, STILL,
-                     0.01, 1.0, APF)
+                     0.01, 1.0)
 
     def test_refuses_bad_starts(self, formation, gains):
         p, v = stacked([perturbed_state(formation, seed=9)])
         for bad, message in (((p, v[:, :-1]), "must both be"), ((p[0], v[0]), "must both be"),
                              ((p[:0], v[:0]), "no run"), ((p[:, :-1], v[:, :-1]), "disagree")):
             with pytest.raises(ValueError, match=message):
-                simulate(bad, formation, "log", gains, STILL, 0.01, 0.1, APF)
+                simulate(bad, formation, "log", gains, STILL, 0.01, 0.1)
         p[0, 2, 1] = np.nan
         with pytest.raises(ValueError, match="swarm state must be finite"):
-            simulate((p, v), formation, "log", gains, STILL, 0.01, 0.1, APF)
+            simulate((p, v), formation, "log", gains, STILL, 0.01, 0.1)
         for controller in CONTROLLERS:   # refused by name, not an IndexError in the rollout
             with pytest.raises(ValueError, match="empty swarm"):
                 simulate((p[:, :0], v[:, :0]), slotted(np.zeros((0, 3))), controller, gains,
-                         STILL, 0.01, 0.1, APF)
+                         STILL, 0.01, 0.1)
 
     @pytest.mark.parametrize("velocity", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
                                           [0.5, 0.3], [[0.5, 0.3, 0.1]], 0.5])
@@ -235,14 +262,14 @@ class TestSimulate:
         # refused by name, before the rollout could blame coincident UAVs
         with pytest.raises(ValueError, match="velocity must be a finite 3-vector"):
             simulate(stacked([equilibrium_state(formation)]), formation, "log", gains,
-                     velocity, 0.01, 0.1, APF)
+                     velocity, 0.01, 0.1)
 
     @pytest.mark.parametrize("dt, horizon", [(1.0, 0.1), (0.01, 1e9), (1e-300, 1e300),
                                              (0.01, 0.0), (-0.01, 1.0)])
     def test_refuses_step_counts_out_of_bounds(self, formation, gains, dt, horizon):
         with pytest.raises(ValueError):
             simulate(stacked([equilibrium_state(formation)]), formation, "log", gains, STILL,
-                     dt, horizon, APF)
+                     dt, horizon)
 
     def test_step_count_edges(self):
         assert step_count(1.0, 0.6) == 1
@@ -257,7 +284,7 @@ class TestSimulate:
         # errors would reach the report as inf
         p, v = stacked([perturbed_state(formation, seed=10)])
         with pytest.raises(FloatingPointError):
-            simulate((1e200 * p, v), formation, "log", gains, STILL, 0.01, 0.1, APF)
+            simulate((1e200 * p, v), formation, "log", gains, STILL, 0.01, 0.1)
 
     def test_matches_python_controllers(self, formation, gains):
         # one kernel step reproduces the per-step controller + integrator,
@@ -266,7 +293,7 @@ class TestSimulate:
         for f, vt in ((formation, STILL), moving):
             s = perturbed_state(f, seed=5)
             for name in ("log", "quad", "apf"):
-                traj = simulate(stacked([s]), f, name, gains, vt, 0.01, 0.01, APF)
+                traj = simulate(stacked([s]), f, name, gains, vt, 0.01, 0.01)
                 expected = step(s, control(s, f, vt, name, gains), gains.mass, 0.01)
                 assert np.allclose(traj.positions[1], expected.positions, atol=1e-12)
                 assert np.allclose(traj.velocities[1], expected.velocities, atol=1e-12)
@@ -283,7 +310,7 @@ class TestSimulate:
         vdes = np.array([0.5, 0.3, 0.1])
         tgt0 = np.array([1.0, -2.0, 0.5])
         P, V, U, L, path, vel_err, final = kernels.rollout(
-            ctrl, SLOTS, ROLLOUT_GAINS, ROLLOUT_APF, vdes, p0, v0, tgt0, 0.01, 200)
+            ctrl, SLOTS, ROLLOUT_GAINS, vdes, p0, v0, tgt0, 0.01, 200)
         for r in range(3):
             # mass, then k1, k2, kp, ka, kr, d0
             Pr, Vr, Ur, Lr = rollout_loops(p0[r], v0[r], SLOTS, 1.3, ctrl,
@@ -342,7 +369,7 @@ class TestSimulate:
         v0 = np.stack([s.velocities for s in starts])
         p0[:, 1] = p0[:, 0] + [0.6, 0.3, 0.0]
         vdes = np.array([0.5, 0.3, 0.1])
-        out = kernels.rollout(ctrl, SLOTS, ROLLOUT_GAINS, ROLLOUT_APF, vdes, p0, v0,
+        out = kernels.rollout(ctrl, SLOTS, ROLLOUT_GAINS, vdes, p0, v0,
                               np.array([1.0, -2.0, 0.5]), 0.01, 200)
         digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
                         for a in out)
@@ -357,7 +384,7 @@ class TestSimulate:
         p0 = np.stack([s.positions for s in starts])
         v0 = np.stack([s.velocities for s in starts])
         p0[run, 3] = p0[run, 1]
-        args = ("apf", SLOTS, ROLLOUT_GAINS, ROLLOUT_APF, np.array([0.5, 0.3, 0.1]), p0, v0,
+        args = ("apf", SLOTS, ROLLOUT_GAINS, np.array([0.5, 0.3, 0.1]), p0, v0,
                 np.array([1.0, -2.0, 0.5]), 0.01, 2 * kernels._BLOCK + 1)
         out = kernels.rollout(*args)
         for name, a, b in zip(ROLLOUT_OUTPUTS, out, rollout_per_step(*args)):
@@ -372,7 +399,7 @@ class TestSimulate:
         p[1] = p[0]
         starts[2] = SwarmState(p, starts[2].velocities)
         with pytest.raises(FloatingPointError):
-            simulate(stacked(starts), formation, "apf", gains, STILL, 0.01, 0.5, APF)
+            simulate(stacked(starts), formation, "apf", gains, STILL, 0.01, 0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,7 +416,7 @@ def test_rollout_equals_per_step_loop(n, runs, steps, ctrl, moving, mass, seed):
     rng = np.random.default_rng(seed)
     slots = rng.uniform(-10.0, 10.0, (n, 3))
     vt = rng.uniform(-1.0, 1.0, 3) if moving else STILL
-    args = (ctrl, slots, ControlGains(mass=mass), ROLLOUT_APF, vt,
+    args = (ctrl, slots, replace(ROLLOUT_GAINS, mass=mass), vt,
             rng.uniform(-15.0, 15.0, (runs, n, 3)), rng.uniform(-1.0, 1.0, (runs, n, 3)),
             rng.uniform(-5.0, 5.0, 3), 0.01, steps)
     for name, a, b in zip(ROLLOUT_OUTPUTS, kernels.rollout(*args), rollout_per_step(*args)):
@@ -408,10 +435,10 @@ def test_batch_runs_equal_runs_flown_alone(seeds, controller, data):
     formation, vt = slotted(SLOTS, [1.0, -2.0, 0.5]), np.array([0.5, 0.3, 0.1])
     gains = ControlGains(mass=1.3)
     starts = [perturbed_state(formation, seed=seed) for seed in seeds]
-    batch = simulate(stacked(starts), formation, controller, gains, vt, 0.01, 0.5, APF)
+    batch = simulate(stacked(starts), formation, controller, gains, vt, 0.01, 0.5)
     batch_metrics = _metric_values(metrics(batch))
     for r, start in enumerate(starts):
-        alone = simulate(stacked([start]), formation, controller, gains, vt, 0.01, 0.5, APF)
+        alone = simulate(stacked([start]), formation, controller, gains, vt, 0.01, 0.5)
         if r == 0:
             assert (batch.positions == alone.positions).all()
             assert (batch.velocities == alone.velocities).all()
@@ -421,7 +448,7 @@ def test_batch_runs_equal_runs_flown_alone(seeds, controller, data):
 
     order = data.draw(st.permutations(range(len(starts))))
     permuted = simulate(stacked([starts[i] for i in order]), formation, controller, gains, vt,
-                        0.01, 0.5, APF)
+                        0.01, 0.5)
     assert (permuted.lyapunov == batch.lyapunov[order]).all()
     assert (permuted.path_length == batch.path_length[order]).all()
     assert (permuted.vel_err == batch.vel_err[order]).all()
@@ -440,7 +467,7 @@ def test_lyapunov_never_rises_on_connected_graphs(n, mass, seed):
     vt = rng.uniform(-1.0, 1.0, 3)
     p0 = formation.target + rng.uniform(-15.0, 15.0, (3, n, 3))
     v0 = rng.uniform(-1.0, 1.0, (3, n, 3))
-    traj = simulate((p0, v0), formation, "log", ControlGains(mass=mass), vt, 0.01, 10.0, APF)
+    traj = simulate((p0, v0), formation, "log", ControlGains(mass=mass), vt, 0.01, 10.0)
     assert np.diff(traj.lyapunov, axis=1).max() <= 1e-6
 
 
@@ -449,14 +476,14 @@ class TestMetrics:
         # constant-velocity drift of 1 m/s for 10 s with matched slots
         vt = np.array([1.0, 0, 0])
         start = SwarmState(formation.positions, np.tile(vt, (len(formation), 1)))
-        m = metrics(simulate(stacked([start]), formation, "log", gains, vt, 0.01, 10.0, APF))
+        m = metrics(simulate(stacked([start]), formation, "log", gains, vt, 0.01, 10.0))
         assert m.avg_distance == pytest.approx([10.0])
         assert m.avg_vel_err == pytest.approx([0.0])
         assert m.avg_final_pos_err == pytest.approx([0.0], abs=1e-9)
 
     def test_aggregate_consistency(self, formation, gains):
         starts = stacked([perturbed_state(formation, seed=seed) for seed in (8, 9)])
-        m = metrics(simulate(starts, formation, "log", gains, STILL, 0.01, 3.0, APF))
+        m = metrics(simulate(starts, formation, "log", gains, STILL, 0.01, 3.0))
         assert m.avg_distance.shape == m.max_vel_err.shape == (2,)
         assert (m.max_vel_err >= m.avg_vel_err).all() and (m.avg_vel_err >= 0.0).all()
 
