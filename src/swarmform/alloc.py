@@ -20,7 +20,7 @@ is not monotone, so not even that bound applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class ResourceModel:
     cost_lidar: float = 1.0
 
     def __post_init__(self):
+        negative = [f"{k}={v}" for k, v in asdict(self).items() if v < 0]
+        if negative:   # a negative block or cost would turn its penalty into a bonus
+            raise ValueError("resource blocks and costs must be non-negative, got "
+                             + ", ".join(negative))
         if self.bandwidth_lidar * self.duration_lidar <= self.bandwidth_cam * self.duration_cam:
             raise ValueError("LiDAR resource block must exceed the camera's")
         if self.cost_lidar <= self.cost_cam:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import shutil
 import sys
 import tempfile
@@ -30,7 +31,7 @@ import numpy as np
 from .alloc import build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
 from .flight import CONTROLLERS, metrics, simulate
-from .fov import coverage, ground_constrain, optimize_formation
+from .fov import coverage, optimize_formation
 from .geom import DegenerateGeometryError, Formation
 from .radio import link_stats
 from .sensing import logdet_reg, total_fim
@@ -52,9 +53,11 @@ class _Parser(argparse.ArgumentParser):
 def _write_atomic(path: Path, newline: str | None = None):
     """Yield a text handle on a temp file beside `path`. When the block
     completes the temp file replaces `path`; when it raises, the temp file
-    is removed and `path` is left as it was."""
+    is removed and `path` is left as it was. The file's mode follows the
+    umask, as a plain `open` would give (`mkstemp`'s would be 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline=newline) as fh:
             yield fh
@@ -114,9 +117,8 @@ def _stage_allocate(scenario: Scenario) -> tuple[Formation, dict]:
 
 def _stage_formation(scenario: Scenario, allocated: Formation) -> tuple[Formation, dict]:
     before = _formation_stats(allocated, scenario)
-    optimized = optimize_formation(allocated, scenario.fov, scenario.radio)
-    if scenario.target.ground:
-        optimized = ground_constrain(optimized)
+    optimized = optimize_formation(allocated, scenario.fov, scenario.radio,
+                                   ground=scenario.target.ground)
     after = _formation_stats(optimized, scenario)
     doc = {
         "Before": before,

@@ -12,6 +12,9 @@ azimuth sectors, improving coverage while respecting a minimum-SINR
 constraint on the links into the fusion receiver, member 0. A flip
 pattern puts each member in one of two poses, so the search scores a
 whole matrix of patterns from each member's two cover rows and link powers.
+Under the ground constraint the search mirrors those poses above the
+target plane itself, so the floor holds for the poses it returns; the
+mirror keeps Gamma but not the FIM's log-det.
 """
 
 from __future__ import annotations
@@ -111,65 +114,71 @@ def flip(formation: Formation, flips=True) -> Formation:
                      lidar=formation.lidar, target=t)
 
 
-def flip_candidates(formation: Formation, spec: FovSpec) -> list[int]:
-    """Members eligible to flip: those sharing an azimuth sector with at
-    least one other member (flipping a lone occupant cannot spread the
-    formation; it just moves the crowding elsewhere). Sectors split
-    bearings in [0, 2*pi) into k_sectors equal arcs."""
+def flip_candidates(formation: Formation, spec: FovSpec) -> np.ndarray:
+    """(n,) mask of the members eligible to flip: those sharing an azimuth
+    sector with at least one other member (flipping a lone occupant cannot
+    spread the formation; it just moves the crowding elsewhere). Sectors
+    split bearings in [0, 2*pi) into k_sectors equal arcs."""
     rel = formation.positions - formation.target
     bearings = np.arctan2(rel[:, 1], rel[:, 0]) % (2.0 * np.pi)
     sectors = np.minimum(np.floor(bearings / (2.0 * np.pi / spec.k_sectors)).astype(int),
                          spec.k_sectors - 1)
-    return np.flatnonzero(np.bincount(sectors)[sectors] >= 2).tolist()
+    return np.bincount(sectors)[sectors] >= 2
 
 
-def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams) -> Formation:
+def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams,
+                       ground: bool = False) -> Formation:
     """Maximize Gamma over flips of sector-crowded members, subject to the
     minimum link SINR staying at or above eta_min.
+
+    With `ground`, the search starts from `ground_constrain(formation)` and
+    mirrors every flipped member back above the target plane too, so the
+    floor is checked on the poses it returns. Gamma reads only bearings and
+    horizontal ranges, so the mirror keeps it, but not the FIM's log-det
+    (on the bundled `paper_ground` scenario it falls from 16.482 to 16.414).
 
     If the input formation already violates eta_min, the constraint
     relaxes to "no worse than the input's minimum SINR", so coverage can
     still be optimized without degrading an already-stressed network. With
     three or more members a floor of 0 dB or more always relaxes (see `radio`).
 
-    The search state is a 0/1 flip pattern over the input's members. One
-    sweep loop scores `best ^ moves` from each member's two cover rows and
-    link powers, keeping, in row order, each feasible row that beats the
-    best Gamma by more than _ANGLE_TOL, until a sweep keeps nothing. The
-    moves are every nonempty gated pattern, by size, then lexicographically,
-    scored in one sweep (exact over this move set) when there are at most
-    EXHAUSTIVE_LIMIT; otherwise the single flips (steepest ascent). The
-    input itself comes back when nothing flips.
+    The search state is a 0/1 flip pattern over the input's members, and a
+    table holds each member's pose in either state (a member that may not
+    flip has its own pose in both). One sweep loop scores `best ^ moves`
+    from the table's cover rows and link powers, keeping, in row order,
+    each feasible row that beats the best Gamma by more than _ANGLE_TOL,
+    until a sweep keeps nothing. The moves are every nonempty gated
+    pattern, by size, then lexicographically, scored in one sweep (exact
+    over this move set) when there are at most EXHAUSTIVE_LIMIT; otherwise
+    the single flips (steepest ascent). The chosen pattern's rows come back.
     """
-    gated = flip_candidates(formation, spec)   # none for fewer than two members
-    if not gated:
+    mirror = ground_constrain if ground else (lambda f: f)
+    formation = mirror(formation)
+    gate = flip_candidates(formation, spec)   # none for fewer than two members
+    if not gate.any():
         return formation
 
     floor = min(spec.eta_min_db, link_stats(formation, radio)["min_db"])
     best_gamma = coverage(formation, spec).gamma_metric
-    members = np.arange(len(formation))
-    pos = np.stack([formation.positions, flip(formation).positions])  # (state, member, 3)
+    states = (formation, mirror(flip(formation, gate)))    # a member not gated keeps its pose
+    pos, yaws = np.stack([f.positions for f in states]), np.stack([f.yaws for f in states])
     rows = _cover_rows(pos - formation.target, spec)        # (state, member, direction)
-    # power[h, s, i]: member i in state s at the hub in state h, for only the
-    # pairs some pattern can form (h <= hub gated, s <= member gated), so a
-    # pair no pattern forms raises no error
-    gate = np.isin(members, gated)
-    can = (np.arange(2)[:, None, None] <= gate[0]) & (np.arange(2)[:, None] <= gate) & (members > 0)
-    power = np.zeros(can.shape)
-    for h, s, i in zip(*np.nonzero(can)):
-        power[h, s, i] = received_power(pos[s, i], pos[h, 0], radio)
+    # power[h, s, i - 1]: member i in state s at the hub in state h
+    power = np.array([[[received_power(p, hub, radio) for p in pos[s, 1:]] for s in (0, 1)]
+                      for hub in pos[:, 0]])
 
-    single = np.eye(len(formation), dtype=np.intp)[gated]   # row j flips member gated[j]
-    exhaustive = 2 ** len(gated) <= EXHAUSTIVE_LIMIT
+    members = np.arange(len(formation))
+    single = np.eye(len(formation), dtype=np.intp)[gate]   # row j flips the j-th gated member
+    exhaustive = 2 ** len(single) <= EXHAUSTIVE_LIMIT
     # nonempty subsets by size, then lexicographically (product lists 1s first; sort is stable)
-    moves = (np.array(sorted(product((1, 0), repeat=len(gated)), key=sum)[1:]) @ single
+    moves = (np.array(sorted(product((1, 0), repeat=len(single)), key=sum)[1:]) @ single
              if exhaustive else single)
     best = np.zeros(len(formation), dtype=np.intp)
     while True:
         flips = best ^ moves
         # members added one by one, in member order, as in `coverage` and `link_stats`
         gammas = _gamma(sum(rows[flips[:, i], i] for i in members), spec.n_dirs)[2]
-        min_db = sinr_db(power[flips[:, [0]], flips, members][:, 1:], radio).min(axis=1)
+        min_db = sinr_db(power[flips[:, [0]], flips[:, 1:], members[:-1]], radio).min(axis=1)
         kept = None
         for r in np.flatnonzero(min_db >= floor - _ANGLE_TOL):
             if gammas[r] > best_gamma + _ANGLE_TOL:
@@ -178,7 +187,7 @@ def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams) 
             best = flips[kept]
         if kept is None or exhaustive:
             break
-    return flip(formation, best) if best.any() else formation
+    return Formation(pos[best, members], yaws[best, members], formation.lidar, formation.target)
 
 
 def ground_constrain(formation: Formation) -> Formation:

@@ -23,7 +23,8 @@ compare against it:
 - `wrap_2pi`, `relative_position`, `sector_index`, `flip_candidates_loops`:
   the flip gating, one bearing and one member at a time;
 - `optimize_formation_loops`: the flip search building one formation per
-  pattern and calling `coverage` and `link_stats` on it;
+  pattern, ground-constrained if asked, and calling `coverage` and
+  `link_stats` on it;
 - `exhaustive_flip_best`: the best Gamma over every sector-gated flip
   pattern meeting the SINR floor;
 - `subset_logdet`, `exhaustive_best`, `greedy_unpenalized`: the
@@ -56,6 +57,7 @@ from swarmform.fov import (
     FovSpec,
     coverage,
     flip_candidates,
+    ground_constrain,
 )
 from swarmform.geom import (
     DegenerateGeometryError,
@@ -401,11 +403,14 @@ def _apply_pattern(formation: Formation, members: tuple[int, ...]) -> Formation:
 
 
 def optimize_formation_loops(formation: Formation, spec: FovSpec,
-                             radio: RadioParams) -> Formation:
+                             radio: RadioParams, ground: bool = False) -> Formation:
     """`fov.optimize_formation` pattern by pattern: one `Formation` of new
-    poses per flip pattern, scored by `coverage` and `link_stats`. It
-    reads `fov.EXHAUSTIVE_LIMIT` when called, so a test can force either
+    poses per flip pattern, scored by `coverage` and `link_stats`. With
+    `ground`, the input and every candidate are ground-constrained first.
+    It reads `fov.EXHAUSTIVE_LIMIT` when called, so a test can force either
     branch."""
+    mirror = ground_constrain if ground else (lambda f: f)
+    formation = mirror(formation)
     if len(formation) < 2:
         return formation
     gated = flip_candidates_loops(formation, spec)
@@ -424,7 +429,7 @@ def optimize_formation_loops(formation: Formation, spec: FovSpec,
     if 2 ** len(gated) <= fov.EXHAUSTIVE_LIMIT:
         for size in range(1, len(gated) + 1):
             for subset in combinations(gated, size):
-                cand = _apply_pattern(formation, subset)
+                cand = mirror(_apply_pattern(formation, subset))
                 if not feasible(cand):
                     continue
                 g = coverage(cand, spec).gamma_metric
@@ -442,7 +447,7 @@ def optimize_formation_loops(formation: Formation, spec: FovSpec,
         step_gamma = best_gamma
         for i in gated:
             cand_pattern = pattern ^ {i}
-            cand = _apply_pattern(formation, tuple(sorted(cand_pattern)))
+            cand = mirror(_apply_pattern(formation, tuple(sorted(cand_pattern))))
             if not feasible(cand):
                 continue
             g = coverage(cand, spec).gamma_metric
@@ -457,7 +462,7 @@ def optimize_formation_loops(formation: Formation, spec: FovSpec,
 def exhaustive_flip_best(formation, spec, radio) -> float:
     """Best Gamma over every pattern of sector-gated flips meeting the
     same SINR floor as `fov.optimize_formation`. Exponential; small swarms."""
-    gated = flip_candidates(formation, spec)
+    gated = np.flatnonzero(flip_candidates(formation, spec))
     base_min = link_stats(formation, radio)["min_db"]
     floor = min(spec.eta_min_db, base_min)
     best = coverage(formation, spec).gamma_metric

@@ -40,10 +40,10 @@ from swarmform.cli import main
 from swarmform.config import parse_scenario
 from swarmform.flight import ControlGains, metrics, simulate
 from swarmform.fov import (
+    _ANGLE_TOL,
     FovSpec,
     coverage,
     flip,
-    ground_constrain,
     optimize_formation,
 )
 from swarmform.radio import RadioParams, link_stats
@@ -208,9 +208,12 @@ def test_criterion_07_formation_optimization(models):
 def test_criterion_08_ground_constraint(models):
     start = time.time()
     f = build_reference_formation()
-    opt = optimize_formation(f, FovSpec(), RadioParams())
-    g = ground_constrain(opt)
+    spec, radio = FovSpec(), RadioParams()
+    opt = optimize_formation(f, spec, radio)
+    g = optimize_formation(f, spec, radio, ground=True)
     assert (g.positions[:, 2] >= f.target[2]).all()
+    floor = min(spec.eta_min_db, link_stats(f, radio)["min_db"])
+    assert link_stats(g, radio)["min_db"] >= floor - _ANGLE_TOL
     ld_air = logdet_reg(total_fim(opt, models), models.eps)
     ld_ground = logdet_reg(total_fim(g, models), models.eps)
     degradation = ld_air - ld_ground

@@ -85,6 +85,12 @@ class TestResources:
             ResourceModel(bandwidth_lidar=0.5)
         with pytest.raises(ValueError):
             ResourceModel(cost_lidar=0.05)
+        # a negative block or cost would turn its penalty into a bonus; zero is allowed
+        for name in ("bandwidth_cam", "duration_cam", "bandwidth_lidar", "duration_lidar",
+                     "cost_cam", "cost_lidar"):
+            with pytest.raises(ValueError, match=f"must be non-negative, got {name}=-1.0"):
+                ResourceModel(**{name: -1.0})
+        ResourceModel(bandwidth_cam=0.0, duration_cam=0.0, cost_cam=0.0)
 
 
 class TestGreedyStructure:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -564,6 +565,21 @@ class TestExitCodes:
                                        "round to 1 to 100000 steps")
         assert captured.out == "" and not out.exists()
 
+    # resources.bandwidth_cam -1 made the camera penalty a bonus: exit 0
+    # with 9 cameras and 1 LiDAR
+    def test_negative_resource_block_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["resources"]["bandwidth_cam"] = -1
+        p = tmp_path / "negative.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["allocate", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("swarmform: config error: resources: resource blocks and "
+                                "costs must be non-negative, got bandwidth_cam=-1.0\n")
+        assert captured.out == "" and not out.exists()
+
 
 class TestAtomicWrites:
     def test_failed_trace_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
@@ -596,6 +612,21 @@ class TestAtomicWrites:
                      "--out-dir", str(out)]) == 1
         assert "No space left on device" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    # the temp file that replaces each output used to be made by mkstemp,
+    # whose mode 0600 the output kept whatever the umask
+    @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            assert main(["fly", "--scenario", scenario("paper_default.json"),
+                         "--out-dir", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("report.json", "fly_trace.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fly_trace.csv", "report.json"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="one writer where os.fork is missing")
     @pytest.mark.parametrize("failing", ["child", "parent"])

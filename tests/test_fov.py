@@ -260,7 +260,7 @@ class TestOptimize:
             Pose(vec3(10.2, 2.5, 0.5), np.pi, Sensor.CAMERA),
         ]
         f = formation_of(poses, np.zeros(3))
-        assert len(flip_candidates(f, spec)) == 3
+        assert np.count_nonzero(flip_candidates(f, spec)) == 3
         opt = optimize_formation(f, spec, radio)
         assert coverage(opt, spec).gamma_metric == pytest.approx(
             exhaustive_flip_best(f, spec, radio)
@@ -272,7 +272,7 @@ class TestOptimize:
             Pose(vec3(-10, 0, 0), 0.0, Sensor.CAMERA),
         ]
         f = formation_of(poses, np.zeros(3))
-        assert flip_candidates(f, spec) == []
+        assert not flip_candidates(f, spec).any()
         opt = optimize_formation(f, spec, radio)
         assert np.allclose(opt.positions, f.positions)
 
@@ -280,6 +280,30 @@ class TestOptimize:
 def _same_poses(got: Formation, want: Formation) -> bool:
     return all(a.position.tobytes() == b.position.tobytes() and a.yaw == b.yaw
                for a, b in zip(poses_of(got), poses_of(want), strict=True))
+
+
+def _assert_grounded_over_floor(got: Formation, start: Formation, spec, radio):
+    """Every member of `got` lies on or above the target plane, and its
+    minimum SINR meets the floor the search applies to `start`."""
+    floor = min(spec.eta_min_db, link_stats(ground_constrain(start), radio)["min_db"])
+    assert (got.positions[:, 2] >= got.target[2]).all()
+    assert link_stats(got, radio)["min_db"] >= floor - fov._ANGLE_TOL
+
+
+def test_ground_search_checks_the_floor_on_mirrored_poses(radio):
+    """Two LiDARs and a camera 10 m from the target, each facing it. Flipping
+    member 1 puts it below the plane; mirrored back up, it sits 2.6 m above
+    the plane on the hub's side, and the minimum SINR would fall from
+    -0.27 dB to -15.04 dB, under the -10 dB floor. The search must score the
+    mirrored poses and so keep member 1 where it is."""
+    az, pitch = np.radians([321.3, 160.6, 153.7]), np.radians([17.6, 15.1, 27.9])
+    p = 10.0 * np.column_stack([np.cos(pitch) * np.cos(az), np.cos(pitch) * np.sin(az),
+                                np.sin(pitch)])
+    f = formation_of([Pose(q, yaw_facing_target(q, np.zeros(3)), s)
+                      for q, s in zip(p, [Sensor.LIDAR, Sensor.LIDAR, Sensor.CAMERA])],
+                     np.zeros(3))
+    spec = FovSpec(eta_min_db=-10.0)
+    _assert_grounded_over_floor(optimize_formation(f, spec, radio, ground=True), f, spec, radio)
 
 
 # a member's offset from the target: (range, bearing, height), with range 0
@@ -293,11 +317,13 @@ _pose = st.tuples(st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
        target=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
        eta_min_db=st.one_of(st.just(-100.0), st.just(10.0), st.floats(-30.0, 5.0)),
        k_sectors=st.sampled_from([1, 3, 8]),
-       steepest=st.booleans(), data=st.data())
+       steepest=st.booleans(), ground=st.booleans(), data=st.data())
 def test_search_equals_pattern_by_pattern(members, target, eta_min_db, k_sectors, steepest,
-                                          data):
+                                          ground, data):
     """Both branches of the flip search return the formation the
-    pattern-by-pattern search returns, bit for bit, or raise as it does."""
+    pattern-by-pattern search returns, bit for bit, or raise as it does.
+    With `ground`, that formation lies on or above the target plane and
+    meets the SINR floor."""
     target = np.array(target)
     # the member drawn to be the fusion receiver moves to row 0
     receiver = data.draw(st.integers(0, len(members) - 1), label="receiver")
@@ -309,12 +335,15 @@ def test_search_equals_pattern_by_pattern(members, target, eta_min_db, k_sectors
         if steepest:
             mp.setattr(fov, "EXHAUSTIVE_LIMIT", 0)
         try:
-            want = optimize_formation_loops(f, spec, radio)
+            want = optimize_formation_loops(f, spec, radio, ground)
         except DegenerateGeometryError:
             with pytest.raises(DegenerateGeometryError):
-                optimize_formation(f, spec, radio)
+                optimize_formation(f, spec, radio, ground)
             return
-        assert _same_poses(optimize_formation(f, spec, radio), want)
+        got = optimize_formation(f, spec, radio, ground)
+        assert _same_poses(got, want)
+    if ground:
+        _assert_grounded_over_floor(got, f, spec, radio)
 
 
 def test_steepest_ascent_flips_a_member_twice(monkeypatch):
@@ -359,7 +388,7 @@ def test_flip_candidates_equal_scalar_gating(members, target, k_sectors):
     positions = target + offsets if target.any() else offsets
     f = formation_of([Pose(p, 0.0, Sensor.CAMERA) for p in positions], target)
     spec = FovSpec(k_sectors=k_sectors)
-    assert flip_candidates(f, spec) == flip_candidates_loops(f, spec)
+    assert np.flatnonzero(flip_candidates(f, spec)).tolist() == flip_candidates_loops(f, spec)
 
 
 def test_pair_no_pattern_forms_is_not_scored(spec, radio):
@@ -371,7 +400,7 @@ def test_pair_no_pattern_forms_is_not_scored(spec, radio):
              Pose(vec3(1, 10, 1), -np.pi / 2, Sensor.LIDAR),
              Pose(vec3(2, 9, -1), -np.pi / 2, Sensor.CAMERA)]
     f = formation_of(poses, np.zeros(3))
-    assert flip_candidates(f, spec) == [2, 3]
+    assert np.flatnonzero(flip_candidates(f, spec)).tolist() == [2, 3]
     for limit in (fov.EXHAUSTIVE_LIMIT, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fov, "EXHAUSTIVE_LIMIT", limit)
@@ -387,7 +416,7 @@ def test_steepest_ascent_gap_to_exhaustive(monkeypatch, spec, radio):
     for seed in (2, 5, 8, 13, 17):
         rng = np.random.default_rng(seed)
         f = formation_of([random_pose(rng) for _ in range(14)], np.zeros(3))
-        gated = len(flip_candidates(f, spec))
+        gated = np.count_nonzero(flip_candidates(f, spec))
         assert 12 <= gated <= 14
         gammas = {}
         for name, limit in (("exhaustive", 2 ** gated), ("steepest", 0)):
