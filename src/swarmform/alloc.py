@@ -1,7 +1,9 @@
 """Greedy UAV/sensor allocation on a spherical candidate grid.
 
 The candidate set is a `Formation`: one row per feasible (placement,
-sensor) pair, built from the grid's geometry alone. The objective is the
+sensor) pair, built from the grid's geometry and the sensors' vertical
+FOV, which a placement's line of sight must stay inside; an empty set is
+refused as degenerate geometry. The objective is the
 regularized log-determinant of the swarm FIM, which is monotone and
 submodular in the candidate set. `sensing.logdet_reg` alone scores it,
 one call per round over the stack of every candidate's FIM added to the
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geom import _DEGENERATE_XY, Formation
+from .geom import _DEGENERATE_XY, DegenerateGeometryError, Formation
 from .sensing import SensorModels, fims, logdet_reg
 
 _SAME_PLACEMENT = 1e-9
@@ -130,17 +132,15 @@ class AllocationResult:
     utilities: list[float] = field(default_factory=list)   # gains net of penalty
 
 
-def build_candidates(target: np.ndarray, grid: GridSpec,
-                     max_boresight_pitch: float) -> Formation:
+def build_candidates(target: np.ndarray, grid: GridSpec, vfov: float) -> Formation:
     """The feasible (placement, sensor) candidates as the rows of a
     `Formation`, in grid order: pitch outer, azimuth inner, camera before
     LiDAR (greedy breaks ties on this order). Each row faces the target.
 
     A placement is feasible when the target-facing yaw is defined (no
     vertical alignment) and the line of sight pitches no more than
-    ``max_boresight_pitch`` off the horizontal boresight, i.e. the target
-    stays inside the sensors' vertical field of view (half the VFOV,
-    `FovSpec.kappa / 2`).
+    ``vfov / 2`` off the horizontal boresight, i.e. the target stays
+    inside the sensors' vertical field of view ``vfov`` (`FovSpec.kappa`).
 
     Pitch delta is elevation-like, z = d*sin(delta); delta > pi/2 flips the
     horizontal direction (cos(delta) < 0), the convention under which
@@ -156,7 +156,7 @@ def build_candidates(target: np.ndarray, grid: GridSpec,
     rel = positions - target
     d_xy = np.hypot(rel[:, 0], rel[:, 1])
     keep = ((d_xy >= _DEGENERATE_XY)
-            & ~(np.abs(np.arctan2(rel[:, 2], d_xy)) > max_boresight_pitch + 1e-12))
+            & ~(np.abs(np.arctan2(rel[:, 2], d_xy)) > vfov / 2.0 + 1e-12))
     facing = target - positions[keep]   # not -rel: the sign of a zero picks atan2's branch
     # each kept placement twice: a camera row, then a LiDAR row
     return Formation(np.repeat(positions[keep], 2, axis=0),
@@ -169,15 +169,15 @@ def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: Res
     """Penalty-discounted greedy selection with threshold stopping over the
     rows of `candidates`, scored with `models` through `logdet_reg` and the
     models' eps; the result's formation is the rows picked, in the order
-    picked. `FloatingPointError` if a round's regularized FIMs are not all
-    positive definite.
+    picked. `DegenerateGeometryError` if there is no row; `FloatingPointError`
+    if a round's regularized FIMs are not all positive definite.
 
     Ties break on candidate order (deterministic). Selecting a candidate
     removes every candidate at the same placement: one airframe per
     grid point, regardless of which sensor it carries.
     """
     if not candidates:
-        raise ValueError("candidate set is empty")
+        raise DegenerateGeometryError("candidate grid is empty after FOV filtering")
     positions, lidar, rm = candidates.positions, candidates.lidar, resources
 
     def penalty(bandwidth: float, duration: float, cost: float) -> float:

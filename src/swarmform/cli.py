@@ -1,5 +1,7 @@
 """Command-line surface: scenario ingestion, pipeline orchestration and
-report emission.
+report emission. The model's rules, such as which placements are
+feasible and where each flight run starts, live in the library; this
+module parses, calls the stages in order and writes what they return.
 
 Subcommands
 -----------
@@ -9,9 +11,10 @@ fly         stages 1-3, reporting flight metrics
 pipeline    all stages, optionally truncated with --stage
 eval-fim    print the regularized log-det FIM of an explicit pose list
 
-Exit codes: 0 success, 1 usage/config error, 2 numeric or degenerate
-geometry error. Reports are plain JSON (sorted keys, no timestamps) so
-identical inputs produce byte-identical outputs; time series go to CSV.
+Exit codes: 0 success, 1 usage/config error or out of memory, 2 numeric
+or degenerate geometry error. Reports are plain JSON (sorted keys, no
+timestamps) so identical inputs produce byte-identical outputs; time
+series go to CSV.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .alloc import build_candidates, greedy_allocate
 from .config import Scenario, ScenarioError, parse_formation, parse_scenario
-from .flight import CONTROLLERS, metrics, simulate
+from .flight import CONTROLLERS, cube_starts, metrics, simulate
 from .fov import coverage, optimize_formation
 from .geom import DegenerateGeometryError, Formation
 from .radio import link_stats
@@ -97,10 +100,7 @@ def _formation_stats(f: Formation, scenario: Scenario) -> dict:
 
 
 def _stage_allocate(scenario: Scenario) -> tuple[Formation, dict]:
-    candidates = build_candidates(scenario.target.position, scenario.grid,
-                                  max_boresight_pitch=scenario.fov.kappa / 2.0)
-    if not candidates:
-        raise DegenerateGeometryError("candidate grid is empty after FOV filtering")
+    candidates = build_candidates(scenario.target.position, scenario.grid, scenario.fov.kappa)
     result = greedy_allocate(candidates, scenario.weights, scenario.resources, scenario.sensors)
     lidar = int(np.count_nonzero(result.formation.lidar))
     doc = {
@@ -129,21 +129,10 @@ def _stage_formation(scenario: Scenario, allocated: Formation) -> tuple[Formatio
     return optimized, doc
 
 
-def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
-               controller: str | None, seed: int | None) -> dict:
+def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None) -> dict:
     fl = scenario.flight
-    controller = controller or fl.controller
-    seed = fl.seed if seed is None else seed
-    n = len(formation)
-    half = fl.init_cube_half_width_m
-    try:   # run r starts at rest, uniform in the cube around the target
-        offsets = np.stack([np.random.default_rng([seed, run]).uniform(-half, half, (n, 3))
-                            for run in range(fl.runs)])
-    except OverflowError:   # the cube's width 2 * half is not a finite float
-        raise FloatingPointError(f"start cube half-width {half} m is too large: "
-                                 "the cube's width overflows") from None
-    p0 = scenario.target.position + offsets
-    traj = simulate((p0, np.zeros_like(p0)), formation, controller, fl.gains,
+    start = cube_starts(formation, fl.init_cube_half_width_m, fl.seed, fl.runs)
+    traj = simulate(start, formation, fl.controller, fl.gains,
                     scenario.target.velocity, fl.dt_s, fl.horizon_s)
     m = metrics(traj)
     columns = {
@@ -156,7 +145,7 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None,
     mean = {k: float(np.mean(c)) for k, c in columns.items()}
     if out_dir is not None:
         _write_trace(out_dir / "fly_trace.csv", traj)
-    return {"Controller": controller, "Seed": seed, "Runs": runs, "Mean": mean}
+    return {"Controller": fl.controller, "Seed": fl.seed, "Runs": runs, "Mean": mean}
 
 
 def _cpus() -> int:
@@ -247,8 +236,7 @@ def _write_trace(path: Path, traj) -> None:
                 part.close()
 
 
-def _run(scenario: Scenario, last_stage: str, out_dir: Path | None,
-         controller: str | None, seed: int | None) -> dict:
+def _run(scenario: Scenario, last_stage: str, out_dir: Path | None) -> dict:
     report: dict = {"Scenario": scenario.raw}
     stage = "allocate"
     try:
@@ -258,7 +246,7 @@ def _run(scenario: Scenario, last_stage: str, out_dir: Path | None,
             formation, report["Formation"] = _stage_formation(scenario, formation)
         if last_stage == "fly":
             stage = "fly"
-            report["Flight"] = _stage_fly(scenario, formation, out_dir, controller, seed)
+            report["Flight"] = _stage_fly(scenario, formation, out_dir)
     except Exception as exc:
         exc.stage = stage  # read by main's error message
         raise
@@ -300,7 +288,8 @@ def _build_parser() -> _Parser:
 
 def _message(exc: Exception) -> str:
     stage = getattr(exc, "stage", None)
-    return f"[stage {stage}] {exc}" if stage else str(exc)
+    text = str(exc) or type(exc).__name__   # a bare MemoryError() has no text
+    return f"[stage {stage}] {text}" if stage else text
 
 
 def main(argv=None) -> int:
@@ -312,9 +301,12 @@ def main(argv=None) -> int:
             print(f"{logdet_reg(total_fim(formation, sensors), sensors.eps):.6f}")
             return 0
         scenario = parse_scenario(args.scenario)
+        fl = scenario.flight
+        fl.controller = args.controller or fl.controller
+        fl.seed = fl.seed if args.seed_override is None else args.seed_override
         last_stage = args.stage if args.command == "pipeline" else args.command
         out_dir = Path(args.out_dir) if args.out_dir else None
-        report = _run(scenario, last_stage, out_dir, args.controller, args.seed_override)
+        report = _run(scenario, last_stage, out_dir)
         if out_dir is None:
             print(json.dumps(report, indent=2, sort_keys=True))
         return 0
@@ -324,7 +316,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"swarmform: config error: {_message(exc)}", file=sys.stderr)
         return 1
-    except OSError as exc:  # e.g. an --out-dir that cannot be created or written
+    except (OSError, MemoryError) as exc:  # e.g. an unwritable --out-dir, a too-wide swarm
         print(f"swarmform: error: {_message(exc)}", file=sys.stderr)
         return 1
     except (DegenerateGeometryError, FloatingPointError, ZeroDivisionError) as exc:

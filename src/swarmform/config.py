@@ -50,7 +50,7 @@ class FlightConfig:
     init_cube_half_width_m: float = 15.0
 
     def __post_init__(self):
-        step_count(self.dt_s, self.horizon_s)
+        step_count(self.dt_s, self.horizon_s, self.runs)
 
 
 @dataclass

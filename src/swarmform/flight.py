@@ -29,7 +29,8 @@ rollout binds the law and reduces its outputs. It flies the designed
 `Formation`: each member's slot is its offset from the formation's
 target, which moves at a constant velocity. A start is a pair
 (positions, velocities) of (R, n, 3) arrays: R runs, all flown from
-t = 0 in one batched rollout. The `Trajectory` it returns
+t = 0 in one batched rollout; `cube_starts` draws R seeded starts at
+rest around the target. The `Trajectory` it returns
 holds outputs only: the full state history of the first run, and for
 every run the Lyapunov trace and what `metrics` reduces to one row per
 run; each run's numbers are bit for bit those of the same start flown
@@ -47,10 +48,14 @@ from .geom import Formation
 
 CONTROLLERS = ("log", "quad", "apf")
 MAX_STEPS = 100_000  # the longest flight: 1,000 s at the default 0.01 s step
+# the most steps of all runs of one flight together; at n = 6 the rollout's
+# per-run outputs then take 56 MB
+MAX_RUN_STEPS = 1_000_000
 
 
-def step_count(dt: float, horizon: float) -> int:
-    """The steps of a flight, round(horizon / dt); refused outside [1, MAX_STEPS]."""
+def step_count(dt: float, horizon: float, runs: int = 1) -> int:
+    """The steps of a flight, round(horizon / dt); refused outside [1, MAX_STEPS],
+    and when `runs` runs of them take more than MAX_RUN_STEPS steps."""
     if not (dt > 0 and horizon > 0):
         raise ValueError("dt and horizon must be positive")
     ratio = horizon / dt   # inf when it overflows
@@ -58,10 +63,14 @@ def step_count(dt: float, horizon: float) -> int:
     if not 0.5 < ratio <= MAX_STEPS + 0.5:
         raise ValueError(f"horizon / dt must round to 1 to {MAX_STEPS} steps, "
                          f"got {horizon} / {dt}")
-    return int(round(ratio))
+    steps = int(round(ratio))
+    if runs * steps > MAX_RUN_STEPS:
+        raise ValueError(f"runs x steps must be at most {MAX_RUN_STEPS}, "
+                         f"got {runs} x {steps}")
+    return steps
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlGains:
     """The seven constants of the flight law, each positive and finite."""
 
@@ -113,6 +122,21 @@ class FlightMetrics:
             raise ValueError("velocity-error aggregates are inconsistent")
 
 
+def cube_starts(formation: Formation, half_width: float, seed: int,
+                runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """`runs` starts for `simulate`, each at rest: run r's members uniform in
+    the cube of half-width `half_width` around the formation's target, drawn
+    from `np.random.default_rng([seed, r])`. `FloatingPointError` if the
+    cube's width overflows."""
+    try:
+        p0 = formation.target + np.stack([np.random.default_rng([seed, run]).uniform(
+            -half_width, half_width, (len(formation), 3)) for run in range(runs)])
+    except OverflowError:   # the cube's width 2 * half_width is not a finite float
+        raise FloatingPointError(f"start cube half-width {half_width} m is too large: "
+                                 "the cube's width overflows") from None
+    return p0, np.zeros_like(p0)
+
+
 def simulate(
     start: tuple[np.ndarray, np.ndarray],
     formation: Formation,
@@ -150,7 +174,7 @@ def simulate(
     velocity = np.asarray(velocity, dtype=float)
     if velocity.shape != (3,) or not np.isfinite(velocity).all():
         raise ValueError(f"velocity must be a finite 3-vector, got {velocity}")
-    steps = step_count(dt, horizon)
+    steps = step_count(dt, horizon, len(positions))
     slots = formation.positions - formation.target
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
         controller, slots, gains, velocity, positions, velocities,

@@ -33,7 +33,9 @@ class Formation:
     positions (n, 3), yaws (n,) wrapped to (-pi, pi], and a mask (n,) of
     the LiDAR members (the others carry cameras); plus the target
     estimate, a finite 3-vector. Pitch and roll are zero, so member i
-    heads along [cos(yaws[i]), sin(yaws[i]), 0]."""
+    heads along [cos(yaws[i]), sin(yaws[i]), 0]. It holds read-only
+    copies of its arrays, so a checked record stays as it was checked
+    and the caller's arrays stay writable."""
 
     positions: np.ndarray
     yaws: np.ndarray
@@ -41,19 +43,20 @@ class Formation:
     target: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        yaws, lidar = np.asarray(self.yaws, dtype=float), np.asarray(self.lidar, dtype=bool)
+        p = np.array(self.positions, dtype=float)
+        yaws, lidar = np.asarray(self.yaws, dtype=float), np.array(self.lidar, dtype=bool)
         if not (p.ndim == 2 and p.shape[1] == 3 and np.isfinite(p).all()
                 and yaws.shape == lidar.shape == (len(p),)):
             raise ValueError("need finite positions (n, 3), yaws (n,) and sensor flags (n,), "
                              f"got shapes {p.shape}, {yaws.shape} and {lidar.shape}")
         if not np.isfinite(yaws).all():
             raise ValueError(f"yaws must be finite, got {yaws}")
-        target = np.asarray(self.target, dtype=float)
+        target = np.array(self.target, dtype=float)
         if target.shape != (3,) or not np.isfinite(target).all():
             raise ValueError(f"target must be a finite 3-vector, got {target}")
         for name, value in (("positions", p), ("yaws", wrap_pi(yaws)), ("lidar", lidar),
                             ("target", target)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:

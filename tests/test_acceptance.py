@@ -38,7 +38,7 @@ from swarmform.alloc import (
 )
 from swarmform.cli import main
 from swarmform.config import parse_scenario
-from swarmform.flight import ControlGains, metrics, simulate
+from swarmform.flight import ControlGains, cube_starts, metrics, simulate
 from swarmform.fov import (
     _ANGLE_TOL,
     FovSpec,
@@ -126,7 +126,7 @@ def test_criterion_03_reference_formation_logdet(capsys):
 
 def test_criterion_04_greedy_structure(models):
     start = time.time()
-    candidates = build_candidates(np.zeros(3), GridSpec(), FovSpec().kappa / 2.0)
+    candidates = build_candidates(np.zeros(3), GridSpec(), FovSpec().kappa)
     result = greedy_allocate(candidates, AllocWeights(), ResourceModel(), models)
     elapsed = time.time() - start
     assert len(result.formation) == 6
@@ -249,11 +249,8 @@ def _benchmark():
                               / "flight_benchmark.json")
     f = build_reference_formation(scenario.target.position)
     fl = scenario.flight
-    half = fl.init_cube_half_width_m
-    p0 = scenario.target.position + np.stack([
-        np.random.default_rng([fl.seed, run]).uniform(-half, half, (len(f), 3))
-        for run in range(fl.runs)])
-    return fl, f, scenario.target.velocity, (p0, np.zeros_like(p0))
+    starts = cube_starts(f, fl.init_cube_half_width_m, fl.seed, fl.runs)
+    return fl, f, scenario.target.velocity, starts
 
 
 # Criteria 10a and 10b read the same 60 rollouts; fly them once per session.

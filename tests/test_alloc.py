@@ -22,7 +22,7 @@ from swarmform.alloc import (
 from swarmform.fov import FovSpec
 from swarmform.sensing import SensorModels, fims, logdet_reg
 
-PITCH = FovSpec().kappa / 2.0   # the candidates' largest line-of-sight pitch, as the CLI passes
+VFOV = FovSpec().kappa   # the sensors' vertical FOV: candidates pitch by at most half of it
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def weights():
 
 @pytest.fixture
 def candidates(grid):
-    return build_candidates(np.zeros(3), grid, PITCH)
+    return build_candidates(np.zeros(3), grid, VFOV)
 
 
 def allocate(candidates, weights, models=SensorModels()):
@@ -171,9 +171,9 @@ def assert_same_candidates(target, grid, models):
     position bytes, same yaw), and its round's net utility is its gain
     less the oracle's penalty for that row. Returns the candidates and
     the greedy result."""
-    built = build_candidates(target, grid, PITCH)
+    built = build_candidates(target, grid, VFOV)
     rows, row_fims, penalties = build_candidates_loops(target, grid, AllocWeights(),
-                                                       ResourceModel(), models, PITCH)
+                                                       ResourceModel(), models, VFOV / 2.0)
     assert len(built) == len(rows)
     for name in ("positions", "yaws", "lidar", "target"):
         assert np.array_equal(getattr(built, name), getattr(rows, name)), name
@@ -244,6 +244,6 @@ def test_greedy_gains_non_negative_utilities_non_increasing(
     grid = GridSpec(distance=distance, beta_step=np.radians(step),
                     delta_step=np.radians(step))
     weights = AllocWeights(alpha_resource, alpha_cost, min_gain, max_uavs)
-    result = allocate(build_candidates(np.array(target), grid, PITCH), weights)
+    result = allocate(build_candidates(np.array(target), grid, VFOV), weights)
     assert min(result.gains, default=0.0) >= 0.0
     assert np.all(np.diff(result.utilities) <= 1e-9)

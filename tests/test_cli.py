@@ -16,7 +16,8 @@ from conftest import slotted
 from oracles import write_trace_csv
 from swarmform import cli
 from swarmform.cli import main
-from swarmform.flight import ControlGains, simulate
+from swarmform.config import parse_scenario
+from swarmform.flight import ControlGains, cube_starts, metrics, simulate
 
 
 def scenario(name):
@@ -83,6 +84,27 @@ class TestFly:
         assert code == 0
         assert report["Flight"]["Controller"] == "quad"
         assert report["Flight"]["Seed"] == 7
+
+    @pytest.mark.parametrize("controller", ["log", "quad", "apf"])
+    def test_library_calls_reproduce_the_runs(self, capsys, controller):
+        # the CLI only orchestrates: the library's stages, start builder,
+        # rollout and metrics on the parsed scenario give its Runs rows
+        path = scenario("flight_benchmark.json")
+        assert main(["fly", "--scenario", path, "--controller", controller,
+                     "--seed-override", "0"]) == 0
+        reported = json.loads(capsys.readouterr().out)["Flight"]["Runs"]
+        s = parse_scenario(path)
+        allocated, _ = cli._stage_allocate(s)
+        formation, _ = cli._stage_formation(s, allocated)
+        fl = s.flight
+        start = cube_starts(formation, fl.init_cube_half_width_m, 0, fl.runs)
+        m = metrics(simulate(start, formation, controller, fl.gains, s.target.velocity,
+                             fl.dt_s, fl.horizon_s))
+        assert reported == [
+            {"Avg. Distance (m)": d, "Avg. Velocity Err.": av, "Max. Velocity Err.": mv,
+             "Avg. Final Pos. Err. (m)": fe}
+            for d, av, mv, fe in zip(m.avg_distance.tolist(), m.avg_vel_err.tolist(),
+                                     m.max_vel_err.tolist(), m.avg_final_pos_err.tolist())]
 
     def test_negative_seed_override_is_a_usage_error(self, tmp_path, capsys):
         # refused before any stage runs, as a negative flight.seed is
@@ -563,6 +585,44 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("swarmform: config error: flight: horizon / dt must "
                                        "round to 1 to 100000 steps")
+        assert captured.out == "" and not out.exists()
+
+    # runs 2**70 kept building starts until killed; runs 100,000 of
+    # 100,000 steps would need 74.5 GiB for the Lyapunov traces alone
+    @pytest.mark.parametrize("flight, got", [({"runs": 2 ** 70}, f"{2 ** 70} x 2000"),
+                                             ({"runs": 100_000, "horizon_s": 1000.0},
+                                              "100000 x 100000")],
+                             ids=["runs-2**70", "runs-100000-steps-100000"])
+    def test_runs_times_steps_over_the_cap_is_a_config_error(self, tmp_path, capsys,
+                                                             monkeypatch, flight, got):
+        monkeypatch.setattr(cli, "_stage_fly", lambda *args: pytest.fail("flight not refused"))
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["flight"].update(flight)
+        p = tmp_path / "runs.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("swarmform: config error: flight: runs x steps must be at "
+                                f"most 1000000, got {got}\n")
+        assert captured.out == "" and not out.exists()
+
+    # the runs cap cannot see the swarm size, which multiplies the
+    # rollout's per-step arrays; the stage raises as NumPy or Python would
+    @pytest.mark.parametrize("text", ["Unable to allocate 74.5 GiB for an array with shape "
+                                      "(100000, 100001) and data type float64", ""],
+                             ids=["numpy", "bare"])
+    def test_out_of_memory_prints_one_line(self, tmp_path, monkeypatch, capsys, text):
+        def out_of_memory(*args):
+            raise MemoryError(text) if text else MemoryError()
+
+        monkeypatch.setattr(cli, "_stage_fly", out_of_memory)
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", scenario("paper_default.json"),
+                     "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"swarmform: error: [stage fly] {text or 'MemoryError'}\n"
         assert captured.out == "" and not out.exists()
 
     # resources.bandwidth_cam -1 made the camera penalty a bonus: exit 0

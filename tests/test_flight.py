@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from swarmform import kernels
 from swarmform.alloc import AllocWeights, GridSpec, ResourceModel
 from swarmform.flight import (
     CONTROLLERS,
+    MAX_RUN_STEPS,
     MAX_STEPS,
     ControlGains,
     FlightMetrics,
@@ -137,6 +138,14 @@ class TestControllers:
         for field in ("ka", "kr", "d0"):
             with pytest.raises(ValueError, match="gains must be positive"):
                 ControlGains(**{field: 0.0})
+
+    def test_gains_are_frozen(self):
+        # a negative k2 set after the checks would be flown unchecked,
+        # pumping energy into the swarm instead of damping it
+        g = ControlGains()
+        with pytest.raises(FrozenInstanceError):
+            g.k2 = -1.5
+        assert g.k2 == 1.5
 
     @pytest.mark.parametrize("record, field, value, message", [
         (ControlGains, "k1", np.nan, "gains must be positive"),
@@ -278,6 +287,19 @@ class TestSimulate:
         for horizon in (0.5, MAX_STEPS + 0.6):
             with pytest.raises(ValueError, match="must round to 1 to 100000 steps"):
                 step_count(1.0, horizon)
+
+    def test_run_step_cap(self, formation, gains, monkeypatch):
+        # all runs' steps together: 500 runs of 2,000 steps fit, 501 do not
+        assert step_count(0.01, 20.0, MAX_RUN_STEPS // 2000) == 2000
+        with pytest.raises(ValueError, match=f"runs x steps must be at most {MAX_RUN_STEPS}, "
+                                             "got 501 x 2000"):
+            step_count(0.01, 20.0, MAX_RUN_STEPS // 2000 + 1)
+        # simulate counts the runs of its start, refused before the rollout
+        monkeypatch.setattr(kernels, "rollout", lambda *args: pytest.fail("flight not refused"))
+        runs = MAX_RUN_STEPS // MAX_STEPS + 1
+        p, v = stacked([equilibrium_state(formation)] * runs)
+        with pytest.raises(ValueError, match="runs x steps must be at most"):
+            simulate((p, v), formation, "log", gains, STILL, 1.0, MAX_STEPS)
 
     def test_start_too_far_out_raises(self, formation, gains):
         # squared distances overflow, so V, path lengths and velocity

@@ -116,6 +116,22 @@ class TestFormation:
         with pytest.raises(ValueError, match="target must be a finite 3-vector"):
             Formation([vec3(1, 0, 0)], [0.0], [True], target)
 
+    def test_arrays_are_read_only_copies(self):
+        # a NaN written into a checked formation's positions would pass
+        # no check again, and coverage would silently drop that member
+        positions, yaws = np.array([vec3(1, 0, 0), vec3(0, 1, 0)]), np.zeros(2)
+        lidar, target = np.array([True, False]), np.zeros(3)
+        f = Formation(positions, yaws, lidar, target)
+        with pytest.raises(ValueError, match="read-only"):
+            f.positions[1, 0] = np.nan
+        for name in ("yaws", "lidar", "target"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(f, name)[0] = 0
+        # the caller's arrays stay writable and apart from the record
+        positions[1, 0] = np.nan
+        lidar[0], target[0] = False, 5.0
+        assert f.positions[1, 0] == 0.0 and f.lidar[0] and f.target[0] == 0.0
+
     def test_unequal_lengths_rejected(self):
         positions = [vec3(1, 0, 0), vec3(0, 1, 0)]
         with pytest.raises(ValueError):
