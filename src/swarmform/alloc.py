@@ -5,10 +5,13 @@ sensor) pair, built from the grid's geometry and the sensors' vertical
 FOV, which a placement's line of sight must stay inside; an empty set is
 refused as degenerate geometry. The objective is the
 regularized log-determinant of the swarm FIM, which is monotone and
-submodular in the candidate set. `sensing.logdet_reg` alone scores it,
-one call per round over the stack of every candidate's FIM added to the
-running total. Each candidate's marginal gain is
-discounted by a penalty read from the `ResourceModel` fields its `lidar`
+submodular in the candidate set. `sensing.logdet_reg` alone scores it
+exactly. Each round first screens every candidate: a closed-form 3x3
+determinant of the running total plus the candidate's FIM, with a stated
+rounding-error radius, bounds the utility `logdet_reg` would give it, and
+only the candidates whose bound still reaches the round's best are scored
+exactly (`greedy_allocate` derives the radius). Each candidate's marginal
+gain is discounted by a penalty read from the `ResourceModel` fields its `lidar`
 flag picks: its communication resource block (bandwidth * duration) and its
 hardware cost. Selection stops when the best net utility drops to the
 threshold.
@@ -31,6 +34,18 @@ from .sensing import SensorModels, fims, logdet_reg
 
 _SAME_PLACEMENT = 1e-9
 MAX_PLACEMENTS = 1_000_000   # grid points; the 0.25-degree grid has 923,040
+# a pitch ring is dropped whole only when it misses the vertical FOV by this
+# much more than the rounding of its placements can move their pitch
+_RING_MARGIN = 1e-6
+
+# The greedy screen (see `greedy_allocate`): the unit roundoff, the rounding
+# constant K, the largest relative determinant error a row may carry and
+# still be ruled out, and the floor under a row's mu^3 that keeps the
+# error of underflow negligible.
+_U = np.finfo(float).eps / 2.0
+_K = 128.0
+_SURE = 1e-3
+_CUBE_MIN = np.finfo(float).tiny / _U
 
 
 @dataclass(frozen=True)
@@ -149,6 +164,15 @@ def build_candidates(target: np.ndarray, grid: GridSpec, vfov: float) -> Formati
     """
     target = np.asarray(target, dtype=float)
     deltas, betas = grid.deltas(), grid.betas() % (2.0 * np.pi)
+    # A pitch ring that misses the FOV by more than `_RING_MARGIN` is never
+    # built. Its line of sight pitches by min(delta, pi - delta); rounding
+    # the placements (target + distance * offset - target) moves the pitch
+    # the test below measures by under 64 u (1 + |target|max / distance),
+    # which exceeds pi wherever that bound could fail, so the test keeps the
+    # same placements as on the whole grid.
+    with np.errstate(over="ignore"):
+        margin = _RING_MARGIN + 64.0 * _U * (1.0 + np.abs(target).max() / grid.distance)
+    deltas = deltas[~(np.minimum(deltas, np.pi - deltas) > vfov / 2.0 + 1e-12 + margin)]
     cd = np.cos(deltas)[:, None]
     offsets = np.stack(np.broadcast_arrays(cd * np.cos(betas), cd * np.sin(betas),
                                            np.sin(deltas)[:, None]), axis=-1)
@@ -164,6 +188,58 @@ def build_candidates(target: np.ndarray, grid: GridSpec, vfov: float) -> Formati
                      np.tile([False, True], int(np.count_nonzero(keep))), target)
 
 
+def _cofactors(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The cofactor matrix of a 3x3 matrix, or of each one of a (3, 3, N)
+    stack: entry (r, c) is m[r+1, c+1] m[r+2, c+2] - m[r+1, c+2] m[r+2, c+1],
+    indices mod 3, written into `out` if given."""
+    out = np.empty(m.shape) if out is None else out
+    for r in range(3):
+        r1, r2 = (r + 1) % 3, (r + 2) % 3
+        for c in range(3):
+            c1, c2 = (c + 1) % 3, (c + 2) % 3
+            out[r, c] = m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1]
+    return out
+
+
+def _screen_tables(row_fims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The screen's per-candidate constants, made once per call from the
+    (N, 3, 3) FIMs: the FIMs as an (N, 9) view, each row F_i flattened
+    row-major; a (10, N) table whose column i holds cof F_i, flattened
+    alike, then det F_i; and the (3, N) row sums of |F_i|."""
+    n = len(row_fims)
+    f = row_fims.reshape(n, 9).T.reshape(3, 3, n)   # a view: f[r, c] is every F's (r, c)
+    table = np.empty((10, n))
+    cof = _cofactors(f, out=table[:9].reshape(3, 3, n))
+    table[9] = f[0, 0] * cof[0, 0] + f[0, 1] * cof[0, 1] + f[0, 2] * cof[0, 2]
+    abs_rows = np.empty((3, n))
+    for r in range(3):
+        abs_rows[r] = np.abs(f[r, 0]) + np.abs(f[r, 1]) + np.abs(f[r, 2])
+    return row_fims.reshape(n, 9), table, abs_rows
+
+
+def _screen(tables: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray, current: float,
+            penalties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lower, upper) on every candidate's exact net utility this
+    round, logdet_reg(total + F_i, eps) - current - penalty_i, where `a`
+    is total + eps*I and `tables` come from `_screen_tables`; a row the
+    screen cannot bound gets (-inf, inf). `greedy_allocate` derives them."""
+    f9, table, abs_rows = tables
+    a_rows = np.abs(a).sum(axis=1)
+    # overflow, a non-positive det and their NaNs only mark rows as unbounded
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cof = _cofactors(a)
+        det = f9 @ cof.ravel()
+        det += np.append(a.ravel(), 1.0) @ table
+        det += a[0] @ cof[0]
+        mu = np.maximum(np.maximum(abs_rows[0] + a_rows[0], abs_rows[1] + a_rows[1]),
+                        abs_rows[2] + a_rows[2])
+        t = _K * _U * np.maximum(mu * mu * mu, _CUBE_MIN) / det
+        sure = (t > 0.0) & (t < _SURE)
+        radius = t + 64.0 * _U * (1024.0 + abs(current) + penalties.max())
+        est = np.log(det) - current - penalties
+        return np.where(sure, est - radius, -np.inf), np.where(sure, est + radius, np.inf)
+
+
 def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: ResourceModel,
                     models: SensorModels) -> AllocationResult:
     """Penalty-discounted greedy selection with threshold stopping over the
@@ -175,6 +251,47 @@ def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: Res
     Ties break on candidate order (deterministic). Selecting a candidate
     removes every candidate at the same placement: one airframe per
     grid point, regardless of which sensor it carries.
+
+    Each round picks what scoring every row with `logdet_reg` would pick,
+    bit for bit, but scores only the rows that can still win. With
+    A = total + eps*I, a screen takes every row's determinant D from the
+    3x3 identity det(A + F) = det A + <cof A, F> + <A, cof F> + det F: two
+    matrix-vector products a round, as cof F and det F are tabled once.
+    Let mu be the row's largest row sum of |A| + |F| and u the unit
+    roundoff. D and the determinant of slogdet's LU factors differ by under
+    66 u mu^3 < K u mu^3 / 1.9, K = 128:
+
+    - Each product the identity sums is one of the 48 monomials of the
+      permanent of |A| + |F|, which is at most the product of its row sums,
+      so at most mu^3. Forming A, the cofactors' 2x2 determinants, the
+      9- and 10-term products and the additions round each monomial at
+      most 25 times: D is within 26 u mu^3 of det(A + F).
+    - slogdet factors fl(fl(total + F) + eps*I), whose entries lie within
+      2u of those of A + F: 6 u mu^3. Partial pivoting keeps every
+      multiplier at most 1, so U's rows sum to at most mu, 2 mu and 4 mu
+      (growth 4), and the backward error |dM| <= 3u |L||U| (Higham 2002,
+      Thm 9.3) adds at most 3u (mu, 3 mu, 7 mu) to the factored matrix's
+      row sums; the product of row sums, which bounds the determinant's
+      change, moves by at most 11 * 3u mu^3.
+
+    So where t = K u max(mu^3, tiny/u) / D is positive and below 1e-3, the
+    row is sure: det(A + F) and the factors' determinant are positive, so
+    `logdet_reg` accepts the row, and its log-det lies within t of log D.
+    (The max keeps the absolute error of underflow, a few subnormal
+    units, far below u * tiny/u.) A sure row has a normal D, so |log D| <
+    710, and |log mu| < 237. The logs slogdet sums (one per pivot, each
+    pivot at most 4 mu, their product D), the screen's own log, the
+    subtractions that form both utilities and the bounds' additions then
+    round by less than 64 u (1024 + |current| + the largest penalty), the
+    radius's second term.
+
+    The round's floor is the largest lower bound over sure active rows.
+    `logdet_reg` scores every row that is not sure, active or not, so a
+    round refuses exactly the matrices that scoring every row would, and
+    every active row whose upper bound reaches the floor, the floor's own
+    row among them. A ruled-out row's exact utility is below the floor,
+    so below a scored row's: `np.argmax` over the scored rows, in
+    candidate order, picks the same row with the same gain and utility.
     """
     if not candidates:
         raise DegenerateGeometryError("candidate grid is empty after FOV filtering")
@@ -186,6 +303,7 @@ def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: Res
     penalties = np.where(lidar, penalty(rm.bandwidth_lidar, rm.duration_lidar, rm.cost_lidar),
                          penalty(rm.bandwidth_cam, rm.duration_cam, rm.cost_cam))
     row_fims = fims(candidates, models)
+    tables = _screen_tables(row_fims)
     active = np.ones(len(candidates), dtype=bool)
 
     total = np.zeros((3, 3))
@@ -195,18 +313,27 @@ def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: Res
     utilities: list[float] = []
 
     while len(chosen) < weights.max_uavs and active.any():
-        with_each = logdet_reg(total + row_fims, models.eps)
-        util = with_each - current - penalties
-        util[~active] = -np.inf
-        best = int(np.argmax(util))
-        if util[best] <= weights.min_gain:
+        lower, upper = _screen(tables, total + models.eps * np.eye(3), current, penalties)
+        floor = np.max(lower, where=active, initial=-np.inf)
+        rows = np.flatnonzero((upper == np.inf) | (active & (upper >= floor)))
+        with_each = logdet_reg(total + row_fims[rows], models.eps)
+        util = with_each - current - penalties[rows]
+        util[~active[rows]] = -np.inf
+        k = int(np.argmax(util))
+        if util[k] <= weights.min_gain:
             break
+        best = int(rows[k])
         chosen.append(best)
-        gains.append(float(with_each[best] - current))
-        utilities.append(float(util[best]))
+        gains.append(float(with_each[k] - current))
+        utilities.append(float(util[k]))
         total = total + row_fims[best]
-        current = float(with_each[best])
-        active &= np.linalg.norm(positions - positions[best], axis=1) >= _SAME_PLACEMENT
+        current = float(with_each[k])
+        # a row the norm test removes lies within _SAME_PLACEMENT of best along
+        # x too (|dx| <= |d|; twice that for rounding), so only those are tested
+        near = np.flatnonzero(np.abs(positions[:, 0] - positions[best, 0])
+                              < 2.0 * _SAME_PLACEMENT)
+        active[near] &= (np.linalg.norm(positions[near] - positions[best], axis=1)
+                         >= _SAME_PLACEMENT)
 
     formation = Formation(positions[chosen], candidates.yaws[chosen], lidar[chosen],
                           candidates.target)

@@ -27,6 +27,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -302,8 +303,10 @@ def main(argv=None) -> int:
             return 0
         scenario = parse_scenario(args.scenario)
         fl = scenario.flight
-        fl.controller = args.controller or fl.controller
-        fl.seed = fl.seed if args.seed_override is None else args.seed_override
+        # replace() checks the overridden flight record as parsing did
+        scenario = replace(scenario, flight=replace(
+            fl, controller=args.controller or fl.controller,
+            seed=fl.seed if args.seed_override is None else args.seed_override))
         last_stage = args.stage if args.command == "pipeline" else args.command
         out_dir = Path(args.out_dir) if args.out_dir else None
         report = _run(scenario, last_stage, out_dir)

@@ -32,14 +32,26 @@ class ScenarioError(ValueError):
     """Malformed or invalid scenario document."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetSpec:
+    """The target's position and velocity, finite 3-vectors held as
+    read-only copies (as `Formation` holds its arrays), and whether the
+    formation is ground-constrained."""
+
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ground: bool = False
 
+    def __post_init__(self):
+        for name in ("position", "velocity"):
+            value = np.array(getattr(self, name), dtype=float)
+            if value.shape != (3,) or not np.isfinite(value).all():
+                raise ValueError(f"target {name} must be a finite 3-vector, got {value}")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-@dataclass
+
+@dataclass(frozen=True)
 class FlightConfig:
     gains: ControlGains = field(default_factory=ControlGains)
     dt_s: float = 0.01
@@ -53,7 +65,7 @@ class FlightConfig:
         step_count(self.dt_s, self.horizon_s, self.runs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     target: TargetSpec
     grid: GridSpec

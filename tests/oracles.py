@@ -30,6 +30,8 @@ compare against it:
 - `subset_logdet`, `exhaustive_best`, `greedy_unpenalized`: the
   allocation objective over a list of FIMs and its exhaustive and
   penalty-free greedy optima;
+- `greedy_allocate_all_rows`: `alloc.greedy_allocate` scoring every
+  candidate with `logdet_reg` in every round, with no screen;
 - `SwarmState`, `stacked`, `control`, `lyapunov_value`: one swarm's
   state, a list of them as `flight.simulate`'s (R, n, 3) start, and the
   flight law bound as `simulate` binds it, evaluated at one state;
@@ -49,6 +51,7 @@ from itertools import combinations
 import numpy as np
 
 from swarmform import fov, kernels
+from swarmform.alloc import _SAME_PLACEMENT, AllocationResult
 from swarmform.flight import ControlGains
 from swarmform.fov import (
     _ANGLE_TOL,
@@ -516,6 +519,46 @@ def greedy_unpenalized(fims, k, eps=DEFAULT_EPS):
         current = float(vals[best])
         active[best] = False
     return picked, current
+
+
+def greedy_allocate_all_rows(candidates, weights, resources, models):
+    """`alloc.greedy_allocate` as it was before its screen: each round
+    scores every candidate, active or not, with one `logdet_reg` call."""
+    if not candidates:
+        raise DegenerateGeometryError("candidate grid is empty after FOV filtering")
+    positions, lidar, rm = candidates.positions, candidates.lidar, resources
+
+    def penalty(bandwidth: float, duration: float, cost: float) -> float:
+        return weights.alpha_resource * (bandwidth * duration) + weights.alpha_cost * cost
+
+    penalties = np.where(lidar, penalty(rm.bandwidth_lidar, rm.duration_lidar, rm.cost_lidar),
+                         penalty(rm.bandwidth_cam, rm.duration_cam, rm.cost_cam))
+    row_fims = fims(candidates, models)
+    active = np.ones(len(candidates), dtype=bool)
+
+    total = np.zeros((3, 3))
+    current = logdet_reg(total, models.eps)
+    chosen: list[int] = []
+    gains: list[float] = []
+    utilities: list[float] = []
+
+    while len(chosen) < weights.max_uavs and active.any():
+        with_each = logdet_reg(total + row_fims, models.eps)
+        util = with_each - current - penalties
+        util[~active] = -np.inf
+        best = int(np.argmax(util))
+        if util[best] <= weights.min_gain:
+            break
+        chosen.append(best)
+        gains.append(float(with_each[best] - current))
+        utilities.append(float(util[best]))
+        total = total + row_fims[best]
+        current = float(with_each[best])
+        active &= np.linalg.norm(positions - positions[best], axis=1) >= _SAME_PLACEMENT
+
+    formation = Formation(positions[chosen], candidates.yaws[chosen], lidar[chosen],
+                          candidates.target)
+    return AllocationResult(formation=formation, logdet=current, gains=gains, utilities=utilities)
 
 
 @dataclass

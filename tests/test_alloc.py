@@ -7,10 +7,12 @@ from conftest import random_pose
 from oracles import (
     build_candidates_loops,
     exhaustive_best,
+    greedy_allocate_all_rows,
     greedy_unpenalized,
     pose_fim,
     subset_logdet,
 )
+from swarmform import alloc
 from swarmform.alloc import (
     MAX_PLACEMENTS,
     AllocWeights,
@@ -165,15 +167,15 @@ class TestOracle:
             assert greedy_val - f0 >= (1 - 1 / np.e) * (opt - f0) - 1e-9
 
 
-def assert_same_candidates(target, grid, models):
+def assert_same_candidates(target, grid, models, vfov=VFOV):
     """The built rows and their FIMs equal the oracle's with `==`; each
     greedy member is the oracle's row at its placement and sensor (same
     position bytes, same yaw), and its round's net utility is its gain
     less the oracle's penalty for that row. Returns the candidates and
     the greedy result."""
-    built = build_candidates(target, grid, VFOV)
+    built = build_candidates(target, grid, vfov)
     rows, row_fims, penalties = build_candidates_loops(target, grid, AllocWeights(),
-                                                       ResourceModel(), models, VFOV / 2.0)
+                                                       ResourceModel(), models, vfov / 2.0)
     assert len(built) == len(rows)
     for name in ("positions", "yaws", "lidar", "target"):
         assert np.array_equal(getattr(built, name), getattr(rows, name)), name
@@ -212,6 +214,44 @@ class TestArrayCandidates:
         assert len(built) == 15840
         assert len(result.formation) == 6
 
+    @settings(max_examples=10, deadline=None)
+    @example(step=10.0, target=(1e3, -1e3, 1e3))
+    @example(step=5.0, target=(-999.9, 1e3, -1e3))
+    @given(step=st.sampled_from([10.0, 5.0]),
+           target=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    def test_equal_to_loops_far_target(self, step, target):
+        # a translated target rounds every placement, and the ring filter's
+        # margin must cover it
+        assert_same_candidates(np.array(target), degree_grid(step), SensorModels())
+
+    @pytest.mark.parametrize("target", [(0.0, 0.0, 0.0), (731.2, -988.5, 402.7)])
+    @pytest.mark.parametrize("ring", [0, 1, 3, 7, 12, 15])
+    def test_equal_to_loops_fov_edge_on_a_ring(self, ring, target):
+        # half the FOV equals a ring's pitch bit for bit, so the ring's
+        # placements sit on the per-point test's edge, and the ring filter
+        # must leave them to it
+        grid = degree_grid(10.0)
+        delta = grid.deltas()[ring]
+        pitch = min(delta, np.pi - delta)
+        built, _ = assert_same_candidates(np.array(target), grid, SensorModels(),
+                                          vfov=2.0 * pitch)
+        assert len(built) > 0
+
+    @pytest.mark.parametrize("scale", [3e15, 1e16])
+    def test_equal_to_loops_where_rounding_moves_the_pitch(self, scale):
+        # 10 m from a target this far out, rounding the placements moves
+        # their pitch by up to about 0.1 rad, so rings that miss the FOV
+        # by 1e-3 rad keep placements, and the ring filter must build them
+        target = scale * np.array([1.0, -0.7, 0.3])
+        grid = degree_grid(10.0)
+        vfov = 2.0 * (np.radians(20.0) - 1e-3)
+        built = build_candidates(target, grid, vfov)
+        rows, _, _ = build_candidates_loops(target, grid, AllocWeights(), ResourceModel(),
+                                            SensorModels(), vfov / 2.0)
+        for name in ("positions", "yaws", "lidar", "target"):
+            assert np.array_equal(getattr(built, name), getattr(rows, name)), name
+        assert len(built) > 144   # more than the two 10-degree rings' placements
+
     def test_last_ring_stays_below_delta_max(self):
         # 10-170 degrees at a 15-degree step: the rings run 10, 25, ..., 160;
         # rounding the ring count up once made a 175-degree ring
@@ -247,3 +287,110 @@ def test_greedy_gains_non_negative_utilities_non_increasing(
     result = allocate(build_candidates(np.array(target), grid, VFOV), weights)
     assert min(result.gains, default=0.0) >= 0.0
     assert np.all(np.diff(result.utilities) <= 1e-9)
+
+
+def outcome(allocate_fn, candidates, weights, models):
+    """The allocation, or the type and text of the error it raised."""
+    try:
+        return allocate_fn(candidates, weights, ResourceModel(), models)
+    except (ValueError, FloatingPointError) as exc:   # DegenerateGeometryError is a ValueError
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Same picks, gains, utilities and log-det with `==`, or the same error."""
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    for name in ("positions", "yaws", "lidar", "target"):
+        assert np.array_equal(getattr(got.formation, name), getattr(want.formation, name)), name
+    assert got.gains == want.gains
+    assert got.utilities == want.utilities
+    assert got.logdet == want.logdet
+
+
+class TestScreen:
+    """`greedy_allocate` screens each round with a closed-form log-det and
+    a rounding-error radius, and scores exactly only the rows that can
+    still win; it must pick what scoring every row picks, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @example(beta=1.0, delta=1.0, offset=(0.0, 0.0, 0.0), scale=0.0, log_eps=-6.0,
+             penalised=False, min_gain=0.0, max_uavs=14, vfov_deg=40.0)
+    @example(beta=10.0, delta=10.0, offset=(1.0, -1.0, 0.5), scale=6.0, log_eps=-9.0,
+             penalised=True, min_gain=-5.0, max_uavs=30, vfov_deg=170.0)
+    @given(beta=st.floats(1.0, 15.0), delta=st.floats(1.0, 15.0),
+           offset=st.tuples(*[st.floats(-1.0, 1.0)] * 3), scale=st.floats(0.0, 6.0),
+           log_eps=st.floats(-9.0, 0.0), penalised=st.booleans(), min_gain=st.floats(-5.0, 0.5),
+           max_uavs=st.integers(1, 30), vfov_deg=st.floats(5.0, 170.0))
+    def test_equal_to_scoring_every_row(self, beta, delta, offset, scale, log_eps, penalised,
+                                        min_gain, max_uavs, vfov_deg):
+        target = np.array(offset) * 10.0 ** scale   # up to 1e6 m off the origin
+        grid = GridSpec(beta_step=np.radians(beta), delta_step=np.radians(delta))
+        weights = (AllocWeights(min_gain=min_gain, max_uavs=max_uavs) if penalised
+                   else AllocWeights(0.0, 0.0, min_gain, max_uavs))
+        models = SensorModels(eps=10.0 ** log_eps)
+        candidates = build_candidates(target, grid, np.radians(vfov_deg))
+        assert_same_outcome(outcome(greedy_allocate, candidates, weights, models),
+                            outcome(greedy_allocate_all_rows, candidates, weights, models))
+
+    @pytest.mark.parametrize("models, grid", [
+        (SensorModels(fx=1e10, fy=1e10), GridSpec()),
+        (SensorModels(), GridSpec(distance=1e-4)),
+        (SensorModels(eps=1e-300), GridSpec()),
+    ], ids=["fx-1e10", "distance-1e-4", "eps-1e-300"])
+    def test_refuses_as_scoring_every_row(self, models, grid):
+        candidates = build_candidates(np.zeros(3), grid, VFOV)
+        weights = AllocWeights(0.0, 0.0, -100.0, 12)
+        want = outcome(greedy_allocate_all_rows, candidates, weights, models)
+        assert_same_outcome(outcome(greedy_allocate, candidates, weights, models), want)
+
+    def test_scores_few_rows_after_the_first_round(self, monkeypatch):
+        # a 1-degree grid, no penalties, 14 UAVs: after round 1, where A is
+        # eps*I and a lone camera's FIM has rank 2, at most 1% of the
+        # candidate-rounds reach slogdet
+        scored = []
+
+        def counting(fim, eps):
+            scored.append(1 if np.ndim(fim) == 2 else len(fim))
+            return logdet_reg(fim, eps)
+
+        candidates = build_candidates(np.array([37.3, -48.1, 12.9]), degree_grid(1.0), VFOV)
+        weights = AllocWeights(0.0, 0.0, 0.0, 14)
+        want = greedy_allocate_all_rows(candidates, weights, ResourceModel(), SensorModels())
+        monkeypatch.setattr(alloc, "logdet_reg", counting)
+        got = greedy_allocate(candidates, weights, ResourceModel(), SensorModels())
+        assert_same_outcome(got, want)
+        assert len(candidates) == 15840 and len(got.gains) == 14
+        later = scored[2:]   # scored[0] is the empty total, scored[1] round 1
+        assert len(later) == 13
+        assert sum(later) <= 0.01 * len(candidates) * len(later)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_eps=st.floats(-12.0, 2.0))
+    def test_bounds_hold(self, seed, log_eps):
+        """Where the screen bounds a row, `logdet_reg` accepts it and the
+        exact utility lies within the bounds, on positive semidefinite
+        stacks of every conditioning, nearly singular ones, badly scaled
+        ones and unsymmetric ones."""
+        rng = np.random.default_rng(seed)
+        n = 64
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 3))
+        jac = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 3, 1))
+        v = rng.normal(size=(n, 3, 2))
+        near = 10.0 ** rng.uniform(-16.0, -6.0, size=(n, 1, 1)) * np.eye(3)
+        kinds = [jac.transpose(0, 2, 1) @ jac,
+                 v @ v.transpose(0, 2, 1) + near,
+                 (jac.transpose(0, 2, 1) @ jac) * scales[:, :, None] * scales[:, None, :],
+                 rng.normal(size=(n, 3, 3)) * scales[:, :, None]]
+        row_fims = np.concatenate(kinds)[rng.permutation(4 * n)]
+        total = row_fims[rng.integers(0, 4 * n, size=rng.integers(0, 4))].sum(axis=0)
+        eps = 10.0 ** log_eps
+        current = rng.normal() * 30.0
+        penalties = rng.uniform(0.0, 3.0, size=len(row_fims))
+        lower, upper = alloc._screen(alloc._screen_tables(row_fims), total + eps * np.eye(3),
+                                     current, penalties)
+        bounded = np.flatnonzero(upper < np.inf)
+        assert (lower[bounded] > -np.inf).all()
+        util = logdet_reg(total + row_fims[bounded], eps) - current - penalties[bounded]
+        assert (lower[bounded] <= util).all() and (util <= upper[bounded]).all()

@@ -85,6 +85,17 @@ class TestFly:
         assert report["Flight"]["Controller"] == "quad"
         assert report["Flight"]["Seed"] == 7
 
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="digest recorded with NumPy 2")
+    def test_overrides_keep_the_report_bytes(self, tmp_path):
+        # the overrides build a new, checked flight record; the report is the
+        # one the overrides wrote into the parsed record before it was frozen
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", scenario("flight_benchmark.json"), "--controller",
+                     "quad", "--seed-override", "7", "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == "4e3597bcf141d88720a0c3b051e9db47295a51707de614b4ec7821d80011bbe4"
+
     @pytest.mark.parametrize("controller", ["log", "quad", "apf"])
     def test_library_calls_reproduce_the_runs(self, capsys, controller):
         # the CLI only orchestrates: the library's stages, start builder,

@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from swarmform.cli import main
 from swarmform.config import (
     ScenarioError,
+    TargetSpec,
     parse_formation,
     parse_formation_dict,
     parse_scenario,
@@ -121,6 +122,38 @@ class TestScenarioParsing:
                          "--out-dir", str(out)]) == 0
             echo = json.loads((out / "report.json").read_text())["Scenario"]
             assert same_values(parse_scenario_dict(echo), parse_scenario(scenario_path(name)))
+
+
+class TestRecordsStayValid:
+    """A parsed scenario's records are frozen, and its target vectors are
+    read-only copies, so no assignment can undo the checks parsing made."""
+
+    def test_assignments_raise(self):
+        s = parse_scenario(scenario_path("paper_default.json"))
+        with pytest.raises(FrozenInstanceError):
+            s.flight.runs = 2 ** 70
+        with pytest.raises(FrozenInstanceError):
+            s.flight.horizon_s = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.target.position[0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            s.target.velocity[2] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            s.flight = s.flight
+        assert s.flight.runs == 1 and s.flight.horizon_s == 20.0
+        assert np.isfinite(s.target.position).all()
+
+    def test_target_holds_copies(self):
+        position = np.array([1.0, 2.0, 3.0])
+        target = TargetSpec(position=position)
+        position[0] = np.nan   # the caller's array stays writable, the record unchanged
+        assert target.position.tolist() == [1.0, 2.0, 3.0]
+        assert target.velocity.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("position", [[0.0, np.nan, 0.0], [0.0, 0.0], [[0.0] * 3]])
+    def test_target_refuses_a_bad_vector(self, position):
+        with pytest.raises(ValueError, match="target position must be a finite 3-vector"):
+            TargetSpec(position=position)
 
 
 class TestFormationParsing:
