@@ -40,8 +40,8 @@ _RING_MARGIN = 1e-6
 
 # The greedy screen (see `greedy_allocate`): the unit roundoff, the rounding
 # constant K, the largest relative determinant error a row may carry and
-# still be ruled out, and the floor under a row's mu^3 that keeps the
-# error of underflow negligible.
+# still be ruled out, and the floor under mu^3 that keeps the error of
+# underflow negligible.
 _U = np.finfo(float).eps / 2.0
 _K = 128.0
 _SURE = 1e-3
@@ -201,43 +201,44 @@ def _cofactors(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _screen_tables(row_fims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _screen_tables(row_fims: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The screen's per-candidate constants, made once per call from the
     (N, 3, 3) FIMs: the FIMs as an (N, 9) view, each row F_i flattened
     row-major; a (10, N) table whose column i holds cof F_i, flattened
-    alike, then det F_i; and the (3, N) row sums of |F_i|."""
+    alike, then det F_i; and the largest row sum of any |F_i|."""
     n = len(row_fims)
     f = row_fims.reshape(n, 9).T.reshape(3, 3, n)   # a view: f[r, c] is every F's (r, c)
     table = np.empty((10, n))
     cof = _cofactors(f, out=table[:9].reshape(3, 3, n))
     table[9] = f[0, 0] * cof[0, 0] + f[0, 1] * cof[0, 1] + f[0, 2] * cof[0, 2]
-    abs_rows = np.empty((3, n))
-    for r in range(3):
-        abs_rows[r] = np.abs(f[r, 0]) + np.abs(f[r, 1]) + np.abs(f[r, 2])
-    return row_fims.reshape(n, 9), table, abs_rows
+    f_rows = max(float((np.abs(f[r, 0]) + np.abs(f[r, 1]) + np.abs(f[r, 2])).max())
+                 for r in range(3))
+    return row_fims.reshape(n, 9), table, f_rows
 
 
-def _screen(tables: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray, current: float,
+def _screen(tables: tuple[np.ndarray, np.ndarray, float], a: np.ndarray, current: float,
             penalties: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lower, upper) on every candidate's exact net utility this
     round, logdet_reg(total + F_i, eps) - current - penalty_i, where `a`
     is total + eps*I and `tables` come from `_screen_tables`; a row the
     screen cannot bound gets (-inf, inf). `greedy_allocate` derives them."""
-    f9, table, abs_rows = tables
-    a_rows = np.abs(a).sum(axis=1)
+    f9, table, f_rows = tables
     # overflow, a non-positive det and their NaNs only mark rows as unbounded
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         cof = _cofactors(a)
         det = f9 @ cof.ravel()
         det += np.append(a.ravel(), 1.0) @ table
         det += a[0] @ cof[0]
-        mu = np.maximum(np.maximum(abs_rows[0] + a_rows[0], abs_rows[1] + a_rows[1]),
-                        abs_rows[2] + a_rows[2])
-        t = _K * _U * np.maximum(mu * mu * mu, _CUBE_MIN) / det
-        sure = (t > 0.0) & (t < _SURE)
-        radius = t + 64.0 * _U * (1024.0 + abs(current) + penalties.max())
-        est = np.log(det) - current - penalties
-        return np.where(sure, est - radius, -np.inf), np.where(sure, est + radius, np.inf)
+        mu = f_rows + np.abs(a).sum(axis=1).max()
+        t = (_K * _U * max(mu * mu * mu, _CUBE_MIN)) / det
+        unsure = ~((t > 0.0) & (t < _SURE))
+        t += 64.0 * _U * (1024.0 + abs(current) + penalties.max())   # now the radius
+        est = np.log(det)
+        est -= current
+        est -= penalties
+        lower, upper = est - t, np.add(est, t, out=est)
+        lower[unsure], upper[unsure] = -np.inf, np.inf
+        return lower, upper
 
 
 def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: ResourceModel,
@@ -257,8 +258,12 @@ def greedy_allocate(candidates: Formation, weights: AllocWeights, resources: Res
     A = total + eps*I, a screen takes every row's determinant D from the
     3x3 identity det(A + F) = det A + <cof A, F> + <A, cof F> + det F: two
     matrix-vector products a round, as cof F and det F are tabled once.
-    Let mu be the row's largest row sum of |A| + |F| and u the unit
-    roundoff. D and the determinant of slogdet's LU factors differ by under
+    Let mu be the round's largest row sum of |A| plus the largest row sum
+    of any candidate's |F|, one number a round (the candidates' part is
+    tabled once), and u the unit roundoff. Each row sum of |A| + |F| for
+    the row at hand is at most mu, and every bound below uses mu only as
+    such an upper bound, so each holds for every row. D and the
+    determinant of slogdet's LU factors differ by under
     66 u mu^3 < K u mu^3 / 1.9, K = 128:
 
     - Each product the identity sums is one of the 48 monomials of the

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import shutil
 import sys
 import tempfile
@@ -60,7 +59,7 @@ def _write_atomic(path: Path, newline: str | None = None):
     is removed and `path` is left as it was. The file's mode follows the
     umask, as a plain `open` would give (`mkstemp`'s would be 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline=newline) as fh:

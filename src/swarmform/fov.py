@@ -20,7 +20,6 @@ mirror keeps Gamma but not the FIM's log-det.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -126,6 +125,16 @@ def flip_candidates(formation: Formation, spec: FovSpec) -> np.ndarray:
     return np.bincount(sectors)[sectors] >= 2
 
 
+def _patterns(g: int) -> np.ndarray:
+    """Every nonempty 0/1 pattern over g members, one per row, by size, then
+    lexicographically with 1 before 0: `sorted(product((1, 0), repeat=g),
+    key=sum)[1:]`. Read as a binary number whose most significant bit is
+    the first member, `product` lists the patterns by descending value,
+    which a stable sort by size keeps."""
+    bits = np.arange(2 ** g - 1, 0, -1)[:, None] >> np.arange(g - 1, -1, -1) & 1
+    return bits[np.argsort(bits.sum(axis=1), kind="stable")]
+
+
 def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams,
                        ground: bool = False) -> Formation:
     """Maximize Gamma over flips of sector-crowded members, subject to the
@@ -170,9 +179,7 @@ def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams,
     members = np.arange(len(formation))
     single = np.eye(len(formation), dtype=np.intp)[gate]   # row j flips the j-th gated member
     exhaustive = 2 ** len(single) <= EXHAUSTIVE_LIMIT
-    # nonempty subsets by size, then lexicographically (product lists 1s first; sort is stable)
-    moves = (np.array(sorted(product((1, 0), repeat=len(single)), key=sum)[1:]) @ single
-             if exhaustive else single)
+    moves = _patterns(len(single)) @ single if exhaustive else single
     best = np.zeros(len(formation), dtype=np.intp)
     while True:
         flips = best ^ moves
@@ -180,9 +187,10 @@ def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams,
         gammas = _gamma(sum(rows[flips[:, i], i] for i in members), spec.n_dirs)[2]
         min_db = sinr_db(power[flips[:, [0]], flips[:, 1:], members[:-1]], radio).min(axis=1)
         kept = None
-        for r in np.flatnonzero(min_db >= floor - _ANGLE_TOL):
-            if gammas[r] > best_gamma + _ANGLE_TOL:
-                kept, best_gamma = r, gammas[r]
+        beat = np.flatnonzero((min_db >= floor - _ANGLE_TOL) & (gammas > best_gamma + _ANGLE_TOL))
+        while len(beat):   # keep the first; a later row must beat the kept one in turn
+            kept, best_gamma = beat[0], gammas[beat[0]]
+            beat = beat[gammas[beat] > best_gamma + _ANGLE_TOL]
         if kept is not None:
             best = flips[kept]
         if kept is None or exhaustive:

@@ -90,7 +90,8 @@ def fims(rows: Formation, models: SensorModels) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         rel = rows.positions - rows.target
         dx, dy, dz = rel[cam].T
-        c, s = np.cos(rows.yaws[cam]), np.sin(rows.yaws[cam])
+        yaws = rows.yaws[cam]
+        c, s = np.cos(yaws), np.sin(yaws)
         z = c * dx + s * dy                      # camera depth
         z2 = z * z
         lrel = rel[lidar]
@@ -112,18 +113,23 @@ def fims(rows: Formation, models: SensorModels) -> np.ndarray:
                                      "a pose is too far from the target")
 
         fx, fy = models.fx, models.fy
-        zero = np.zeros_like(z)
-        cam_jac = np.stack([
-            np.stack([-fx * dy / z2, fx * dx / z2, zero], axis=-1),
-            np.stack([-fy * c * dz / z2, -fy * s * dz / z2, fy / z], axis=-1),
-        ], axis=1)
+        cam_jac = np.zeros((len(z), 2, 3))
+        cam_jac[:, 0, 0] = -fx * dy / z2
+        cam_jac[:, 0, 1] = fx * dx / z2
+        cam_jac[:, 1, 0] = -fy * c * dz / z2
+        cam_jac[:, 1, 1] = -fy * s * dz / z2
+        cam_jac[:, 1, 2] = fy / z
         beta = np.arctan2(ly, lx)
         sb, cb = np.sin(beta), np.cos(beta)
-        lidar_jac = np.stack([
-            np.stack([-lx / d, -ly / d, -lz / d], axis=-1),
-            np.stack([sb / d_xy, -cb / d_xy, np.zeros_like(d)], axis=-1),
-            np.stack([lz * cb / d2, lz * sb / d2, -d_xy / d2], axis=-1),
-        ], axis=1)
+        lidar_jac = np.zeros((len(d), 3, 3))
+        lidar_jac[:, 0, 0] = -lx / d
+        lidar_jac[:, 0, 1] = -ly / d
+        lidar_jac[:, 0, 2] = -lz / d
+        lidar_jac[:, 1, 0] = sb / d_xy
+        lidar_jac[:, 1, 1] = -cb / d_xy
+        lidar_jac[:, 2, 0] = lz * cb / d2
+        lidar_jac[:, 2, 1] = lz * sb / d2
+        lidar_jac[:, 2, 2] = -d_xy / d2
 
         out = np.empty((len(rows), 3, 3))
         for mask, jac, cov in ((cam, cam_jac, models.camera_cov),

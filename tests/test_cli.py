@@ -652,6 +652,24 @@ class TestExitCodes:
         assert captured.out == "" and not out.exists()
 
 
+def test_start_up_loads_no_secrets_or_hmac():
+    """A fresh process that imports the CLI and parses a scenario loads
+    neither `secrets` nor `hmac` (with `hashlib` they cost milliseconds of
+    every start-up), unless one that imports NumPy alone does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
+
+    def loaded(code):
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys, numpy\n{code}\n"
+             "print(*sorted({'secrets', 'hmac'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=120, check=True)
+        return set(done.stdout.split())
+
+    numpy_alone = loaded("")
+    assert loaded("import swarmform.cli\nfrom swarmform.config import parse_scenario\n"
+                  f"parse_scenario({scenario('paper_default.json')!r})") <= numpy_alone
+
+
 class TestAtomicWrites:
     def test_failed_trace_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         real_fdopen = cli.os.fdopen

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,6 +366,37 @@ def test_steepest_ascent_flips_a_member_twice(monkeypatch):
     assert not np.allclose(got.positions[[1, 3]], f.positions[[1, 3]])
     assert twice.position.tobytes() == start.position.tobytes()
     assert twice.yaw == start.yaw
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_moves_by_size_then_lexicographically(g):
+    """The exhaustive search's moves over g gated members, g up to
+    log2(EXHAUSTIVE_LIMIT): every nonempty pattern, in the order that
+    sorting `product` by size lists them."""
+    want = sorted(product((1, 0), repeat=g), key=sum)[1:]
+    assert fov._patterns(g).tolist() == [list(p) for p in want]
+
+
+def test_exhaustive_search_keeps_rows_in_turn(radio):
+    """Four cameras facing the target, all gated. Scored in move order,
+    rows 0, 2 and 5 each beat the best Gamma in turn; rows 6, 7 and 8 come
+    later and beat row 5 by 2 ulps, within _ANGLE_TOL. The search keeps
+    row 5's pattern, as the pattern-by-pattern search does."""
+    positions = [vec3(-5, -12, -1), vec3(-12, -12, 0), vec3(-9, 9, 0), vec3(-11, 6, 3)]
+    f = formation_of([Pose(p, yaw_facing_target(p, np.zeros(3)), Sensor.CAMERA)
+                      for p in positions], np.zeros(3))
+    spec, moves = FovSpec(eta_min_db=-100.0), fov._patterns(4)
+    assert flip_candidates(f, spec).all()
+    gammas = [coverage(flip(f, move), spec).gamma_metric for move in moves]
+    best, kept = coverage(f, spec).gamma_metric, []
+    for r, gamma in enumerate(gammas):
+        if gamma > best + fov._ANGLE_TOL:
+            best, kept = gamma, [*kept, r]
+    assert kept == [0, 2, 5]
+    assert [r for r, gamma in enumerate(gammas) if gamma > best] == [6, 7, 8]
+    got = optimize_formation(f, spec, radio)
+    assert _same_poses(got, optimize_formation_loops(f, spec, radio))
+    assert _same_poses(got, flip(f, moves[5]))
 
 
 # a member at a bearing on a sector boundary for k = 1, 2, 3, 4, 8 or 12
