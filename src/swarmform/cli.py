@@ -27,6 +27,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .radio import link_stats
 from .sensing import logdet_reg, total_fim
 
 STAGES = ("allocate", "formation", "fly")
-_TRACE_BLOCK = 64  # trace rows formatted per write
+_TRACE_VALUES = 4096  # trace values formatted per write, rounded down to whole rows
 
 
 class UsageError(Exception):
@@ -53,16 +54,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _write_atomic(path: Path, newline: str | None = None):
-    """Yield a text handle on a temp file beside `path`. When the block
-    completes the temp file replaces `path`; when it raises, the temp file
-    is removed and `path` is left as it was. The file's mode follows the
-    umask, as a plain `open` would give (`mkstemp`'s would be 0600)."""
+def _write_atomic(path: Path, mode: str = "w"):
+    """Yield a handle, opened with `mode`, on a temp file beside `path`.
+    When the block completes the temp file replaces `path`; when it raises,
+    the temp file is removed and `path` is left as it was. The file's mode
+    follows the umask, as a plain `open` would give (`mkstemp`'s would be
+    0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w", newline=newline) as fh:
+        with os.fdopen(fd, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -157,17 +159,18 @@ def _cpus() -> int:
 
 
 def _write_rows(fh, traj, starts: range) -> None:
-    """Write run 0's rows to `fh`, `_TRACE_BLOCK` rows from each of `starts`."""
+    """Write run 0's rows to the binary `fh`, `starts.step` rows from each of `starts`."""
+    from .floatrepr import repr_rows   # on first use: a run without a trace never loads it
     n = traj.positions.shape[1]
     for lo in starts:
-        block = slice(lo, lo + _TRACE_BLOCK)
+        block = slice(lo, lo + starts.step)
         state = np.concatenate((traj.positions[block], traj.velocities[block]), axis=2)
         state = state.reshape(-1, 6 * n)
         u = traj.controls[block].reshape(-1, 3 * n)
         if len(u) < len(state):  # no control after the last step
             u = np.vstack((u, np.zeros((1, 3 * n))))
         table = np.column_stack((traj.times[block], state, u, traj.lyapunov[0, block]))
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist()))
+        fh.write(repr_rows(table))
 
 
 def _write_trace(path: Path, traj) -> None:
@@ -176,18 +179,21 @@ def _write_trace(path: Path, traj) -> None:
     Columns: `t`; then `px{i} py{i} pz{i} vx{i} vy{i} vz{i}` for each
     member i; then `ux{i} uy{i} uz{i}` for each member; then `V`. The last
     row's controls are 0.0, as no step follows it. Each float is written
-    as its Python `repr` and each line ends in `\r\n`. Rows are formatted
-    and written in blocks of `_TRACE_BLOCK`, so memory does not grow with
-    the horizon.
+    as its Python `repr` and each line ends in `\r\n`: `floatrepr.repr_rows`
+    makes those bytes for a whole block of rows in NumPy (Schubfach's
+    shortest digits, then `repr`'s layout), with no Python call per value.
+    A block is as many whole rows as fit in `_TRACE_VALUES` values (at
+    least one), so memory does not grow with the horizon or the swarm.
 
     The blocks are split into one contiguous range per CPU this process may
-    run on, never more ranges than blocks. Where `os.fork` exists (POSIX),
-    a forked writer formats each range after the first into its own unnamed
-    temporary file, while this process writes the header and the first
-    range; the parts are then appended in order. Where it does not, one
-    writer formats every range. The bytes do not depend on the number of
-    writers. A writer that fails fails the whole write (`OSError`), and no
-    writer process or part file outlives this call.
+    run on, never more ranges than blocks: formatting is still the bulk of
+    the write, and one writer for every range is slower on a wide swarm.
+    Where `os.fork` exists (POSIX), a forked writer formats each range
+    after the first into its own unnamed temporary file, while this process
+    writes the header and the first range; the parts are then appended in
+    order. Where it does not, one writer formats every range. The bytes do
+    not depend on the number of writers. A writer that fails fails the whole
+    write (`OSError`), and no writer process or part file outlives this call.
     """
     rows, n = traj.positions.shape[:2]
     header = ["t"]
@@ -196,15 +202,15 @@ def _write_trace(path: Path, traj) -> None:
     for i in range(n):
         header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
     header.append("V")
-    starts = range(0, rows, _TRACE_BLOCK)
+    starts = range(0, rows, max(1, _TRACE_VALUES // len(header)))
     writers = min(_cpus() if hasattr(os, "fork") else 1, len(starts))
     ranges = [starts[len(starts) * k // writers:len(starts) * (k + 1) // writers]
               for k in range(writers)]
     parts, pids = [], []   # parts[k] and pids[k] belong to ranges[k + 1]
-    with _write_atomic(path, newline="") as fh:
+    with _write_atomic(path, "wb") as fh:
         try:
             for part_rows in ranges[1:]:
-                parts.append(tempfile.TemporaryFile("w+", newline="", dir=path.parent))
+                parts.append(tempfile.TemporaryFile(dir=path.parent))
                 # Safe although a BLAS thread may be running here (Python 3.12+
                 # warns of forking a threaded process): the child calls no
                 # BLAS routine, it only slices the trajectory, formats rows
@@ -218,7 +224,7 @@ def _write_trace(path: Path, traj) -> None:
                     finally:
                         os._exit(1)
                 pids.append(pid)
-            fh.write(",".join(header) + "\r\n")
+            fh.write((",".join(header) + "\r\n").encode())
             _write_rows(fh, traj, ranges[0])
             for k, part in enumerate(parts):
                 status = os.waitpid(pids[k], 0)[1]
@@ -255,7 +261,10 @@ def _run(scenario: Scenario, last_stage: str, out_dir: Path | None) -> dict:
     return report
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: `main` may be called
+    many times in one process, and each `parse_args` fills a new namespace."""
     parser = _Parser(prog="swarmform", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -346,6 +346,25 @@ class TestEvalFim:
         assert single < doubled <= single + 3 * np.log(2.0) + 1e-6
 
 
+def test_main_parses_each_argv_alone(tmp_path, monkeypatch, capsys):
+    """`main` builds its parser once per process, and each call's options
+    come from its own argv: two subcommands back to back, then a usage error."""
+    runs = []
+    monkeypatch.setattr(cli, "_run", lambda scenario, last_stage, out_dir:
+                        runs.append((scenario.flight, last_stage, out_dir)) or {})
+    path = scenario("paper_default.json")
+    assert main(["fly", "--scenario", path, "--seed-override", "7", "--controller", "apf",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert main(["pipeline", "--scenario", path, "--stage", "allocate"]) == 0
+    assert main(["formation"]) == 1
+    flight = parse_scenario(path).flight
+    assert [(f.seed, f.controller, stage, out) for f, stage, out in runs] \
+        == [(7, "apf", "fly", tmp_path), (flight.seed, flight.controller, "allocate", None)]
+    assert capsys.readouterr().err \
+        == "swarmform: error: the following arguments are required: --scenario\n"
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["allocate"]) == 1  # missing --scenario
@@ -675,8 +694,8 @@ class TestAtomicWrites:
         real_fdopen = cli.os.fdopen
 
         class FailingHandle:
-            """A text handle whose 10th write fails: the trace's header and
-            8 of its 32 blocks of rows are written, the rest is not."""
+            """A handle whose 10th write fails: the trace's header and 8 of
+            its 28 blocks of rows are written, the rest is not."""
 
             def __init__(self, fh):
                 self.fh = fh
@@ -755,6 +774,14 @@ def _flown(n, steps, controller="log"):
                     0.01, steps * 0.01)
 
 
+# (members, steps) whose trace ends one row below, at and one row past the
+# end of a block of rows, and one row into the fifth block
+_BLOCK_EDGES = [pytest.param(n, rows - 1, id=f"n{n}-rows{rows}")
+                for n in (2, 6, 48)
+                for block in [cli._TRACE_VALUES // (9 * n + 2)]
+                for rows in (block - 1, block, block + 1, 4 * block + 1)]
+
+
 class TestTraceWriter:
     """`cli._write_trace` writes the bytes of the row-by-row `csv.writer` oracle."""
 
@@ -779,15 +806,17 @@ class TestTraceWriter:
         write_trace_csv(tmp_path / "oracle.csv", flown[0])
         assert (out / "fly_trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 128])
-    def test_block_edges(self, tmp_path, steps):
-        traj = _flown(6, steps)
+    @pytest.mark.parametrize("n, steps", [pytest.param(6, steps, id=str(steps))
+                                          for steps in (1, 63, 64, 65, 128)] + _BLOCK_EDGES)
+    def test_block_edges(self, tmp_path, n, steps):
+        traj = _flown(n, steps)
         assert len(traj.times) == steps + 1
         self.assert_same_bytes(tmp_path, traj)
 
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 2000])
-    def test_bytes_independent_of_writer_count(self, tmp_path, monkeypatch, steps):
-        traj = _flown(6, steps)   # 1 to 32 blocks: some runs have fewer blocks than CPUs
+    @pytest.mark.parametrize("n, steps", [pytest.param(6, steps, id=str(steps))
+                                          for steps in (1, 63, 64, 65, 2000)] + _BLOCK_EDGES)
+    def test_bytes_independent_of_writer_count(self, tmp_path, monkeypatch, n, steps):
+        traj = _flown(n, steps)   # 1 to 28 blocks: some runs have fewer blocks than CPUs
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
             cli._write_trace(tmp_path / f"{cpus}.csv", traj)
@@ -800,6 +829,8 @@ class TestTraceWriter:
             == ["1.csv", "2.csv", "3.csv", "4.csv", "no_fork.csv"]
         with pytest.raises(ChildProcessError):   # every writer was reaped
             os.waitpid(-1, os.WNOHANG)
+        write_trace_csv(tmp_path / "oracle.csv", traj)
+        assert (tmp_path / "oracle.csv").read_bytes() == one
 
     def test_two_members(self, tmp_path):
         self.assert_same_bytes(tmp_path, _flown(2, 70, "apf"))
