@@ -28,6 +28,10 @@ from .radio import RadioParams, dbm_to_watts
 from .sensing import SensorModels
 
 
+# the float64 unit roundoff, 2^-53
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
 class ScenarioError(ValueError):
     """Malformed or invalid scenario document."""
 
@@ -283,6 +287,15 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     if grid.distance > fov.d_max:   # coverage assumes every UAV sees the target
         raise ScenarioError(f"{root.at('grid.distance_m')}: must not exceed fov.d_max_m "
                             f"({fov.d_max}), got {grid.distance}")
+    # candidates are placed at target + distance * offset: past this reach,
+    # 64 ulps of the largest target coordinate exceed 1e-6 of the grid
+    # distance, and the rounding moves pitches enough to change the pool
+    reach = float(np.abs(target.position).max())
+    if 64 * _UNIT_ROUNDOFF * reach > 1e-6 * grid.distance:
+        raise ScenarioError(f"{root.at('target.position')}: too far out for grid.distance_m "
+                            f"({grid.distance}): coordinates up to "
+                            f"{1e-6 * grid.distance / (64 * _UNIT_ROUNDOFF):.4g} m keep the "
+                            f"grid's rounding within 1e-6 of its distance, got {reach:g}")
     radio = _section(root, "radio", RadioParams, _RADIO)
     resources = _section(root, "resources", ResourceModel, _RESOURCES)
     fl = root.child("flight")

@@ -25,7 +25,10 @@ terms cancel.
 
 The equations live once, in `swarmform.kernels`, and `simulate` rolls
 them out with one `kernels.rollout` call; `kernels` says how that
-rollout binds the law and reduces its outputs. It flies the designed
+rollout binds the law, in which order it sums, and how it reduces its
+outputs. Its step loop holds the states axis-major, (3, R, n), but it
+takes and returns them member-major, (R, n, 3), as every array here
+is. `simulate` flies the designed
 `Formation`: each member's slot is its offset from the formation's
 target, which moves at a constant velocity. A start is a pair
 (positions, velocities) of (R, n, 3) arrays: R runs, all flown from

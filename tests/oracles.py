@@ -35,6 +35,8 @@ compare against it:
 - `SwarmState`, `stacked`, `control`, `lyapunov_value`: one swarm's
   state, a list of them as `flight.simulate`'s (R, n, 3) start, and the
   flight law bound as `simulate` binds it, evaluated at one state;
+- `squared_norm`, `pair_sum`: a 3-vector's squared norm and the sum
+  over a member's pairs, each in the order the kernels fix;
 - `law`, `rollout_per_step`: the force law and the Lyapunov candidate
   from one evaluation, and the rollout that records V, the velocity
   errors, the path lengths and run 0's history step by step;
@@ -588,6 +590,22 @@ def stacked(states) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s.positions for s in states]), np.stack([s.velocities for s in states])
 
 
+def squared_norm(a):
+    """|a|^2 over a last axis of 3, in the kernels' order (x^2 + z^2) + y^2."""
+    return (a[..., 0] * a[..., 0] + a[..., 2] * a[..., 2]) + a[..., 1] * a[..., 1]
+
+
+def pair_sum(w, a):
+    """sum_j w[r, i, j] * a[r, i, j] (R, n, 3) of w (R, n, n) and a
+    (R, n, n, 3), in the kernels' order: one term after another from
+    j = 0. A w of None weighs every term 1."""
+    terms = a if w is None else w[..., None] * a
+    total = terms[:, :, 0]
+    for j in range(1, terms.shape[2]):
+        total = total + terms[:, :, j]
+    return total
+
+
 def law(ctrl, slots, gains, vt):
     """The force law and the Lyapunov candidate from one evaluation per
     state, the form `rollout_per_step` steps with; `control` and
@@ -599,7 +617,8 @@ def law(ctrl, slots, gains, vt):
     Lyapunov candidate V (R,). Both come from one evaluation because they
     share the pairwise offsets. `gains` gives mass, k1, k2 and kp, and
     ka, kr and d0 for APF. Damping is -k2 * (v - vt), and the kinetic
-    term of V is mass * sum_i |v_i - vt|^2 / 2.
+    term of V is mass * sum_i |v_i - vt|^2 / 2. Squared norms and the sums
+    over j take the kernels' orders (`squared_norm`, `pair_sum`).
 
     APF forces of members that coincide with another member are +inf on x.
     """
@@ -619,7 +638,7 @@ def law(ctrl, slots, gains, vt):
         d = (np.repeat(p, n, axis=1).reshape(runs, n, 3 * n)
              - p.reshape(runs, 1, 3 * n)).reshape(runs, n, n, 3)
         e = d - slot_diff
-        sq = np.einsum("rijk,rijk->rij", e, e)
+        sq = squared_norm(e)
         dv = v - vt
         err_l = p[:, 0] - (tgt + slots[0])
         lyap = (0.5 * k1 * np.log1p(np.take(sq.reshape(runs, -1), edges, axis=1)).sum(axis=1)
@@ -628,19 +647,19 @@ def law(ctrl, slots, gains, vt):
                 + 0.5 * kp * np.matmul(err_l[:, None, :], err_l[:, :, None])[:, 0, 0])
         if ctrl == "apf":
             u = -ka * (p - (tgt + slots)) - k2 * dv
-            dn = np.sqrt(np.einsum("rijk,rijk->rij", d, d))
+            dn = np.sqrt(squared_norm(d))
             dn[:, diag, diag] = np.inf
             coincident = dn < kernels._TINY
             active = (dn < d0) & ~coincident
             coef = np.zeros_like(dn)
             coef[active] = kr * (1.0 / dn[active] - 1.0 / d0) / dn[active] ** 3
-            u += np.einsum("rij,rijk->rik", coef, d)
+            u += pair_sum(coef, d)
             if coincident.any():
                 u[coincident.any(axis=2), 0] = np.inf
         else:
             # a member's own term weighs e_ii = +0.0, so it adds nothing
-            w = 1.0 / (1.0 + sq) if ctrl == "log" else np.ones_like(sq)
-            u = -k1 * np.einsum("rij,rijk->rik", w, e) - k2 * dv
+            w = 1.0 / (1.0 + sq) if ctrl == "log" else None
+            u = -k1 * pair_sum(w, e) - k2 * dv
             u[:, 0] -= kp * err_l
         return u, lyap
 

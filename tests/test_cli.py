@@ -499,6 +499,22 @@ class TestExitCodes:
         assert captured.err == ("swarmform: config error: grid.distance_m: must not exceed "
                                 "fov.d_max_m (30.0), got 40.0\n")
 
+    def test_target_too_far_out_for_its_grid_is_a_config_error(self, tmp_path, capsys):
+        # at 1e16 m the 10 m grid's UAVs land on a 2 m lattice: their pitches
+        # moved by up to 0.1 rad, and a VFOV that missed the 20 deg ring by
+        # 0.01 rad still kept 184 candidates instead of 144, with exit 0
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["target"]["position"] = [1e16, -0.7e16, 0.3e16]
+        p = tmp_path / "far_target.json"
+        p.write_text(json.dumps(doc))
+        assert main(["formation", "--scenario", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("swarmform: config error: target.position: too far out for "
+                                "grid.distance_m (10.0): coordinates up to 1.407e+09 m keep "
+                                "the grid's rounding within 1e-6 of its distance, got 1e+16\n")
+
     # the SINR ratio underflows to 0 against the noise power (-inf dB), or
     # the received powers overflow to inf (inf / inf is NaN): each reached
     # report.json as -Infinity or NaN, after a NumPy warning, with exit 0;

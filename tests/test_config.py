@@ -97,6 +97,18 @@ class TestScenarioParsing:
                                                 r"more than 1000000$"):
             parse_scenario_dict(minimal_doc(grid={"beta_step_deg": 1e-6}))
 
+    @pytest.mark.parametrize("reach, refused", [(1e9, False), (2e9, True), (1e16, True)])
+    def test_target_reach_bounded_by_grid_distance(self, reach, refused):
+        # the default 10 m grid admits coordinates up to 1e-6 * 10 / (64 * 2^-53),
+        # about 1.407e9 m, whatever the sign or axis
+        doc = minimal_doc(target={"position": [1.0, -reach, 0.5]})
+        if refused:
+            with pytest.raises(ScenarioError, match=r"^target\.position: too far out for "
+                                                    r"grid\.distance_m \(10\.0\)"):
+                parse_scenario_dict(doc)
+        else:
+            assert parse_scenario_dict(doc).target.position[1] == -reach
+
     def test_overflowing_sigma_named(self):
         # the variance of a finite sigma can overflow, as 10 ** (dBm / 10) can
         with pytest.raises(ScenarioError, match=r"sensors.camera_sigma_px: must convert to a "

@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import slotted
-from oracles import SwarmState, control, lyapunov_value, rollout_per_step, stacked, step
+from oracles import (
+    SwarmState,
+    control,
+    lyapunov_value,
+    pair_sum,
+    rollout_per_step,
+    squared_norm,
+    stacked,
+    step,
+)
 from rollout_oracle import rollout_loops
 from swarmform import kernels
 from swarmform.alloc import AllocWeights, GridSpec, ResourceModel
@@ -40,6 +49,17 @@ ROLLOUT_OUTPUTS = ("P", "V", "U", "lyap", "path", "vel_err", "p_final")
 def two_cameras(yaws):
     """A two-camera `Formation` with these yaws."""
     return Formation(np.eye(2, 3), yaws, [False, False], np.zeros(3))
+
+
+def wide_rollout_args(ctrl):
+    """`kernels.rollout`'s arguments for a 48-member swarm whose target
+    moves, two runs over `2 * _BLOCK + 1` steps; 3 pairs start
+    within APF's d0."""
+    rng = np.random.default_rng(48)
+    n = 48
+    return (ctrl, rng.uniform(-10.0, 10.0, (n, 3)), ROLLOUT_GAINS, rng.uniform(-1.0, 1.0, 3),
+            rng.uniform(-15.0, 15.0, (2, n, 3)), rng.uniform(-1.0, 1.0, (2, n, 3)),
+            rng.uniform(-5.0, 5.0, 3), 0.01, 2 * kernels._BLOCK + 1)
 
 
 def _equal_or_both_nan(a, b):
@@ -397,6 +417,49 @@ class TestSimulate:
                         for a in out)
         assert digests == self.ROLLOUT_DIGESTS[ctrl]
 
+    # the same digests of a wide swarm, n = 48 and R = 2 over two blocks and
+    # one step (`wide_rollout_args`), as the swarm_wide benchmark flies it:
+    # its j-sums run past NumPy's 8-wide unroll; recorded with NumPy 2 from
+    # the einsum law, before the kernels summed without einsum
+    WIDE_ROLLOUT_DIGESTS = {
+        "log": (
+            "f280513327214f5401f3b9ca66e43bbc020c4c324e2680fb5f6411e63c0a4775",
+            "df82f6b5b0f8aceb17c648060b2b072d6d2db8d5ea91ef56afc8e0418cbecab2",
+            "419cca5ca1377a80af024d42faddca9261894179ad7f4b6fd16515a788217756",
+            "2c0ce6c9b350d7a60ec38ab5528bd9f9f3dd0958e65099523a44c0a21f7a7505",
+            "7911db382dc3a79fe2deba85483b6b4a83cc85085aa138235d6dff5dcd29d1b1",
+            "60ddd06bee6abe5558ccff572a6d68b72d137a7aa47171eb4f096976f498b9b2",
+            "9f13ce8d32b2408948b696d617387fb28818701358a1f7b85b203bfdfdcb90ff",
+        ),
+        "quad": (
+            "3b49864498921ea3fe69172bd6179a935bff64644c194f3c21a71e353a3c6cf9",
+            "18a5092c0a4425f3cb50863562da457169166b228e3fef21186c0c3047c466e1",
+            "56d407561644a5844263d6551bad2720a31998a9cf9b4ad14bdcbd2d7c1a56f9",
+            "a83ff48aa3aad85eeb115d35d6de932dcd5fb98ccd29a85b77c9f0d4a8b92436",
+            "0951cad442c81877ba4ef775ff73118dddce5717ffd7d6044634ce335e72784b",
+            "4afaa81b716bf64e4e6382635b7156bed779b73d3e81a14dc36c662891ee33cf",
+            "84ef03745eceb7bda536f28b6dad7797cf8ca9f62d26ef3445674891a10feb03",
+        ),
+        "apf": (
+            "43cd8d05e7dd3dcf9dbd096706cdd556e8b4ab90dde6a3a800bb8900a45f3bb5",
+            "fba0e5499fcfa4daf48bdef975367f07b0116572961b9922f09288e92b8cec00",
+            "ea9fa264f44762cd87ba53187328c8fec59bb010ececff03e454f157e437a47c",
+            "9493f5ec33820b4f58866423be80063b598ffb16444170e0782720c34b698711",
+            "bba47c6cd0aaca0f211b90150a0351e78b9a7772cca0a79f4ceeb745fb5577eb",
+            "f83a1e1820f2e53fd6778ea283ae8b9c5a63adddc6f829320768b052853d45c1",
+            "77c1bece4a5cd2fc9649be4027dd58c9daf4df5f0980e057746aa8b70400d705",
+        ),
+    }
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="digests recorded with NumPy 2")
+    @pytest.mark.parametrize("ctrl", ["log", "quad", "apf"])
+    def test_wide_rollout_bytes_frozen(self, ctrl):
+        out = kernels.rollout(*wide_rollout_args(ctrl))
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+                        for a in out)
+        assert digests == self.WIDE_ROLLOUT_DIGESTS[ctrl]
+
     @pytest.mark.parametrize("run", [0, 2])
     def test_non_finite_run_crosses_blocks_as_per_step(self, formation, run):
         # coincident APF members make one run non-finite from the first
@@ -432,6 +495,11 @@ class TestSimulate:
        mass=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
 # one run of one member: NumPy would sum its (steps, 1, 1) path terms pairwise
 @example(n=1, runs=1, steps=kernels._BLOCK - 1, ctrl="log", moving=True, mass=1.0, seed=0)
+# swarms past NumPy's 8-wide unroll, whose sums the draw above never reaches
+@example(n=9, runs=3, steps=kernels._BLOCK + 1, ctrl="apf", moving=True, mass=1.3, seed=9)
+@example(n=17, runs=2, steps=kernels._BLOCK, ctrl="quad", moving=False, mass=0.7, seed=17)
+@example(n=48, runs=2, steps=2 * kernels._BLOCK + 1, ctrl="log", moving=True, mass=1.0,
+         seed=48)
 def test_rollout_equals_per_step_loop(n, runs, steps, ctrl, moving, mass, seed):
     """The block-reduced rollout gives every output bit for bit as the
     per-step loop does, at and around the block boundaries."""
@@ -443,6 +511,22 @@ def test_rollout_equals_per_step_loop(n, runs, steps, ctrl, moving, mass, seed):
             rng.uniform(-5.0, 5.0, 3), 0.01, steps)
     for name, a, b in zip(ROLLOUT_OUTPUTS, kernels.rollout(*args), rollout_per_step(*args)):
         assert _equal_or_both_nan(a, b), name
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="the orders of NumPy 2's einsum")
+@pytest.mark.parametrize("n", [1, 2, 6, 9, 17, 48])
+def test_einsum_sums_in_the_kernels_orders(n):
+    """The frozen rollout digests were recorded when the law summed with
+    einsum; the kernels now state its orders themselves. A NumPy whose
+    einsum sums in another order fails here by name; (x^2 + y^2) + z^2
+    matches einsum on about 77% of random vectors."""
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal((3, n, n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, n, n, 1))
+    w = rng.uniform(0.0, 1.0, (3, n, n))
+    assert (np.einsum("rijk,rijk->rij", e, e) == squared_norm(e)).all()
+    assert (np.einsum("rij,rijk->rik", w, e) == pair_sum(w, e)).all()
+    assert (np.einsum("rij,rijk->rik", np.ones_like(w), e) == pair_sum(None, e)).all()
 
 
 def _metric_values(m):
