@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -60,6 +61,18 @@ def wide_rollout_args(ctrl):
     return (ctrl, rng.uniform(-10.0, 10.0, (n, 3)), ROLLOUT_GAINS, rng.uniform(-1.0, 1.0, 3),
             rng.uniform(-15.0, 15.0, (2, n, 3)), rng.uniform(-1.0, 1.0, (2, n, 3)),
             rng.uniform(-5.0, 5.0, 3), 0.01, 2 * kernels._BLOCK + 1)
+
+
+def fleet_rollout_args(ctrl):
+    """`kernels.rollout`'s arguments at the fly_fleet benchmark's shape: 6
+    members and 20 runs over `2 * _BLOCK + 1` steps toward a moving
+    target; in every fourth run members 1 and 2 start within APF's d0."""
+    rng = np.random.default_rng(20)
+    p0 = rng.uniform(-15.0, 15.0, (20, 6, 3))
+    p0[::4, 2] = p0[::4, 1] + [0.5, -0.4, 0.2]
+    return (ctrl, SLOTS, ROLLOUT_GAINS, rng.uniform(-1.0, 1.0, 3), p0,
+            rng.uniform(-1.0, 1.0, (20, 6, 3)), rng.uniform(-5.0, 5.0, 3), 0.01,
+            2 * kernels._BLOCK + 1)
 
 
 def _equal_or_both_nan(a, b):
@@ -460,6 +473,53 @@ class TestSimulate:
                         for a in out)
         assert digests == self.WIDE_ROLLOUT_DIGESTS[ctrl]
 
+    # the same digests at the fly_fleet benchmark's shape, n = 6 and R = 20
+    # over two blocks and one step (`fleet_rollout_args`); recorded with
+    # NumPy 2 before the block reductions read the axis-major planes
+    FLEET_ROLLOUT_DIGESTS = {
+        "log": (
+            "85ce194f9d3f8d42cbcda5b4edd55a4e733f2ed5d5fcd8145684ef4fddf0fd27",
+            "fb2d085d3cdb299b1b6f0f91e3bd2312ad6810e3fcddfb920000d07bac5f026e",
+            "a7f2d1ee6bda092eb7935d49237abb81028e575c63136986533f02506b41de05",
+            "dad3afa8f0a1b0871dd3b09c5efb6fe1219d15dfb2c7b785c947d4905f4716f9",
+            "ecc459f64a689f8c14c307ec4394074bdc16b4b2d1b40ede370bd0ad1bd38d56",
+            "2db5e26fd1186ae49d034c9694ba8d613c9a2bb59d115edbab60a8a40a48fc5a",
+            "a605b25c3807cfecea833901266b02173ff839a7ca9b5c0667bb79a6d12dfa56",
+        ),
+        "quad": (
+            "6f78e92df3a232d556414d264848a7cfe93a15ee12521a7c8211c18fe114f665",
+            "12a4b55ee68ad6b77f5d67324a40270af979f07a5d72f9728eb99447f5657e09",
+            "19a80f4010dab42ac8d9e429eb64f12f70be62e38ff8d60d78bc120184a7c092",
+            "3c0a6da5690422f0d137da9b71f3b728b4cd04914619b27c9bc576ca45fba130",
+            "d00672a93120bab6f7a11ac3937aa973aecd4e5bb9c0a89448b5b2331f05c22b",
+            "b97d43d96a72867f14837eee20fc0345929136d705a3a951d8b45399a49545c8",
+            "5e6b4154315fd9e35fc0d86ee985564bd89707bcbada3be13a39cbbe9fd25b2f",
+        ),
+        "apf": (
+            "c88c8ea678a16852c595b0db6abfaab272eeb30a027f05b621b7f1fa738ef5f3",
+            "93a8c7f9aa0864a3a6743bb4007840bf14b271f0a74afb3432b060e96f381f15",
+            "4b1f634ec12864447279138f9997084b90b1e6eb6a2725e8e7df541a6467d128",
+            "1f3c75dbfaeb38acbc95c1e8ae4b4cd46bf7eb57715c1eb6c439aa2a669bd733",
+            "3d7452c18d4a9a5d45131e2f2517d1f06e7f5130d96af3f80d9999860c8cddf7",
+            "a0e1a99763fcbd0e1f2d5916ea0c6122dbf9fab09990e0e819510c9c0f0d42b9",
+            "9b1208de10bb57ad89e380116a9bf24ad107c449ecce1de4583227ef66bbb066",
+        ),
+    }
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="digests recorded with NumPy 2")
+    @pytest.mark.parametrize("ctrl", ["log", "quad", "apf"])
+    def test_fleet_rollout_bytes_frozen(self, ctrl):
+        args = fleet_rollout_args(ctrl)
+        p0 = args[4]
+        i, j = np.triu_indices(6, 1)
+        # APF's repulsion acts from the start
+        assert (np.linalg.norm(p0[:, i] - p0[:, j], axis=-1) < ROLLOUT_GAINS.d0).any()
+        out = kernels.rollout(*args)
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+                        for a in out)
+        assert digests == self.FLEET_ROLLOUT_DIGESTS[ctrl]
+
     @pytest.mark.parametrize("run", [0, 2])
     def test_non_finite_run_crosses_blocks_as_per_step(self, formation, run):
         # coincident APF members make one run non-finite from the first
@@ -527,6 +587,24 @@ def test_einsum_sums_in_the_kernels_orders(n):
     assert (np.einsum("rijk,rijk->rij", e, e) == squared_norm(e)).all()
     assert (np.einsum("rij,rijk->rik", w, e) == pair_sum(w, e)).all()
     assert (np.einsum("rij,rijk->rik", np.ones_like(w), e) == pair_sum(None, e)).all()
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="the order was measured with NumPy 2 only")
+@pytest.mark.parametrize("shape", [(3,), (1, 1, 3), (7, 3), (65, 20, 6, 3), (3, 2, 48, 3)])
+def test_norm_sums_in_the_kernels_order(shape):
+    """The rollout's velocity errors and step lengths were recorded from
+    `np.linalg.norm` along an axis of 3, and are now summed over the
+    coordinate planes as sqrt((x^2 + y^2) + z^2). A NumPy whose norm sums
+    in another order fails here by name: x^2 + (y^2 + z^2) differs from
+    it on about 10% of the random draws, at every shape here."""
+    rng = np.random.default_rng(len(shape))
+    draws = -(-4000 // math.prod(shape[:-1]))   # about 4,000 vectors of each shape
+    for scale in (1.0, 150.0):   # random, then badly scaled components
+        for _ in range(draws):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-scale, scale, shape)
+            planes = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+            assert (np.linalg.norm(x, axis=-1) == np.sqrt(planes + x[..., 2] * x[..., 2])).all()
 
 
 def _metric_values(m):
