@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import _DEGENERATE_XY, Formation, wrap_pi
-from .radio import RadioParams, link_stats, received_power, sinr_db
+from .radio import RadioParams, link_stats, received_powers, sinr_db
 
 _ANGLE_TOL = 1e-9          # boundary-inclusive angular tests
 EXHAUSTIVE_LIMIT = 4096    # max flip patterns searched exactly
@@ -172,9 +172,8 @@ def optimize_formation(formation: Formation, spec: FovSpec, radio: RadioParams,
     states = (formation, mirror(flip(formation, gate)))    # a member not gated keeps its pose
     pos, yaws = np.stack([f.positions for f in states]), np.stack([f.yaws for f in states])
     rows = _cover_rows(pos - formation.target, spec)        # (state, member, direction)
-    # power[h, s, i - 1]: member i in state s at the hub in state h
-    power = np.array([[[received_power(p, hub, radio) for p in pos[s, 1:]] for s in (0, 1)]
-                      for hub in pos[:, 0]])
+    # power[h, s, i - 1]: member i in state s at the hub, member 0, in state h
+    power = received_powers(pos[None, :, 1:], pos[:, None, None, 0], radio)
 
     members = np.arange(len(formation))
     single = np.eye(len(formation), dtype=np.intp)[gate]   # row j flips the j-th gated member

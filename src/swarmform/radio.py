@@ -1,13 +1,13 @@
 """Path-loss/SINR evaluation over a formation.
 
-Received power decays as tx_power * rho0 * d^-alpha. Link statistics
-aggregate over a star topology whose hub is the fusion receiver, member 0
-(the flight leader): the SINR of each other member's link to the hub
-counts every other member as an interferer at the hub. So with three or
-more members at most one link can reach 0 dB: SINR_i >= 1 needs p_i > p_j,
-and SINR_j >= 1 the reverse. A minimum-SINR floor of 0 dB or more can
-therefore never hold, and `fov.optimize_formation` always relaxes it to
-the input's minimum.
+Received power tx_power * rho0 * d^-alpha comes from one `received_powers`
+call over every link. Link statistics aggregate over a star topology whose
+hub is the fusion receiver, member 0 (the flight leader): each other
+member's link SINR counts every other member as an interferer at the hub.
+So with three or more members at most one link can reach 0 dB: SINR_i >=
+1 needs p_i > p_j, and SINR_j >= 1 the reverse. A minimum-SINR floor of
+0 dB or more can therefore never hold, and `fov.optimize_formation`
+always relaxes it to the input's minimum.
 """
 
 from __future__ import annotations
@@ -45,20 +45,22 @@ class RadioParams:
             raise ValueError("radio parameters must be finite")
 
 
-def received_power(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> float:
-    # One link at a time, as a Python float, on purpose: NumPy's array `**`
-    # differs from Python's float `**` by 1 ulp on about 5% of float64
-    # inputs (NumPy 2.4.6 on an AVX-512 CPU, even for 1-element arrays), so
-    # a batched power changes SINR and report bytes. Batched distances are
-    # not the problem; they can match `np.linalg.norm` exactly.
-    d = float(np.linalg.norm(np.asarray(tx, float) - np.asarray(rx, float)))
-    if d < _MIN_DISTANCE:
-        raise DegenerateGeometryError("coincident transmitter and receiver")
-    try:
-        return rp.tx_power * rp.rho0 * d ** (-rp.alpha)
-    except OverflowError:   # Python's float ** raises where NumPy's gives inf
-        raise FloatingPointError(f"received power overflows at {d} m with path-loss "
-                                 f"exponent {rp.alpha}") from None
+def received_powers(tx: np.ndarray, rx: np.ndarray, rp: RadioParams) -> np.ndarray:
+    """Power over each link of broadcast (..., 3) rows, raising at the first
+    offending link in row order: each distance sqrt(r @ r), as `np.linalg.norm`
+    takes it, to a Python float `**` (NumPy's array `**` is 1 ulp off on ~5%)."""
+    r = np.asarray(tx, float) - np.asarray(rx, float)
+    dist = np.sqrt((r[..., None, :] @ r[..., None])[..., 0, 0])
+    gain, powers = rp.tx_power * rp.rho0, []
+    for d in dist.ravel().tolist():
+        if d < _MIN_DISTANCE:
+            raise DegenerateGeometryError("coincident transmitter and receiver")
+        try:
+            powers.append(gain * d ** (-rp.alpha))
+        except OverflowError:   # Python's float ** raises where NumPy's gives inf
+            raise FloatingPointError(f"received power overflows at {d} m with path-loss "
+                                     f"exponent {rp.alpha}") from None
+    return np.reshape(powers, dist.shape)
 
 
 def link_stats(formation: Formation, rp: RadioParams) -> dict[str, float]:
@@ -67,8 +69,7 @@ def link_stats(formation: Formation, rp: RadioParams) -> dict[str, float]:
     parameters)."""
     if len(formation) < 2:
         raise ValueError("link statistics need at least two members")
-    hub, *members = formation.positions
-    vals = sinr_db(np.array([received_power(p, hub, rp) for p in members]), rp)
+    vals = sinr_db(received_powers(formation.positions[1:], formation.positions[0], rp), rp)
     if not np.isfinite(vals).all():
         raise FloatingPointError(f"a link SINR into member 0 is {np.min(vals)} dB")
     return {"avg_db": float(np.mean(vals)), "min_db": float(np.min(vals))}

@@ -4,14 +4,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import vec3
-from oracles import Pose, Sensor, formation_of, sinr_db
+from oracles import Pose, Sensor, _power, formation_of, sinr_db
 from swarmform import radio
 from swarmform.geom import DegenerateGeometryError, Formation
 from swarmform.radio import (
     RadioParams,
     dbm_to_watts,
     link_stats,
-    received_power,
+    received_powers,
     to_db,
 )
 
@@ -34,14 +34,13 @@ class TestUnits:
 class TestPower:
     def test_inverse_square_decay(self):
         rp = RadioParams()
-        p1 = received_power(vec3(0, 0, 0), vec3(1, 0, 0), rp)
-        p2 = received_power(vec3(0, 0, 0), vec3(2, 0, 0), rp)
+        p1, p2 = received_powers(vec3(0, 0, 0), np.array([vec3(1, 0, 0), vec3(2, 0, 0)]), rp)
         assert p1 == pytest.approx(rp.tx_power * rp.rho0)
         assert p1 / p2 == pytest.approx(4.0)
 
     def test_coincident_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            received_power(vec3(1, 1, 1), vec3(1, 1, 1), RadioParams())
+            received_powers(vec3(1, 1, 1), vec3(1, 1, 1), RadioParams())
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +88,67 @@ class TestSinr:
     def test_link_stats_needs_two(self):
         with pytest.raises(ValueError):
             link_stats(line_formation([0.0]), RadioParams())
+
+
+_COORD = st.floats(-1e3, 1e3)
+_SPREAD = [(0.0, 0.0, 0.0), (3.0, 4.0, 0.0), (1.5, -2.0, 7.0),
+           (0.0, 0.0, 10.0), (-3.0, 4.0, 0.0), (-1.5, 2.0, -7.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=st.lists(st.tuples(*[_COORD] * 3), min_size=4, max_size=32),
+       alpha=st.floats(1.0, 4.0))
+@example(pts=_SPREAD, alpha=2.0)
+@example(pts=_SPREAD, alpha=2.7)
+def test_received_powers_equal_scalar_power(pts, alpha):
+    """On both shapes the library asks for, the members' links into the
+    hub `(n - 1,)` and the flip search's `(2, 2, n - 1)` table (member i in
+    state s at the hub in state h), every power equals the scalar formula
+    bit for bit, in the scalar loop's link order. The first n points are
+    the members' state 0 and the next n their state 1; member 0 is the hub."""
+    n = len(pts) // 2
+    pos = np.array(pts[:2 * n]).reshape(2, n, 3)
+    assume(all(np.linalg.norm(pos[s, i] - pos[h, 0]) > 1e-6
+               for h in (0, 1) for s in (0, 1) for i in range(1, n)))
+    rp = RadioParams(alpha=alpha)
+    links = received_powers(pos[0, 1:], pos[0, 0], rp)
+    assert links.shape == (n - 1,)
+    assert links.tolist() == [_power(p, pos[0, 0], rp) for p in pos[0, 1:]]
+    table = received_powers(pos[None, :, 1:], pos[:, None, None, 0], rp)
+    assert table.shape == (2, 2, n - 1)
+    assert table.tolist() == [[[_power(p, hub, rp) for p in pos[s, 1:]] for s in (0, 1)]
+                              for hub in pos[:, 0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds=st.lists(st.tuples(*[st.sampled_from(["ok", "coincident", "overflow"])] * 2),
+                      min_size=1, max_size=8),
+       far_hub_first=st.booleans())
+def test_first_offending_link_raises(kinds, far_hub_first):
+    """Walking the links in row order, the first one that offends raises:
+    `DegenerateGeometryError` for a coincident pair, `FloatingPointError`
+    naming the distance for a power past the float range (at exponent
+    200, 1 mm overflows and 3 m does not). Each member's two kinds are
+    its two states. The search's table walks hub state, member state,
+    member, and only the hub state at the origin can offend, so both
+    shapes meet the links in the same order."""
+    rp = RadioParams(alpha=200.0)
+    x = {"ok": 3.0, "coincident": 0.0, "overflow": 1e-3}
+    states = np.array([[[x[k[s]], 0.0, 0.0] for k in kinds] for s in (0, 1)])
+    hubs = np.array([[0.0, 0.0, 50.0], [0.0, 0.0, 0.0]])
+    pos = np.concatenate([(hubs if far_hub_first else hubs[::-1])[:, None], states], axis=1)
+    first = next((k[s] for s in (0, 1) for k in kinds if k[s] != "ok"), None)
+    for tx, rx in ((states.reshape(-1, 3), np.zeros(3)),
+                   (pos[None, :, 1:], pos[:, None, None, 0])):
+        if first is None:
+            assert np.isfinite(received_powers(tx, rx, rp)).all()
+        elif first == "coincident":
+            with pytest.raises(DegenerateGeometryError, match="coincident"):
+                received_powers(tx, rx, rp)
+        else:
+            with pytest.raises(FloatingPointError, match="overflows at 0.001 m with path-loss "
+                                                         "exponent 200.0"):
+                received_powers(tx, rx, rp)
 
 
 def test_non_finite_sinr_refused():
