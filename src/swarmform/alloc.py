@@ -205,14 +205,16 @@ def _screen_tables(row_fims: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]
     """The screen's per-candidate constants, made once per call from the
     (N, 3, 3) FIMs: the FIMs as an (N, 9) view, each row F_i flattened
     row-major; a (10, N) table whose column i holds cof F_i, flattened
-    alike, then det F_i; and the largest row sum of any |F_i|."""
+    alike, then det F_i; and the largest row sum of any |F_i|. As in
+    `_screen`, an overflow and its NaNs only leave a row unbounded."""
     n = len(row_fims)
     f = row_fims.reshape(n, 9).T.reshape(3, 3, n)   # a view: f[r, c] is every F's (r, c)
     table = np.empty((10, n))
-    cof = _cofactors(f, out=table[:9].reshape(3, 3, n))
-    table[9] = f[0, 0] * cof[0, 0] + f[0, 1] * cof[0, 1] + f[0, 2] * cof[0, 2]
-    f_rows = max(float((np.abs(f[r, 0]) + np.abs(f[r, 1]) + np.abs(f[r, 2])).max())
-                 for r in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cof = _cofactors(f, out=table[:9].reshape(3, 3, n))
+        table[9] = f[0, 0] * cof[0, 0] + f[0, 1] * cof[0, 1] + f[0, 2] * cof[0, 2]
+        f_rows = max(float((np.abs(f[r, 0]) + np.abs(f[r, 1]) + np.abs(f[r, 2])).max())
+                     for r in range(3))
     return row_fims.reshape(n, 9), table, f_rows
 
 

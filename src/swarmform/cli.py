@@ -54,28 +54,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _write_atomic(path: Path, mode: str = "w"):
-    """Yield a handle, opened with `mode`, on a temp file beside `path`.
-    When the block completes the temp file replaces `path`; when it raises,
-    the temp file is removed and `path` is left as it was. The file's mode
-    follows the umask, as a plain `open` would give (`mkstemp`'s would be
-    0600)."""
+def _write_atomic(path: Path):
+    """Yield a binary handle on a temp file beside `path`. When the block
+    completes the temp file replaces `path`; when it raises, the temp file
+    is removed and `path` is left as it was. The file's mode follows the
+    umask, as a plain `open` would give (`mkstemp`'s would be 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with _write_atomic(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _member_docs(f: Formation) -> list[dict]:
@@ -207,7 +201,7 @@ def _write_trace(path: Path, traj) -> None:
     ranges = [starts[len(starts) * k // writers:len(starts) * (k + 1) // writers]
               for k in range(writers)]
     parts, pids = [], []   # parts[k] and pids[k] belong to ranges[k + 1]
-    with _write_atomic(path, "wb") as fh:
+    with _write_atomic(path) as fh:
         try:
             for part_rows in ranges[1:]:
                 parts.append(tempfile.TemporaryFile(dir=path.parent))
@@ -256,8 +250,6 @@ def _run(scenario: Scenario, last_stage: str, out_dir: Path | None) -> dict:
     except Exception as exc:
         exc.stage = stage  # read by main's error message
         raise
-    if out_dir is not None:
-        _write_json(out_dir / "report.json", report)
     return report
 
 
@@ -318,8 +310,12 @@ def main(argv=None) -> int:
         last_stage = args.stage if args.command == "pipeline" else args.command
         out_dir = Path(args.out_dir) if args.out_dir else None
         report = _run(scenario, last_stage, out_dir)
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if out_dir is None:
-            print(json.dumps(report, indent=2, sort_keys=True))
+            sys.stdout.write(text)
+        else:
+            with _write_atomic(out_dir / "report.json") as fh:
+                fh.write(text.encode())
         return 0
     except UsageError as exc:
         print(f"swarmform: error: {exc}", file=sys.stderr)

@@ -58,6 +58,8 @@ class FovSpec:
             raise ValueError("max perception range must be positive")
         if not np.isfinite([self.d_max, self.lam, self.eta_min_db]).all():
             raise ValueError("FOV range, distance weight and SINR floor must be finite")
+        if not np.isfinite(float(self.lam) * float(self.d_max)):   # so no weight in range is 0
+            raise ValueError("distance weight times max perception range must be finite")
 
 
 @dataclass

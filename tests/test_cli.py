@@ -384,12 +384,15 @@ class TestExitCodes:
     # a grid entirely outside the vertical FOV leaves no candidates; a
     # 1e10 px focal length, or a 0.1 mm grid, gives candidate FIMs whose
     # rounding exceeds eps, so greedy's first round meets an F + eps*I
-    # that is not positive definite, which it used to rank by |det|
+    # that is not positive definite, which it used to rank by |det|; at a
+    # 3.8e152 px focal length the screen's cofactor tables overflowed
+    # outside any errstate, and a RuntimeWarning preceded the error line
     @pytest.mark.parametrize("section,values", [
         ("grid", {"delta_min_deg": 80.0, "delta_max_deg": 100.0}),
         ("sensors", {"fx": 1e10, "fy": 1e10}),
         ("grid", {"distance_m": 1e-4}),
-    ], ids=["empty-grid", "sensors.fx-fy-1e10", "grid.distance_m-1e-4"])
+        ("sensors", {"fx": 3.8e152}),
+    ], ids=["empty-grid", "sensors.fx-fy-1e10", "grid.distance_m-1e-4", "sensors.fx-3.8e152"])
     def test_numeric_error(self, tmp_path, capsys, section, values):
         p = tmp_path / "degenerate.json"
         p.write_text(json.dumps({"flight": {"seed": 0}, section: values}))
@@ -498,6 +501,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == ("swarmform: config error: grid.distance_m: must not exceed "
                                 "fov.d_max_m (30.0), got 40.0\n")
+
+    def test_overflowing_distance_weight_is_a_config_error(self, tmp_path, capsys):
+        # lambda 1e308 overflowed every distance weight to 0, which coverage
+        # reads as "not covered": Gamma 0 and 72 uncovered directions before
+        # and after the flips, after a RuntimeWarning, with exit 0
+        doc = json.loads((resources.files("swarmform") / "scenarios"
+                          / "paper_default.json").read_text())
+        doc["fov"]["lambda_per_m"] = 1e308
+        p = tmp_path / "huge_lambda.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["formation", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("swarmform: config error: fov: distance weight times max "
+                                "perception range must be finite\n")
+        assert captured.out == "" and not out.exists()
 
     def test_target_too_far_out_for_its_grid_is_a_config_error(self, tmp_path, capsys):
         # at 1e16 m the 10 m grid's UAVs land on a 2 m lattice: their pitches

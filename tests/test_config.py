@@ -77,6 +77,8 @@ class TestScenarioParsing:
             parse_scenario_dict(minimal_doc(target={"position": [1, 2]}))
         with pytest.raises(ScenarioError, match="fov.n_dirs"):
             parse_scenario_dict(minimal_doc(fov={"n_dirs": 7.5}))
+        with pytest.raises(ScenarioError, match="^radio: expected an object, got list$"):
+            parse_scenario_dict(minimal_doc(radio=[1.0]))
 
     def test_invariants_enforced(self):
         with pytest.raises(ScenarioError, match="grid"):
@@ -123,6 +125,9 @@ class TestScenarioParsing:
         p = tmp_path / "empty.json"
         p.write_text("")
         with pytest.raises(ScenarioError, match="position 0"):
+            parse_scenario(p)
+        p.write_text("[]")
+        with pytest.raises(ScenarioError, match="top level must be an object$"):
             parse_scenario(p)
 
     def test_canonical_round_trip(self, tmp_path):

@@ -205,6 +205,15 @@ class TestControllers:
         (SensorModels, "eps", 0.0, "eps must be positive"),
         (SensorModels, "eps", -1.0, "eps must be positive"),
         (RadioParams, "alpha", np.inf, "radio parameters must be finite"),
+        # appended last: a row inserted above would renumber the yaws rows' ids
+        (AllocWeights, "max_uavs", 0, "max_uavs must be >= 1"),
+        (AllocWeights, "alpha_resource", -0.1, "penalty weights must be non-negative"),
+        (FovSpec, "lam", np.float64(1e308),
+         "distance weight times max perception range must be finite"),
+        (FovSpec, "lam", -0.1, "distance weight must be non-negative"),
+        (FovSpec, "d_max", 0.0, "max perception range must be positive"),
+        (FovSpec, "gamma", np.pi, r"FOV angles must lie in \(0, pi\)"),
+        (GridSpec, "beta_step", 0.0, "grid steps must be positive"),
     ])
     def test_non_finite_parameters_refused(self, record, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
