@@ -25,7 +25,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -41,7 +41,8 @@ from .radio import link_stats
 from .sensing import logdet_reg, total_fim
 
 STAGES = ("allocate", "formation", "fly")
-_TRACE_VALUES = 4096  # trace values formatted per write, rounded down to whole rows
+_TRACE_VALUES = 16384  # trace values formatted per write, rounded down to whole rows
+_BACKLOG = 2  # messages of rows the streaming trace writer may hold unacknowledged
 
 
 class UsageError(Exception):
@@ -128,9 +129,14 @@ def _stage_formation(scenario: Scenario, allocated: Formation) -> tuple[Formatio
 def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None) -> dict:
     fl = scenario.flight
     start = cube_starts(formation, fl.init_cube_half_width_m, fl.seed, fl.runs)
-    traj = simulate(start, formation, fl.controller, fl.gains,
-                    scenario.target.velocity, fl.dt_s, fl.horizon_s)
-    m = metrics(traj)
+    trace = None if out_dir is None else out_dir / "fly_trace.csv"
+    streamed = trace is not None and hasattr(os, "fork") and _cpus() > 1
+    with _trace_stream(trace, len(formation), fl.dt_s) if streamed else nullcontext() as on_block:
+        traj = simulate(start, formation, fl.controller, fl.gains,
+                        scenario.target.velocity, fl.dt_s, fl.horizon_s, on_block)
+        m = metrics(traj)
+    if trace is not None and not streamed:
+        _write_trace(trace, traj)
     columns = {
         "Avg. Distance (m)": m.avg_distance,
         "Avg. Velocity Err.": m.avg_vel_err,
@@ -139,8 +145,6 @@ def _stage_fly(scenario: Scenario, formation: Formation, out_dir: Path | None) -
     }
     runs = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     mean = {k: float(np.mean(c)) for k, c in columns.items()}
-    if out_dir is not None:
-        _write_trace(out_dir / "fly_trace.csv", traj)
     return {"Controller": fl.controller, "Seed": fl.seed, "Runs": runs, "Mean": mean}
 
 
@@ -152,19 +156,43 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_rows(fh, traj, starts: range) -> None:
-    """Write run 0's rows to the binary `fh`, `starts.step` rows from each of `starts`."""
-    from .floatrepr import repr_rows   # on first use: a run without a trace never loads it
-    n = traj.positions.shape[1]
-    for lo in starts:
-        block = slice(lo, lo + starts.step)
-        state = np.concatenate((traj.positions[block], traj.velocities[block]), axis=2)
-        state = state.reshape(-1, 6 * n)
-        u = traj.controls[block].reshape(-1, 3 * n)
+def _header(n: int) -> bytes:
+    """The trace's header line for n members."""
+    header = ["t"]
+    for i in range(n):
+        header += [f"{axis}{i}" for axis in ("px", "py", "pz", "vx", "vy", "vz")]
+    for i in range(n):
+        header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
+    header.append("V")
+    return (",".join(header) + "\r\n").encode()
+
+
+def _chunk(n: int) -> int:
+    """The trace rows formatted per write for n members: as many whole rows
+    as fit in `_TRACE_VALUES` values, at least one."""
+    return max(1, _TRACE_VALUES // (9 * n + 2))
+
+
+def _tables(times, P, V, U, lyap0, lo: int, hi: int):
+    """Trace rows lo to hi as float tables of `_chunk(n)` rows each, from
+    run 0's history P, V (steps+1, n, 3), U (steps, n, 3), its Lyapunov
+    trace lyap0 and the times of its states."""
+    n = P.shape[1]
+    step = _chunk(n)
+    for a in range(lo, hi, step):
+        block = slice(a, min(a + step, hi))
+        state = np.concatenate((P[block], V[block]), axis=2).reshape(-1, 6 * n)
+        u = U[block].reshape(-1, 3 * n)
         if len(u) < len(state):  # no control after the last step
             u = np.vstack((u, np.zeros((1, 3 * n))))
-        table = np.column_stack((traj.times[block], state, u, traj.lyapunov[0, block]))
-        fh.write(repr_rows(table))
+        yield np.column_stack((times[block], state, u, lyap0[block]))
+
+
+def _format_rows(out, times, P, V, U, lyap0, lo: int, hi: int) -> None:
+    """Write the text of trace rows lo to hi (see `_tables`) to the binary `out`."""
+    from .floatrepr import repr_rows   # on first use: a run without a trace never loads it
+    for table in _tables(times, P, V, U, lyap0, lo, hi):
+        out.write(repr_rows(table))
 
 
 def _write_trace(path: Path, traj) -> None:
@@ -176,64 +204,149 @@ def _write_trace(path: Path, traj) -> None:
     as its Python `repr` and each line ends in `\r\n`: `floatrepr.repr_rows`
     makes those bytes for a whole block of rows in NumPy (Schubfach's
     shortest digits, then `repr`'s layout), with no Python call per value.
-    A block is as many whole rows as fit in `_TRACE_VALUES` values (at
-    least one), so memory does not grow with the horizon or the swarm.
+    A block is `_chunk(n)` rows, so memory does not grow with the horizon
+    or the swarm.
 
-    The blocks are split into one contiguous range per CPU this process may
-    run on, never more ranges than blocks: formatting is still the bulk of
-    the write, and one writer for every range is slower on a wide swarm.
-    Where `os.fork` exists (POSIX), a forked writer formats each range
-    after the first into its own unnamed temporary file, while this process
-    writes the header and the first range; the parts are then appended in
-    order. Where it does not, one writer formats every range. The bytes do
-    not depend on the number of writers. A writer that fails fails the whole
-    write (`OSError`), and no writer process or part file outlives this call.
+    This is the inline writer: it formats every row after the flight.
+    Where a second CPU and `os.fork` are at hand the CLI streams the same
+    bytes during the flight instead (`_trace_stream`).
     """
-    rows, n = traj.positions.shape[:2]
-    header = ["t"]
-    for i in range(n):
-        header += [f"{axis}{i}" for axis in ("px", "py", "pz", "vx", "vy", "vz")]
-    for i in range(n):
-        header += [f"{axis}{i}" for axis in ("ux", "uy", "uz")]
-    header.append("V")
-    starts = range(0, rows, max(1, _TRACE_VALUES // len(header)))
-    writers = min(_cpus() if hasattr(os, "fork") else 1, len(starts))
-    ranges = [starts[len(starts) * k // writers:len(starts) * (k + 1) // writers]
-              for k in range(writers)]
-    parts, pids = [], []   # parts[k] and pids[k] belong to ranges[k + 1]
     with _write_atomic(path) as fh:
+        fh.write(_header(traj.positions.shape[1]))
+        _format_rows(fh, traj.times, traj.positions, traj.velocities, traj.controls,
+                     traj.lyapunov[0], 0, len(traj.times))
+
+
+def _format_spooled(spool: int, out, lo: int, hi: int, n: int) -> None:
+    """Write the text of rows lo to hi of the raw trace table in the file
+    `spool` to the binary `out`, `_chunk(n)` rows per write."""
+    from .floatrepr import repr_rows
+    row_bytes, step = 8 * (9 * n + 2), _chunk(n)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        raw = os.pread(spool, (b - a) * row_bytes, a * row_bytes)
+        out.write(repr_rows(np.frombuffer(raw).reshape(b - a, -1)))
+
+
+def _serve_writer(rows_fd: int, acks_fd: int, spool: int, fh, n: int) -> None:
+    """The forked writer's loop: each message on `rows_fd` hands it the
+    spooled rows up to a row number; it appends their text to `fh` and
+    acknowledges with one byte on `acks_fd`, until `rows_fd` ends."""
+    done = 0
+    # each message is one 8-byte write, which a pipe never splits
+    while message := os.read(rows_fd, 8):
+        end = int.from_bytes(message, "little")
+        _format_spooled(spool, fh, done, end, n)
+        done = end
+        os.write(acks_fd, b"\0")
+    fh.flush()
+
+
+@contextmanager
+def _trace_stream(path: Path, n: int, dt: float):
+    """Write the trace of an n-member flight of step `dt` to `path` while it
+    flies: yield the `on_block` hook to pass to `simulate`. The bytes are
+    `_write_trace`'s.
+
+    Before the flight one writer process is forked. During the flight the
+    hook hands the writer the rows that have become final, `_chunk(n)` rows
+    to a message, while it holds fewer than `_BACKLOG` unacknowledged
+    messages: it appends them, as raw floats, to an unnamed spool file the
+    two processes share, and sends their end. Other rows wait in the
+    rollout's arrays, so the flight never waits for the writer, and the
+    writer never holds more than `_BACKLOG` messages. The writer formats
+    the rows handed to it, in order, straight after the header in the
+    output. When the block ends, the writer is handed the first half of
+    the rows left, and this process formats the second half into a part
+    file of its own while the writer works; once the writer has exited,
+    the part is appended. So the file is the header, the writer's rows,
+    then this process's, whatever the schedule. If anything fails, in the
+    block, in the writer or here, the writer is killed and reaped and no
+    file is left; a writer's failure raises `OSError`.
+    """
+    with _write_atomic(path) as fh, tempfile.TemporaryFile(dir=path.parent) as spool:
+        fh.write(_header(n))
+        fh.flush()
+        rows_r, rows_w = os.pipe()
+        acks_r, acks_w = os.pipe()
+        pid = None
         try:
-            for part_rows in ranges[1:]:
-                parts.append(tempfile.TemporaryFile(dir=path.parent))
-                # Safe although a BLAS thread may be running here (Python 3.12+
-                # warns of forking a threaded process): the child calls no
-                # BLAS routine, it only slices the trajectory, formats rows
-                # and writes them to its own part.
-                pid = os.fork()
-                if pid == 0:
-                    try:   # never return into the caller, nor flush its buffers
-                        _write_rows(parts[-1], traj, part_rows)
-                        parts[-1].flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                pids.append(pid)
-            fh.write((",".join(header) + "\r\n").encode())
-            _write_rows(fh, traj, ranges[0])
-            for k, part in enumerate(parts):
-                status = os.waitpid(pids[k], 0)[1]
-                pids[k] = None
-                if status != 0:
-                    raise OSError("a trace writer process failed with exit status "
-                                  f"{os.waitstatus_to_exitcode(status)}")
+            # Safe although a BLAS thread may be running here (Python 3.12+
+            # warns of forking a threaded process): the writer calls no BLAS
+            # routine, it only reads the spool, formats rows and writes them.
+            pid = os.fork()
+            if pid == 0:
+                try:   # never return into the caller, nor flush its buffers
+                    os.close(rows_w)
+                    _serve_writer(rows_r, acks_w, spool.fileno(), fh, n)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(acks_w)   # so that the writer's exit ends the acknowledgements
+            acks_w = None
+            os.set_blocking(acks_r, False)
+            history = None   # (times, P, V, U, lyap0) of the flight
+            final = handed = unacked = 0
+            step = _chunk(n)
+
+            def writer_error() -> OSError | None:
+                """Reap the writer: the error its exit status makes, if any."""
+                nonlocal pid
+                status, pid = os.waitpid(pid, 0)[1], None
+                code = os.waitstatus_to_exitcode(status)
+                return OSError(f"a trace writer process failed with exit status {code}") \
+                    if code else None
+
+            def hand_over(end: int) -> None:
+                nonlocal handed, unacked
+                for table in _tables(*history, handed, end):
+                    spool.write(table)
+                spool.flush()
+                os.write(rows_w, end.to_bytes(8, "little"))
+                handed, unacked = end, unacked + 1
+
+            def on_block(s, P, V, U, lyap):
+                nonlocal history, final, unacked
+                if history is None:
+                    history = (dt * np.arange(len(P)), P, V, U, lyap[0])
+                if s == len(P) - 1:   # the last row waits for no control; the rest is split
+                    final = len(P)
+                    return
+                final = s
+                if final - handed < step:
+                    return
+                try:
+                    acks = os.read(acks_r, 4096)
+                    if not acks:   # end of file: the writer has exited
+                        raise writer_error()
+                    unacked -= len(acks)
+                except BlockingIOError:   # no acknowledgement since the last one read
+                    pass
+                while unacked < _BACKLOG and final - handed >= step:
+                    hand_over(handed + step)
+
+            yield on_block
+            mid = handed + (final - handed) // 2
+            if mid > handed:
+                hand_over(mid)
+            os.close(rows_w)   # the writer exits once it has formatted what it holds
+            rows_w = None
+            with tempfile.TemporaryFile(dir=path.parent) as part:
+                _format_rows(part, *history, mid, final)
+                error = writer_error()
+                if error:
+                    raise error
+                fh.seek(0, os.SEEK_END)
                 part.seek(0)
                 shutil.copyfileobj(part, fh)
         finally:
-            for pid in pids:
-                if pid is not None:
-                    os.waitpid(pid, 0)
-            for part in parts:
-                part.close()
+            if pid:
+                from signal import SIGKILL   # on failure only: start-up never loads it
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            for fd in (rows_r, rows_w, acks_r, acks_w):
+                if fd is not None:
+                    os.close(fd)
 
 
 def _run(scenario: Scenario, last_stage: str, out_dir: Path | None) -> dict:

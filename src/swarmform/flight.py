@@ -148,6 +148,7 @@ def simulate(
     velocity: np.ndarray,
     dt: float,
     horizon: float,
+    on_block=None,
 ) -> Trajectory:
     """Fixed-step rollout from t = 0 of `start` = (positions, velocities),
     two (R, n, 3) arrays, one run per leading row, toward `formation`
@@ -158,7 +159,8 @@ def simulate(
     bit for bit the same start flown alone. The recorded Lyapunov trace
     always uses the logarithmic candidate, so traces are comparable
     across controllers. A run whose state, Lyapunov trace or metrics go
-    non-finite raises FloatingPointError.
+    non-finite raises FloatingPointError. `on_block` is passed to
+    `kernels.rollout`, which calls it as run 0's history becomes final.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; expected log, quad or apf")
@@ -181,7 +183,7 @@ def simulate(
     slots = formation.positions - formation.target
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
         controller, slots, gains, velocity, positions, velocities,
-        formation.target + 0.0 * velocity, dt, steps)
+        formation.target + 0.0 * velocity, dt, steps, on_block)
     if not all(np.isfinite(a).all() for a in (final, lyap, path, vel_err)):
         raise FloatingPointError("flight went non-finite during rollout, e.g. from "
                                  "coincident UAVs under APF or a start too far out")

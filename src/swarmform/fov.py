@@ -72,14 +72,17 @@ class CoverageReport:
 def _cover_rows(rel: np.ndarray, spec: FovSpec) -> np.ndarray:
     """Each member's weighted cover row, (..., n_dirs) from offsets rel
     (..., 3) to the target: its distance weight in every probe direction
-    it covers, else 0. Members straight above or below cover nothing."""
+    it covers, else 0. Members straight above or below the target, and
+    members farther from it than the frustum's range d_max, cover nothing."""
     d_xy = np.hypot(rel[..., 0], rel[..., 1])
-    weights = 1.0 / (1.0 + spec.lam * d_xy)
+    seen = (d_xy >= _DEGENERATE_XY) & (np.hypot(d_xy, rel[..., 2]) <= spec.d_max + _ANGLE_TOL)
+    # within range lam * d_xy <= lam * d_max, which FovSpec holds finite
+    weights = 1.0 / (1.0 + spec.lam * np.where(seen, d_xy, 0.0))
     bearings = np.arctan2(rel[..., 1], rel[..., 0])
     phi = 2.0 * np.pi * np.arange(spec.n_dirs) / spec.n_dirs
     offset = wrap_pi(bearings[..., None] - phi)   # per (member, direction)
     covers = np.abs(offset) <= spec.gamma / 2.0 + _ANGLE_TOL
-    return np.where(covers & (d_xy >= _DEGENERATE_XY)[..., None], weights[..., None], 0.0)
+    return np.where(covers & seen[..., None], weights[..., None], 0.0)
 
 
 def _gamma(per_direction: np.ndarray, n_dirs: int):

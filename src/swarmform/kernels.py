@@ -50,8 +50,11 @@ sum, and one `np.take` lays each run's edges out contiguously: V's
 pairwise sums over a run's n x 3 kinetic terms and over its edges then
 add the same numbers in the same order as for a batch of one, which a
 strided view would not (it moves V by an ulp). So a run's numbers do
-not depend on the other runs in its batch. `swarmform.flight.simulate`
-is the supported interface.
+not depend on the other runs in its batch. An optional hook is called
+after each block's reductions, once run 0's history up to the block's
+last state is final, so that a caller can stream that history out while
+the rollout flies on; it reads the outputs and changes no bit of them.
+`swarmform.flight.simulate` is the supported interface.
 
 Controllers: "log" (logarithmic), "quad" (quadratic), "apf".
 """
@@ -186,7 +189,7 @@ def _norms(a, out):
     np.sqrt(out, out=out)
 
 
-def rollout(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps):
+def rollout(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps, on_block=None):
     """Fly R runs of `forces(ctrl, slots, gains, vt, R)` with every
     member's mass `gains.mass`, for `steps` steps of `dt` from (p0, v0),
     both (R, n, 3), the target moving from tgt0 at vt.
@@ -209,6 +212,11 @@ def rollout(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps):
     the velocity errors transposed member-major. A non-finite force in
     any run leaves that run's state non-finite for the rest of the
     rollout, so it shows in p_final.
+
+    `on_block`, if given, is called after each block's reductions as
+    on_block(s, P, V, U, lyap), with the arrays above: s steps are done,
+    and P[:s + 1], V[:s + 1], lyap[:, :s + 1] and U[:s] are final. The
+    last call has s = steps.
     """
     mass = gains.mass
     runs, n = p0.shape[:2]
@@ -285,4 +293,6 @@ def rollout(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps):
             # shape: NumPy sums a (m + 1, 1, 1) reduction pairwise
             np.add.accumulate(lengths[:m + 1], axis=0, out=lengths[:m + 1])
             pb[0], vb[0], ub[0], lengths[0] = pb[m], vb[m], ub[m], lengths[m]
+            if on_block is not None:
+                on_block(hi, P, V, U, lyap)
     return P, V, U, lyap, lengths[0].copy(), vel_err, pb[0].transpose(1, 2, 0).copy()

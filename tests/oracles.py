@@ -335,7 +335,7 @@ def coverage_loops(formation, spec) -> tuple[CoverageReport, list[float]]:
     for pose in poses_of(formation):
         rel = relative_position(pose.position, formation.target)
         d_xy = float(np.hypot(rel[0], rel[1]))
-        if d_xy < _DEGENERATE_XY:
+        if d_xy < _DEGENERATE_XY or float(np.hypot(d_xy, rel[2])) > spec.d_max + _ANGLE_TOL:
             continue
         weights.append(1.0 / (1.0 + spec.lam * d_xy))
         bearings.append(np.arctan2(rel[1], rel[0]))

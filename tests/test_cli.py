@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 import swarmform
 from conftest import slotted
 from oracles import write_trace_csv
-from swarmform import cli
+from swarmform import cli, kernels
 from swarmform.cli import main
 from swarmform.config import parse_scenario
 from swarmform.flight import ControlGains, cube_starts, metrics, simulate
@@ -299,16 +300,14 @@ def test_output_bytes_pinned(tmp_path, command, name):
 @pytest.mark.parametrize("command, name", sorted(key for key, files in PINNED_OUTPUTS.items()
                                                  if "fly_trace.csv" in files))
 def test_trace_bytes_pinned_for_every_writer_count(tmp_path, monkeypatch, command, name):
+    # one CPU takes the inline writer, two the streaming one where os.fork exists
     subcommand, _, controller = command.partition("-")
-    flown = []
-    write_trace = cli._write_trace
-    monkeypatch.setattr(cli, "_write_trace", lambda path, traj: flown.append(traj))
-    assert main([subcommand, "--scenario", scenario(name), "--controller", controller or "log",
-                 "--out-dir", str(tmp_path / "out")]) == 0
-    for cpus in (1, 2, 3, 4):
+    for cpus in (1, 2):
         monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
-        write_trace(tmp_path / "trace.csv", flown[0])
-        digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+        out = tmp_path / str(cpus)
+        assert main([subcommand, "--scenario", scenario(name), "--controller",
+                     controller or "log", "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "fly_trace.csv").read_bytes()).hexdigest()
         assert digest == PINNED_OUTPUTS[command, name]["fly_trace.csv"], cpus
 
 
@@ -583,6 +582,7 @@ class TestExitCodes:
             return real_simulate((p, v), *args)
 
         monkeypatch.setattr(cli, "simulate", coincident_run_2)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)   # the streaming writer, where os.fork exists
         doc = json.loads((resources.files("swarmform") / "scenarios"
                           / "paper_default.json").read_text())
         doc["flight"].update(runs=3, horizon_s=0.5, controller="apf")
@@ -592,6 +592,8 @@ class TestExitCodes:
         assert main(["fly", "--scenario", str(p), "--out-dir", str(out)]) == 2
         assert "numeric error: [stage fly]" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):   # the writer was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_coincident_start_prints_one_line(self, tmp_path):
         # a start cube far below APF's coincidence distance puts every
@@ -729,8 +731,8 @@ class TestAtomicWrites:
         real_fdopen = cli.os.fdopen
 
         class FailingHandle:
-            """A handle whose 10th write fails: the trace's header and 8 of
-            its 28 blocks of rows are written, the rest is not."""
+            """A handle whose 5th write fails: the trace's header and 3 of
+            its 7 blocks of rows are written, the rest is not."""
 
             def __init__(self, fh):
                 self.fh = fh
@@ -744,12 +746,13 @@ class TestAtomicWrites:
 
             def write(self, text):
                 self.writes += 1
-                if self.writes == 10:
+                if self.writes == 5:
                     raise OSError(28, "No space left on device")
                 return self.fh.write(text)
 
         monkeypatch.setattr(cli.os, "fdopen",
                             lambda *args, **kwargs: FailingHandle(real_fdopen(*args, **kwargs)))
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)   # the inline writer
         out = tmp_path / "out"
         assert main(["fly", "--scenario", scenario("paper_default.json"),
                      "--out-dir", str(out)]) == 1
@@ -771,59 +774,105 @@ class TestAtomicWrites:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fly_trace.csv", "report.json"]
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="one writer where os.fork is missing")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no streaming writer without os.fork")
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_trace_writer_leaves_no_file_or_process(self, tmp_path, monkeypatch, capsys,
                                                            failing):
-        parent = os.getpid()
-        write_rows = cli._write_rows
+        # the forked writer fails on the rows handed to it during the
+        # flight, or this process on the rows it keeps after the flight
+        name = "_format_spooled" if failing == "child" else "_format_rows"
 
-        def write_rows_failing(fh, traj, starts):
-            if (os.getpid() == parent) == (failing == "parent"):
-                raise OSError(28, "No space left on device")
-            write_rows(fh, traj, starts)
+        def failing_format(*args):
+            raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_write_rows", write_rows_failing)
+        monkeypatch.setattr(cli, name, failing_format)
         out = tmp_path / "out"
         assert main(["fly", "--scenario", scenario("paper_default.json"),
                      "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("swarmform: error: [stage fly] ")
+        assert len(err.splitlines()) == 1
         assert ("a trace writer process failed with exit status 1" if failing == "child"
                 else "No space left on device") in err
         assert list(out.iterdir()) == []
-        with pytest.raises(ChildProcessError):   # every writer was reaped
+        with pytest.raises(ChildProcessError):   # the writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no streaming writer without os.fork")
+    def test_failing_hook_mid_flight_leaves_no_file_or_process(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # the hook fails on its third hand-over, inside the rollout, while
+        # the writer is formatting the rows handed to it
+        tables = cli._tables
+        calls = []
+
+        def tables_failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return tables(*args)
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_tables", tables_failing)
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", scenario("paper_default.json"),
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err \
+            == "swarmform: error: [stage fly] [Errno 28] No space left on device\n"
+        assert len(calls) == 3
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):   # the writer was reaped
             os.waitpid(-1, os.WNOHANG)
 
 
-def _flown(n, steps, controller="log"):
-    """A seeded n-member flight of `steps` steps toward slots on a 10 m circle."""
+def _flown(n, steps, controller="log", runs=1, on_block=None):
+    """A seeded flight of `runs` runs of n members for `steps` steps toward
+    slots on a 10 m circle; `on_block` is passed to `simulate`."""
     angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     formation = slotted(np.column_stack((10.0 * np.cos(angles), 10.0 * np.sin(angles),
                                          np.full(n, 3.4))))
     rng = np.random.default_rng(n + steps)
-    p0 = formation.positions + rng.uniform(-5.0, 5.0, (n, 3))
-    v0 = rng.uniform(-1.0, 1.0, (n, 3))
-    return simulate((p0[None], v0[None]), formation, controller, ControlGains(), np.zeros(3),
-                    0.01, steps * 0.01)
+    p0 = formation.positions + rng.uniform(-5.0, 5.0, (runs, n, 3))
+    v0 = rng.uniform(-1.0, 1.0, (runs, n, 3))
+    return simulate((p0, v0), formation, controller, ControlGains(), np.zeros(3),
+                    0.01, steps * 0.01, on_block)
+
+
+def _streamed(path, n, steps, **kwargs):
+    """`_flown`'s flight, its trace streamed to `path` as the CLI streams it."""
+    with cli._trace_stream(path, n, 0.01) as on_block:
+        return _flown(n, steps, on_block=on_block, **kwargs)
+
+
+def _assert_reaped():
+    with pytest.raises(ChildProcessError):   # no writer process is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 # (members, steps) whose trace ends one row below, at and one row past the
-# end of a block of rows, and one row into the fifth block
+# end of a block of rows, and one row into the fifth block: for the
+# writers' blocks of `cli._TRACE_VALUES` values, and for blocks of 4,096
+# values as further uneven lengths
 _BLOCK_EDGES = [pytest.param(n, rows - 1, id=f"n{n}-rows{rows}")
-                for n in (2, 6, 48)
-                for block in [cli._TRACE_VALUES // (9 * n + 2)]
-                for rows in (block - 1, block, block + 1, 4 * block + 1)]
+                for n, rows in sorted({(n, rows)
+                                       for values in (4096, cli._TRACE_VALUES)
+                                       for n in (2, 6, 48)
+                                       for block in [values // (9 * n + 2)]
+                                       for rows in (block - 1, block, block + 1, 4 * block + 1)})]
+_needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                 reason="no streaming writer without os.fork")
 
 
 class TestTraceWriter:
-    """`cli._write_trace` writes the bytes of the row-by-row `csv.writer` oracle."""
+    """`cli._write_trace`, the inline writer, and `cli._trace_stream`, the
+    streaming one, write the bytes of the row-by-row `csv.writer` oracle."""
 
-    def assert_same_bytes(self, tmp_path, traj):
-        cli._write_trace(tmp_path / "trace.csv", traj)
+    def assert_same_bytes(self, tmp_path, traj, name="trace.csv"):
+        if name == "trace.csv":
+            cli._write_trace(tmp_path / name, traj)
         write_trace_csv(tmp_path / "oracle.csv", traj)
-        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     @pytest.mark.parametrize("controller", ["log", "quad", "apf"])
     def test_paper_default_flights(self, tmp_path, monkeypatch, controller):
@@ -832,14 +881,19 @@ class TestTraceWriter:
         path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
         flown = []
-        write_trace = cli._write_trace
-        monkeypatch.setattr(cli, "_write_trace",
-                            lambda p, traj: (flown.append(traj), write_trace(p, traj)))
-        out = tmp_path / "out"
-        assert main(["fly", "--scenario", str(path), "--controller", controller,
-                     "--out-dir", str(out)]) == 0
-        write_trace_csv(tmp_path / "oracle.csv", flown[0])
-        assert (out / "fly_trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        real_metrics = cli.metrics
+        monkeypatch.setattr(cli, "metrics",
+                            lambda traj: (flown.append(traj), real_metrics(traj))[1])
+        # the inline writer, then the streaming one where os.fork exists
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / str(cpus)
+            assert main(["fly", "--scenario", str(path), "--controller", controller,
+                         "--out-dir", str(out)]) == 0
+            write_trace_csv(tmp_path / "oracle.csv", flown[-1])
+            assert (out / "fly_trace.csv").read_bytes() \
+                == (tmp_path / "oracle.csv").read_bytes(), cpus
+        _assert_reaped()
 
     @pytest.mark.parametrize("n, steps", [pytest.param(6, steps, id=str(steps))
                                           for steps in (1, 63, 64, 65, 128)] + _BLOCK_EDGES)
@@ -848,24 +902,70 @@ class TestTraceWriter:
         assert len(traj.times) == steps + 1
         self.assert_same_bytes(tmp_path, traj)
 
+    # flights shorter than one rollout block, ending one row before, at and
+    # after the first and second block edges, and the bundled horizon
+    @_needs_fork
     @pytest.mark.parametrize("n, steps", [pytest.param(6, steps, id=str(steps))
-                                          for steps in (1, 63, 64, 65, 2000)] + _BLOCK_EDGES)
-    def test_bytes_independent_of_writer_count(self, tmp_path, monkeypatch, n, steps):
-        traj = _flown(n, steps)   # 1 to 28 blocks: some runs have fewer blocks than CPUs
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
-            cli._write_trace(tmp_path / f"{cpus}.csv", traj)
-        monkeypatch.delattr(os, "fork")   # one writer, whatever the CPU count
-        cli._write_trace(tmp_path / "no_fork.csv", traj)
-        one = (tmp_path / "1.csv").read_bytes()
-        for name in ("2.csv", "3.csv", "4.csv", "no_fork.csv"):
-            assert (tmp_path / name).read_bytes() == one, name
-        assert sorted(p.name for p in tmp_path.iterdir()) \
-            == ["1.csv", "2.csv", "3.csv", "4.csv", "no_fork.csv"]
-        with pytest.raises(ChildProcessError):   # every writer was reaped
-            os.waitpid(-1, os.WNOHANG)
+                                          for steps in (1, 63, 64, 65, 127, 128, 129, 2000)]
+                             + _BLOCK_EDGES)
+    def test_bytes_independent_of_writer_count(self, tmp_path, n, steps):
+        traj = _streamed(tmp_path / "streamed.csv", n, steps)
+        cli._write_trace(tmp_path / "inline.csv", traj)
         write_trace_csv(tmp_path / "oracle.csv", traj)
-        assert (tmp_path / "oracle.csv").read_bytes() == one
+        oracle = (tmp_path / "oracle.csv").read_bytes()
+        for name in ("streamed.csv", "inline.csv"):
+            assert (tmp_path / name).read_bytes() == oracle, name
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["inline.csv", "oracle.csv", "streamed.csv"]
+        _assert_reaped()
+
+    @_needs_fork
+    @pytest.mark.parametrize("every", [1, 5, 64, 200])
+    def test_bytes_independent_of_the_schedule(self, tmp_path, every):
+        # the hook called every `every` steps, as a rollout with other
+        # blocks would call it: the writer is handed other rows (37-row
+        # messages at n = 48), the bytes stay the same
+        traj = _flown(48, 200)
+        with cli._trace_stream(tmp_path / "streamed.csv", 48, 0.01) as on_block:
+            for s in [*range(every, 200, every), 200]:
+                on_block(s, traj.positions, traj.velocities, traj.controls, traj.lyapunov)
+        self.assert_same_bytes(tmp_path, traj, "streamed.csv")
+        _assert_reaped()
+
+    @_needs_fork
+    @pytest.mark.parametrize("n, steps", [(6, 2000), (48, 300)])
+    def test_lagging_writer_leaves_the_parent_a_tail(self, tmp_path, monkeypatch, n, steps):
+        # the writer sleeps before its first rows, so it acknowledges
+        # nothing while the flight is flown: it is handed two messages, and
+        # after the flight half of the rest, and this process formats the
+        # other half itself
+        format_spooled, format_rows = cli._format_spooled, cli._format_rows
+        kept = []
+
+        def lagging(spool, out, lo, hi, n):
+            if lo == 0:
+                time.sleep(0.5)
+            format_spooled(spool, out, lo, hi, n)
+
+        def keeping(out, *history_and_rows):
+            kept.append(history_and_rows[-2:])
+            format_rows(out, *history_and_rows)
+
+        monkeypatch.setattr(cli, "_format_spooled", lagging)
+        monkeypatch.setattr(cli, "_format_rows", keeping)
+        traj = _streamed(tmp_path / "streamed.csv", n, steps)
+        self.assert_same_bytes(tmp_path, traj, "streamed.csv")
+        [(lo, hi)] = kept
+        assert hi == steps + 1
+        assert hi - lo > kernels._BLOCK
+        _assert_reaped()
+
+    @_needs_fork
+    def test_several_runs_stream_run_0(self, tmp_path):
+        traj = _streamed(tmp_path / "streamed.csv", 6, 130, runs=3)
+        assert traj.lyapunov.shape == (3, 131)
+        self.assert_same_bytes(tmp_path, traj, "streamed.csv")
+        _assert_reaped()
 
     def test_two_members(self, tmp_path):
         self.assert_same_bytes(tmp_path, _flown(2, 70, "apf"))

@@ -529,6 +529,27 @@ class TestSimulate:
                         for a in out)
         assert digests == self.FLEET_ROLLOUT_DIGESTS[ctrl]
 
+    @pytest.mark.parametrize("ctrl", ["log", "apf"])
+    def test_block_hook_sees_final_history_and_moves_no_bit(self, ctrl):
+        # the hook is called after each block, once run 0's history up to
+        # the block's last state is final, and the outputs keep every bit
+        args = fleet_rollout_args(ctrl)
+        steps = args[-1]
+        seen = []
+
+        def on_block(s, P, V, U, lyap):
+            seen.append((s, P[:s + 1].copy(), V[:s + 1].copy(), U[:s].copy(),
+                         lyap[:, :s + 1].copy()))
+
+        out = kernels.rollout(*args, on_block)
+        for name, a, b in zip(ROLLOUT_OUTPUTS, out, kernels.rollout(*args)):
+            assert np.array_equal(a, b), name
+        assert [s for s, *_ in seen] == [kernels._BLOCK, 2 * kernels._BLOCK, steps]
+        P, V, U, lyap = out[:4]
+        for s, *early in seen:
+            for a, b in zip(early, (P[:s + 1], V[:s + 1], U[:s], lyap[:, :s + 1])):
+                assert np.array_equal(a, b), s
+
     @pytest.mark.parametrize("run", [0, 2])
     def test_non_finite_run_crosses_blocks_as_per_step(self, formation, run):
         # coincident APF members make one run non-finite from the first

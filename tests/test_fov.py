@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -145,6 +146,31 @@ class TestCoverage:
         rep = coverage(f, spec)
         assert rep.uncovered == spec.n_dirs
         assert rep.gamma_metric == 0.0
+
+    @pytest.mark.parametrize("lam", [1e300, 1e290])
+    def test_members_beyond_range_cover_nothing(self, lam):
+        # 1e9 m out, far past d_max: no weight is formed for them, so no
+        # overflow warns and no weight underflows to a tiny cover
+        spec = FovSpec(lam=lam)
+        f = formation_of([Pose(vec3(1e9, 0, 0), np.pi, Sensor.CAMERA),
+                          Pose(vec3(0, -1e9, 5), np.pi / 2, Sensor.LIDAR)], np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = coverage(f, spec)
+        assert (rep.uncovered, rep.xi, rep.gamma_metric) == (72, 0.0, 0.0)
+        assert coverage_loops(f, spec)[0] == rep
+
+    @pytest.mark.parametrize("offset", [(30, 0, 0), (0, -28.8, 8.4), (-24, 18, 0)])
+    def test_member_at_max_range_covers(self, spec, offset):
+        # at d_max = 30 m (3-D) a member covers, as the oracle's frustum
+        # sees the target; 1e-6 m farther out it covers nothing
+        rel = vec3(*offset)
+        for scale, covers in ((1.0, True), (1.0 + 1e-6 / 30.0, False)):
+            pose = Pose(scale * rel, yaw_facing_target(scale * rel, np.zeros(3)), Sensor.CAMERA)
+            f = formation_of([pose], np.zeros(3))
+            assert bool(target_visible(pose, np.zeros(3), spec)) is covers
+            assert (coverage(f, spec).uncovered < spec.n_dirs) is covers
+            assert coverage(f, spec) == coverage_loops(f, spec)[0]
 
 
 # a member's horizontal offset from the target: polar (range, bearing),
