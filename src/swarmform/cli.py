@@ -256,13 +256,14 @@ def _trace_stream(path: Path, n: int, dt: float):
     rollout's arrays, so the flight never waits for the writer, and the
     writer never holds more than `_BACKLOG` messages. The writer formats
     the rows handed to it, in order, straight after the header in the
-    output. When the block ends, the writer is handed the first half of
-    the rows left, and this process formats the second half into a part
-    file of its own while the writer works; once the writer has exited,
-    the part is appended. So the file is the header, the writer's rows,
-    then this process's, whatever the schedule. If anything fails, in the
-    block, in the writer or here, the writer is killed and reaped and no
-    file is left; a writer's failure raises `OSError`.
+    output. When the block ends, the writer is handed the next rows, so
+    that with the messages it still holds it has half of the rows left,
+    and this process formats the rest into a part file of its own while
+    the writer works; once the writer has exited, the part is appended.
+    So the file is the header, the writer's rows, then this process's,
+    whatever the schedule. If anything fails, in the block, in the writer
+    or here, the writer is killed and reaped and no file is left; a
+    writer's failure raises `OSError`.
     """
     with _write_atomic(path) as fh, tempfile.TemporaryFile(dir=path.parent) as spool:
         fh.write(_header(n))
@@ -297,6 +298,16 @@ def _trace_stream(path: Path, n: int, dt: float):
                 return OSError(f"a trace writer process failed with exit status {code}") \
                     if code else None
 
+            def read_acks() -> None:
+                nonlocal unacked
+                try:
+                    acks = os.read(acks_r, 4096)
+                    if not acks:   # end of file: the writer has exited
+                        raise writer_error()
+                    unacked -= len(acks)
+                except BlockingIOError:   # no acknowledgement since the last one read
+                    pass
+
             def hand_over(end: int) -> None:
                 nonlocal handed, unacked
                 for table in _tables(*history, handed, end):
@@ -306,7 +317,7 @@ def _trace_stream(path: Path, n: int, dt: float):
                 handed, unacked = end, unacked + 1
 
             def on_block(s, P, V, U, lyap):
-                nonlocal history, final, unacked
+                nonlocal history, final
                 if history is None:
                     history = (dt * np.arange(len(P)), P, V, U, lyap[0])
                 if s == len(P) - 1:   # the last row waits for no control; the rest is split
@@ -315,18 +326,15 @@ def _trace_stream(path: Path, n: int, dt: float):
                 final = s
                 if final - handed < step:
                     return
-                try:
-                    acks = os.read(acks_r, 4096)
-                    if not acks:   # end of file: the writer has exited
-                        raise writer_error()
-                    unacked -= len(acks)
-                except BlockingIOError:   # no acknowledgement since the last one read
-                    pass
+                read_acks()
                 while unacked < _BACKLOG and final - handed >= step:
                     hand_over(handed + step)
 
             yield on_block
-            mid = handed + (final - handed) // 2
+            # the writer still holds `unacked` messages of `step` rows: it is
+            # handed half of what is left beyond them
+            read_acks()
+            mid = handed + max(0, (final - handed - unacked * step) // 2)
             if mid > handed:
                 hand_over(mid)
             os.close(rows_w)   # the writer exits once it has formatted what it holds

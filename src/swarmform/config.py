@@ -284,7 +284,8 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     weights = _section(root, "weights", AllocWeights, _WEIGHTS)
     sensors = _section(root, "sensors", SensorModels, _SENSORS)
     fov = _section(root, "fov", FovSpec, _FOV)
-    if grid.distance > fov.d_max:   # coverage assumes every UAV sees the target
+    # coverage drops members beyond d_max; this keeps every allocated member in Gamma
+    if grid.distance > fov.d_max:
         raise ScenarioError(f"{root.at('grid.distance_m')}: must not exceed fov.d_max_m "
                             f"({fov.d_max}), got {grid.distance}")
     # candidates are placed at target + distance * offset: past this reach,

@@ -231,12 +231,6 @@ def rollout(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps, on_block=None):
     U = np.empty((steps, n, 3))
     lyap = np.empty((runs, steps + 1))
     vel_err = np.empty((runs, steps + 1, n))
-    # the target at every step: a cumsum adds vt * dt in step order, as
-    # stepping the target one step at a time does
-    tgt = np.cumsum(np.vstack((tgt0, np.broadcast_to(vt * dt, (steps, 3)))), axis=0)
-    # the leader's desired position at every step, a column per step
-    lead = (tgt + slots[0])[:, :, None]
-    vt = np.reshape(vt, (3, 1, 1))
     # row k of a block holds the state k steps after the block's first,
     # and its forces; row 0 carries them over from the block before
     pb = np.empty((_BLOCK + 1, 3, runs, n))
@@ -255,9 +249,16 @@ def rollout(ctrl, slots, gains, vt, p0, v0, tgt0, dt, steps, on_block=None):
     lengths = np.zeros((_BLOCK + 1, runs, n))
     pb[0] = p0.transpose(2, 0, 1)
     vb[0] = v0.transpose(2, 0, 1)
-    # a non-finite run turns inf into NaN (inf - inf); that is reported by
-    # the caller from p_final, not warned about step by step
+    # a non-finite run turns inf into NaN (inf - inf), and a target track
+    # that overflows makes every run non-finite; that is reported by the
+    # caller from p_final, not warned about step by step
     with np.errstate(invalid="ignore", over="ignore"):
+        # the target at every step: a cumsum adds vt * dt in step order, as
+        # stepping the target one step at a time does
+        tgt = np.cumsum(np.vstack((tgt0, np.broadcast_to(vt * dt, (steps, 3)))), axis=0)
+        # the leader's desired position at every step, a column per step
+        lead = (tgt + slots[0])[:, :, None]
+        vt = np.reshape(vt, (3, 1, 1))
         evaluate(p[0], v[0], tgt[0], lead[0], sq[0], u[0])
         # one block even for no step, so that the start is recorded
         for lo in range(0, max(steps, 1), _BLOCK):

@@ -1,28 +1,70 @@
 import hashlib
+import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+import tempfile
 import time
-from dataclasses import replace
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import swarmform
 from conftest import slotted
 from oracles import write_trace_csv
 from swarmform import cli, kernels
 from swarmform.cli import main
-from swarmform.config import parse_scenario
+from swarmform.config import ScenarioError, parse_scenario
 from swarmform.flight import ControlGains, cube_starts, metrics, simulate
 
 
 def scenario(name):
     return str(resources.files("swarmform") / "scenarios" / name)
+
+
+@dataclass(frozen=True)
+class Scaled:
+    """A leaf's numbers times `factor`, a list's item by item; other values are kept."""
+
+    factor: float
+
+    def of(self, value):
+        if isinstance(value, list):
+            return [self.of(v) for v in value]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return value * self.factor if number else value
+
+
+def mutated(directory, changes, name="paper_default.json"):
+    """The path of a copy, in `directory`, of the bundled scenario `name` with
+    the leaves named by the dotted keys of `changes` ("target.velocity.0" is a
+    list item) replaced by their values, or scaled by a `Scaled` value."""
+    doc = json.loads(Path(scenario(name)).read_text())
+    for path, value in changes.items():
+        *parents, leaf = path.split(".")
+        node = doc
+        for key in parents:
+            node = node[int(key) if isinstance(node, list) else key]
+        key = int(leaf) if isinstance(node, list) else leaf
+        node[key] = value.of(node[key]) if isinstance(value, Scaled) else value
+    p = Path(directory) / f"mutated_{name}"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _assert_reaped():
+    with pytest.raises(ChildProcessError):   # no writer process is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run(tmp_path, *argv):
@@ -131,13 +173,9 @@ class TestFly:
     def test_mean_rounded_above_max_is_consistent(self, tmp_path):
         # one step of 1e-20 s: all 12 velocity errors are 0.1, and their
         # float mean rounds to 0.10000000000000002 (NumPy 2.4), above the max
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["target"]["velocity"] = [0.1, 0.0, 0.0]
-        doc["flight"].update(dt_s=1e-20, horizon_s=1e-20)
-        p = tmp_path / "one_step.json"
-        p.write_text(json.dumps(doc))
-        code, report = run(tmp_path, "fly", "--scenario", str(p))
+        p = mutated(tmp_path, {"target.velocity": [0.1, 0.0, 0.0], "flight.dt_s": 1e-20,
+                               "flight.horizon_s": 1e-20})
+        code, report = run(tmp_path, "fly", "--scenario", p)
         assert code == 0
         mean = report["Flight"]["Mean"]
         assert mean["Max. Velocity Err."] == 0.1
@@ -153,16 +191,10 @@ class TestFly:
             return real_simulate(start, formation, controller, gains, *args)
 
         monkeypatch.setattr(cli, "simulate", recording)
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["flight"]["horizon_s"] = 2.0
         flights = {}
         for name, apf in (("default", {}), ("custom", {"ka": 2.5, "kr": 7.0, "d0_m": 3.0})):
-            doc["flight"]["apf"] = apf
-            p = tmp_path / f"{name}.json"
-            p.write_text(json.dumps(doc))
-            code, report = run(tmp_path / name, "fly", "--scenario", str(p),
-                               "--controller", "apf")
+            p = mutated(tmp_path, {"flight.horizon_s": 2.0, "flight.apf": apf})
+            code, report = run(tmp_path / name, "fly", "--scenario", p, "--controller", "apf")
             assert code == 0
             flights[name] = report["Flight"]
         default, custom = flown
@@ -171,24 +203,9 @@ class TestFly:
         assert flights["custom"] != flights["default"]
 
     def test_one_uav_stops_before_flight(self, tmp_path, capsys):
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["weights"]["max_uavs"] = 1
-        p = tmp_path / "one.json"
-        p.write_text(json.dumps(doc))
-        assert main(["fly", "--scenario", str(p)]) == 2
+        assert main(["fly", "--scenario", mutated(tmp_path, {"weights.max_uavs": 1})]) == 2
         assert capsys.readouterr().err == ("swarmform: error: [stage formation] "
                                            "link statistics need at least two members\n")
-
-
-def far_out_scenario(tmp_path, distance):
-    doc = json.loads((resources.files("swarmform") / "scenarios"
-                      / "paper_default.json").read_text())
-    doc["grid"]["distance_m"] = distance
-    doc["fov"]["d_max_m"] = distance   # the grid must lie within perception range
-    p = tmp_path / "far.json"
-    p.write_text(json.dumps(doc))
-    return str(p)
 
 
 class TestFarOutPoses:
@@ -201,10 +218,10 @@ class TestFarOutPoses:
     cameras at 1.5e152 m off boresight have finite FIMs whose sum
     overflows, which printed inf the same way."""
 
-    @pytest.mark.parametrize("x, code, out", [(1e150, 0, "-23.025851\n"), (1e160, 2, "")])
-    def test_eval_fim_lidar(self, tmp_path, capsys, x, code, out):
+    @staticmethod
+    def eval_fim(tmp_path, capsys, poses, code, out):
         p = tmp_path / "far.json"
-        p.write_text(json.dumps({"poses": [{"position": [x, 0.0, 0.0], "sensor": "lidar"}]}))
+        p.write_text(json.dumps({"poses": poses}))
         assert main(["eval-fim", "--formation", str(p)]) == code
         captured = capsys.readouterr()
         assert captured.out == out
@@ -212,42 +229,32 @@ class TestFarOutPoses:
             assert captured.err.startswith("swarmform: numeric error: ")
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("x, code, out", [(1e150, 0, "-23.025851\n"), (1e160, 2, "")])
+    def test_eval_fim_lidar(self, tmp_path, capsys, x, code, out):
+        self.eval_fim(tmp_path, capsys, [{"position": [x, 0.0, 0.0], "sensor": "lidar"}],
+                      code, out)
+
     @pytest.mark.parametrize("y, code, out", [(1e150, 0, "693.564176\n"), (1e160, 2, "")])
     def test_eval_fim_camera_off_boresight(self, tmp_path, capsys, y, code, out):
-        p = tmp_path / "far.json"
-        p.write_text(json.dumps({"poses": [{"position": [1.0, y, 0.0], "sensor": "camera",
-                                            "yaw_deg": 0.0}]}))
-        assert main(["eval-fim", "--formation", str(p)]) == code
-        captured = capsys.readouterr()
-        assert captured.out == out
-        if code:
-            assert captured.err.startswith("swarmform: numeric error: ")
-            assert captured.err.count("\n") == 1
+        self.eval_fim(tmp_path, capsys,
+                      [{"position": [1.0, y, 0.0], "sensor": "camera", "yaw_deg": 0.0}], code, out)
 
     @pytest.mark.parametrize("copies, code, out", [(1, 0, "703.585447\n"), (2, 2, "")])
     def test_eval_fim_total_overflows(self, tmp_path, capsys, copies, code, out):
         # each camera's FIM is finite, but two of them sum past the float range
-        p = tmp_path / "far.json"
-        p.write_text(json.dumps({"poses": [{"position": [1.0, 1.5e152, 0.0], "sensor": "camera",
-                                            "yaw_deg": 0.0}] * copies}))
-        assert main(["eval-fim", "--formation", str(p)]) == code
-        captured = capsys.readouterr()
-        assert captured.out == out
-        if code:
-            assert captured.err.startswith("swarmform: numeric error: ")
-            assert captured.err.count("\n") == 1
+        self.eval_fim(tmp_path, capsys, [{"position": [1.0, 1.5e152, 0.0], "sensor": "camera",
+                                          "yaw_deg": 0.0}] * copies, code, out)
 
+    # the grid must lie within perception range
     def test_allocate_grid_at_1e150(self, tmp_path):
-        code, report = run(tmp_path, "allocate", "--scenario", far_out_scenario(tmp_path, 1e150))
+        p = mutated(tmp_path, {"grid.distance_m": 1e150, "fov.d_max_m": 1e150})
+        code, report = run(tmp_path, "allocate", "--scenario", p)
         assert code == 0
         assert report["Allocation"]["Sensor mix"] == {"lidar": 3, "camera": 0}
 
-    def test_allocate_grid_at_1e160(self, tmp_path, capsys):
-        code, report = run(tmp_path, "allocate", "--scenario", far_out_scenario(tmp_path, 1e160))
-        assert code == 2 and report is None
-        err = capsys.readouterr().err
-        assert err.startswith("swarmform: numeric error: [stage allocate] ")
-        assert err.count("\n") == 1
+    def test_allocate_grid_at_1e160(self, tmp_path):
+        p = mutated(tmp_path, {"grid.distance_m": 1e160, "fov.d_max_m": 1e160})
+        check_contract(p, "allocate", numeric_error=True)
 
 
 # sha256 of the bundled scenarios' outputs, keyed by (command, scenario);
@@ -380,27 +387,19 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["allocate", "--scenario", "/nonexistent.json"]) == 1
 
-    # a grid entirely outside the vertical FOV leaves no candidates; a
-    # 1e10 px focal length, or a 0.1 mm grid, gives candidate FIMs whose
-    # rounding exceeds eps, so greedy's first round meets an F + eps*I
-    # that is not positive definite, which it used to rank by |det|; at a
-    # 3.8e152 px focal length the screen's cofactor tables overflowed
-    # outside any errstate, and a RuntimeWarning preceded the error line
-    @pytest.mark.parametrize("section,values", [
-        ("grid", {"delta_min_deg": 80.0, "delta_max_deg": 100.0}),
-        ("sensors", {"fx": 1e10, "fy": 1e10}),
-        ("grid", {"distance_m": 1e-4}),
-        ("sensors", {"fx": 3.8e152}),
+    # a grid outside the vertical FOV leaves no candidates; a 1e10 px focal
+    # length, or a 0.1 mm grid, gives candidate FIMs whose rounding exceeds
+    # eps, so greedy's first round meets an F + eps*I that is not positive
+    # definite, which it used to rank by |det|; at a 3.8e152 px focal length
+    # greedy's screen tables overflowed, and a RuntimeWarning came first
+    @pytest.mark.parametrize("changes", [
+        {"grid.delta_min_deg": 80.0, "grid.delta_max_deg": 100.0},
+        {"sensors.fx": 1e10, "sensors.fy": 1e10},
+        {"grid.distance_m": 1e-4},
+        {"sensors.fx": 3.8e152},
     ], ids=["empty-grid", "sensors.fx-fy-1e10", "grid.distance_m-1e-4", "sensors.fx-3.8e152"])
-    def test_numeric_error(self, tmp_path, capsys, section, values):
-        p = tmp_path / "degenerate.json"
-        p.write_text(json.dumps({"flight": {"seed": 0}, section: values}))
-        out = tmp_path / "out"
-        assert main(["allocate", "--scenario", str(p), "--out-dir", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("swarmform: numeric error: [stage allocate] ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
-        assert not out.exists()
+    def test_numeric_error(self, tmp_path, changes):
+        check_contract(mutated(tmp_path, changes), "allocate", numeric_error=True)
 
     # JSON admits NaN, Infinity and integers no float holds; each used to
     # run on (a NaN SINR floor flips nothing, a NaN eps reports a NaN
@@ -416,14 +415,9 @@ class TestExitCodes:
         ("target.position", [0.0, -float("inf"), 0.0]),
     ])
     def test_non_finite_number_rejected(self, tmp_path, capsys, path, value):
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        section, key = path.split(".")
-        doc.setdefault(section, {})[key] = value
-        p = tmp_path / "non_finite.json"
-        p.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["pipeline", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        assert main(["pipeline", "--scenario", mutated(tmp_path, {path: value}),
+                     "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"swarmform: config error: {path}: expected ")
         assert "finite number" in err
@@ -461,16 +455,7 @@ class TestExitCodes:
         ("fov.k_sectors", 10**30, "be <= 1440"),
     ])
     def test_bounded_key_rejected(self, tmp_path, capsys, path, value, rule):
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        *sections, key = path.split(".")
-        node = doc
-        for section in sections:
-            node = node[section]
-        node[key] = value
-        p = tmp_path / "bounded.json"
-        p.write_text(json.dumps(doc))
-        assert main(["pipeline", "--scenario", str(p)]) == 1
+        assert main(["pipeline", "--scenario", mutated(tmp_path, {path: value})]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"swarmform: config error: {path}: must {rule}, got {value}\n"
         assert captured.out == ""
@@ -478,24 +463,17 @@ class TestExitCodes:
     def test_full_pitch_range_allocates(self, tmp_path):
         # 0-180 degrees at a 3-degree step: the 61st ring, 180 degrees, once
         # landed an ulp past pi and the scenario was refused as a config error
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["grid"].update(delta_min_deg=0.0, delta_max_deg=180.0, delta_step_deg=3.0)
-        p = tmp_path / "full_pitch.json"
-        p.write_text(json.dumps(doc))
-        code, report = run(tmp_path, "allocate", "--scenario", str(p))
+        p = mutated(tmp_path, {"grid.delta_min_deg": 0.0, "grid.delta_max_deg": 180.0,
+                               "grid.delta_step_deg": 3.0})
+        code, report = run(tmp_path, "allocate", "--scenario", p)
         assert code == 0
         assert report["Allocation"]["UAV count"] >= 1
 
     def test_grid_beyond_perception_range_is_a_config_error(self, tmp_path, capsys):
         # every UAV 40 m out, past the 30 m range: coverage does not read the
         # range, so this reported a Gamma of 3.14 with exit 0
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["grid"]["distance_m"] = 40.0
-        p = tmp_path / "out_of_range.json"
-        p.write_text(json.dumps(doc))
-        assert main(["formation", "--scenario", str(p)]) == 1
+        p = mutated(tmp_path, {"grid.distance_m": 40.0})
+        assert main(["formation", "--scenario", p]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("swarmform: config error: grid.distance_m: must not exceed "
@@ -505,13 +483,9 @@ class TestExitCodes:
         # lambda 1e308 overflowed every distance weight to 0, which coverage
         # reads as "not covered": Gamma 0 and 72 uncovered directions before
         # and after the flips, after a RuntimeWarning, with exit 0
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["fov"]["lambda_per_m"] = 1e308
-        p = tmp_path / "huge_lambda.json"
-        p.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["formation", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        assert main(["formation", "--scenario", mutated(tmp_path, {"fov.lambda_per_m": 1e308}),
+                     "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == ("swarmform: config error: fov: distance weight times max "
                                 "perception range must be finite\n")
@@ -521,12 +495,8 @@ class TestExitCodes:
         # at 1e16 m the 10 m grid's UAVs land on a 2 m lattice: their pitches
         # moved by up to 0.1 rad, and a VFOV that missed the 20 deg ring by
         # 0.01 rad still kept 184 candidates instead of 144, with exit 0
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["target"]["position"] = [1e16, -0.7e16, 0.3e16]
-        p = tmp_path / "far_target.json"
-        p.write_text(json.dumps(doc))
-        assert main(["formation", "--scenario", str(p)]) == 1
+        p = mutated(tmp_path, {"target.position": [1e16, -0.7e16, 0.3e16]})
+        assert main(["formation", "--scenario", p]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("swarmform: config error: target.position: too far out for "
@@ -535,27 +505,15 @@ class TestExitCodes:
 
     # the SINR ratio underflows to 0 against the noise power (-inf dB), or
     # the received powers overflow to inf (inf / inf is NaN): each reached
-    # report.json as -Infinity or NaN, after a NumPy warning, with exit 0;
-    # a path loss d ** -alpha past the float range raised OverflowError,
-    # a traceback with exit 1
+    # report.json as -Infinity or NaN after a NumPy warning, with exit 0; a
+    # path loss d ** -alpha past the float range was a traceback, exit 1
     @pytest.mark.parametrize("sections", [
-        {"radio": {"noise_dbm": 3000, "tx_power_w": 1e-30}},
-        {"radio": {"tx_power_w": 1e300, "rho0": 1e10}},
-        {"radio": {"alpha": 500}, "grid": {"distance_m": 0.5}},
+        {"radio.noise_dbm": 3000, "radio.tx_power_w": 1e-30},
+        {"radio.tx_power_w": 1e300, "radio.rho0": 1e10},
+        {"radio.alpha": 500, "grid.distance_m": 0.5},
     ])
     def test_non_finite_sinr_is_a_numeric_error(self, tmp_path, sections):
-        p = tmp_path / "radio.json"
-        p.write_text(json.dumps({"flight": {"seed": 0}, **sections}))
-        out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "swarmform.cli", "pipeline", "--stage", "formation",
-             "--scenario", str(p), "--out-dir", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 2
-        assert done.stderr.startswith("swarmform: numeric error: [stage formation] ")
-        assert done.stderr.count("\n") == 1 and "Warning" not in done.stderr
-        assert not (out / "report.json").exists()
+        check_contract(mutated(tmp_path, sections), "formation", numeric_error=True)
 
     @pytest.mark.parametrize("stage", ["allocate", "fly"])
     def test_unusable_out_dir(self, tmp_path, stage):
@@ -583,72 +541,38 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "simulate", coincident_run_2)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)   # the streaming writer, where os.fork exists
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["flight"].update(runs=3, horizon_s=0.5, controller="apf")
-        p = tmp_path / "apf3.json"
-        p.write_text(json.dumps(doc))
+        p = mutated(tmp_path, {"flight.runs": 3, "flight.horizon_s": 0.5,
+                               "flight.controller": "apf"})
         out = tmp_path / "out"
-        assert main(["fly", "--scenario", str(p), "--out-dir", str(out)]) == 2
+        assert main(["fly", "--scenario", p, "--out-dir", str(out)]) == 2
         assert "numeric error: [stage fly]" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
-        with pytest.raises(ChildProcessError):   # the writer was reaped
-            os.waitpid(-1, os.WNOHANG)
+        _assert_reaped()
 
     def test_coincident_start_prints_one_line(self, tmp_path):
         # a start cube far below APF's coincidence distance puts every
-        # member on the target: the rollout goes non-finite and the CLI
-        # reports it in one line, with no NumPy warning before it
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["flight"].update(horizon_s=0.5, controller="apf", init_cube_half_width_m=1e-13)
-        p = tmp_path / "tiny.json"
-        p.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "swarmform.cli", "fly", "--scenario", str(p),
-             "--out-dir", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 2
-        assert done.stderr.startswith("swarmform: numeric error: [stage fly] ")
-        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
-        assert not out.exists() or list(out.iterdir()) == []
+        # member on the target: the rollout goes non-finite
+        p = mutated(tmp_path, {"flight.horizon_s": 0.5, "flight.controller": "apf",
+                               "flight.init_cube_half_width_m": 1e-13})
+        check_contract(p, "fly", numeric_error=True)
 
     # at 1e308 the cube's width overflows NumPy's uniform draw (an
     # OverflowError traceback); at 1e200 squared distances overflow and
     # report.json got Infinity after two NumPy warnings, with exit 0
     @pytest.mark.parametrize("half", [1e308, 1e200])
     def test_huge_start_cube_is_a_numeric_error(self, tmp_path, half):
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["flight"].update(horizon_s=0.5, init_cube_half_width_m=half)
-        p = tmp_path / "huge.json"
-        p.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        env = dict(os.environ, PYTHONPATH=str(Path(swarmform.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "swarmform.cli", "fly", "--scenario", str(p),
-             "--out-dir", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 2
-        assert done.stderr.startswith("swarmform: numeric error: [stage fly] ")
-        assert done.stderr.count("\n") == 1 and "Warning" not in done.stderr
-        assert not out.exists() or list(out.iterdir()) == []
+        p = mutated(tmp_path, {"flight.horizon_s": 0.5, "flight.init_cube_half_width_m": half})
+        check_contract(p, "fly", numeric_error=True)
 
     # horizon_s 0.1 at dt_s 1.0 ran two stages, then failed with "trajectory
     # has no steps"; horizon_s 1e9 ran out of memory with a traceback; the
     # last ratio overflows to inf
-    @pytest.mark.parametrize("flight", [{"dt_s": 1.0, "horizon_s": 0.1}, {"horizon_s": 1e9},
-                                        {"dt_s": 1e-300, "horizon_s": 1e300}])
+    @pytest.mark.parametrize("flight", [{"flight.dt_s": 1.0, "flight.horizon_s": 0.1},
+                                        {"flight.horizon_s": 1e9},
+                                        {"flight.dt_s": 1e-300, "flight.horizon_s": 1e300}])
     def test_step_count_out_of_bounds_is_a_config_error(self, tmp_path, capsys, flight):
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["flight"].update(flight)
-        p = tmp_path / "steps.json"
-        p.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["fly", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        assert main(["fly", "--scenario", mutated(tmp_path, flight), "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("swarmform: config error: flight: horizon / dt must "
                                        "round to 1 to 100000 steps")
@@ -656,20 +580,15 @@ class TestExitCodes:
 
     # runs 2**70 kept building starts until killed; runs 100,000 of
     # 100,000 steps would need 74.5 GiB for the Lyapunov traces alone
-    @pytest.mark.parametrize("flight, got", [({"runs": 2 ** 70}, f"{2 ** 70} x 2000"),
-                                             ({"runs": 100_000, "horizon_s": 1000.0},
+    @pytest.mark.parametrize("flight, got", [({"flight.runs": 2 ** 70}, f"{2 ** 70} x 2000"),
+                                             ({"flight.runs": 100_000, "flight.horizon_s": 1000.0},
                                               "100000 x 100000")],
                              ids=["runs-2**70", "runs-100000-steps-100000"])
     def test_runs_times_steps_over_the_cap_is_a_config_error(self, tmp_path, capsys,
                                                              monkeypatch, flight, got):
         monkeypatch.setattr(cli, "_stage_fly", lambda *args: pytest.fail("flight not refused"))
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["flight"].update(flight)
-        p = tmp_path / "runs.json"
-        p.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["fly", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        assert main(["fly", "--scenario", mutated(tmp_path, flight), "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == ("swarmform: config error: flight: runs x steps must be at "
                                 f"most 1000000, got {got}\n")
@@ -695,17 +614,105 @@ class TestExitCodes:
     # resources.bandwidth_cam -1 made the camera penalty a bonus: exit 0
     # with 9 cameras and 1 LiDAR
     def test_negative_resource_block_is_a_config_error(self, tmp_path, capsys):
-        doc = json.loads((resources.files("swarmform") / "scenarios"
-                          / "paper_default.json").read_text())
-        doc["resources"]["bandwidth_cam"] = -1
-        p = tmp_path / "negative.json"
-        p.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["allocate", "--scenario", str(p), "--out-dir", str(out)]) == 1
+        assert main(["allocate", "--scenario", mutated(tmp_path, {"resources.bandwidth_cam": -1}),
+                     "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == ("swarmform: config error: resources: resource blocks and "
                                 "costs must be non-negative, got bandwidth_cam=-1.0\n")
         assert captured.out == "" and not out.exists()
+
+
+def _leaves(node, prefix=()):
+    """The dotted path of every value in a scenario document that is not an
+    object: each list, and each of its items."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        path = (*prefix, str(key))
+        if not isinstance(value, dict):
+            yield ".".join(path)
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path)
+
+
+# the bundled scenarios share one tree of keys
+_LEAVES = sorted(_leaves(json.loads(Path(scenario("paper_default.json")).read_text())))
+_VALUES = [0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300, 1e307, -1e307,
+           "x", [1.0], *map(Scaled, (-1, 0.5, 2, 10))]
+
+
+def _bounded_work(path, stage):
+    """Whether the scenario at `path` run to `stage` has at most 2,500 grid
+    placements and, at fly, 2e4 run-steps; one config refuses runs no stage."""
+    try:
+        s = parse_scenario(path)
+    except ScenarioError:
+        return True
+    run_steps = s.flight.runs * round(s.flight.horizon_s / s.flight.dt_s)
+    return (len(s.grid.betas()) * len(s.grid.deltas()) <= 2_500
+            and (stage != "fly" or run_steps <= 20_000))
+
+
+def check_contract(path, stage, numeric_error=False):
+    """The CLI's failure contract for the scenario at `path`, run in process
+    to `stage` with every warning an error and its output beside it: exit 0
+    writes report.json, and fly_trace.csv at fly, of finite numbers; exit 1
+    or 2 prints one stderr line with the documented prefix, `[stage S]` for
+    exit 2, and leaves no file under --out-dir. Nothing else is printed,
+    nothing escapes `main`, no writer is left; `numeric_error` asks exit 2 at `stage`."""
+    out = Path(path).parent / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        # Python 3.12+ warns of forking while a BLAS thread runs (see cli._trace_stream)
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        code = main(["pipeline", "--scenario", str(path), "--stage", stage,
+                     "--out-dir", str(out)])
+    _assert_reaped()
+    err = stderr.getvalue()
+    left = sorted(p.name for p in out.iterdir()) if out.exists() else None
+    assert stdout.getvalue() == ""
+    if numeric_error:
+        assert err.startswith(f"swarmform: numeric error: [stage {stage}] "), err
+    if code == 0:
+        assert err == ""
+        assert left == ["fly_trace.csv", "report.json"][stage != "fly":]
+        report = json.loads((out / "report.json").read_text())
+        del report["Scenario"]
+        json.dumps(report, allow_nan=False)   # raises on NaN or Infinity
+        if stage == "fly":
+            trace = np.loadtxt(out / "fly_trace.csv", delimiter=",", skiprows=1)
+            assert np.isfinite(trace).all()
+        return
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    if code == 1:
+        assert re.match(r"swarmform: (config )?error: ", err), err
+    else:
+        failed = re.match(r"swarmform: (numeric )?error: \[stage (\w+)\] ", err)
+        assert code == 2 and failed, err
+        assert cli.STAGES.index(failed[2]) <= cli.STAGES.index(stage), err
+    # only the fly stage makes --out-dir, for its trace, and leaves it empty
+    assert left is None or (left == [] and "[stage fly]" in err), (left, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["paper_default.json", "paper_ground.json", "flight_benchmark.json"]),
+       stage=st.sampled_from(cli.STAGES),
+       changes=st.dictionaries(st.sampled_from(_LEAVES), st.sampled_from(_VALUES),
+                               min_size=1, max_size=2)
+       .filter(lambda c: not any(a.startswith(f"{b}.") for a in c for b in c)),
+       numeric_error=st.just(False))
+# a target track past the float range warned before the error line
+@example(name="paper_default.json", stage="fly", changes={"target.velocity.0": 1e307},
+         numeric_error=True)
+@example(name="paper_default.json", stage="fly", changes={"target.velocity.2": -1e307},
+         numeric_error=True)
+def test_failure_contract(name, stage, changes, numeric_error):
+    """`check_contract` over bundled scenarios with one or two leaves replaced."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = mutated(tmp, changes, name)
+        assume(_bounded_work(path, stage))
+        check_contract(path, stage, numeric_error)
 
 
 def test_start_up_loads_no_secrets_or_hmac():
@@ -796,8 +803,7 @@ class TestAtomicWrites:
         assert ("a trace writer process failed with exit status 1" if failing == "child"
                 else "No space left on device") in err
         assert list(out.iterdir()) == []
-        with pytest.raises(ChildProcessError):   # the writer was reaped
-            os.waitpid(-1, os.WNOHANG)
+        _assert_reaped()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no streaming writer without os.fork")
     def test_failing_hook_mid_flight_leaves_no_file_or_process(self, tmp_path, monkeypatch,
@@ -822,8 +828,7 @@ class TestAtomicWrites:
             == "swarmform: error: [stage fly] [Errno 28] No space left on device\n"
         assert len(calls) == 3
         assert list(out.iterdir()) == []
-        with pytest.raises(ChildProcessError):   # the writer was reaped
-            os.waitpid(-1, os.WNOHANG)
+        _assert_reaped()
 
 
 def _flown(n, steps, controller="log", runs=1, on_block=None):
@@ -843,11 +848,6 @@ def _streamed(path, n, steps, **kwargs):
     """`_flown`'s flight, its trace streamed to `path` as the CLI streams it."""
     with cli._trace_stream(path, n, 0.01) as on_block:
         return _flown(n, steps, on_block=on_block, **kwargs)
-
-
-def _assert_reaped():
-    with pytest.raises(ChildProcessError):   # no writer process is left
-        os.waitpid(-1, os.WNOHANG)
 
 
 # (members, steps) whose trace ends one row below, at and one row past the
@@ -876,10 +876,7 @@ class TestTraceWriter:
 
     @pytest.mark.parametrize("controller", ["log", "quad", "apf"])
     def test_paper_default_flights(self, tmp_path, monkeypatch, controller):
-        doc = json.loads(Path(scenario("paper_default.json")).read_text())
-        doc["flight"]["horizon_s"] = 1.5
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps(doc))
+        path = mutated(tmp_path, {"flight.horizon_s": 1.5})
         flown = []
         real_metrics = cli.metrics
         monkeypatch.setattr(cli, "metrics",
@@ -888,7 +885,7 @@ class TestTraceWriter:
         for cpus in (1, 2):
             monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
             out = tmp_path / str(cpus)
-            assert main(["fly", "--scenario", str(path), "--controller", controller,
+            assert main(["fly", "--scenario", path, "--controller", controller,
                          "--out-dir", str(out)]) == 0
             write_trace_csv(tmp_path / "oracle.csv", flown[-1])
             assert (out / "fly_trace.csv").read_bytes() \
@@ -937,8 +934,8 @@ class TestTraceWriter:
     def test_lagging_writer_leaves_the_parent_a_tail(self, tmp_path, monkeypatch, n, steps):
         # the writer sleeps before its first rows, so it acknowledges
         # nothing while the flight is flown: it is handed two messages, and
-        # after the flight half of the rest, and this process formats the
-        # other half itself
+        # after the flight as many rows as makes it half of the rest with
+        # them, and this process formats the other half itself
         format_spooled, format_rows = cli._format_spooled, cli._format_rows
         kept = []
 
@@ -956,7 +953,9 @@ class TestTraceWriter:
         traj = _streamed(tmp_path / "streamed.csv", n, steps)
         self.assert_same_bytes(tmp_path, traj, "streamed.csv")
         [(lo, hi)] = kept
+        held = cli._BACKLOG * cli._chunk(n)
         assert hi == steps + 1
+        assert lo == held + (hi - 2 * held) // 2
         assert hi - lo > kernels._BLOCK
         _assert_reaped()
 
