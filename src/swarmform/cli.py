@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
 import shutil
 import sys
@@ -42,7 +43,7 @@ from .sensing import logdet_reg, total_fim
 
 STAGES = ("allocate", "formation", "fly")
 _TRACE_VALUES = 16384  # trace values formatted per write, rounded down to whole rows
-_BACKLOG = 2  # messages of rows the streaming trace writer may hold unacknowledged
+_BACKLOG = 2  # messages of rows the streaming trace writer may hold not yet written
 
 
 class UsageError(Exception):
@@ -228,17 +229,17 @@ def _format_spooled(spool: int, out, lo: int, hi: int, n: int) -> None:
         out.write(repr_rows(np.frombuffer(raw).reshape(b - a, -1)))
 
 
-def _serve_writer(rows_fd: int, acks_fd: int, spool: int, fh, n: int) -> None:
+def _serve_writer(rows_fd: int, counter, spool: int, fh, n: int) -> None:
     """The forked writer's loop: each message on `rows_fd` hands it the
-    spooled rows up to a row number; it appends their text to `fh` and
-    acknowledges with one byte on `acks_fd`, until `rows_fd` ends."""
+    spooled rows up to a row number; it appends their text to `fh` and then
+    stores that row number in `counter`, 8 shared bytes, until `rows_fd` ends."""
     done = 0
     # each message is one 8-byte write, which a pipe never splits
     while message := os.read(rows_fd, 8):
         end = int.from_bytes(message, "little")
         _format_spooled(spool, fh, done, end, n)
+        counter[:] = message
         done = end
-        os.write(acks_fd, b"\0")
     fh.flush()
 
 
@@ -248,28 +249,30 @@ def _trace_stream(path: Path, n: int, dt: float):
     flies: yield the `on_block` hook to pass to `simulate`. The bytes are
     `_write_trace`'s.
 
-    Before the flight one writer process is forked. During the flight the
-    hook hands the writer the rows that have become final, `_chunk(n)` rows
-    to a message, while it holds fewer than `_BACKLOG` unacknowledged
-    messages: it appends them, as raw floats, to an unnamed spool file the
-    two processes share, and sends their end. Other rows wait in the
-    rollout's arrays, so the flight never waits for the writer, and the
-    writer never holds more than `_BACKLOG` messages. The writer formats
-    the rows handed to it, in order, straight after the header in the
-    output. When the block ends, the writer is handed the next rows, so
-    that with the messages it still holds it has half of the rows left,
+    Before the flight one writer process is forked. It reports the rows it
+    has written in one 8-byte counter in memory the two processes share,
+    which only it writes. During the flight the hook hands the writer the
+    rows that have become final, `_chunk(n)` rows to a message, while it
+    holds fewer than `_BACKLOG` messages' worth of rows not yet written: it
+    appends them, as raw floats, to an unnamed spool file the two processes
+    share, and sends their end down a pipe. Other rows wait in the
+    rollout's arrays, so the flight never waits for the writer. The writer
+    formats the rows handed to it, in order, straight after the header in
+    the output. When the block ends, the writer is handed the next rows, so
+    that with the rows it has not yet written it has half of the rows left,
     and this process formats the rest into a part file of its own while
     the writer works; once the writer has exited, the part is appended.
     So the file is the header, the writer's rows, then this process's,
-    whatever the schedule. If anything fails, in the block, in the writer
-    or here, the writer is killed and reaped and no file is left; a
-    writer's failure raises `OSError`.
+    whatever the schedule; a stale counter only hands the writer fewer
+    rows. If anything fails, in the block, in the writer or here, the
+    writer is killed and reaped and no file is left; a writer's failure
+    raises `OSError` once the flight is flown.
     """
-    with _write_atomic(path) as fh, tempfile.TemporaryFile(dir=path.parent) as spool:
+    with _write_atomic(path) as fh, tempfile.TemporaryFile(dir=path.parent) as spool, \
+            mmap.mmap(-1, 8) as counter:
         fh.write(_header(n))
         fh.flush()
         rows_r, rows_w = os.pipe()
-        acks_r, acks_w = os.pipe()
         pid = None
         try:
             # Safe although a BLAS thread may be running here (Python 3.12+
@@ -279,42 +282,32 @@ def _trace_stream(path: Path, n: int, dt: float):
             if pid == 0:
                 try:   # never return into the caller, nor flush its buffers
                     os.close(rows_w)
-                    _serve_writer(rows_r, acks_w, spool.fileno(), fh, n)
+                    _serve_writer(rows_r, counter, spool.fileno(), fh, n)
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(acks_w)   # so that the writer's exit ends the acknowledgements
-            acks_w = None
-            os.set_blocking(acks_r, False)
             history = None   # (times, P, V, U, lyap0) of the flight
-            final = handed = unacked = 0
+            final = handed = 0
             step = _chunk(n)
 
-            def writer_error() -> OSError | None:
-                """Reap the writer: the error its exit status makes, if any."""
+            def reap() -> None:
+                """Reap the writer; `OSError` if it failed."""
                 nonlocal pid
                 status, pid = os.waitpid(pid, 0)[1], None
-                code = os.waitstatus_to_exitcode(status)
-                return OSError(f"a trace writer process failed with exit status {code}") \
-                    if code else None
+                if code := os.waitstatus_to_exitcode(status):
+                    raise OSError(f"a trace writer process failed with exit status {code}")
 
-            def read_acks() -> None:
-                nonlocal unacked
-                try:
-                    acks = os.read(acks_r, 4096)
-                    if not acks:   # end of file: the writer has exited
-                        raise writer_error()
-                    unacked -= len(acks)
-                except BlockingIOError:   # no acknowledgement since the last one read
-                    pass
+            def written() -> int:
+                """The rows the writer has written, at most those handed to it."""
+                return min(int.from_bytes(counter, "little"), handed)
 
             def hand_over(end: int) -> None:
-                nonlocal handed, unacked
+                nonlocal handed
                 for table in _tables(*history, handed, end):
                     spool.write(table)
                 spool.flush()
                 os.write(rows_w, end.to_bytes(8, "little"))
-                handed, unacked = end, unacked + 1
+                handed = end
 
             def on_block(s, P, V, U, lyap):
                 nonlocal history, final
@@ -324,26 +317,22 @@ def _trace_stream(path: Path, n: int, dt: float):
                     final = len(P)
                     return
                 final = s
-                if final - handed < step:
-                    return
-                read_acks()
-                while unacked < _BACKLOG and final - handed >= step:
+                done = written()
+                while handed - done < _BACKLOG * step and final - handed >= step:
                     hand_over(handed + step)
 
             yield on_block
-            # the writer still holds `unacked` messages of `step` rows: it is
-            # handed half of what is left beyond them
-            read_acks()
-            mid = handed + max(0, (final - handed - unacked * step) // 2)
+            # the writer still has `handed - done` rows to write: it is handed
+            # as many more as make that half of the rows not yet written
+            done = written()
+            mid = handed + max(0, (final - 2 * handed + done) // 2)
             if mid > handed:
                 hand_over(mid)
             os.close(rows_w)   # the writer exits once it has formatted what it holds
             rows_w = None
             with tempfile.TemporaryFile(dir=path.parent) as part:
                 _format_rows(part, *history, mid, final)
-                error = writer_error()
-                if error:
-                    raise error
+                reap()
                 fh.seek(0, os.SEEK_END)
                 part.seek(0)
                 shutil.copyfileobj(part, fh)
@@ -352,7 +341,7 @@ def _trace_stream(path: Path, n: int, dt: float):
                 from signal import SIGKILL   # on failure only: start-up never loads it
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-            for fd in (rows_r, rows_w, acks_r, acks_w):
+            for fd in (rows_r, rows_w):
                 if fd is not None:
                     os.close(fd)
 

@@ -185,8 +185,12 @@ def simulate(
         controller, slots, gains, velocity, positions, velocities,
         formation.target + 0.0 * velocity, dt, steps, on_block)
     if not all(np.isfinite(a).all() for a in (final, lyap, path, vel_err)):
-        raise FloatingPointError("flight went non-finite during rollout, e.g. from "
-                                 "coincident UAVs under APF or a start too far out")
+        with np.errstate(over="ignore"):
+            track_end = formation.target + (steps * dt) * velocity
+        cause = (": the target velocity times the horizon overflows"
+                 if not np.isfinite(track_end).all()
+                 else ", e.g. from coincident UAVs under APF or a start too far out")
+        raise FloatingPointError(f"flight went non-finite during rollout{cause}")
     times = dt * np.arange(steps + 1)
     desired = formation.target + times[-1] * velocity + slots
     return Trajectory(times=times, positions=P, velocities=V, controls=U, lyapunov=lyap,

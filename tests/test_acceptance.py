@@ -25,6 +25,7 @@ from oracles import (
     lidar_measure,
     Sensor,
     pose_fim,
+    poses_of,
     sinr,
     subset_logdet,
 )
@@ -376,3 +377,81 @@ def test_criterion_11_paper_headline_ledger():
     assert (round(g0, 3), round(g1, 3)) == (22.684, 28.355)
     _report(11, f"coverage gain {g1 / g0 - 1:+.1%} matches the paper's +25.0%; "
                 "SINR and energy rows printed as known gaps")
+
+
+def test_criterion_12_fim_predicts_the_estimators_error():
+    """The FIM predicts how well the swarm locates the target.
+
+    On the allocated `paper_default` formation, N seeded trials each take
+    every member's measurement of the true target with the scenario's
+    sigmas: a camera's pixel (u, v), a LiDAR's (range, azimuth, pitch), as
+    `oracles.camera_project` and `oracles.lidar_measure` define them.
+    Gauss-Newton, started at the truth, estimates the target of every
+    trial at once. An efficient unbiased estimator's normalised error
+    squared, NEES = e^T F e with F = `total_fim`, is chi-squared with 3
+    degrees of freedom, of mean 3 and variance 6. The bound, stated before
+    the run, is four standard errors of the mean: |mean NEES - 3| <=
+    4 sqrt(6 / N). The RMSE prints beside sqrt(trace F^-1), its
+    Cramer-Rao floor.
+    """
+    start = time.time()
+    trials = 4000
+    bound = 4.0 * np.sqrt(6.0 / trials)
+    scenario = parse_scenario(resources.files("swarmform") / "scenarios"
+                              / "paper_default.json")
+    formation, _ = cli._stage_allocate(scenario)
+    models = scenario.sensors
+    cam, lidar = formation.positions[~formation.lidar], formation.positions[formation.lidar]
+    c, s = np.cos(formation.yaws[~formation.lidar]), np.sin(formation.yaws[~formation.lidar])
+    sigmas = np.sqrt(np.repeat([*models.camera_cov, *models.lidar_cov],
+                               [len(cam), len(cam), len(lidar), len(lidar), len(lidar)]))
+    azimuth = np.zeros(len(sigmas), dtype=bool)
+    azimuth[2 * len(cam) + len(lidar):2 * len(cam) + 2 * len(lidar)] = True
+
+    def measure(targets):
+        """(N, m) measurements, u then v of every camera, then range,
+        azimuth and pitch of every LiDAR, of each row of the (N, 3) `targets`."""
+        dx, dy, dz = (cam[None] - targets[:, None]).transpose(2, 0, 1)
+        z = c * dx + s * dy
+        lx, ly, lz = (lidar[None] - targets[:, None]).transpose(2, 0, 1)
+        return np.concatenate((
+            -models.fx * (c * dy - s * dx) / z + models.cx, -models.fy * dz / z + models.cy,
+            np.sqrt(lx * lx + ly * ly + lz * lz), np.arctan2(ly, lx),
+            np.arctan2(lz, np.hypot(lx, ly))), axis=1)
+
+    def minus(a, b):
+        """a - b, with azimuth differences wrapped to [-pi, pi)."""
+        d = a - b
+        d[:, azimuth] = (d[:, azimuth] + np.pi) % (2.0 * np.pi) - np.pi
+        return d
+
+    truth = formation.target
+    poses = poses_of(formation)
+    pixels = [camera_project(p, truth, models) for p in poses if p.sensor is Sensor.CAMERA]
+    ranges = [lidar_measure(p, truth) for p in poses if p.sensor is Sensor.LIDAR]
+    assert np.allclose(measure(truth[None])[0],
+                       np.concatenate((np.ravel(pixels, "F"), np.ravel(ranges, "F"))),
+                       rtol=1e-12, atol=0.0)
+    rng = np.random.default_rng(12)
+    observed = measure(truth[None]) + sigmas * rng.standard_normal((trials, len(sigmas)))
+    estimate = np.tile(truth, (trials, 1))
+    weights, h = 1.0 / sigmas ** 2, 1e-6
+    for _ in range(8):
+        # the Jacobian at each estimate by central differences, (N, m, 3)
+        jac = np.stack([minus(measure(estimate + h * e), measure(estimate - h * e)) / (2 * h)
+                        for e in np.eye(3)], axis=2)
+        jtw = jac.transpose(0, 2, 1) * weights
+        update = np.linalg.solve(jtw @ jac, jtw @ minus(observed, measure(estimate))[..., None])
+        estimate += update[..., 0]
+    error = estimate - truth
+    fim = total_fim(formation, models)
+    nees = float(np.einsum("ti,ij,tj->t", error, fim, error).mean())
+    rmse = float(np.sqrt((error ** 2).sum(axis=1).mean()))
+    floor = float(np.sqrt(np.trace(np.linalg.inv(fim))))
+    elapsed = time.time() - start
+    assert np.abs(update).max() < 1e-9, "Gauss-Newton has not converged"
+    assert abs(nees - 3.0) <= bound, f"mean NEES {nees:.3f} outside 3 +/- {bound:.3f}"
+    assert elapsed < 2.0
+    _report(12, f"{trials} trials on the allocated paper_default formation: mean NEES "
+                f"{nees:.3f} within 3 +/- {bound:.3f}; RMSE {rmse:.4f} m against the "
+                f"Cramer-Rao floor {floor:.4f} m, in {elapsed:.2f}s")

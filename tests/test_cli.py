@@ -556,6 +556,16 @@ class TestExitCodes:
                                "flight.init_cube_half_width_m": 1e-13})
         check_contract(p, "fly", numeric_error=True)
 
+    # the target's own track overflows: the message blamed coincident UAVs
+    # under APF or a start too far out
+    def test_overflowing_target_track_names_the_velocity(self, tmp_path, capsys):
+        p = mutated(tmp_path, {"target.velocity": [1e307, 0.0, 0.0]})
+        assert main(["fly", "--scenario", p, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "swarmform: numeric error: [stage fly] flight went non-finite during rollout: "
+            "the target velocity times the horizon overflows\n")
+        _assert_reaped()
+
     # at 1e308 the cube's width overflows NumPy's uniform draw (an
     # OverflowError traceback); at 1e200 squared distances overflow and
     # report.json got Infinity after two NumPy warnings, with exit 0
@@ -932,8 +942,8 @@ class TestTraceWriter:
     @_needs_fork
     @pytest.mark.parametrize("n, steps", [(6, 2000), (48, 300)])
     def test_lagging_writer_leaves_the_parent_a_tail(self, tmp_path, monkeypatch, n, steps):
-        # the writer sleeps before its first rows, so it acknowledges
-        # nothing while the flight is flown: it is handed two messages, and
+        # the writer sleeps before its first rows, so its counter reads no
+        # row written while the flight is flown: it is handed two messages, and
         # after the flight as many rows as makes it half of the rest with
         # them, and this process formats the other half itself
         format_spooled, format_rows = cli._format_spooled, cli._format_rows
