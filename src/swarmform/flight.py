@@ -42,6 +42,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,19 @@ def simulate(
     across controllers. A run whose state, Lyapunov trace or metrics go
     non-finite raises FloatingPointError. `on_block` is passed to
     `kernels.rollout`, which calls it as run 0's history becomes final.
+
+    A step `dt` at or above the stability bound of semi-implicit Euler on
+    the law linearised about the formation, m e'' = -K e - k2 e', raises
+    ValueError: past it the rollout runs on to a finite, wrong answer.
+    Jury's test on the step's characteristic polynomial gives stability
+    iff lam dt^2 + 2 k2 dt - 4m < 0 (which implies dt k2 / m < 2) for
+    every eigenvalue lam of K, i.e. dt < 4m / (k2 + sqrt(k2^2 + 4m lam)),
+    written without cancellation. For the log and quad laws
+    K = k1 L + kp e0 e0^T over n members (L the complete graph's
+    Laplacian; the log law's per-edge curvature is at most k1, reached at
+    e = 0), so lam <= k1 n + kp. For APF lam = ka: the bound covers its
+    attraction only, since its repulsion has no bounded curvature. A bound
+    that rounds to 0 or overflows refuses every step.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}; expected log, quad or apf")
@@ -180,6 +194,13 @@ def simulate(
     if velocity.shape != (3,) or not np.isfinite(velocity).all():
         raise ValueError(f"velocity must be a finite 3-vector, got {velocity}")
     steps = step_count(dt, horizon, len(positions))
+    m, k2, n = gains.mass, gains.k2, len(formation)
+    lam = gains.ka if controller == "apf" else gains.k1 * n + gains.kp
+    # hypot and the split square root keep k2^2 + 4m lam from overflowing
+    bound = 4.0 * (m / (k2 + math.hypot(k2, 2.0 * math.sqrt(m) * math.sqrt(lam))))
+    if not (0 < bound < math.inf and dt < bound):
+        raise ValueError(f"step dt {dt} s is not below the {controller} law's stability "
+                         f"bound {bound:.6g} s for {n} UAVs")
     slots = formation.positions - formation.target
     P, V, U, lyap, path, vel_err, final = kernels.rollout(
         controller, slots, gains, velocity, positions, velocities,

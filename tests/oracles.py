@@ -32,6 +32,8 @@ compare against it:
   penalty-free greedy optima;
 - `greedy_allocate_all_rows`: `alloc.greedy_allocate` scoring every
   candidate with `logdet_reg` in every round, with no screen;
+- `mix_ceiling`: the closed-form log-det ceiling of a sensor mix drawn
+  from a candidate pool;
 - `SwarmState`, `stacked`, `control`, `lyapunov_value`: one swarm's
   state, a list of them as `flight.simulate`'s (R, n, 3) start, and the
   flight law bound as `simulate` binds it, evaluated at one state;
@@ -561,6 +563,19 @@ def greedy_allocate_all_rows(candidates, weights, resources, models):
     formation = Formation(positions[chosen], candidates.yaws[chosen], lidar[chosen],
                           candidates.target)
     return AllocationResult(formation=formation, logdet=current, gains=gains, utilities=utilities)
+
+
+def mix_ceiling(candidates, models, lidars, cameras) -> float:
+    """3 log((a T_L + b T_C + 3 eps) / 3), with a = `lidars`, b = `cameras`
+    and T the largest FIM trace of each modality among `candidates`: no
+    formation of that mix drawn from the pool has a larger log det(F +
+    eps I). By AM-GM on the eigenvalues of the 3 x 3 matrix F + eps I,
+    log det <= 3 log(tr / 3), with equality only where it is isotropic,
+    and the trace is additive over members."""
+    traces = np.trace(fims(candidates, models), axis1=1, axis2=2)
+    t_lidar = traces[candidates.lidar].max(initial=0.0)
+    t_camera = traces[~candidates.lidar].max(initial=0.0)
+    return float(3.0 * np.log((lidars * t_lidar + cameras * t_camera + 3.0 * models.eps) / 3.0))
 
 
 @dataclass

@@ -1,3 +1,8 @@
+import io
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +14,7 @@ from oracles import (
     exhaustive_best,
     greedy_allocate_all_rows,
     greedy_unpenalized,
+    mix_ceiling,
     pose_fim,
     subset_logdet,
 )
@@ -394,3 +400,39 @@ class TestScreen:
         assert (lower[bounded] > -np.inf).all()
         util = logdet_reg(total + row_fims[bounded], eps) - current - penalties[bounded]
         assert (lower[bounded] <= util).all() and (util <= upper[bounded]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(20.0, 90.0), delta=st.floats(15.0, 60.0),
+       offset=st.tuples(*[st.floats(-50.0, 50.0)] * 3), distance=st.floats(2.0, 30.0),
+       fx=st.floats(50.0, 2000.0), log_eps=st.floats(-9.0, 0.0), penalised=st.booleans(),
+       max_uavs=st.integers(1, 10), vfov_deg=st.floats(20.0, 170.0))
+def test_greedy_logdet_under_its_mix_ceiling(beta, delta, offset, distance, fx, log_eps,
+                                              penalised, max_uavs, vfov_deg):
+    """On small random pools greedy's log-det stays under the closed-form
+    ceiling of the mix it picks; the ceiling holds by algebra, so a
+    failure means an information matrix is assembled wrong."""
+    grid = GridSpec(distance=distance, beta_step=np.radians(beta), delta_step=np.radians(delta))
+    candidates = build_candidates(np.array(offset), grid, np.radians(vfov_deg))
+    weights = (AllocWeights(min_gain=-5.0, max_uavs=max_uavs) if penalised
+               else AllocWeights(0.0, 0.0, 0.0, max_uavs))
+    models = SensorModels(fx=fx, fy=fx, eps=10.0 ** log_eps)
+    result = allocate(candidates, weights, models)
+    lidars = int(result.formation.lidar.sum())
+    ceiling = mix_ceiling(candidates, models, lidars, len(result.formation) - lidars)
+    # the slack covers the rounding of slogdet and of the trace sum
+    assert result.logdet <= ceiling + 1e-9 * max(1.0, abs(ceiling))
+
+
+def test_readme_library_example():
+    """The README's Library example, run as written, prints what its
+    comments state: 288 candidates, 144 of them LiDAR, then 6 UAVs at
+    log-det 16.48."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S)[1]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(code, {})
+    first, second = out.getvalue().splitlines()
+    assert first == "288 144"
+    assert second.startswith("6 16.48")

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -81,6 +82,8 @@ class TestAllocate:
         alloc = report["Allocation"]
         assert alloc["UAV count"] == 6
         assert alloc["Sensor mix"] == {"lidar": 2, "camera": 4}
+        # each member's "Sensor" string is written from the lidar mask
+        assert Counter(m["Sensor"] for m in alloc["Members"]) == alloc["Sensor mix"]
         assert alloc["log-det FIM"] == pytest.approx(16.482, abs=1e-2)
         assert "Formation" not in report and "Flight" not in report
 
@@ -108,6 +111,12 @@ class TestFormation:
         assert report["Formation"]["Ground constrained"]
         zs = [m["Position (x, y, z)"][2] for m in report["Formation"]["Members"]]
         assert min(zs) >= 0.0
+        assert min(m["Pitch (deg)"] for m in report["Formation"]["Members"]) >= 0.0
+        # the flip search checks the SINR floor on the mirrored poses it returns
+        formation = report["Formation"]
+        floor = min(report["Scenario"]["fov"]["eta_min_db"],
+                    formation["Before"]["Min. SINR (dB)"])
+        assert formation["After"]["Min. SINR (dB)"] >= floor - 1e-9
 
 
 class TestFly:
@@ -566,6 +575,21 @@ class TestExitCodes:
             "the target velocity times the horizon overflows\n")
         _assert_reaped()
 
+    # flight_benchmark at dt_s 0.4 under quad exited 0 with an Avg. Final
+    # Pos. Err. of 2.4e29 m: past the step's stability bound the rollout
+    # diverges to finite, wrong numbers
+    def test_step_above_the_stability_bound_is_refused(self, tmp_path, capsys):
+        p = mutated(tmp_path, {"flight.dt_s": 0.4, "flight.controller": "quad"},
+                    "flight_benchmark.json")
+        out = tmp_path / "out"
+        assert main(["fly", "--scenario", p, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("swarmform: error: [stage fly] step dt 0.4 s is not below "
+                                "the quad law's stability bound 0.301705 s for 6 UAVs\n")
+        assert captured.out == ""
+        assert not out.exists() or list(out.iterdir()) == []
+        _assert_reaped()
+
     # at 1e308 the cube's width overflows NumPy's uniform draw (an
     # OverflowError traceback); at 1e200 squared distances overflow and
     # report.json got Infinity after two NumPy warnings, with exit 0
@@ -647,7 +671,7 @@ def _leaves(node, prefix=()):
 # the bundled scenarios share one tree of keys
 _LEAVES = sorted(_leaves(json.loads(Path(scenario("paper_default.json")).read_text())))
 _VALUES = [0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300, 1e307, -1e307,
-           "x", [1.0], *map(Scaled, (-1, 0.5, 2, 10))]
+           "x", [1.0], *map(Scaled, (-1, 0.5, 2, 10, 30, 50))]
 
 
 def _bounded_work(path, stage):

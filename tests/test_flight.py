@@ -27,6 +27,7 @@ from swarmform.flight import (
     MAX_STEPS,
     ControlGains,
     FlightMetrics,
+    cube_starts,
     metrics,
     simulate,
     step_count,
@@ -314,6 +315,27 @@ class TestSimulate:
         with pytest.raises(ValueError, match="velocity must be a finite 3-vector"):
             simulate(stacked([equilibrium_state(formation)]), formation, "log", gains,
                      velocity, 0.01, 0.1)
+
+    # semi-implicit Euler holds m e'' = -K e - k2 e' iff dt < 4m / (k2 +
+    # sqrt(k2^2 + 4m lam)) for every eigenvalue lam <= k1 n + kp of K
+    @pytest.mark.parametrize("n, bound", [(6, 0.3017), (12, 0.2380), (48, 0.1335)])
+    def test_quad_converges_below_the_step_bound_and_is_refused_above(self, gains, n, bound):
+        lam = gains.k1 * n + gains.kp
+        exact = (-gains.k2 + math.sqrt(gains.k2 ** 2 + 4 * gains.mass * lam)) / lam
+        assert exact == pytest.approx(bound, abs=5e-5)
+        f = slotted(np.random.default_rng(n).uniform(-10.0, 10.0, (n, 3)))
+        start = cube_starts(f, 15.0, 0, 2)
+        # stated before the run: after 2,000 steps at 0.95x the bound every
+        # member of both runs is within 1e-9 m of its slot
+        traj = simulate(start, f, "quad", gains, STILL, 0.95 * exact, 2000 * 0.95 * exact)
+        assert len(traj.times) == 2001 and traj.final_error.max() < 1e-9
+        with pytest.raises(ValueError, match="not below the quad law's stability bound"):
+            simulate(start, f, "quad", gains, STILL, 1.05 * exact, 400 * 1.05 * exact)
+        # flown unchecked at 1.05x, the same starts diverge within 400 steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, final = kernels.rollout("quad", f.positions - f.target, gains, STILL, *start,
+                                        f.target, 1.05 * exact, 400)
+        assert not (np.abs(final) < 1e20).all()
 
     @pytest.mark.parametrize("dt, horizon", [(1.0, 0.1), (0.01, 1e9), (1e-300, 1e300),
                                              (0.01, 0.0), (-0.01, 1.0)])
